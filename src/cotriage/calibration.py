@@ -14,7 +14,9 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import EmptyDataset
 
@@ -55,6 +57,50 @@ def default_grid() -> list[float]:
     return [i / 20 for i in range(21)]
 
 
+class RoutingArrays(NamedTuple):
+    """CalibrationItem fields as aligned per-item arrays."""
+
+    score: np.ndarray
+    greedy_correct: np.ndarray
+    greedy_tokens: np.ndarray
+    multi_correct: np.ndarray
+    multi_tokens: np.ndarray
+
+    @classmethod
+    def of(cls, items: Sequence[CalibrationItem]) -> RoutingArrays:
+        if not items:
+            raise EmptyDataset("cannot route zero items")
+        return cls(*(np.array([getattr(it, f) for it in items]) for f in cls._fields))
+
+
+def route_at_tau(
+    arrays: RoutingArrays, tau: float, sunk_greedy: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The accept-or-escalate rule: per-item (accepted, correct, tokens).
+
+    An item whose score is >= tau keeps its greedy answer and cost; any other
+    item takes the multi-path answer and pays the multi-path tokens, plus the
+    greedy tokens when sunk_greedy.
+    """
+    accepted = arrays.score >= tau
+    escalated = arrays.multi_tokens + arrays.greedy_tokens if sunk_greedy else arrays.multi_tokens
+    correct = np.where(accepted, arrays.greedy_correct, arrays.multi_correct)
+    return accepted, correct, np.where(accepted, arrays.greedy_tokens, escalated)
+
+
+def _point(arrays: RoutingArrays, tau: float, sunk_greedy: bool) -> CalibrationPoint:
+    accepted, correct, tokens = route_at_tau(arrays, tau, sunk_greedy)
+    n = len(accepted)
+    mean_tokens = int(tokens.sum()) / n
+    return CalibrationPoint(
+        tau=tau,
+        accuracy=int(correct.sum()) / n,
+        mean_tokens=mean_tokens,
+        token_reduction=1.0 - mean_tokens / (int(arrays.multi_tokens.sum()) / n),
+        accept_rate=int(accepted.sum()) / n,
+    )
+
+
 def simulate_at_tau(
     items: Sequence[CalibrationItem], tau: float, sunk_greedy: bool = True
 ) -> CalibrationPoint:
@@ -62,33 +108,7 @@ def simulate_at_tau(
 
     token_reduction is relative to always running the multi-path baseline.
     """
-    if not items:
-        raise EmptyDataset("cannot calibrate on zero items")
-    n = len(items)
-    correct = 0
-    tokens = 0
-    accepted = 0
-    baseline = 0
-    for item in items:
-        baseline += item.multi_tokens
-        if item.score >= tau:
-            accepted += 1
-            correct += item.greedy_correct
-            tokens += item.greedy_tokens
-        else:
-            correct += item.multi_correct
-            tokens += item.multi_tokens
-            if sunk_greedy:
-                tokens += item.greedy_tokens
-    mean_tokens = tokens / n
-    mean_baseline = baseline / n
-    return CalibrationPoint(
-        tau=tau,
-        accuracy=correct / n,
-        mean_tokens=mean_tokens,
-        token_reduction=1.0 - mean_tokens / mean_baseline,
-        accept_rate=accepted / n,
-    )
+    return _point(RoutingArrays.of(items), tau, sunk_greedy)
 
 
 def sweep(
@@ -102,9 +122,9 @@ def sweep(
         grid = default_grid()
     if len(grid) < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("threshold grid must be strictly increasing")
-    points = [simulate_at_tau(items, tau, sunk_greedy=sunk_greedy) for tau in grid]
+    arrays = RoutingArrays.of(items)
     return CalibrationProfile(
-        points=points,
+        points=[_point(arrays, tau, sunk_greedy) for tau in grid],
         baseline_method=baseline_method,
         greedy_source=greedy_source,
         sunk_greedy=sunk_greedy,

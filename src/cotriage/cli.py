@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +96,10 @@ def _coerce(raw: str):
     return raw
 
 
+# a quoted string or bare text, then an optional # comment
+_VALUE = re.compile(r'\s*("[^"]*"|[^#]*?)\s*(?:#.*)?')
+
+
 def parse_config_text(text: str) -> dict:
     """Flat key = value document; # starts a comment, quotes protect strings."""
     out: dict = {}
@@ -107,9 +112,7 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise UsageError(f"config line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        value = value.strip()
-        if not value.startswith('"') and "#" in value:
-            value = value.split("#", 1)[0].strip()
+        value = _VALUE.fullmatch(value).group(1)
         out[key.strip().replace("-", "_")] = _coerce(value)
     return out
 
@@ -122,113 +125,115 @@ def load_config(path: str) -> dict:
     return parse_config_text(text)
 
 
-# --- option tables ----------------------------------------------------------
+# --- option table -------------------------------------------------------------
 
-_COMMON = {"seed": 0, "config": None}
+# One row per option: (name, type, default, help). A bool row is a store-true
+# flag and a tuple row lists the allowed choices; a default of ... marks a
+# required option. The flag is the name with dashes, except in_dir is --in.
+_COMMON = (
+    ("config", str, None, "flat key = value option file"),
+    ("seed", int, 0, "master seed for all randomness"),
+)
+
+_ROUTING = (
+    ("data", str, ..., "directory with <split>.{questions,traj,paths}.jsonl"),
+    ("features", str, ..., "directory from extract-features"),
+    ("model", str, ..., "checkpoint file"),
+    ("out", str, ..., "output directory"),
+    ("method", ("sc", "cer", "dv"), "sc", "voting method of the multi-path route"),
+    ("budget", int, 10, "sampled paths consumed per escalation"),
+    ("votes_needed", int, None, "dv early-stop vote count (default budget // 2 + 1)"),
+    ("include_greedy_vote", bool, False, "count the greedy answer as one more sc/cer vote"),
+    ("no_sunk_greedy", bool, False, "escalation does not pay for the greedy pass"),
+)
+
+COMMANDS: dict[str, tuple[str, tuple]] = {
+    "synth": ("generate a planted-signal synthetic dataset in three splits", (
+        ("out", str, ..., "output directory"),
+        ("n_train", int, 500, "questions in the train split"),
+        ("n_val", int, 200, "questions in the val split"),
+        ("n_test", int, 500, "questions in the test split"),
+        ("beta", float, 1.0, "planted signal strength in [0, 1]"),
+        ("choices", int, 4, "options per question"),
+        ("base_rate", float, 0.8, "fraction of questions whose greedy answer is correct"),
+        ("samples", int, 10, "sampled paths per question"),
+        ("t_min", int, 3, "fewest sentences per trajectory"),
+        ("t_max", int, 12, "most sentences per trajectory"),
+    )),
+    "harvest": ("harvest trajectories and sampled paths from an endpoint", (
+        ("questions", str, ..., "questions jsonl file"),
+        ("out", str, ..., "output directory"),
+        ("split", str, "train", "split name used in output file names"),
+        ("base_url", str, ..., "endpoint base url, e.g. http://localhost:8000/v1"),
+        ("model", str, ..., "endpoint model name"),
+        ("template", str, "mc-cot/1", "prompt template id"),
+        ("n_samples", int, 10, "sampled paths per question"),
+        ("temperature", float, 1.0, "sampling temperature of the sampled paths"),
+        ("max_new_tokens", int, 1024, "generation limit per request"),
+        ("cache_dir", str, None, "response cache directory"),
+        ("api_key_env", str, "COTRIAGE_API_KEY", "environment variable holding the API key"),
+        ("timeout", float, 120.0, "seconds per HTTP request"),
+        ("max_in_flight", int, 4, "concurrent scoring requests"),
+        ("max_retries", int, 3, "retries of a failed request"),
+        ("backoff", float, 0.5, "first retry delay in seconds, doubled per retry"),
+        ("no_paths", bool, False, "skip sampled paths"),
+    )),
+    "extract-features": ("turn trajectories into padded feature sequences", (
+        ("in_dir", str, ..., "directory with <split>.traj.jsonl files"),
+        ("out", str, ..., "output directory"),
+        ("subset", ("full", "numeric", "linguistic"), "full", "feature columns to keep"),
+    )),
+    "train": ("train the escalation detector on extracted features", (
+        ("in_dir", str, ..., "directory from extract-features"),
+        ("out", str, ..., "output directory for checkpoint and log"),
+        ("hidden", int, 64, "GRU and attention width"),
+        ("heads", int, 4, "attention heads"),
+        ("head_hidden", int, 32, "hidden width of the scoring head"),
+        ("no_feature_gate", bool, False, "drop the channel gate"),
+        ("no_mhsa", bool, False, "drop the self-attention block"),
+        ("lr", float, 1e-3, "Adam learning rate"),
+        ("batch_size", int, 64, "trajectories per batch"),
+        ("max_epochs", int, 100, "epoch limit"),
+        ("patience", int, 10, "epochs without val AUC gain before stopping"),
+        ("loss_variant", ("final", "final_aux"), "final", "final_aux adds per-sentence loss"),
+        ("aux_weight", float, 0.5, "weight of the per-sentence loss"),
+        ("no_class_weights", bool, False, "do not reweight the classes"),
+    )),
+    "calibrate": ("sweep the acceptance threshold on a validation split", _ROUTING + (
+        ("split", str, "val", "split name"),
+        ("max_rel_drop", float, 0.005, "allowed relative accuracy drop from the best"),
+    )),
+    "route": ("apply a threshold to a split and write outcome files", _ROUTING + (
+        ("split", str, "test", "split name"),
+        ("tau", float, None, "acceptance threshold (exclusive with --selection)"),
+        ("selection", str, None, "selection.json from calibrate (exclusive with --tau)"),
+    )),
+    "evaluate": ("summarize one outcome file", (
+        ("outcomes", str, ..., "outcomes jsonl file"),
+        ("out", str, None, "optional output directory"),
+    )),
+    "bootstrap": ("paired bootstrap significance between two outcome files", (
+        ("a", str, ..., "first outcomes jsonl file"),
+        ("b", str, ..., "second outcomes jsonl file"),
+        ("resamples", int, 2000, "bootstrap resamples"),
+        ("method", ("sign-flip", "percentile"), "sign-flip", "p-value convention"),
+        ("out", str, None, "optional output directory"),
+    )),
+    "report": ("summary, significance and outcome tables for a routed run", (
+        ("in_dir", str, ..., "directory with outcomes.*.jsonl"),
+        ("out", str, ..., "output directory"),
+        ("resamples", int, 2000, "bootstrap resamples"),
+    )),
+}
 
 DEFAULTS: dict[str, dict] = {
-    "synth": {
-        **_COMMON,
-        "out": None,
-        "n_train": 500,
-        "n_val": 200,
-        "n_test": 500,
-        "beta": 1.0,
-        "choices": 4,
-        "base_rate": 0.8,
-        "samples": 10,
-        "t_min": 3,
-        "t_max": 12,
-    },
-    "harvest": {
-        **_COMMON,
-        "questions": None,
-        "out": None,
-        "split": "train",
-        "base_url": None,
-        "model": None,
-        "template": "mc-cot/1",
-        "n_samples": 10,
-        "temperature": 1.0,
-        "max_new_tokens": 1024,
-        "cache_dir": None,
-        "api_key_env": "COTRIAGE_API_KEY",
-        "timeout": 120.0,
-        "max_in_flight": 4,
-        "max_retries": 3,
-        "backoff": 0.5,
-        "no_paths": False,
-    },
-    "extract-features": {**_COMMON, "in_dir": None, "out": None, "subset": "full"},
-    "train": {
-        **_COMMON,
-        "in_dir": None,
-        "out": None,
-        "hidden": 64,
-        "heads": 4,
-        "head_hidden": 32,
-        "no_feature_gate": False,
-        "no_mhsa": False,
-        "lr": 1e-3,
-        "batch_size": 64,
-        "max_epochs": 100,
-        "patience": 10,
-        "loss_variant": "final",
-        "aux_weight": 0.5,
-        "no_class_weights": False,
-    },
-    "calibrate": {
-        **_COMMON,
-        "data": None,
-        "features": None,
-        "model": None,
-        "out": None,
-        "split": "val",
-        "method": "sc",
-        "budget": 10,
-        "votes_needed": None,
-        "include_greedy_vote": False,
-        "max_rel_drop": 0.005,
-        "no_sunk_greedy": False,
-    },
-    "route": {
-        **_COMMON,
-        "data": None,
-        "features": None,
-        "model": None,
-        "out": None,
-        "split": "test",
-        "method": "sc",
-        "budget": 10,
-        "votes_needed": None,
-        "include_greedy_vote": False,
-        "no_sunk_greedy": False,
-        "tau": None,
-        "selection": None,
-    },
-    "evaluate": {**_COMMON, "outcomes": None, "out": None},
-    "bootstrap": {
-        **_COMMON,
-        "a": None,
-        "b": None,
-        "resamples": 2000,
-        "method": "sign-flip",
-        "out": None,
-    },
-    "report": {**_COMMON, "in_dir": None, "out": None, "resamples": 2000},
+    name: {opt: None if default is ... else default for opt, _, default, _ in _COMMON + rows}
+    for name, (_, rows) in COMMANDS.items()
 }
 
-REQUIRED: dict[str, tuple[str, ...]] = {
-    "synth": ("out",),
-    "harvest": ("questions", "out", "base_url", "model"),
-    "extract-features": ("in_dir", "out"),
-    "train": ("in_dir", "out"),
-    "calibrate": ("data", "features", "model", "out"),
-    "route": ("data", "features", "model", "out"),
-    "evaluate": ("outcomes",),
-    "bootstrap": ("a", "b"),
-    "report": ("in_dir", "out"),
-}
+
+def _flag(name: str) -> str:
+    return "--in" if name == "in_dir" else "--" + name.replace("_", "-")
 
 
 def resolve_options(subcommand: str, explicit: dict) -> argparse.Namespace:
@@ -241,13 +246,15 @@ def resolve_options(subcommand: str, explicit: dict) -> argparse.Namespace:
             raise UsageError(f"unknown config keys for {subcommand}: {', '.join(unknown)}")
         merged.update(file_opts)
     merged.update(explicit)
-    for key in REQUIRED[subcommand]:
-        if merged.get(key) is None:
-            flag = "--" + key.replace("_", "-")
-            raise UsageError(f"{subcommand}: {flag} is required (flag or config file)")
-    for key, default in DEFAULTS[subcommand].items():
-        if isinstance(default, float) and isinstance(merged[key], int):
-            merged[key] = float(merged[key])
+    for name, kind, default, _ in _COMMON + COMMANDS[subcommand][1]:
+        value = merged[name]
+        if default is ... and value is None:
+            raise UsageError(f"{subcommand}: {_flag(name)} is required (flag or config file)")
+        if isinstance(kind, tuple) and value not in kind:
+            allowed = ", ".join(kind)
+            raise UsageError(f"{subcommand}: {name} must be one of {allowed}, not {value!r}")
+        if isinstance(default, float) and isinstance(value, int):
+            merged[name] = float(value)
     return argparse.Namespace(**merged)
 
 
@@ -526,8 +533,8 @@ def cmd_calibrate(opts) -> int:
 
 
 def cmd_route(opts) -> int:
-    if opts.tau is None and opts.selection is None:
-        raise UsageError("route: pass --tau or --selection selection.json")
+    if (opts.tau is None) == (opts.selection is None):
+        raise UsageError("route: pass exactly one of --tau and --selection selection.json")
     tau = opts.tau
     if tau is None:
         with open(opts.selection, encoding="utf-8") as fh:
@@ -653,13 +660,6 @@ HANDLERS = {
 # --- parser -------------------------------------------------------------------
 
 
-def _add(sub, name: str, help_text: str) -> argparse.ArgumentParser:
-    p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-    p.add_argument("--config", help="flat key = value option file")
-    p.add_argument("--seed", type=int, help="master seed for all randomness")
-    return p
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cotriage",
@@ -668,95 +668,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = _add(sub, "synth", "generate a planted-signal synthetic dataset in three splits")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--n-train", type=int, dest="n_train")
-    p.add_argument("--n-val", type=int, dest="n_val")
-    p.add_argument("--n-test", type=int, dest="n_test")
-    p.add_argument("--beta", type=float, help="planted signal strength in [0, 1]")
-    p.add_argument("--choices", type=int)
-    p.add_argument("--base-rate", type=float, dest="base_rate")
-    p.add_argument("--samples", type=int, help="sampled paths per question")
-    p.add_argument("--t-min", type=int, dest="t_min")
-    p.add_argument("--t-max", type=int, dest="t_max")
-
-    p = _add(sub, "harvest", "harvest trajectories and sampled paths from an endpoint")
-    p.add_argument("--questions", help="questions jsonl file")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--split", help="split name used in output file names")
-    p.add_argument("--base-url", dest="base_url")
-    p.add_argument("--model", help="endpoint model name")
-    p.add_argument("--template", help="prompt template id")
-    p.add_argument("--n-samples", type=int, dest="n_samples")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--max-new-tokens", type=int, dest="max_new_tokens")
-    p.add_argument("--cache-dir", dest="cache_dir")
-    p.add_argument("--api-key-env", dest="api_key_env")
-    p.add_argument("--timeout", type=float)
-    p.add_argument("--max-in-flight", type=int, dest="max_in_flight")
-    p.add_argument("--max-retries", type=int, dest="max_retries")
-    p.add_argument("--backoff", type=float)
-    p.add_argument("--no-paths", action="store_true", help="skip sampled paths")
-
-    p = _add(sub, "extract-features", "turn trajectories into padded feature sequences")
-    p.add_argument("--in", dest="in_dir", help="directory with <split>.traj.jsonl files")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--subset", choices=("full", "numeric", "linguistic"))
-
-    p = _add(sub, "train", "train the escalation detector on extracted features")
-    p.add_argument("--in", dest="in_dir", help="directory from extract-features")
-    p.add_argument("--out", help="output directory for checkpoint and log")
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--head-hidden", type=int, dest="head_hidden")
-    p.add_argument("--no-feature-gate", action="store_true", dest="no_feature_gate")
-    p.add_argument("--no-mhsa", action="store_true", dest="no_mhsa")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--max-epochs", type=int, dest="max_epochs")
-    p.add_argument("--patience", type=int)
-    p.add_argument("--loss-variant", choices=("final", "final_aux"), dest="loss_variant")
-    p.add_argument("--aux-weight", type=float, dest="aux_weight")
-    p.add_argument("--no-class-weights", action="store_true", dest="no_class_weights")
-
-    for name, help_text, split_default in (
-        ("calibrate", "sweep the acceptance threshold on a validation split", "val"),
-        ("route", "apply a threshold to a split and write outcome files", "test"),
-    ):
-        p = _add(sub, name, help_text)
-        p.add_argument("--data", help="directory with <split>.{questions,traj,paths}.jsonl")
-        p.add_argument("--features", help="directory from extract-features")
-        p.add_argument("--model", help="checkpoint file")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--split", help=f"split name (default {split_default})")
-        p.add_argument("--method", choices=("sc", "cer", "dv"))
-        p.add_argument("--budget", type=int, help="sampled paths consumed per escalation")
-        p.add_argument("--votes-needed", type=int, dest="votes_needed")
-        p.add_argument("--include-greedy-vote", action="store_true", dest="include_greedy_vote")
-        p.add_argument("--no-sunk-greedy", action="store_true", dest="no_sunk_greedy")
-        if name == "calibrate":
-            p.add_argument("--max-rel-drop", type=float, dest="max_rel_drop")
-        else:
-            p.add_argument("--tau", type=float)
-            p.add_argument("--selection", help="selection.json from calibrate")
-
-    p = _add(sub, "evaluate", "summarize one outcome file")
-    p.add_argument("--outcomes", help="outcomes jsonl file")
-    p.add_argument("--out", help="optional output directory")
-
-    p = _add(sub, "bootstrap", "paired bootstrap significance between two outcome files")
-    p.add_argument("--a", help="first outcomes jsonl file")
-    p.add_argument("--b", help="second outcomes jsonl file")
-    p.add_argument("--resamples", type=int)
-    p.add_argument("--method", choices=("sign-flip", "percentile"))
-    p.add_argument("--out", help="optional output directory")
-
-    p = _add(sub, "report", "summary, significance and outcome tables for a routed run")
-    p.add_argument("--in", dest="in_dir", help="directory with outcomes.*.jsonl")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--resamples", type=int)
-
+    for name, (help_text, rows) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for opt, kind, _, opt_help in _COMMON + rows:
+            if kind is bool:
+                kwargs = {"action": "store_true"}
+            elif isinstance(kind, tuple):
+                kwargs = {"choices": kind}
+            else:
+                kwargs = {"type": kind}
+            p.add_argument(_flag(opt), dest=opt, help=opt_help, **kwargs)
     return parser
 
 

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .calibration import CalibrationItem
+from .calibration import CalibrationItem, RoutingArrays, route_at_tau
 from .errors import AlignmentError, DuplicateId, EmptyDataset, IoError, ParseError
 from .jsonl import read_jsonl, write_jsonl
 from .trajectory import McQuestion, Trajectory
@@ -199,30 +199,14 @@ def route_outcomes(
 ) -> dict[str, OutcomeVector]:
     """Outcome vectors for the greedy route, the multi-path route, and the
     threshold policy that accepts the greedy answer when score >= tau."""
-    if not items:
-        raise EmptyDataset("cannot route zero items")
+    arrays = RoutingArrays.of(items)
     ids = [it.question_id for it in items]
-    greedy = OutcomeVector(
-        ids,
-        np.array([it.greedy_correct for it in items]),
-        np.array([it.greedy_tokens for it in items]),
-    )
-    multi = OutcomeVector(
-        ids,
-        np.array([it.multi_correct for it in items]),
-        np.array([it.multi_tokens for it in items]),
-    )
-    pol_correct = []
-    pol_tokens = []
-    for it in items:
-        if it.score >= tau:
-            pol_correct.append(it.greedy_correct)
-            pol_tokens.append(it.greedy_tokens)
-        else:
-            pol_correct.append(it.multi_correct)
-            pol_tokens.append(it.multi_tokens + (it.greedy_tokens if sunk_greedy else 0))
-    policy = OutcomeVector(ids, np.array(pol_correct), np.array(pol_tokens))
-    return {"greedy": greedy, "multi": multi, "policy": policy}
+    _, correct, tokens = route_at_tau(arrays, tau, sunk_greedy)
+    return {
+        "greedy": OutcomeVector(ids, arrays.greedy_correct, arrays.greedy_tokens),
+        "multi": OutcomeVector(ids, arrays.multi_correct, arrays.multi_tokens),
+        "policy": OutcomeVector(ids, correct, tokens),
+    }
 
 
 def write_outcomes(path: str | Path, v: OutcomeVector) -> None:

@@ -28,24 +28,23 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import requests
 
-from .errors import CapabilityError, HarvestError
+from .errors import CapabilityError, CotriageError, HarvestError
 from .jsonl import dumps_record
 from .trajectory import (
+    TRAJ_SCHEMA,
     McQuestion,
     SentenceRecord,
     Trajectory,
+    _traj_to_record,
     answer_logscore,
-    load_questions,
     normalize_choices,
     prefix_lengths,
     segment_sentences,
     sentence_signals,
 )
-from .voting import ABSTAIN, SampledPath
+from .voting import ABSTAIN, PATHS_SCHEMA, SampledPath, path_record
 
 log = logging.getLogger(__name__)
-
-load_dataset = load_questions
 
 
 class TransportError(Exception):
@@ -329,18 +328,14 @@ def harvest_samples(
     client: EndpointClient,
     n_samples: int = 10,
     temperature: float = 1.0,
-    confidence_mode: str = "final",
     max_new_tokens: int = 1024,
 ) -> list[SampledPath]:
     """Sampled paths for one question; seed=j makes sample j reproducible.
 
     confidence is the scored probability of the path's own answer at the end
-    of its reasoning ("final", one K-request scoring round per path);
-    "mean-p" scores every sentence prefix and averages the top-choice
-    probability, which is much more expensive.
+    of its reasoning (one K-request scoring round per path), or of the
+    top choice when the path gave no parsable answer.
     """
-    if confidence_mode not in ("final", "mean-p"):
-        raise ValueError(f"unknown confidence mode {confidence_mode!r}")
     paths = []
     for j in range(n_samples):
         text, token_cost = _generate(
@@ -348,15 +343,8 @@ def harvest_samples(
         )
         sentences = segment_sentences(text)
         answer = parse_answer(text, client.template.answer_marker, len(q.options))
-        if confidence_mode == "final":
-            dist = _score_distribution(client, q, sentences)
-            conf = float(dist.probs[answer]) if answer is not None else float(dist.probs.max())
-        else:
-            ps = []
-            for s in range(1, len(sentences) + 1):
-                dist = _score_distribution(client, q, sentences[:s])
-                ps.append(sentence_signals(dist)[0])
-            conf = sum(ps) / len(ps) if ps else 0.5
+        dist = _score_distribution(client, q, sentences)
+        conf = float(dist.probs[answer]) if answer is not None else float(dist.probs.max())
         paths.append(
             SampledPath(
                 question_id=q.question_id,
@@ -405,12 +393,10 @@ def harvest_dataset(
     """Harvest every question, appending as it goes so a rerun resumes.
 
     Questions already present in the output are skipped; a question whose
-    requests keep failing is logged and skipped, never aborting the job.
+    requests keep failing or whose generation cannot be used (blank text, for
+    one) is logged and skipped, never aborting the job.
     Returns (harvested, failed).
     """
-    from .trajectory import TRAJ_SCHEMA, _traj_to_record  # local import avoids a cycle
-    from .voting import PATHS_SCHEMA
-
     probe_scoring_capability(client)
     out_trajectories = Path(out_trajectories)
     done = _existing_ids(out_trajectories)
@@ -431,18 +417,8 @@ def harvest_dataset(
                     temperature=temperature,
                     max_new_tokens=max_new_tokens,
                 )
-                path_records = [
-                    {
-                        "question_id": p.question_id,
-                        "sample_idx": p.sample_idx,
-                        "answer": p.answer,
-                        "token_cost": p.token_cost,
-                        "confidence": p.confidence,
-                        "temperature": p.temperature,
-                    }
-                    for p in samples
-                ]
-        except (HarvestError,) as exc:
+                path_records = [path_record(p) for p in samples]
+        except CotriageError as exc:
             log.warning("skipping %s: %s", q.question_id, exc)
             failed += 1
             continue

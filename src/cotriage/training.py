@@ -168,16 +168,10 @@ def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         return 0.5
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j < len(scores) and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + 1 + j)
-        i = j
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    # a tie group filling sorted positions start..end-1 shares rank (start + 1 + end) / 2
+    ranks = (0.5 * (ends - counts + 1 + ends))[group]
     pos_rank_sum = ranks[labels].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

@@ -8,7 +8,6 @@ option against the prefix ending at that sentence.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -201,10 +200,6 @@ def prefix_lengths(sentences: Sequence[str]) -> list[int]:
         total += len(s.split())
         out.append(total)
     return out
-
-
-def entropy_upper_bound(num_choices: int) -> float:
-    return math.log(num_choices)
 
 
 # --- serialization ---------------------------------------------------------

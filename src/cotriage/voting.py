@@ -152,20 +152,21 @@ def run_method(
 # --- serialization -----------------------------------------------------------
 
 
-def write_paths(path: str | Path, paths: Iterable[SampledPath]) -> None:
-    def records():
-        for p in paths:
-            p.validate()
-            yield {
-                "question_id": p.question_id,
-                "sample_idx": p.sample_idx,
-                "answer": p.answer,
-                "token_cost": p.token_cost,
-                "confidence": p.confidence,
-                "temperature": p.temperature,
-            }
+def path_record(p: SampledPath) -> dict:
+    """The paths/1 record of one sampled path, validated first."""
+    p.validate()
+    return {
+        "question_id": p.question_id,
+        "sample_idx": p.sample_idx,
+        "answer": p.answer,
+        "token_cost": p.token_cost,
+        "confidence": p.confidence,
+        "temperature": p.temperature,
+    }
 
-    write_jsonl(path, PATHS_SCHEMA, records())
+
+def write_paths(path: str | Path, paths: Iterable[SampledPath]) -> None:
+    write_jsonl(path, PATHS_SCHEMA, map(path_record, paths))
 
 
 def read_paths(path: str | Path) -> dict[str, list[SampledPath]]:

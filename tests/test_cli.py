@@ -17,6 +17,7 @@ from cotriage.cli import (
     EXIT_OK,
     EXIT_USAGE,
     UsageError,
+    build_parser,
     main,
     parse_config_text,
 )
@@ -160,10 +161,17 @@ def test_config_rejects_unknown_keys_and_sections(tmp_path, capsys):
     malformed.write_text("just a line\n")
     assert run("synth", "--config", malformed, "--out", tmp_path / "x") == EXIT_USAGE
 
+    bad_choice = tmp_path / "choice.cfg"
+    bad_choice.write_text('subset = "all"\n')
+    assert run("extract-features", "--config", bad_choice, "--in", tmp_path,
+               "--out", tmp_path / "f") == EXIT_USAGE
+    assert "subset must be one of full, numeric, linguistic" in capsys.readouterr().err
+
 
 def test_parse_config_text_coercion():
     doc = parse_config_text(
         'name = "quoted # kept"\n'
+        'method = "sc"   # trailing comment\n'
         "flag = true\n"
         "other = FALSE\n"
         "count = 40\n"
@@ -174,6 +182,7 @@ def test_parse_config_text_coercion():
     )
     assert doc == {
         "name": "quoted # kept",
+        "method": "sc",
         "flag": True,
         "other": False,
         "count": 40,
@@ -192,6 +201,10 @@ def test_usage_exit_codes(tmp_path, capsys):
     assert run("route", "--data", tmp_path, "--features", tmp_path,
                "--model", tmp_path / "m.ckpt", "--out", tmp_path / "r") == EXIT_USAGE
     assert "--tau" in capsys.readouterr().err
+    assert run("route", "--data", tmp_path, "--features", tmp_path,
+               "--model", tmp_path / "m.ckpt", "--out", tmp_path / "r",
+               "--tau", 0.5, "--selection", tmp_path / "s.json") == EXIT_USAGE
+    assert "exactly one of --tau and --selection" in capsys.readouterr().err
     assert run("--version") == EXIT_OK
 
 
@@ -260,6 +273,20 @@ def test_exemplar_configs_match_option_tables():
         unknown = set(parsed) - set(DEFAULTS[path.stem])
         assert not unknown, f"{path.name} has unknown keys: {sorted(unknown)}"
         assert parsed, f"{path.name} documents no options"
+
+
+def test_exemplar_values_are_clean_and_allowed():
+    subparsers = next(a for a in build_parser()._actions if a.dest == "subcommand")
+    config_dir = Path(__file__).resolve().parent.parent / "configs"
+    checked = []
+    for path in sorted(config_dir.glob("*.cfg")):
+        parsed = parse_config_text(path.read_text())
+        assert not [v for v in parsed.values() if isinstance(v, str) and "#" in v], path.name
+        for action in subparsers.choices[path.stem]._actions:
+            if action.choices is not None and action.dest in parsed:
+                assert parsed[action.dest] in action.choices, (path.name, action.dest)
+                checked.append((path.stem, action.dest))
+    assert len(checked) >= 4, checked
 
 
 def test_train_rejects_bad_geometry(tmp_path, capsys):

@@ -294,6 +294,25 @@ def test_dataset_harvest_resumes_and_skips_failures(tmp_path, caplog):
     assert first == {"schema": "traj/1"}
 
 
+def test_dataset_harvest_survives_blank_generation(tmp_path, caplog):
+    fake = make_fake()
+
+    def blank_greedy_for_q3(route, payload):
+        resp = fake(route, payload)
+        if route == "chat/completions" and Q3.question in payload["messages"][1]["content"]:
+            resp["choices"][0]["message"]["content"] = "   "
+        return resp
+
+    client, _ = make_client(transport=blank_greedy_for_q3)
+    out_traj, out_paths = tmp_path / "traj.jsonl", tmp_path / "paths.jsonl"
+    with caplog.at_level("WARNING", logger="cotriage.harvest"):
+        done, failed = harvest_dataset([Q1, Q3, Q2], client, out_traj, out_paths, n_samples=2)
+    assert (done, failed) == (2, 1)
+    assert "h003" in caplog.text
+    assert [t.question_id for t in read_trajectories(out_traj)] == ["h001", "h002"]
+    assert sorted(read_paths(out_paths)) == ["h001", "h002"]
+
+
 def test_dataset_harvest_requires_scoring_capability(tmp_path):
     def no_logprobs(route, payload):
         return {"choices": [{"text": payload.get("prompt", ""), "message": {"content": "x."}}]}
@@ -310,12 +329,6 @@ def test_parse_answer_variants():
     assert parse_answer("Answer: E", "Answer:", 4) is None
     assert parse_answer("no marker here", "Answer:", 4) is None
     assert parse_answer("Answer:B", "Answer:", 4) == 1
-
-
-def test_sample_confidence_modes_validated():
-    client, _ = make_client()
-    with pytest.raises(ValueError):
-        harvest_samples(Q1, client, n_samples=1, confidence_mode="bogus")
 
 
 def test_unknown_template_rejected():
