@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptyDataset
+from .errors import EmptyDataset, ParseError
 
 DEFAULT_MAX_REL_DROP = 0.005
 
@@ -48,7 +48,6 @@ class CalibrationPoint:
 class CalibrationProfile:
     points: list[CalibrationPoint]
     baseline_method: str
-    greedy_source: str
     sunk_greedy: bool
     selected_tau: float | None = None
 
@@ -116,7 +115,6 @@ def sweep(
     grid: Sequence[float] | None = None,
     sunk_greedy: bool = True,
     baseline_method: str = "sc",
-    greedy_source: str = "greedy",
 ) -> CalibrationProfile:
     if grid is None:
         grid = default_grid()
@@ -126,7 +124,6 @@ def sweep(
     return CalibrationProfile(
         points=[_point(arrays, tau, sunk_greedy) for tau in grid],
         baseline_method=baseline_method,
-        greedy_source=greedy_source,
         sunk_greedy=sunk_greedy,
     )
 
@@ -175,7 +172,6 @@ def write_selection_summary(
         "max_accuracy": max(pt.accuracy for pt in profile.points),
         "max_rel_drop": max_rel_drop,
         "baseline_method": profile.baseline_method,
-        "greedy_source": profile.greedy_source,
         "sunk_greedy": profile.sunk_greedy,
     }
     path = Path(path)
@@ -186,5 +182,12 @@ def write_selection_summary(
 
 
 def read_selection_summary(path: str | Path) -> dict:
+    """The selection.json document; ParseError unless it is JSON with a numeric selected_tau."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            doc = json.load(fh)
+            if type(doc["selected_tau"]) not in (int, float):
+                raise TypeError(f"selected_tau {doc['selected_tau']!r} is not a number")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad selection summary {path}: {exc!r}") from exc
+    return doc

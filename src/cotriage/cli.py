@@ -24,7 +24,13 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .calibration import profile_to_csv, select_threshold, sweep, write_selection_summary
+from .calibration import (
+    profile_to_csv,
+    read_selection_summary,
+    select_threshold,
+    sweep,
+    write_selection_summary,
+)
 from .errors import AlignmentError, CapabilityError, CotriageError, EmptyDataset, HarvestError
 from .evaluation import (
     OUTCOMES_SCHEMA,
@@ -262,9 +268,14 @@ def resolve_options(subcommand: str, explicit: dict) -> argparse.Namespace:
 
 
 def _git_revision() -> str:
+    """HEAD of the checkout this package is loaded from, whatever the working directory."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"], capture_output=True, text=True, timeout=10
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
         )
     except (OSError, subprocess.SubprocessError):
         return "unknown"
@@ -513,12 +524,7 @@ def cmd_train(opts) -> int:
 
 def cmd_calibrate(opts) -> int:
     items, inputs = _load_routing_inputs(opts)
-    profile = sweep(
-        items,
-        sunk_greedy=not opts.no_sunk_greedy,
-        baseline_method=opts.method,
-        greedy_source="greedy",
-    )
+    profile = sweep(items, sunk_greedy=not opts.no_sunk_greedy, baseline_method=opts.method)
     tau = select_threshold(profile, max_rel_drop=opts.max_rel_drop)
     out_dir = Path(opts.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -537,8 +543,7 @@ def cmd_route(opts) -> int:
         raise UsageError("route: pass exactly one of --tau and --selection selection.json")
     tau = opts.tau
     if tau is None:
-        with open(opts.selection, encoding="utf-8") as fh:
-            tau = float(json.load(fh)["selected_tau"])
+        tau = float(read_selection_summary(opts.selection)["selected_tau"])
     items, inputs = _load_routing_inputs(opts)
     if opts.selection is not None:
         inputs.append(str(opts.selection))

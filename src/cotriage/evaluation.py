@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .calibration import CalibrationItem, RoutingArrays, route_at_tau
-from .errors import AlignmentError, DuplicateId, EmptyDataset, IoError, ParseError
+from .errors import AlignmentError, DuplicateId, EmptyDataset, IoError
 from .jsonl import read_jsonl, write_jsonl
 from .trajectory import McQuestion, Trajectory
 from .voting import ABSTAIN, SampledPath, run_method
@@ -218,17 +218,16 @@ def write_outcomes(path: str | Path, v: OutcomeVector) -> None:
 
 
 def read_outcomes(path: str | Path) -> OutcomeVector:
-    ids: list[str] = []
-    correct: list[bool] = []
-    tokens: list[int] = []
-    for lineno, rec in enumerate(read_jsonl(path, OUTCOMES_SCHEMA), start=2):
-        try:
-            ids.append(str(rec["question_id"]))
-            correct.append(bool(rec["correct"]))
-            tokens.append(int(rec["tokens"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad outcome record: {exc!r}", line=lineno) from exc
-    return OutcomeVector(ids, np.array(correct, dtype=bool), np.array(tokens, dtype=np.int64))
+    rows = list(
+        read_jsonl(
+            path,
+            OUTCOMES_SCHEMA,
+            lambda rec: (str(rec["question_id"]), bool(rec["correct"]), int(rec["tokens"])),
+        )
+    )
+    return OutcomeVector(
+        [qid for qid, _, _ in rows], [c for _, c, _ in rows], [t for _, _, t in rows]
+    )
 
 
 # --- report files -------------------------------------------------------------

@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import lexicons
-from .errors import ParseError
 from .jsonl import read_jsonl, write_jsonl
 from .trajectory import McQuestion, Trajectory
 
@@ -299,25 +298,22 @@ def write_features(path: str | Path, seqs: Iterable[FeatureSequence]) -> None:
     write_jsonl(path, FEATURES_SCHEMA, records())
 
 
+def _features_from_record(rec: dict) -> FeatureSequence:
+    x = np.array(rec["rows"], dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("rows must form a matrix")
+    if int(rec["mask_len"]) != x.shape[0]:
+        raise ValueError("mask_len disagrees with row count")
+    return FeatureSequence(
+        question_id=str(rec["question_id"]),
+        x=x,
+        mask=np.ones(x.shape[0], dtype=np.float64),
+        layout_id=str(rec["layout_id"]),
+    )
+
+
 def read_features(path: str | Path) -> list[FeatureSequence]:
-    out = []
-    for lineno, rec in enumerate(read_jsonl(path, FEATURES_SCHEMA), start=2):
-        try:
-            x = np.array(rec["rows"], dtype=np.float64)
-            if x.ndim != 2:
-                raise ValueError("rows must form a matrix")
-            seq = FeatureSequence(
-                question_id=str(rec["question_id"]),
-                x=x,
-                mask=np.ones(x.shape[0], dtype=np.float64),
-                layout_id=str(rec["layout_id"]),
-            )
-            if int(rec["mask_len"]) != x.shape[0]:
-                raise ValueError("mask_len disagrees with row count")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad feature record: {exc!r}", line=lineno) from exc
-        out.append(seq)
-    return out
+    return list(read_jsonl(path, FEATURES_SCHEMA, _features_from_record))
 
 
 def write_layout_registry(path: str | Path) -> None:
@@ -329,10 +325,9 @@ def write_layout_registry(path: str | Path) -> None:
 
 
 def read_layout_registry(path: str | Path) -> dict[str, list[str]]:
-    return {
-        rec["layout_id"]: list(rec["columns"])
-        for rec in read_jsonl(path, LAYOUTS_SCHEMA)
-    }
+    return dict(
+        read_jsonl(path, LAYOUTS_SCHEMA, lambda rec: (rec["layout_id"], list(rec["columns"])))
+    )
 
 
 def write_labels(path: str | Path, labels: dict[str, bool]) -> None:
@@ -344,10 +339,6 @@ def write_labels(path: str | Path, labels: dict[str, bool]) -> None:
 
 
 def read_labels(path: str | Path) -> dict[str, bool]:
-    out: dict[str, bool] = {}
-    for lineno, rec in enumerate(read_jsonl(path, LABELS_SCHEMA), start=2):
-        try:
-            out[str(rec["question_id"])] = bool(rec["label"])
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad label record: {exc!r}", line=lineno) from exc
-    return out
+    return dict(
+        read_jsonl(path, LABELS_SCHEMA, lambda rec: (str(rec["question_id"]), bool(rec["label"])))
+    )

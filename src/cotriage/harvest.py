@@ -29,9 +29,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 import requests
 
 from .errors import CapabilityError, CotriageError, HarvestError
-from .jsonl import dumps_record
+from .jsonl import dumps_record, read_jsonl
 from .trajectory import (
     TRAJ_SCHEMA,
+    ChoiceDistribution,
     McQuestion,
     SentenceRecord,
     Trajectory,
@@ -259,16 +260,26 @@ def probe_scoring_capability(client: EndpointClient) -> None:
     _score_answer_span(client, "probe:", " A")
 
 
-def _score_distribution(client: EndpointClient, q: McQuestion, prefix: Sequence[str]):
-    context = client.template.scoring_context(q, prefix)
+def _score_prefixes(
+    client: EndpointClient, q: McQuestion, prefixes: Sequence[Sequence[str]]
+) -> list[ChoiceDistribution]:
+    """The answer distribution after each reasoning prefix: K x len(prefixes) calls.
+
+    The calls may run concurrently but land by (prefix, option) index, so the
+    result does not depend on the order in which they complete.
+    """
     k = len(q.options)
-    contexts = [(context, client.template.answer_continuation(i)) for i in range(k)]
+    pairs = [
+        (client.template.scoring_context(q, prefix), client.template.answer_continuation(i))
+        for prefix in prefixes
+        for i in range(k)
+    ]
     if client.cfg.max_in_flight > 1:
         with ThreadPoolExecutor(max_workers=client.cfg.max_in_flight) as pool:
-            scores = list(pool.map(lambda ca: _score_answer_span(client, *ca), contexts))
+            flat = list(pool.map(lambda pair: _score_answer_span(client, *pair), pairs))
     else:
-        scores = [_score_answer_span(client, *ca) for ca in contexts]
-    return normalize_choices(scores)
+        flat = [_score_answer_span(client, *pair) for pair in pairs]
+    return [normalize_choices(flat[j * k : (j + 1) * k]) for j in range(len(prefixes))]
 
 
 def harvest_greedy(
@@ -276,40 +287,21 @@ def harvest_greedy(
 ) -> Trajectory:
     """Greedy trajectory for one question: 1 generation + T x K scoring calls.
 
-    Results are deterministic given deterministic endpoint responses: scoring
-    requests may run concurrently but land by (sentence, option) index. When
-    the answer marker is missing from the generation, the final sentence's
-    argmax choice stands in for the parsed answer.
+    Results are deterministic given deterministic endpoint responses (see
+    _score_prefixes). When the answer marker is missing from the generation,
+    the final sentence's argmax choice stands in for the parsed answer.
     """
     text, token_cost = _generate(client, q, temperature=0.0, seed=0, max_new_tokens=max_new_tokens)
     sentences = segment_sentences(text)
-    plens = prefix_lengths(sentences)
-
-    pairs = [(s, i) for s in range(1, len(sentences) + 1) for i in range(len(q.options))]
-    k = len(q.options)
-
-    def score_pair(pair):
-        s, i = pair
-        context = client.template.scoring_context(q, sentences[:s])
-        return _score_answer_span(client, context, client.template.answer_continuation(i))
-
-    if client.cfg.max_in_flight > 1:
-        with ThreadPoolExecutor(max_workers=client.cfg.max_in_flight) as pool:
-            flat = list(pool.map(score_pair, pairs))
-    else:
-        flat = [score_pair(p) for p in pairs]
-
+    dists = _score_prefixes(client, q, [sentences[:s] for s in range(1, len(sentences) + 1)])
     records = []
-    for s in range(len(sentences)):
-        dist = normalize_choices(flat[s * k : (s + 1) * k])
+    for sentence, dist, plen in zip(sentences, dists, prefix_lengths(sentences)):
         p, entropy = sentence_signals(dist)
         records.append(
-            SentenceRecord(
-                text=sentences[s], distribution=dist, p=p, entropy=entropy, prefix_len=plens[s]
-            )
+            SentenceRecord(text=sentence, distribution=dist, p=p, entropy=entropy, prefix_len=plen)
         )
 
-    parsed = parse_answer(text, client.template.answer_marker, k)
+    parsed = parse_answer(text, client.template.answer_marker, len(q.options))
     if parsed is None:
         parsed = int(records[-1].distribution.probs.argmax())
     traj = Trajectory(
@@ -333,17 +325,17 @@ def harvest_samples(
     """Sampled paths for one question; seed=j makes sample j reproducible.
 
     confidence is the scored probability of the path's own answer at the end
-    of its reasoning (one K-request scoring round per path), or of the
-    top choice when the path gave no parsable answer.
+    of its reasoning, or of the top choice when the path gave no parsable
+    answer. All n generations come first, then one K x n scoring round.
     """
+    generations = [
+        _generate(client, q, temperature=temperature, seed=j, max_new_tokens=max_new_tokens)
+        for j in range(n_samples)
+    ]
+    dists = _score_prefixes(client, q, [segment_sentences(text) for text, _ in generations])
     paths = []
-    for j in range(n_samples):
-        text, token_cost = _generate(
-            client, q, temperature=temperature, seed=j, max_new_tokens=max_new_tokens
-        )
-        sentences = segment_sentences(text)
+    for j, ((text, token_cost), dist) in enumerate(zip(generations, dists)):
         answer = parse_answer(text, client.template.answer_marker, len(q.options))
-        dist = _score_distribution(client, q, sentences)
         conf = float(dist.probs[answer]) if answer is not None else float(dist.probs.max())
         paths.append(
             SampledPath(
@@ -358,24 +350,17 @@ def harvest_samples(
     return paths
 
 
-def _existing_ids(path: Path) -> set[str]:
-    if not path.exists():
-        return set()
-    ids = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw or lineno == 1:
-                continue
-            ids.add(str(json.loads(raw)["question_id"]))
-    return ids
+def _drop_torn_tail(path: Path) -> None:
+    """Cut a file back to its last newline: a crash mid-append leaves a partial line."""
+    if path.exists():
+        with open(path, "rb+") as fh:
+            fh.truncate(fh.read().rfind(b"\n") + 1)
 
 
 def _append_records(path: Path, schema: str, records: Iterable[dict]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    new_file = not path.exists()
     with open(path, "a", encoding="utf-8") as fh:
-        if new_file:
+        if fh.tell() == 0:
             fh.write(dumps_record({"schema": schema}) + "\n")
         for rec in records:
             fh.write(dumps_record(rec) + "\n")
@@ -392,14 +377,20 @@ def harvest_dataset(
 ) -> tuple[int, int]:
     """Harvest every question, appending as it goes so a rerun resumes.
 
-    Questions already present in the output are skipped; a question whose
-    requests keep failing or whose generation cannot be used (blank text, for
-    one) is logged and skipped, never aborting the job.
+    A rerun first cuts a torn last line (left by a crash) off each output,
+    then skips the questions already in it. A question whose requests keep
+    failing or whose generation cannot be used (blank text, for one) is
+    logged and skipped, never aborting the job.
     Returns (harvested, failed).
     """
     probe_scoring_capability(client)
     out_trajectories = Path(out_trajectories)
-    done = _existing_ids(out_trajectories)
+    _drop_torn_tail(out_trajectories)
+    if out_paths is not None:
+        _drop_torn_tail(Path(out_paths))
+    done = set()
+    if out_trajectories.exists():
+        done = set(read_jsonl(out_trajectories, TRAJ_SCHEMA, lambda rec: str(rec["question_id"])))
     harvested = 0
     failed = 0
     for q in questions:

@@ -10,9 +10,11 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from .errors import ParseError
+
+T = TypeVar("T")
 
 
 def dumps_record(record: dict[str, Any]) -> str:
@@ -31,8 +33,13 @@ def write_jsonl(path: str | Path, schema: str, records: Iterable[dict[str, Any]]
     os.replace(tmp, path)
 
 
-def read_jsonl(path: str | Path, schema: str) -> Iterator[dict[str, Any]]:
-    """Yield records after checking the header. Line numbers are 1-based."""
+def read_jsonl(path: str | Path, schema: str, parse: Callable[[dict[str, Any]], T]) -> Iterator[T]:
+    """Yield parse(record) for each record after checking the header.
+
+    Line numbers are 1-based file lines, blank lines counted. A KeyError,
+    TypeError or ValueError raised by parse becomes a ParseError naming the
+    record's line.
+    """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -50,4 +57,8 @@ def read_jsonl(path: str | Path, schema: str) -> Iterator[dict[str, Any]]:
                 if got != schema:
                     raise ParseError(f"expected schema {schema!r}, got {got!r}", line=lineno)
                 continue
-            yield rec
+            try:
+                item = parse(rec)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ParseError(f"bad {schema} record: {exc!r}", line=lineno) from exc
+            yield item

@@ -27,7 +27,6 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigMismatch, EmptyMask
-from .features import FeatureSequence
 
 CKPT_SCHEMA = "ckpt/1"
 _LN_EPS = 1e-5
@@ -72,12 +71,6 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ModelConfig":
         return cls(**d)
-
-
-@dataclass
-class ScoreOutput:
-    per_sentence_q: np.ndarray  # (T,) trustworthiness after each sentence
-    score: float  # q at the last valid sentence
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -252,21 +245,21 @@ def forward(
 
     # --- pre-norm self-attention block --------------------------------------
     if cfg.use_mhsa:
-        h2, attn_cache = _attn_forward(params, cfg, h_seq, mask)
+        h2, attn_cache = _attn_block(params, cfg, h_seq, mask)
         cache.update(attn_cache)
     else:
         h2 = h_seq
     cache["h2"] = h2
 
     # --- position-wise head --------------------------------------------------
-    q, head_cache = _head_forward(params, h2)
+    q, head_cache = _head_block(params, h2)
     cache.update(head_cache)
 
     scores_out = q[np.arange(b), lengths - 1]
     return (q, scores_out, cache) if want_cache else (q, scores_out, None)
 
 
-def _attn_forward(params, cfg: ModelConfig, h_seq: np.ndarray, mask: np.ndarray):
+def _attn_block(params, cfg: ModelConfig, h_seq: np.ndarray, mask: np.ndarray):
     b, t, h = h_seq.shape
     nh = cfg.heads
     dk = h // nh
@@ -309,7 +302,7 @@ def _attn_forward(params, cfg: ModelConfig, h_seq: np.ndarray, mask: np.ndarray)
     return h2, attn_cache
 
 
-def _head_forward(params, h2: np.ndarray):
+def _head_block(params, h2: np.ndarray):
     c_norm, ln3_cache = _ln_forward(h2, params["head.ln_g"], params["head.ln_b"])
     z1h_pre = c_norm @ params["head.w1"] + params["head.b1"]
     z1h = np.maximum(z1h_pre, 0.0)
@@ -456,72 +449,6 @@ def backward(
         grads["gate.b1"] = dz1.sum(axis=0)
 
     return grads
-
-
-# --- single-trajectory views ------------------------------------------------
-
-
-def masked_mean_pool(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Mean over valid rows of a (T, D) matrix."""
-    x = np.asarray(x, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    _check_mask(mask[None, :])
-    return (x * mask[:, None]).sum(axis=0) / mask.sum()
-
-
-def feature_gate(pooled: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
-    """Per-column multipliers in (0, 1) from the pooled summary."""
-    a1 = np.maximum(pooled @ params["gate.w1"] + params["gate.b1"], 0.0)
-    return _sigmoid(a1 @ params["gate.w2"] + params["gate.b2"])
-
-
-def gru_forward(
-    x: np.ndarray, mask: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig
-) -> np.ndarray:
-    """Hidden states for one (T, D) input; state carries through padded rows."""
-    sub = ModelConfig(
-        input_dim=x.shape[1],
-        hidden=cfg.hidden,
-        heads=cfg.heads,
-        head_hidden=cfg.head_hidden,
-        gate_hidden=cfg.gate_hidden,
-        use_feature_gate=False,
-        use_mhsa=False,
-    )
-    _, _, cache = forward(
-        params, sub, x[None], np.asarray(mask, dtype=np.float64)[None], want_cache=True
-    )
-    return cache["h_seq"][0]
-
-
-def mhsa_forward(
-    h: np.ndarray, mask: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig
-) -> np.ndarray:
-    """Attention block for one (T, H) sequence; padded keys are masked out."""
-    mask = np.asarray(mask, dtype=np.float64)
-    _check_mask(mask[None, :])
-    h2, _ = _attn_forward(params, cfg, np.asarray(h, dtype=np.float64)[None], mask[None])
-    return h2[0]
-
-
-def head_forward(h: np.ndarray, mask: np.ndarray, params: dict[str, np.ndarray]) -> ScoreOutput:
-    """Per-position q for one (T, H) sequence plus the last-valid-index score."""
-    mask = np.asarray(mask, dtype=np.float64)
-    lengths = _check_mask(mask[None, :])
-    q, _ = _head_forward(params, np.asarray(h, dtype=np.float64)[None])
-    return ScoreOutput(per_sentence_q=q[0], score=float(q[0, lengths[0] - 1]))
-
-
-def score_trajectory(
-    seq: FeatureSequence, params: dict[str, np.ndarray], cfg: ModelConfig
-) -> ScoreOutput:
-    seq.validate()
-    if seq.x.shape[1] != cfg.input_dim:
-        raise ConfigMismatch(
-            f"feature dim {seq.x.shape[1]} does not match model input_dim {cfg.input_dim}"
-        )
-    q, scores, _ = forward(params, cfg, seq.x[None], seq.mask[None])
-    return ScoreOutput(per_sentence_q=q[0], score=float(scores[0]))
 
 
 # --- checkpoint io -----------------------------------------------------------

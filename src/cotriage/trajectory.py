@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DuplicateId, EmptyTrajectory, InvalidAnswerTokens, NonFiniteScore, ParseError
+from .errors import DuplicateId, EmptyTrajectory, InvalidAnswerTokens, NonFiniteScore
 from .jsonl import read_jsonl, write_jsonl
 
 TRAJ_SCHEMA = "traj/1"
@@ -226,28 +226,25 @@ def _traj_to_record(traj: Trajectory) -> dict:
     return rec
 
 
-def _traj_from_record(rec: dict, line: int) -> Trajectory:
-    try:
-        sentences = [
-            SentenceRecord(
-                text=s["text"],
-                distribution=normalize_choices(s["log_scores"]),
-                p=float(s["p"]),
-                entropy=float(s["entropy"]),
-                prefix_len=int(s["prefix_len"]),
-            )
-            for s in rec["sentences"]
-        ]
-        label = rec.get("label")
-        return Trajectory(
-            question_id=str(rec["question_id"]),
-            sentences=sentences,
-            greedy_answer=int(rec["greedy_answer"]),
-            greedy_token_cost=int(rec["greedy_token_cost"]),
-            label=None if label is None else bool(label),
+def _traj_from_record(rec: dict) -> Trajectory:
+    sentences = [
+        SentenceRecord(
+            text=s["text"],
+            distribution=normalize_choices(s["log_scores"]),
+            p=float(s["p"]),
+            entropy=float(s["entropy"]),
+            prefix_len=int(s["prefix_len"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad trajectory record: {exc!r}", line=line) from exc
+        for s in rec["sentences"]
+    ]
+    label = rec.get("label")
+    return Trajectory(
+        question_id=str(rec["question_id"]),
+        sentences=sentences,
+        greedy_answer=int(rec["greedy_answer"]),
+        greedy_token_cost=int(rec["greedy_token_cost"]),
+        label=None if label is None else bool(label),
+    )
 
 
 def write_trajectories(path: str | Path, trajectories: Iterable[Trajectory]) -> None:
@@ -264,8 +261,7 @@ def write_trajectories(path: str | Path, trajectories: Iterable[Trajectory]) -> 
 def read_trajectories(path: str | Path) -> list[Trajectory]:
     out = []
     seen: set[str] = set()
-    for lineno, rec in enumerate(read_jsonl(path, TRAJ_SCHEMA), start=2):
-        traj = _traj_from_record(rec, lineno)
+    for traj in read_jsonl(path, TRAJ_SCHEMA, _traj_from_record):
         if traj.question_id in seen:
             raise DuplicateId(f"duplicate trajectory for {traj.question_id!r}")
         seen.add(traj.question_id)
@@ -285,24 +281,22 @@ def write_questions(path: str | Path, questions: Iterable[McQuestion]) -> None:
     write_jsonl(path, QUESTIONS_SCHEMA, records())
 
 
+def _question_from_record(rec: dict) -> McQuestion:
+    q = McQuestion(
+        question_id=str(rec["id"]),
+        question=str(rec["question"]),
+        options=[str(o) for o in rec["options"]],
+        gold_idx=int(rec["answer_idx"]) if rec.get("answer_idx") is not None else None,
+    )
+    q.validate()
+    return q
+
+
 def load_questions(path: str | Path) -> list[McQuestion]:
     """Load a questions/1 file; rejects items with fewer than two options."""
     out = []
     seen: set[str] = set()
-    for lineno, rec in enumerate(read_jsonl(path, QUESTIONS_SCHEMA), start=2):
-        try:
-            q = McQuestion(
-                question_id=str(rec["id"]),
-                question=str(rec["question"]),
-                options=[str(o) for o in rec["options"]],
-                gold_idx=int(rec["answer_idx"]) if rec.get("answer_idx") is not None else None,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad question record: {exc!r}", line=lineno) from exc
-        try:
-            q.validate()
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
+    for q in read_jsonl(path, QUESTIONS_SCHEMA, _question_from_record):
         if q.question_id in seen:
             raise DuplicateId(f"duplicate question id {q.question_id!r}")
         seen.add(q.question_id)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import DuplicateId, ParseError
+from .errors import DuplicateId
 from .jsonl import read_jsonl, write_jsonl
 
 PATHS_SCHEMA = "paths/1"
@@ -169,23 +169,24 @@ def write_paths(path: str | Path, paths: Iterable[SampledPath]) -> None:
     write_jsonl(path, PATHS_SCHEMA, map(path_record, paths))
 
 
+def _path_from_record(rec: dict) -> SampledPath:
+    p = SampledPath(
+        question_id=str(rec["question_id"]),
+        sample_idx=int(rec["sample_idx"]),
+        answer=int(rec["answer"]),
+        token_cost=int(rec["token_cost"]),
+        confidence=float(rec["confidence"]),
+        temperature=float(rec.get("temperature", 1.0)),
+    )
+    p.validate()
+    return p
+
+
 def read_paths(path: str | Path) -> dict[str, list[SampledPath]]:
     """Paths grouped by question, ordered by sample index within a question."""
     grouped: dict[str, list[SampledPath]] = defaultdict(list)
     seen: set[tuple[str, int]] = set()
-    for lineno, rec in enumerate(read_jsonl(path, PATHS_SCHEMA), start=2):
-        try:
-            p = SampledPath(
-                question_id=str(rec["question_id"]),
-                sample_idx=int(rec["sample_idx"]),
-                answer=int(rec["answer"]),
-                token_cost=int(rec["token_cost"]),
-                confidence=float(rec["confidence"]),
-                temperature=float(rec.get("temperature", 1.0)),
-            )
-            p.validate()
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad path record: {exc!r}", line=lineno) from exc
+    for p in read_jsonl(path, PATHS_SCHEMA, _path_from_record):
         key = (p.question_id, p.sample_idx)
         if key in seen:
             raise DuplicateId(f"duplicate sample {p.sample_idx} for {p.question_id!r}")

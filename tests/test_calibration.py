@@ -115,9 +115,7 @@ def test_grid_must_increase():
 
 
 def _profile(points):
-    return CalibrationProfile(
-        points=points, baseline_method="sc", greedy_source="greedy", sunk_greedy=True
-    )
+    return CalibrationProfile(points=points, baseline_method="sc", sunk_greedy=True)
 
 
 def test_selection_prefers_max_reduction_within_floor():

@@ -5,11 +5,14 @@ work; the harvest test swaps the default HTTP transport for the fake endpoint
 defined in test_harvest.
 """
 
+import argparse
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
 
+import cotriage
 import cotriage.harvest as harvest_mod
 from cotriage.cli import (
     EXIT_DATA,
@@ -20,6 +23,7 @@ from cotriage.cli import (
     build_parser,
     main,
     parse_config_text,
+    write_manifest,
 )
 from cotriage.trajectory import load_questions, write_questions
 from test_harvest import Q1, Q2, make_fake
@@ -91,6 +95,20 @@ def test_manifest_records_resolved_run(tmp_path):
         assert Path(path).is_file()
     assert (out / "train.questions.jsonl").is_file()
     assert len(load_questions(out / "val.questions.jsonl")) == 4
+
+
+def test_manifest_git_revision_is_the_package_checkout(tmp_path, monkeypatch):
+    pkg_dir = Path(cotriage.__file__).resolve().parent
+    try:
+        head = subprocess.run(["git", "-C", str(pkg_dir), "rev-parse", "HEAD"],
+                              capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        pytest.skip("git is not available")
+    if head.returncode != 0:
+        pytest.skip("the package is not loaded from a git checkout")
+    monkeypatch.chdir(tmp_path)
+    path = write_manifest("synth", argparse.Namespace(seed=0), [], [], {}, tmp_path)
+    assert json.loads(path.read_text())["git_revision"] == head.stdout.strip()
 
 
 def test_route_at_tau_zero_equals_greedy(tmp_path, capsys):
@@ -219,6 +237,14 @@ def test_data_error_exit_codes(tmp_path, capsys):
     empty_dir = tmp_path / "empty"
     empty_dir.mkdir()
     assert run("extract-features", "--in", empty_dir, "--out", tmp_path / "f") == EXIT_DATA
+
+    selection = tmp_path / "selection.json"
+    for text in ("{}", "not json", "[0.5]", '{"selected_tau": "0.5"}', '{"selected_tau": true}'):
+        selection.write_text(text)
+        assert run("route", "--data", tmp_path, "--features", tmp_path,
+                   "--model", tmp_path / "m.ckpt", "--out", tmp_path / "r",
+                   "--selection", selection) == EXIT_DATA, text
+        assert "bad selection summary" in capsys.readouterr().err
 
 
 def test_endpoint_error_exit_code(tmp_path, capsys):

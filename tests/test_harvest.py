@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import cotriage.harvest as harvest_mod
-from cotriage.errors import CapabilityError, HarvestError
+from cotriage.errors import CapabilityError, HarvestError, ParseError
 from cotriage.harvest import (
     TEMPLATES,
     EndpointClient,
@@ -311,6 +311,34 @@ def test_dataset_harvest_survives_blank_generation(tmp_path, caplog):
     assert "h003" in caplog.text
     assert [t.question_id for t in read_trajectories(out_traj)] == ["h001", "h002"]
     assert sorted(read_paths(out_paths)) == ["h001", "h002"]
+
+
+def test_dataset_harvest_resumes_after_torn_line(tmp_path):
+    out_traj, out_paths = tmp_path / "traj.jsonl", tmp_path / "paths.jsonl"
+    client, _ = make_client()
+    assert harvest_dataset([Q1], client, out_traj, out_paths, n_samples=2) == (1, 0)
+    # a crash mid-append leaves a partial last line in either output
+    with open(out_traj, "a", encoding="utf-8") as fh:
+        fh.write('{"question_id":"h002","sen')
+    with open(out_paths, "a", encoding="utf-8") as fh:
+        fh.write('{"question_id":"h002","sam')
+    assert harvest_dataset([Q1, Q2], client, out_traj, out_paths, n_samples=2) == (1, 0)
+    assert [t.question_id for t in read_trajectories(out_traj)] == ["h001", "h002"]
+    assert sorted(read_paths(out_paths)) == ["h001", "h002"]
+
+    torn_header = tmp_path / "torn_header.jsonl"
+    torn_header.write_text('{"sche')
+    assert harvest_dataset([Q3], client, torn_header) == (1, 0)
+    assert [t.question_id for t in read_trajectories(torn_header)] == ["h003"]
+
+
+def test_dataset_harvest_rejects_wrong_schema_output(tmp_path):
+    out_traj = tmp_path / "traj.jsonl"
+    out_traj.write_text('{"schema":"paths/1"}\n')
+    client, _ = make_client()
+    with pytest.raises(ParseError):
+        harvest_dataset([Q1], client, out_traj)
+    assert out_traj.read_text() == '{"schema":"paths/1"}\n'
 
 
 def test_dataset_harvest_requires_scoring_capability(tmp_path):

@@ -2,20 +2,13 @@ import numpy as np
 import pytest
 
 from cotriage.errors import ConfigMismatch, EmptyMask
-from cotriage.features import FeatureSequence
 from cotriage.model import (
     ModelConfig,
-    feature_gate,
     forward,
-    gru_forward,
-    head_forward,
     init_params,
     load_checkpoint,
-    masked_mean_pool,
-    mhsa_forward,
     param_shapes,
     save_checkpoint,
-    score_trajectory,
 )
 from cotriage.training import batch_loss
 
@@ -78,16 +71,14 @@ def test_padding_cannot_change_scores():
     params = init_params(cfg, seed=5)
     for trial in range(100):
         t = int(rng.integers(1, 12))
-        x = rng.normal(size=(t, cfg.input_dim))
-        seq = FeatureSequence("q", x, np.ones(t), "numeric")
-        base = score_trajectory(seq, params, cfg)
+        x = rng.normal(size=(1, t, cfg.input_dim))
+        base_q, base_s, _ = forward(params, cfg, x, np.ones((1, t)))
         extra = int(rng.integers(1, 6))
-        x_pad = np.concatenate([x, rng.normal(size=(extra, cfg.input_dim)) * 100.0])
-        mask = np.concatenate([np.ones(t), np.zeros(extra)])
-        padded = FeatureSequence("q", x_pad, mask, "numeric")
-        got = score_trajectory(padded, params, cfg)
-        assert abs(got.score - base.score) < 1e-6
-        np.testing.assert_allclose(got.per_sentence_q[:t], base.per_sentence_q, atol=1e-12)
+        x_pad = np.concatenate([x, rng.normal(size=(1, extra, cfg.input_dim)) * 100.0], axis=1)
+        mask = np.concatenate([np.ones((1, t)), np.zeros((1, extra))], axis=1)
+        got_q, got_s, _ = forward(params, cfg, x_pad, mask)
+        assert abs(got_s[0] - base_s[0]) < 1e-6
+        np.testing.assert_allclose(got_q[:, :t], base_q, atol=1e-12)
 
 
 def test_scores_are_probabilities_and_deterministic():
@@ -113,60 +104,48 @@ def test_score_reads_last_valid_position():
     assert s[1] == q[1, 2]
 
 
-def test_masked_mean_pool_hand_example():
-    x = np.array([[1.0, 2.0], [3.0, 4.0], [100.0, 200.0]])
-    np.testing.assert_allclose(masked_mean_pool(x, np.array([1.0, 1.0, 0.0])), [2.0, 3.0])
+def test_gate_pools_valid_rows_hand_example():
+    cfg = small_cfg(input_dim=2)
+    params = init_params(cfg, seed=4)
+    x = np.array([[[1.0, 2.0], [3.0, 4.0], [100.0, 200.0]]])
+    _, _, cache = forward(params, cfg, x, np.array([[1.0, 1.0, 0.0]]), want_cache=True)
+    np.testing.assert_allclose(cache["s"], [[2.0, 3.0]])
 
 
 def test_empty_mask_rejected():
-    x = np.zeros((3, 2))
+    cfg = small_cfg()
+    params = init_params(cfg, seed=4)
     with pytest.raises(EmptyMask):
-        masked_mean_pool(x, np.zeros(3))
+        forward(params, cfg, np.zeros((2, 3, cfg.input_dim)), np.array([[1.0, 1.0, 0.0], [0.0] * 3]))
 
 
 def test_non_suffix_padding_rejected():
-    x = np.zeros((3, 2))
+    cfg = small_cfg()
+    params = init_params(cfg, seed=4)
     with pytest.raises(ValueError):
-        masked_mean_pool(x, np.array([1.0, 0.0, 1.0]))
+        forward(params, cfg, np.zeros((1, 3, cfg.input_dim)), np.array([[1.0, 0.0, 1.0]]))
 
 
 def test_feature_gate_range():
+    rng = np.random.default_rng(0)
     cfg = small_cfg()
     params = init_params(cfg, seed=4)
-    g = feature_gate(np.random.default_rng(0).normal(size=cfg.input_dim), params)
-    assert g.shape == (cfg.input_dim,)
-    assert np.all((g > 0) & (g < 1))
+    x, mask, _, _ = make_batch(rng, b=3, t=5, lengths=(5, 3, 1))
+    _, _, cache = forward(params, cfg, x, mask, want_cache=True)
+    assert cache["g"].shape == (3, cfg.input_dim)
+    assert np.all((cache["g"] > 0) & (cache["g"] < 1))
 
 
 def test_gru_state_carries_through_padding():
     rng = np.random.default_rng(6)
     cfg = small_cfg()
     params = init_params(cfg, seed=6)
-    x = rng.normal(size=(6, cfg.input_dim))
-    mask = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-    h = gru_forward(x, mask, params, cfg)
+    x = rng.normal(size=(1, 6, cfg.input_dim))
+    mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0, 0.0]])
+    _, _, cache = forward(params, cfg, x, mask, want_cache=True)
+    h = cache["h_seq"][0]
     np.testing.assert_array_equal(h[3], h[2])
     np.testing.assert_array_equal(h[5], h[2])
-
-
-def test_mhsa_padding_invariance_block_level():
-    rng = np.random.default_rng(7)
-    cfg = small_cfg()
-    params = init_params(cfg, seed=7)
-    h = rng.normal(size=(4, cfg.hidden))
-    base = mhsa_forward(h, np.ones(4), params, cfg)
-    h_pad = np.concatenate([h, rng.normal(size=(2, cfg.hidden)) * 50.0])
-    got = mhsa_forward(h_pad, np.array([1.0] * 4 + [0.0] * 2), params, cfg)
-    np.testing.assert_allclose(got[:4], base, atol=1e-12)
-
-
-def test_head_forward_reports_last_valid_q():
-    rng = np.random.default_rng(8)
-    cfg = small_cfg()
-    params = init_params(cfg, seed=8)
-    h = rng.normal(size=(5, cfg.hidden))
-    out = head_forward(h, np.array([1.0, 1.0, 1.0, 0.0, 0.0]), params)
-    assert out.score == out.per_sentence_q[2]
 
 
 def test_init_params_deterministic_and_complete():
@@ -221,12 +200,11 @@ def test_checkpoint_rejects_mismatches(tmp_path):
         load_checkpoint(bad)
 
 
-def test_score_trajectory_checks_feature_dim():
+def test_forward_checks_feature_dim():
     cfg = small_cfg()
     params = init_params(cfg, seed=15)
-    seq = FeatureSequence("q", np.zeros((3, cfg.input_dim + 1)), np.ones(3), "full")
     with pytest.raises(ConfigMismatch):
-        score_trajectory(seq, params, cfg)
+        forward(params, cfg, np.zeros((1, 3, cfg.input_dim + 1)), np.ones((1, 3)))
 
 
 def test_config_validation():

@@ -204,3 +204,11 @@ def test_paths_reject_bad_records(tmp_path):
     with pytest.raises(ParseError) as err:
         read_paths(file)
     assert err.value.line == 2
+
+
+def test_bad_record_line_counts_blank_lines(tmp_path):
+    file = tmp_path / "paths.jsonl"
+    file.write_text('{"schema": "paths/1"}\n\n\n{"question_id": "q0", "sample_idx": 0}\n')
+    with pytest.raises(ParseError, match="bad paths/1 record") as err:
+        read_paths(file)
+    assert err.value.line == 4
