@@ -14,7 +14,7 @@ import numpy as np
 
 from cotriage.calibration import select_threshold, simulate_at_tau, sweep
 from cotriage.evaluation import build_calibration_items
-from cotriage.features import FeatureConfig, assemble
+from cotriage.features import assemble
 from cotriage.model import ModelConfig
 from cotriage.synth import SynthConfig, generate
 from cotriage.training import TrainConfig, roc_auc, score_features, train
@@ -45,11 +45,10 @@ def main() -> None:
                           id_prefix=f"{split}-")
         data[split] = generate(cfg)
 
-    fcfg = FeatureConfig()
     feats = {}
     for split, (questions, trajectories, _) in data.items():
         qmap = {q.question_id: q for q in questions}
-        seqs = [assemble(t, fcfg, qmap[t.question_id]) for t in trajectories]
+        seqs = [assemble(t, "full", qmap[t.question_id]) for t in trajectories]
         feats[split] = (seqs, [bool(t.label) for t in trajectories])
 
     rows = []

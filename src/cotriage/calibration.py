@@ -19,6 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptyDataset, ParseError
+from .jsonl import write_json
 
 DEFAULT_MAX_REL_DROP = 0.005
 
@@ -112,17 +113,13 @@ def simulate_at_tau(
 
 def sweep(
     items: Sequence[CalibrationItem],
-    grid: Sequence[float] | None = None,
     sunk_greedy: bool = True,
     baseline_method: str = "sc",
 ) -> CalibrationProfile:
-    if grid is None:
-        grid = default_grid()
-    if len(grid) < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("threshold grid must be strictly increasing")
+    """Route the items at every threshold of default_grid()."""
     arrays = RoutingArrays.of(items)
     return CalibrationProfile(
-        points=[_point(arrays, tau, sunk_greedy) for tau in grid],
+        points=[_point(arrays, tau, sunk_greedy) for tau in default_grid()],
         baseline_method=baseline_method,
         sunk_greedy=sunk_greedy,
     )
@@ -174,11 +171,7 @@ def write_selection_summary(
         "baseline_method": profile.baseline_method,
         "sunk_greedy": profile.sunk_greedy,
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def read_selection_summary(path: str | Path) -> dict:

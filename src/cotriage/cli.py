@@ -9,8 +9,8 @@ stamp; reruns with the same seed produce byte-identical outputs, the manifest
 timestamp aside.
 
 Option resolution order: built-in defaults, then the --config file (a flat
-``key = value`` document; booleans, numbers and quoted strings are coerced),
-then explicit command-line flags.
+``key = value`` document whose values are converted by their option's type,
+like the flags), then explicit command-line flags.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .features import (
     FEATURES_SCHEMA,
     LABELS_SCHEMA,
     LAYOUTS_SCHEMA,
-    FeatureConfig,
     assemble,
     read_features,
     read_labels,
@@ -55,6 +54,7 @@ from .features import (
     write_layout_registry,
 )
 from .harvest import EndpointClient, EndpointConfig, harvest_dataset
+from .jsonl import write_json
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .synth import SynthConfig, generate
 from .trajectory import (
@@ -83,32 +83,13 @@ class UsageError(Exception):
 # --- config files -----------------------------------------------------------
 
 
-def _coerce(raw: str):
-    if len(raw) >= 2 and raw[0] == '"' and raw[-1] == '"':
-        return raw[1:-1]
-    low = raw.lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    return raw
-
-
 # a quoted string or bare text, then an optional # comment
-_VALUE = re.compile(r'\s*("[^"]*"|[^#]*?)\s*(?:#.*)?')
+_VALUE = re.compile(r'\s*(?:"([^"]*)"|([^#]*?))\s*(?:#.*)?')
 
 
-def parse_config_text(text: str) -> dict:
-    """Flat key = value document; # starts a comment, quotes protect strings."""
-    out: dict = {}
+def parse_config_text(text: str) -> dict[str, str]:
+    """Flat key = value document of raw strings; # starts a comment, quotes protect strings."""
+    out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -118,12 +99,12 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise UsageError(f"config line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        value = _VALUE.fullmatch(value).group(1)
-        out[key.strip().replace("-", "_")] = _coerce(value)
+        quoted, bare = _VALUE.fullmatch(value).groups()
+        out[key.strip().replace("-", "_")] = bare if quoted is None else quoted
     return out
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -172,7 +153,6 @@ COMMANDS: dict[str, tuple[str, tuple]] = {
         ("split", str, "train", "split name used in output file names"),
         ("base_url", str, ..., "endpoint base url, e.g. http://localhost:8000/v1"),
         ("model", str, ..., "endpoint model name"),
-        ("template", str, "mc-cot/1", "prompt template id"),
         ("n_samples", int, 10, "sampled paths per question"),
         ("temperature", float, 1.0, "sampling temperature of the sampled paths"),
         ("max_new_tokens", int, 1024, "generation limit per request"),
@@ -242,7 +222,26 @@ def _flag(name: str) -> str:
     return "--in" if name == "in_dir" else "--" + name.replace("_", "-")
 
 
+def _convert(subcommand: str, name: str, kind, raw: str):
+    """A config-file value as its option's type, the way its flag would parse it."""
+    if kind is bool:
+        if raw.lower() in ("true", "false"):
+            return raw.lower() == "true"
+        wanted = "true or false"
+    elif isinstance(kind, tuple):
+        if raw in kind:
+            return raw
+        wanted = "one of " + ", ".join(kind)
+    else:
+        try:
+            return kind(raw)
+        except ValueError:
+            wanted = "an integer" if kind is int else "a number"
+    raise UsageError(f"{subcommand}: {name} must be {wanted}, not {raw!r}")
+
+
 def resolve_options(subcommand: str, explicit: dict) -> argparse.Namespace:
+    rows = _COMMON + COMMANDS[subcommand][1]
     merged = dict(DEFAULTS[subcommand])
     config_path = explicit.get("config")
     if config_path is not None:
@@ -250,17 +249,13 @@ def resolve_options(subcommand: str, explicit: dict) -> argparse.Namespace:
         unknown = sorted(set(file_opts) - set(merged))
         if unknown:
             raise UsageError(f"unknown config keys for {subcommand}: {', '.join(unknown)}")
-        merged.update(file_opts)
+        for name, kind, _, _ in rows:
+            if name in file_opts:
+                merged[name] = _convert(subcommand, name, kind, file_opts[name])
     merged.update(explicit)
-    for name, kind, default, _ in _COMMON + COMMANDS[subcommand][1]:
-        value = merged[name]
-        if default is ... and value is None:
+    for name, _, default, _ in rows:
+        if default is ... and merged[name] is None:
             raise UsageError(f"{subcommand}: {_flag(name)} is required (flag or config file)")
-        if isinstance(kind, tuple) and value not in kind:
-            allowed = ", ".join(kind)
-            raise UsageError(f"{subcommand}: {name} must be one of {allowed}, not {value!r}")
-        if isinstance(default, float) and isinstance(value, int):
-            merged[name] = float(value)
     return argparse.Namespace(**merged)
 
 
@@ -301,12 +296,8 @@ def write_manifest(
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "git_revision": _git_revision(),
     }
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{subcommand}.manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    path = Path(out_dir) / f"{subcommand}.manifest.json"
+    write_json(path, doc)
     return path
 
 
@@ -372,7 +363,6 @@ def _load_routing_inputs(opts) -> tuple:
 
 def cmd_synth(opts) -> int:
     out_dir = Path(opts.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     sizes = {"train": opts.n_train, "val": opts.n_val, "test": opts.n_test}
     outputs = []
     for offset, split in enumerate(SPLITS):
@@ -412,9 +402,8 @@ def cmd_harvest(opts) -> int:
         max_in_flight=opts.max_in_flight,
         cache_dir=opts.cache_dir,
     )
-    client = EndpointClient(endpoint, template_id=opts.template)
+    client = EndpointClient(endpoint)
     out_dir = Path(opts.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     files = _split_paths(out_dir, opts.split)
     write_questions(files["questions"], questions)
     harvested, failed = harvest_dataset(
@@ -439,8 +428,6 @@ def cmd_harvest(opts) -> int:
 def cmd_extract_features(opts) -> int:
     in_dir = Path(opts.in_dir)
     out_dir = Path(opts.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = FeatureConfig(subset=opts.subset)
     inputs: list[str] = []
     outputs: list[str] = []
     found = False
@@ -456,7 +443,7 @@ def cmd_extract_features(opts) -> int:
         for traj in trajectories:
             if traj.question_id not in questions:
                 raise AlignmentError(f"no question for trajectory {traj.question_id!r}")
-            seqs.append(assemble(traj, cfg, questions[traj.question_id]))
+            seqs.append(assemble(traj, opts.subset, questions[traj.question_id]))
             if traj.label is not None:
                 labels[traj.question_id] = bool(traj.label)
         f_out = out_dir / f"{split}.features.jsonl"
@@ -502,7 +489,6 @@ def cmd_train(opts) -> int:
     )
     result = train(train_seqs, train_labels, val_seqs, val_labels, mcfg, tcfg)
     out_dir = Path(opts.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / "model.ckpt"
     save_checkpoint(ckpt, result.params, mcfg)
     log_path = out_dir / "training_log.csv"
@@ -527,7 +513,6 @@ def cmd_calibrate(opts) -> int:
     profile = sweep(items, sunk_greedy=not opts.no_sunk_greedy, baseline_method=opts.method)
     tau = select_threshold(profile, max_rel_drop=opts.max_rel_drop)
     out_dir = Path(opts.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     profile_path = out_dir / "profile.csv"
     profile_to_csv(profile, profile_path)
     selection_path = out_dir / "selection.json"
@@ -549,7 +534,6 @@ def cmd_route(opts) -> int:
         inputs.append(str(opts.selection))
     outcomes = route_outcomes(items, tau, sunk_greedy=not opts.no_sunk_greedy)
     out_dir = Path(opts.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for name, vector in outcomes.items():
         path = out_dir / f"outcomes.{name}.jsonl"
@@ -583,14 +567,15 @@ def cmd_evaluate(opts) -> int:
     }
     print(json.dumps(doc, sort_keys=True))
     if opts.out is not None:
-        out_dir = Path(opts.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "evaluation.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        path = Path(opts.out) / "evaluation.json"
+        write_json(path, doc)
         write_manifest(
-            "evaluate", opts, [str(opts.outcomes)], [str(path)], {"outcomes": OUTCOMES_SCHEMA}, out_dir
+            "evaluate",
+            opts,
+            [str(opts.outcomes)],
+            [str(path)],
+            {"outcomes": OUTCOMES_SCHEMA},
+            opts.out,
         )
     return EXIT_OK
 
@@ -612,19 +597,15 @@ def cmd_bootstrap(opts) -> int:
     }
     print(json.dumps(doc, sort_keys=True))
     if opts.out is not None:
-        out_dir = Path(opts.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "bootstrap.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        path = Path(opts.out) / "bootstrap.json"
+        write_json(path, doc)
         write_manifest(
             "bootstrap",
             opts,
             [str(opts.a), str(opts.b)],
             [str(path)],
             {"outcomes": OUTCOMES_SCHEMA},
-            out_dir,
+            opts.out,
         )
     return EXIT_OK
 

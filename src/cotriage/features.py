@@ -10,9 +10,9 @@ feature dump was written with.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -62,55 +62,18 @@ LINGUISTIC_LAYOUT = [
     "is_final",
 ]
 
-SUBSETS = ("full", "numeric", "linguistic")
+# layout id -> column order; layouts.jsonl lists them in this order
+LAYOUTS = {
+    "full": NUMERIC_LAYOUT + LINGUISTIC_LAYOUT,
+    "numeric": NUMERIC_LAYOUT,
+    "linguistic": LINGUISTIC_LAYOUT,
+}
+
+EMA_DECAY = 0.3
+ROLL_WINDOW = 3
+ZSCORE_EPS = 1e-8
 
 _PUNCT = set(string.punctuation)
-
-
-def layout_for_subset(subset: str) -> list[str]:
-    if subset == "full":
-        return NUMERIC_LAYOUT + LINGUISTIC_LAYOUT
-    if subset == "numeric":
-        return list(NUMERIC_LAYOUT)
-    if subset == "linguistic":
-        return list(LINGUISTIC_LAYOUT)
-    raise ValueError(f"unknown feature subset {subset!r}")
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    subset: str = "full"
-    ema_decay: float = 0.3
-    window: int = 3
-    zscore_epsilon: float = 1e-8
-    hedges: frozenset = field(default=lexicons.HEDGES)
-    certainty: frozenset = field(default=lexicons.CERTAINTY)
-    connectors: frozenset = field(default=lexicons.CONNECTORS)
-    stopwords: frozenset = field(default=lexicons.STOPWORDS)
-
-    def __post_init__(self):
-        if self.subset not in SUBSETS:
-            raise ValueError(f"unknown feature subset {self.subset!r}")
-        if not 0.0 < self.ema_decay < 1.0:
-            raise ValueError("ema_decay must lie in (0, 1)")
-        if self.window < 2:
-            raise ValueError("window must be at least 2")
-        if self.zscore_epsilon <= 0.0:
-            raise ValueError("zscore_epsilon must be positive")
-        for name in ("hedges", "certainty", "connectors", "stopwords"):
-            lex = getattr(self, name)
-            if not lex:
-                raise ValueError(f"lexicon {name} is empty")
-            if any(w != w.lower() or not w for w in lex):
-                raise ValueError(f"lexicon {name} must be lowercase")
-
-    @property
-    def dim(self) -> int:
-        return len(layout_for_subset(self.subset))
-
-    @property
-    def layout(self) -> list[str]:
-        return layout_for_subset(self.subset)
 
 
 @dataclass
@@ -131,23 +94,23 @@ class FeatureSequence:
             raise ValueError("mask must be binary")
 
 
-def _rolling(values: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
+def _rolling(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t = len(values)
     std = np.empty(t)
     rng = np.empty(t)
     for i in range(t):
-        lo = max(0, i - window + 1)
+        lo = max(0, i - ROLL_WINDOW + 1)
         win = values[lo : i + 1]
         std[i] = win.std()
         rng[i] = win.max() - win.min()
     return std, rng
 
 
-def _zscore(values: np.ndarray, eps: float) -> np.ndarray:
-    return (values - values.mean()) / (values.std() + eps)
+def _zscore(values: np.ndarray) -> np.ndarray:
+    return (values - values.mean()) / (values.std() + ZSCORE_EPS)
 
 
-def numeric_features(traj: Trajectory, cfg: FeatureConfig) -> np.ndarray:
+def numeric_features(traj: Trajectory) -> np.ndarray:
     """Shape (T, 12); column order is NUMERIC_LAYOUT."""
     p = np.array([s.p for s in traj.sentences], dtype=np.float64)
     entropy = np.array([s.entropy for s in traj.sentences], dtype=np.float64)
@@ -155,13 +118,12 @@ def numeric_features(traj: Trajectory, cfg: FeatureConfig) -> np.ndarray:
 
     delta_p = np.diff(p, prepend=p[:1])
     delta_h = np.diff(entropy, prepend=entropy[:1])
-    roll_std, roll_rng = _rolling(p, cfg.window)
+    roll_std, roll_rng = _rolling(p)
 
     ema = np.empty_like(p)
     ema[0] = p[0]
-    a = cfg.ema_decay
     for i in range(1, len(p)):
-        ema[i] = a * p[i] + (1.0 - a) * ema[i - 1]
+        ema[i] = EMA_DECAY * p[i] + (1.0 - EMA_DECAY) * ema[i - 1]
     delta_ema = np.diff(ema, prepend=ema[:1])
 
     cols = [
@@ -175,8 +137,8 @@ def numeric_features(traj: Trajectory, cfg: FeatureConfig) -> np.ndarray:
         plen,
         ema,
         delta_ema,
-        _zscore(p, cfg.zscore_epsilon),
-        _zscore(ema, cfg.zscore_epsilon),
+        _zscore(p),
+        _zscore(ema),
     ]
     return np.stack(cols, axis=1)
 
@@ -195,7 +157,6 @@ def linguistic_features(
     t_index: int,
     t_total: int,
     question: McQuestion,
-    cfg: FeatureConfig,
 ) -> np.ndarray:
     """Shape (20,); column order is LINGUISTIC_LAYOUT. t_index is 1-based."""
     raw_tokens = sentence.split()
@@ -220,7 +181,7 @@ def linguistic_features(
             n_tok,
             n_char,
             sum(len(t) for t in raw_tokens) / n_tok if n_tok else 0.0,
-            sum(1 for t in norm if t in cfg.stopwords) / n_tok if n_tok else 0.0,
+            sum(1 for t in norm if t in lexicons.STOPWORDS) / n_tok if n_tok else 0.0,
             sentence.count(","),
             sentence.count("."),
             sentence.count("?"),
@@ -232,9 +193,9 @@ def linguistic_features(
             q_overlap / n_tok if n_tok else 0.0,
             opt_overlap,
             opt_overlap / n_tok if n_tok else 0.0,
-            sum(1 for t in norm if t in cfg.hedges),
-            sum(1 for t in norm if t in cfg.certainty),
-            sum(1 for t in norm if t in cfg.connectors),
+            sum(1 for t in norm if t in lexicons.HEDGES),
+            sum(1 for t in norm if t in lexicons.CERTAINTY),
+            sum(1 for t in norm if t in lexicons.CONNECTORS),
             t_index / t_total,
             1.0 if t_index == t_total else 0.0,
         ],
@@ -243,21 +204,23 @@ def linguistic_features(
 
 
 def assemble(
-    traj: Trajectory, cfg: FeatureConfig, question: McQuestion | None = None
+    traj: Trajectory, subset: str, question: McQuestion | None = None
 ) -> FeatureSequence:
-    """Build the feature matrix for one trajectory.
+    """Build the feature matrix of one trajectory with the columns of LAYOUTS[subset].
 
     The question is required whenever the subset includes linguistic columns,
     because the overlap features compare sentence tokens against the question
     and its answer options.
     """
+    if subset not in LAYOUTS:
+        raise ValueError(f"unknown feature subset {subset!r}")
     t_total = len(traj.sentences)
     blocks = []
-    if cfg.subset in ("full", "numeric"):
-        blocks.append(numeric_features(traj, cfg))
-    if cfg.subset in ("full", "linguistic"):
+    if subset in ("full", "numeric"):
+        blocks.append(numeric_features(traj))
+    if subset in ("full", "linguistic"):
         if question is None:
-            raise ValueError(f"subset {cfg.subset!r} needs the question for overlap features")
+            raise ValueError(f"subset {subset!r} needs the question for overlap features")
         if question.question_id != traj.question_id:
             raise ValueError(
                 f"question {question.question_id!r} does not match trajectory "
@@ -265,7 +228,7 @@ def assemble(
             )
         ling = np.stack(
             [
-                linguistic_features(s.text, i + 1, t_total, question, cfg)
+                linguistic_features(s.text, i + 1, t_total, question)
                 for i, s in enumerate(traj.sentences)
             ]
         )
@@ -275,7 +238,7 @@ def assemble(
         question_id=traj.question_id,
         x=x,
         mask=np.ones(t_total, dtype=np.float64),
-        layout_id=cfg.subset,
+        layout_id=subset,
     )
     seq.validate()
     return seq
@@ -320,7 +283,7 @@ def write_layout_registry(path: str | Path) -> None:
     write_jsonl(
         path,
         LAYOUTS_SCHEMA,
-        [{"layout_id": s, "columns": layout_for_subset(s)} for s in SUBSETS],
+        [{"layout_id": s, "columns": columns} for s, columns in LAYOUTS.items()],
     )
 
 

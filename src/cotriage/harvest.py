@@ -151,14 +151,11 @@ class EndpointClient:
     def __init__(
         self,
         cfg: EndpointConfig,
-        template_id: str = "mc-cot/1",
         transport: Callable[[str, dict], dict] | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        if template_id not in TEMPLATES:
-            raise ValueError(f"unknown prompt template {template_id!r}")
         self.cfg = cfg
-        self.template = TEMPLATES[template_id]
+        self.template = TEMPLATES["mc-cot/1"]
         self._transport = transport or _default_transport(cfg)
         self._sleep = sleep
         self.requests_made = 0
@@ -378,7 +375,8 @@ def harvest_dataset(
     """Harvest every question, appending as it goes so a rerun resumes.
 
     A rerun first cuts a torn last line (left by a crash) off each output,
-    then skips the questions already in it. A question whose requests keep
+    then skips the questions already in it; an output cut back to nothing
+    (a torn header) starts afresh. A question whose requests keep
     failing or whose generation cannot be used (blank text, for one) is
     logged and skipped, never aborting the job.
     Returns (harvested, failed).
@@ -389,7 +387,7 @@ def harvest_dataset(
     if out_paths is not None:
         _drop_torn_tail(Path(out_paths))
     done = set()
-    if out_trajectories.exists():
+    if out_trajectories.exists() and out_trajectories.stat().st_size:
         done = set(read_jsonl(out_trajectories, TRAJ_SCHEMA, lambda rec: str(rec["question_id"])))
     harvested = 0
     failed = 0

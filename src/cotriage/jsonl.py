@@ -2,15 +2,17 @@
 
 Each file starts with a header record {"schema": "<name>/<version>"} followed
 by one JSON object per line. Writers emit keys in sorted order so identical
-payloads produce identical bytes.
+payloads produce identical bytes. write_json writes the single indented JSON
+documents (manifests, summaries, checkpoints) with the same atomic rename.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
 
 from .errors import ParseError
 
@@ -21,26 +23,41 @@ def dumps_record(record: dict[str, Any]) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def write_jsonl(path: str | Path, schema: str, records: Iterable[dict[str, Any]]) -> None:
-    """Write atomically: build the temp file, then rename over the target."""
+@contextmanager
+def _replace_atomically(path: str | Path) -> Iterator[TextIO]:
+    """Create the parent directory, write a temp file, then rename it over the target."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(dumps_record({"schema": schema}) + "\n")
-        for rec in records:
-            fh.write(dumps_record(rec) + "\n")
+        yield fh
     os.replace(tmp, path)
 
 
-def read_jsonl(path: str | Path, schema: str, parse: Callable[[dict[str, Any]], T]) -> Iterator[T]:
-    """Yield parse(record) for each record after checking the header.
+def write_jsonl(path: str | Path, schema: str, records: Iterable[dict[str, Any]]) -> None:
+    with _replace_atomically(path) as fh:
+        fh.write(dumps_record({"schema": schema}) + "\n")
+        for rec in records:
+            fh.write(dumps_record(rec) + "\n")
 
-    Line numbers are 1-based file lines, blank lines counted. A KeyError,
-    TypeError or ValueError raised by parse becomes a ParseError naming the
-    record's line.
+
+def write_json(path: str | Path, doc: dict[str, Any]) -> None:
+    """One indented JSON document with sorted keys, written atomically."""
+    with _replace_atomically(path) as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
+def read_jsonl(path: str | Path, schema: str, parse: Callable[[dict[str, Any]], T]) -> Iterator[T]:
+    """Yield parse(record) for each record after the header.
+
+    The first non-blank line must be the header naming schema; a file without
+    one is a ParseError. Line numbers are 1-based file lines, blank lines
+    counted. A KeyError, TypeError or ValueError raised by parse becomes a
+    ParseError naming the record's line.
     """
     path = Path(path)
+    header_seen = False
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
@@ -52,13 +69,16 @@ def read_jsonl(path: str | Path, schema: str, parse: Callable[[dict[str, Any]], 
                 raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
             if not isinstance(rec, dict):
                 raise ParseError("record is not a JSON object", line=lineno)
-            if lineno == 1:
+            if not header_seen:
                 got = rec.get("schema")
                 if got != schema:
                     raise ParseError(f"expected schema {schema!r}, got {got!r}", line=lineno)
+                header_seen = True
                 continue
             try:
                 item = parse(rec)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad {schema} record: {exc!r}", line=lineno) from exc
             yield item
+    if not header_seen:
+        raise ParseError(f"{path} has no {schema!r} header")

@@ -1,9 +1,8 @@
 """Frozen word lists for the linguistic feature extractors.
 
 These are deliberately small, lowercase, and versioned with the code: feature
-columns derived from them must be reproducible across runs, so the defaults
-never change silently. Callers can substitute their own sets via the feature
-config.
+columns derived from them must be reproducible across runs, so they never
+change silently.
 """
 
 from __future__ import annotations

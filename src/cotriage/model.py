@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import base64
 import json
-import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .errors import ConfigMismatch, EmptyMask
+from .errors import ConfigMismatch, EmptyMask, ParseError
+from .jsonl import write_json
 
 CKPT_SCHEMA = "ckpt/1"
 _LN_EPS = 1e-5
@@ -56,21 +56,6 @@ class ModelConfig:
     @property
     def gate_dim(self) -> int:
         return self.gate_hidden if self.gate_hidden is not None else max(1, self.input_dim // 2)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "input_dim": self.input_dim,
-            "hidden": self.hidden,
-            "heads": self.heads,
-            "head_hidden": self.head_hidden,
-            "gate_hidden": self.gate_hidden,
-            "use_feature_gate": self.use_feature_gate,
-            "use_mhsa": self.use_mhsa,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ModelConfig":
-        return cls(**d)
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -467,32 +452,33 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], cfg: ModelC
             "shape": list(arr.shape),
             "data": base64.b64encode(arr.tobytes()).decode("ascii"),
         }
-    doc = {"schema": CKPT_SCHEMA, "config": cfg.to_dict(), "tensors": tensors}
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_json(path, {"schema": CKPT_SCHEMA, "config": asdict(cfg), "tensors": tensors})
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfig]:
+    """Parameters and config of a checkpoint.
+
+    ConfigMismatch when the schema, tensor names or shapes disagree with the
+    stored config; ParseError when the file cannot be decoded at all.
+    """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != CKPT_SCHEMA:
-        raise ConfigMismatch(f"expected schema {CKPT_SCHEMA!r}, got {doc.get('schema')!r}")
-    cfg = ModelConfig.from_dict(doc["config"])
-    shapes = param_shapes(cfg)
-    tensors = doc["tensors"]
-    if set(tensors) != set(shapes):
-        raise ConfigMismatch("checkpoint tensors do not match the config")
-    params = {}
-    for name, entry in tensors.items():
-        shape = tuple(entry["shape"])
-        if shape != shapes[name]:
-            raise ConfigMismatch(f"{name}: shape {shape} != expected {shapes[name]}")
-        raw = base64.b64decode(entry["data"])
-        arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        params[name] = arr
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+        if doc["schema"] != CKPT_SCHEMA:
+            raise ConfigMismatch(f"expected schema {CKPT_SCHEMA!r}, got {doc['schema']!r}")
+        cfg = ModelConfig(**doc["config"])
+        shapes = param_shapes(cfg)
+        tensors = doc["tensors"]
+        if set(tensors) != set(shapes):
+            raise ConfigMismatch("checkpoint tensors do not match the config")
+        params = {}
+        for name, entry in tensors.items():
+            shape = tuple(entry["shape"])
+            if shape != shapes[name]:
+                raise ConfigMismatch(f"{name}: shape {shape} != expected {shapes[name]}")
+            raw = base64.b64decode(entry["data"], validate=True)
+            params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad checkpoint {path}: {exc!r}") from exc
     return params, cfg

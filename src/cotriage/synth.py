@@ -46,6 +46,10 @@ _MID_TEMPLATES = [
 _HEDGE_WORDS = ["maybe", "perhaps", "possibly", "unclear", "roughly"]
 _SURE_WORDS = ["clearly", "definitely", "certainly", "precisely"]
 
+# token cost of every greedy and sampled path: max(20, round(normal(mean, sd)))
+TOKENS_MEAN = 300.0
+TOKENS_SD = 60.0
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -57,11 +61,6 @@ class SynthConfig:
     t_min: int = 3
     t_max: int = 12
     samples_per_question: int = 10
-    temperature: float = 1.0
-    greedy_tokens_mean: float = 300.0
-    greedy_tokens_sd: float = 60.0
-    sample_tokens_mean: float = 300.0
-    sample_tokens_sd: float = 60.0
     id_prefix: str = "q"
 
     def __post_init__(self):
@@ -104,8 +103,8 @@ def _sentence_text(rng: np.random.Generator, t: int, t_total: int, confident: bo
     return text
 
 
-def _token_cost(rng: np.random.Generator, mean: float, sd: float) -> int:
-    return int(max(20.0, round(float(rng.normal(mean, sd)))))
+def _token_cost(rng: np.random.Generator) -> int:
+    return int(max(20.0, round(float(rng.normal(TOKENS_MEAN, TOKENS_SD)))))
 
 
 def generate(
@@ -175,7 +174,7 @@ def generate(
             question_id=qid,
             sentences=sentences,
             greedy_answer=greedy,
-            greedy_token_cost=_token_cost(rng, cfg.greedy_tokens_mean, cfg.greedy_tokens_sd),
+            greedy_token_cost=_token_cost(rng),
             label=correct,
         )
         traj.validate()
@@ -195,9 +194,8 @@ def generate(
                     question_id=qid,
                     sample_idx=j,
                     answer=answer,
-                    token_cost=_token_cost(rng, cfg.sample_tokens_mean, cfg.sample_tokens_sd),
+                    token_cost=_token_cost(rng),
                     confidence=conf,
-                    temperature=cfg.temperature,
                 )
             )
 

@@ -10,7 +10,6 @@ trajectory's forward value.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -19,12 +18,18 @@ import numpy as np
 
 from .errors import EmptyDataset
 from .features import FeatureSequence
+from .jsonl import write_json
 from .model import ModelConfig, backward, forward, init_params
 
 _CLIP_LO = 1e-7
 _CLIP_HI = 1.0 - 1e-7
 
 LOSS_VARIANTS = ("final", "final_aux")
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+SCORE_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -142,22 +147,19 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
     if not state.m:
         for name, p in params.items():
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
     state.step += 1
-    bc1 = 1.0 - beta1**state.step
-    bc2 = 1.0 - beta2**state.step
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
     for name in sorted(params):
         g = grads[name]
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        params[name] -= lr * (state.m[name] / bc1) / (np.sqrt(state.v[name] / bc2) + eps)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+        params[name] -= lr * (state.m[name] / bc1) / (np.sqrt(state.v[name] / bc2) + ADAM_EPS)
 
 
 def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
@@ -192,12 +194,11 @@ def score_features(
     params: dict[str, np.ndarray],
     cfg: ModelConfig,
     seqs: Sequence[FeatureSequence],
-    batch_size: int = 256,
 ) -> np.ndarray:
-    """Trajectory scores for many sequences, batched for speed."""
+    """Trajectory scores for many sequences, SCORE_BATCH at a time."""
     out = np.empty(len(seqs))
-    for lo in range(0, len(seqs), batch_size):
-        chunk = seqs[lo : lo + batch_size]
+    for lo in range(0, len(seqs), SCORE_BATCH):
+        chunk = seqs[lo : lo + SCORE_BATCH]
         x, mask = pad_batch(chunk)
         _, scores, _ = forward(params, cfg, x, mask)
         out[lo : lo + len(chunk)] = scores
@@ -287,7 +288,7 @@ def write_training_log(path: str | Path, result: TrainResult) -> None:
         writer = csv.DictWriter(fh, fieldnames=["epoch", "train_loss", "val_auc", "val_acc_at_0.5"])
         writer.writeheader()
         writer.writerows(result.log)
-    best = {"best_epoch": result.best_epoch, "best_val_auc": result.best_val_auc}
-    with open(path.with_suffix(".best.json"), "w", encoding="utf-8") as fh:
-        json.dump(best, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(
+        path.with_suffix(".best.json"),
+        {"best_epoch": result.best_epoch, "best_val_auc": result.best_val_auc},
+    )

@@ -23,7 +23,7 @@ from cotriage.calibration import (
 )
 from cotriage.cli import main as cli_main
 from cotriage.evaluation import OutcomeVector, build_calibration_items, paired_bootstrap, route_outcomes
-from cotriage.features import FeatureConfig, assemble
+from cotriage.features import assemble
 from cotriage.model import ModelConfig, forward, init_params
 from cotriage.synth import SynthConfig, generate
 from cotriage.trajectory import normalize_choices, sentence_signals
@@ -231,11 +231,10 @@ def planted_run():
     for i, (split, n) in enumerate([("train", 2000), ("val", 500), ("test", 1000)]):
         cfg = SynthConfig(n_questions=n, seed=7 + i, beta=1.0, id_prefix=f"{split}-")
         data[split] = generate(cfg)
-    fcfg = FeatureConfig()
     feats = {}
     for split, (questions, trajectories, _) in data.items():
         qmap = {q.question_id: q for q in questions}
-        seqs = [assemble(t, fcfg, qmap[t.question_id]) for t in trajectories]
+        seqs = [assemble(t, "full", qmap[t.question_id]) for t in trajectories]
         feats[split] = (seqs, [bool(t.label) for t in trajectories])
 
     out = {"data": data, "feats": feats, "elapsed_setup": time.perf_counter() - t0}

@@ -108,12 +108,6 @@ def test_empty_items_rejected():
         simulate_at_tau([], 0.5)
 
 
-def test_grid_must_increase():
-    items = random_items(np.random.default_rng(3), 10)
-    with pytest.raises(ValueError):
-        sweep(items, grid=[0.0, 0.5, 0.5])
-
-
 def _profile(points):
     return CalibrationProfile(points=points, baseline_method="sc", sunk_greedy=True)
 

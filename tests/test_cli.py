@@ -23,8 +23,10 @@ from cotriage.cli import (
     build_parser,
     main,
     parse_config_text,
+    resolve_options,
     write_manifest,
 )
+from cotriage.model import ModelConfig, init_params, save_checkpoint
 from cotriage.trajectory import load_questions, write_questions
 from test_harvest import Q1, Q2, make_fake
 
@@ -186,6 +188,35 @@ def test_config_rejects_unknown_keys_and_sections(tmp_path, capsys):
     assert "subset must be one of full, numeric, linguistic" in capsys.readouterr().err
 
 
+def test_config_values_take_their_option_types(tmp_path):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text('no_mhsa = "false"\nno_feature_gate = TRUE\nlr = 1\nhidden = "16"\n')
+    opts = resolve_options("train", {"config": str(cfg), "in_dir": "f", "out": "m"})
+    assert opts.no_mhsa is False
+    assert opts.no_feature_gate is True
+    assert opts.lr == 1.0 and isinstance(opts.lr, float)
+    assert opts.hidden == 16
+
+
+@pytest.mark.parametrize("subcommand, line, message", [
+    ("calibrate", 'budget = "ten"', "budget must be an integer, not 'ten'"),
+    ("train", "max_epochs = 1.5", "max_epochs must be an integer, not '1.5'"),
+    ("train", "lr = fast", "lr must be a number, not 'fast'"),
+    ("train", "no_mhsa = yes", "no_mhsa must be true or false, not 'yes'"),
+])
+def test_config_value_that_does_not_convert_is_a_usage_error(tmp_path, capsys, subcommand,
+                                                              line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    required = {
+        "calibrate": ["--data", tmp_path, "--features", tmp_path, "--model", tmp_path / "m.ckpt",
+                      "--out", tmp_path / "c"],
+        "train": ["--in", tmp_path, "--out", tmp_path / "m"],
+    }[subcommand]
+    assert run(subcommand, "--config", cfg, *required) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
 def test_parse_config_text_coercion():
     doc = parse_config_text(
         'name = "quoted # kept"\n'
@@ -201,10 +232,10 @@ def test_parse_config_text_coercion():
     assert doc == {
         "name": "quoted # kept",
         "method": "sc",
-        "flag": True,
-        "other": False,
-        "count": 40,
-        "rate": 0.25,
+        "flag": "true",
+        "other": "FALSE",
+        "count": "40",
+        "rate": "2.5e-1",
         "word": "bare",
     }
     with pytest.raises(UsageError):
@@ -245,6 +276,25 @@ def test_data_error_exit_codes(tmp_path, capsys):
                    "--model", tmp_path / "m.ckpt", "--out", tmp_path / "r",
                    "--selection", selection) == EXIT_DATA, text
         assert "bad selection summary" in capsys.readouterr().err
+
+    run_dir = tmp_path / "run"
+    assert run("synth", "--seed", 1, "--out", run_dir / "d", "--n-train", 4, "--n-val", 4,
+               "--n-test", 0, "--samples", 2) == EXIT_OK
+    assert run("extract-features", "--in", run_dir / "d", "--out", run_dir / "f") == EXIT_OK
+    cfg = ModelConfig(input_dim=32, hidden=8, heads=2, head_hidden=4)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_params(cfg, 0), cfg)
+    good = json.loads(ckpt.read_text())
+    unknown_key = dict(good, config=dict(good["config"], dropout=0.1))
+    short_tensor = json.loads(json.dumps(good))
+    short_tensor["tensors"]["gru.b_r"]["data"] = "AAAAAAAAAAA="
+    capsys.readouterr()
+    for text in ("not json", '{"schema": "ckpt/1"}', json.dumps(unknown_key),
+                 json.dumps(short_tensor)):
+        ckpt.write_text(text)
+        assert run("calibrate", "--data", run_dir / "d", "--features", run_dir / "f",
+                   "--model", ckpt, "--out", tmp_path / "c", "--budget", 2) == EXIT_DATA, text
+        assert "bad checkpoint" in capsys.readouterr().err
 
 
 def test_endpoint_error_exit_code(tmp_path, capsys):
@@ -299,6 +349,10 @@ def test_exemplar_configs_match_option_tables():
         unknown = set(parsed) - set(DEFAULTS[path.stem])
         assert not unknown, f"{path.name} has unknown keys: {sorted(unknown)}"
         assert parsed, f"{path.name} documents no options"
+        explicit = {"config": str(path)}
+        if path.stem == "synth":  # synth.cfg leaves --out to the command line
+            explicit["out"] = "data/"
+        resolve_options(path.stem, explicit)
 
 
 def test_exemplar_values_are_clean_and_allowed():

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cotriage import lexicons
 from cotriage.features import (
     LINGUISTIC_LAYOUT,
     NUMERIC_LAYOUT,
-    FeatureConfig,
+    LAYOUTS,
     assemble,
-    layout_for_subset,
     linguistic_features,
     numeric_features,
     read_features,
@@ -20,6 +20,7 @@ from cotriage.features import (
     write_labels,
     write_layout_registry,
 )
+from cotriage.errors import ParseError
 from cotriage.trajectory import (
     McQuestion,
     SentenceRecord,
@@ -29,11 +30,8 @@ from cotriage.trajectory import (
     sentence_signals,
 )
 
-CFG = FeatureConfig()
-
-
 def col(name, subset="full"):
-    return layout_for_subset(subset).index(name)
+    return LAYOUTS[subset].index(name)
 
 
 def make_traj(p_series, texts=None, k=None, qid="q0"):
@@ -69,46 +67,51 @@ QUESTION = McQuestion(
 def test_layout_sizes():
     assert len(NUMERIC_LAYOUT) == 12
     assert len(LINGUISTIC_LAYOUT) == 20
-    assert len(layout_for_subset("full")) == 32
-    assert layout_for_subset("full") == NUMERIC_LAYOUT + LINGUISTIC_LAYOUT
-    assert len(set(layout_for_subset("full"))) == 32
+    assert len(LAYOUTS["full"]) == 32
+    assert LAYOUTS["full"] == NUMERIC_LAYOUT + LINGUISTIC_LAYOUT
+    assert len(set(LAYOUTS["full"])) == 32
 
 
 def test_subset_shapes():
     traj = make_traj([0.5, 0.6, 0.7])
-    assert assemble(traj, FeatureConfig(subset="full"), QUESTION).x.shape == (3, 32)
-    assert assemble(traj, FeatureConfig(subset="numeric")).x.shape == (3, 12)
-    assert assemble(traj, FeatureConfig(subset="linguistic"), QUESTION).x.shape == (3, 20)
+    assert assemble(traj, "full", QUESTION).x.shape == (3, 32)
+    assert assemble(traj, "numeric").x.shape == (3, 12)
+    assert assemble(traj, "linguistic", QUESTION).x.shape == (3, 20)
+
+
+def test_unknown_subset_rejected():
+    with pytest.raises(ValueError, match="unknown feature subset"):
+        assemble(make_traj([0.5, 0.6]), "everything", QUESTION)
 
 
 def test_full_subset_requires_question():
     traj = make_traj([0.5, 0.6])
     with pytest.raises(ValueError):
-        assemble(traj, FeatureConfig(subset="full"))
+        assemble(traj, "full")
 
 
 def test_question_id_mismatch_rejected():
     traj = make_traj([0.5, 0.6], qid="q1")
     with pytest.raises(ValueError):
-        assemble(traj, CFG, QUESTION)
+        assemble(traj, "full", QUESTION)
 
 
 def test_ema_worked_example():
     traj = make_traj([0.2, 0.8])
-    x = numeric_features(traj, FeatureConfig(ema_decay=0.3))
+    x = numeric_features(traj)
     np.testing.assert_allclose(x[:, col("p_ema")], [0.2, 0.38], atol=1e-12)
 
 
 def test_first_row_deltas_are_zero():
     traj = make_traj([0.3, 0.5, 0.4])
-    x = numeric_features(traj, CFG)
+    x = numeric_features(traj)
     for name in ("delta_p", "delta_entropy", "delta_ema"):
         assert x[0, col(name)] == 0.0
 
 
 def test_rolling_window_hand_computed():
     traj = make_traj([0.2, 0.5, 0.9, 0.4])
-    x = numeric_features(traj, FeatureConfig(window=3))
+    x = numeric_features(traj)
     exp_std = [0.0, 0.15, math.sqrt(0.246666666666667 / 3), math.sqrt(0.14 / 3)]
     exp_rng = [0.0, 0.3, 0.7, 0.5]
     np.testing.assert_allclose(x[:, col("p_roll_std")], exp_std, atol=1e-9)
@@ -117,7 +120,7 @@ def test_rolling_window_hand_computed():
 
 def test_p_over_log_len_column():
     traj = make_traj([0.5, 0.6])
-    x = numeric_features(traj, CFG)
+    x = numeric_features(traj)
     plens = [s.prefix_len for s in traj.sentences]
     expected = [0.5 / math.log(1 + plens[0]), 0.6 / math.log(1 + plens[1])]
     np.testing.assert_allclose(x[:, col("p_over_log_len")], expected, atol=1e-12)
@@ -129,13 +132,13 @@ def test_p_over_log_len_column():
 @settings(max_examples=100)
 def test_zscore_columns_centered(p_series):
     traj = make_traj(p_series)
-    x = numeric_features(traj, CFG)
+    x = numeric_features(traj)
     for name in ("p_zscore", "ema_zscore"):
         assert abs(x[:, col(name)].mean()) < 1e-6
 
 
 def test_linguistic_worked_example():
-    row = linguistic_features("Hello.", 1, 1, QUESTION, CFG)
+    row = linguistic_features("Hello.", 1, 1, QUESTION)
     get = lambda n: row[LINGUISTIC_LAYOUT.index(n)]
     assert get("tok_count") == 1
     assert get("char_count") == 6
@@ -149,7 +152,7 @@ def test_linguistic_worked_example():
 
 
 def test_overlap_features():
-    row = linguistic_features("the dose is low", 1, 2, QUESTION, CFG)
+    row = linguistic_features("the dose is low", 1, 2, QUESTION)
     get = lambda n: row[LINGUISTIC_LAYOUT.index(n)]
     assert get("q_overlap_count") == 4
     assert get("q_overlap_ratio") == 1.0
@@ -162,7 +165,7 @@ def test_overlap_features():
 
 def test_lexicon_counts():
     row = linguistic_features(
-        "Maybe it could be right, but this is definitely unclear.", 1, 1, QUESTION, CFG
+        "Maybe it could be right, but this is definitely unclear.", 1, 1, QUESTION
     )
     get = lambda n: row[LINGUISTIC_LAYOUT.index(n)]
     assert get("hedge_count") == 3  # maybe, could, unclear
@@ -172,7 +175,7 @@ def test_lexicon_counts():
 
 
 def test_punctuation_only_sentence_is_finite():
-    row = linguistic_features("...", 1, 1, QUESTION, CFG)
+    row = linguistic_features("...", 1, 1, QUESTION)
     assert np.all(np.isfinite(row))
     assert row[LINGUISTIC_LAYOUT.index("tok_count")] == 1
     assert row[LINGUISTIC_LAYOUT.index("punct_density")] == 1.0
@@ -180,41 +183,30 @@ def test_punctuation_only_sentence_is_finite():
 
 def test_option_permutation_invariance():
     traj = make_traj([0.4, 0.7, 0.9])
-    base = assemble(traj, CFG, QUESTION).x
+    base = assemble(traj, "full", QUESTION).x
     shuffled = McQuestion(
         QUESTION.question_id,
         QUESTION.question,
         [QUESTION.options[i] for i in (2, 0, 3, 1)],
         gold_idx=1,
     )
-    np.testing.assert_array_equal(base, assemble(traj, CFG, shuffled).x)
+    np.testing.assert_array_equal(base, assemble(traj, "full", shuffled).x)
 
 
 def test_assemble_mask_and_determinism():
     traj = make_traj([0.3, 0.6, 0.8, 0.9])
-    a = assemble(traj, CFG, QUESTION)
-    b = assemble(traj, CFG, QUESTION)
+    a = assemble(traj, "full", QUESTION)
+    b = assemble(traj, "full", QUESTION)
     np.testing.assert_array_equal(a.mask, np.ones(4))
     np.testing.assert_array_equal(a.x, b.x)
     assert a.layout_id == "full"
     assert np.all(np.isfinite(a.x))
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        FeatureConfig(ema_decay=0.0)
-    with pytest.raises(ValueError):
-        FeatureConfig(ema_decay=1.0)
-    with pytest.raises(ValueError):
-        FeatureConfig(window=1)
-    with pytest.raises(ValueError):
-        FeatureConfig(zscore_epsilon=0.0)
-    with pytest.raises(ValueError):
-        FeatureConfig(subset="everything")
-    with pytest.raises(ValueError):
-        FeatureConfig(hedges=frozenset())
-    with pytest.raises(ValueError):
-        FeatureConfig(hedges=frozenset({"Maybe"}))
+def test_lexicons_are_nonempty_and_lowercase():
+    for lex in (lexicons.HEDGES, lexicons.CERTAINTY, lexicons.CONNECTORS, lexicons.STOPWORDS):
+        assert lex
+        assert all(w and w == w.lower() for w in lex)
 
 
 def test_feature_dump_roundtrip(tmp_path):
@@ -223,7 +215,7 @@ def test_feature_dump_roundtrip(tmp_path):
         McQuestion("a", QUESTION.question, QUESTION.options, 0),
         McQuestion("b", QUESTION.question, QUESTION.options, 1),
     ]
-    seqs = [assemble(t, CFG, q) for t, q in zip(trajs, qs)]
+    seqs = [assemble(t, "full", q) for t, q in zip(trajs, qs)]
     path = tmp_path / "feat.jsonl"
     write_features(path, seqs)
     loaded = read_features(path)
@@ -246,3 +238,17 @@ def test_labels_roundtrip(tmp_path):
     path = tmp_path / "labels.jsonl"
     write_labels(path, {"a": True, "b": False})
     assert read_labels(path) == {"a": True, "b": False}
+
+
+def test_header_may_follow_blank_lines(tmp_path):
+    path = tmp_path / "labels.jsonl"
+    path.write_text('\n{"schema": "labels/1"}\n{"question_id": "a", "label": true}\n')
+    assert read_labels(path) == {"a": True}
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", '{"question_id": "a", "label": true}\n'])
+def test_file_without_header_rejected(tmp_path, text):
+    path = tmp_path / "labels.jsonl"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="labels/1"):
+        read_labels(path)
