@@ -34,6 +34,7 @@ from .calibration import (
 from .errors import AlignmentError, CapabilityError, CotriageError, EmptyDataset, HarvestError
 from .evaluation import (
     OUTCOMES_SCHEMA,
+    REPORT_SCHEMA,
     build_calibration_items,
     paired_bootstrap,
     read_outcomes,
@@ -55,7 +56,7 @@ from .features import (
 )
 from .harvest import EndpointClient, EndpointConfig, harvest_dataset
 from .jsonl import write_json
-from .model import ModelConfig, load_checkpoint, save_checkpoint
+from .model import CKPT_SCHEMA, ModelConfig, load_checkpoint, save_checkpoint
 from .synth import SynthConfig, generate
 from .trajectory import (
     QUESTIONS_SCHEMA,
@@ -88,8 +89,12 @@ _VALUE = re.compile(r'\s*(?:"([^"]*)"|([^#]*?))\s*(?:#.*)?')
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Flat key = value document of raw strings; # starts a comment, quotes protect strings."""
+    """Flat key = value document of raw strings; # starts a comment, quotes protect strings.
+
+    A key may appear once; a repeat is a usage error, not a silent override.
+    """
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -99,8 +104,12 @@ def parse_config_text(text: str) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"config line {lineno}: expected key = value")
         key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key in first_line:
+            raise UsageError(f"config line {lineno}: {key} is already set on line {first_line[key]}")
+        first_line[key] = lineno
         quoted, bare = _VALUE.fullmatch(value).groups()
-        out[key.strip().replace("-", "_")] = bare if quoted is None else quoted
+        out[key] = bare if quoted is None else quoted
     return out
 
 
@@ -364,9 +373,11 @@ def _load_routing_inputs(opts) -> tuple:
 def cmd_synth(opts) -> int:
     out_dir = Path(opts.out)
     sizes = {"train": opts.n_train, "val": opts.n_val, "test": opts.n_test}
+    if min(sizes.values()) < 0 or max(sizes.values()) == 0:
+        raise UsageError("synth: split sizes must be >= 0 and at least one must be positive")
     outputs = []
     for offset, split in enumerate(SPLITS):
-        if sizes[split] < 1:
+        if sizes[split] == 0:
             continue
         cfg = SynthConfig(
             n_questions=sizes[split],
@@ -499,7 +510,7 @@ def cmd_train(opts) -> int:
         for kind in ("features", "labels")
     ]
     outputs = [str(ckpt), str(log_path), str(log_path.with_suffix(".best.json"))]
-    write_manifest("train", opts, inputs, outputs, {"checkpoint": "ckpt/1"}, out_dir)
+    write_manifest("train", opts, inputs, outputs, {"checkpoint": CKPT_SCHEMA}, out_dir)
     print(
         json.dumps(
             {"best_epoch": result.best_epoch, "best_val_auc": round(result.best_val_auc, 6)}
@@ -518,7 +529,7 @@ def cmd_calibrate(opts) -> int:
     selection_path = out_dir / "selection.json"
     write_selection_summary(profile, selection_path, max_rel_drop=opts.max_rel_drop)
     outputs = [str(profile_path), str(selection_path)]
-    write_manifest("calibrate", opts, inputs, outputs, {"profile": "report/1"}, out_dir)
+    write_manifest("calibrate", opts, inputs, outputs, {"profile": REPORT_SCHEMA}, out_dir)
     print(json.dumps({"selected_tau": tau}))
     return EXIT_OK
 
@@ -624,7 +635,7 @@ def cmd_report(opts) -> int:
         opts,
         sorted(str(p) for p in in_dir.glob("outcomes.*.jsonl")),
         [str(p) for p in written],
-        {"report": "report/1"},
+        {"report": REPORT_SCHEMA},
         opts.out,
     )
     return EXIT_OK

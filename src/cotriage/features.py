@@ -79,19 +79,16 @@ _PUNCT = set(string.punctuation)
 @dataclass
 class FeatureSequence:
     question_id: str
-    x: np.ndarray  # (T, D) float64
-    mask: np.ndarray  # (T,) float64, 1.0 = valid row
+    x: np.ndarray  # (T, D) float64, one row per sentence
     layout_id: str
 
     def validate(self) -> None:
-        if self.x.ndim != 2 or self.mask.ndim != 1 or self.x.shape[0] != self.mask.shape[0]:
-            raise ValueError("feature matrix and mask shapes disagree")
+        if self.x.ndim != 2:
+            raise ValueError("feature matrix must be 2-D")
         if self.x.shape[0] < 1:
             raise ValueError("feature matrix has no rows")
         if not np.all(np.isfinite(self.x)):
             raise ValueError("feature matrix contains NaN or infinity")
-        if not np.all((self.mask == 0.0) | (self.mask == 1.0)):
-            raise ValueError("mask must be binary")
 
 
 def _rolling(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,12 +231,7 @@ def assemble(
         )
         blocks.append(ling)
     x = np.concatenate(blocks, axis=1) if len(blocks) > 1 else blocks[0]
-    seq = FeatureSequence(
-        question_id=traj.question_id,
-        x=x,
-        mask=np.ones(t_total, dtype=np.float64),
-        layout_id=subset,
-    )
+    seq = FeatureSequence(question_id=traj.question_id, x=x, layout_id=subset)
     seq.validate()
     return seq
 
@@ -253,7 +245,7 @@ def write_features(path: str | Path, seqs: Iterable[FeatureSequence]) -> None:
             seq.validate()
             yield {
                 "question_id": seq.question_id,
-                "mask_len": int(seq.mask.sum()),
+                "mask_len": seq.x.shape[0],
                 "layout_id": seq.layout_id,
                 "rows": [[float(v) for v in row] for row in seq.x],
             }
@@ -267,12 +259,7 @@ def _features_from_record(rec: dict) -> FeatureSequence:
         raise ValueError("rows must form a matrix")
     if int(rec["mask_len"]) != x.shape[0]:
         raise ValueError("mask_len disagrees with row count")
-    return FeatureSequence(
-        question_id=str(rec["question_id"]),
-        x=x,
-        mask=np.ones(x.shape[0], dtype=np.float64),
-        layout_id=str(rec["layout_id"]),
-    )
+    return FeatureSequence(question_id=str(rec["question_id"]), x=x, layout_id=str(rec["layout_id"]))
 
 
 def read_features(path: str | Path) -> list[FeatureSequence]:

@@ -8,6 +8,12 @@ position-wise head (LayerNorm + two-layer MLP + sigmoid) emits a
 trustworthiness value q_t per sentence. The trajectory score is q at the last
 valid position.
 
+Parallel projections are stacked column-wise in the order [reset | update |
+candidate] for the GRU (``gru.w_x`` (D, 3H), ``gru.w_h`` (H, 3H), ``gru.b_x``
+(3H); ``gru.b_hn`` is the candidate's recurrent bias inside the reset
+product) and [query | key | value] for attention (``attn.w_qkv`` (H, 3H),
+``attn.b_qkv`` (3H)).
+
 Everything is float64 numpy. The backward pass is written by hand and must
 mirror the forward pass exactly; finite-difference tests hold it to that.
 Padded rows cannot influence any valid position: pooling is masked, the GRU
@@ -28,7 +34,7 @@ import numpy as np
 from .errors import ConfigMismatch, EmptyMask, ParseError
 from .jsonl import write_json
 
-CKPT_SCHEMA = "ckpt/1"
+CKPT_SCHEMA = "ckpt/2"
 _LN_EPS = 1e-5
 _NEG_INF = -1e30
 
@@ -39,7 +45,6 @@ class ModelConfig:
     hidden: int = 64
     heads: int = 4
     head_hidden: int = 32
-    gate_hidden: int | None = None
     use_feature_gate: bool = True
     use_mhsa: bool = True
 
@@ -50,40 +55,24 @@ class ModelConfig:
             raise ValueError("hidden sizes must be positive")
         if self.heads < 1 or self.hidden % self.heads != 0:
             raise ValueError("hidden must be divisible by heads")
-        if self.gate_hidden is not None and self.gate_hidden < 1:
-            raise ValueError("gate_hidden must be positive")
-
-    @property
-    def gate_dim(self) -> int:
-        return self.gate_hidden if self.gate_hidden is not None else max(1, self.input_dim // 2)
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    d, h, g, p = cfg.input_dim, cfg.hidden, cfg.gate_dim, cfg.head_hidden
-    f = 4 * h
+    d, h, p = cfg.input_dim, cfg.hidden, cfg.head_hidden
+    g, f = max(1, d // 2), 4 * h
     return {
         "gate.w1": (d, g),
         "gate.b1": (g,),
         "gate.w2": (g, d),
         "gate.b2": (d,),
-        "gru.w_xr": (d, h),
-        "gru.w_hr": (h, h),
-        "gru.b_r": (h,),
-        "gru.w_xz": (d, h),
-        "gru.w_hz": (h, h),
-        "gru.b_z": (h,),
-        "gru.w_xn": (d, h),
-        "gru.b_xn": (h,),
-        "gru.w_hn": (h, h),
+        "gru.w_x": (d, 3 * h),
+        "gru.w_h": (h, 3 * h),
+        "gru.b_x": (3 * h,),
         "gru.b_hn": (h,),
         "attn.ln1_g": (h,),
         "attn.ln1_b": (h,),
-        "attn.w_q": (h, h),
-        "attn.b_q": (h,),
-        "attn.w_k": (h, h),
-        "attn.b_k": (h,),
-        "attn.w_v": (h, h),
-        "attn.b_v": (h,),
+        "attn.w_qkv": (h, 3 * h),
+        "attn.b_qkv": (3 * h,),
         "attn.w_o": (h, h),
         "attn.b_o": (h,),
         "attn.ln2_g": (h,),
@@ -204,29 +193,23 @@ def forward(
     cache["xg"] = xg
 
     # --- GRU with mask-carry ------------------------------------------------
+    x_pre = xg @ params["gru.w_x"] + params["gru.b_x"]  # every timestep at once
     h_prev = np.zeros((b, h))
     h_seq = np.empty((b, t, h))
-    r_all = np.empty((b, t, h))
-    z_all = np.empty((b, t, h))
-    n_all = np.empty((b, t, h))
-    hnlin_all = np.empty((b, t, h))
-    hprev_all = np.empty((b, t, h))
+    gates = np.empty((b, t, 3 * h))  # [r | z | n] activations
+    hnlin = np.empty((b, t, h))
     for i in range(t):
-        xt = xg[:, i, :]
-        hprev_all[:, i, :] = h_prev
-        r = _sigmoid(xt @ params["gru.w_xr"] + h_prev @ params["gru.w_hr"] + params["gru.b_r"])
-        z = _sigmoid(xt @ params["gru.w_xz"] + h_prev @ params["gru.w_hz"] + params["gru.b_z"])
-        hnlin = h_prev @ params["gru.w_hn"] + params["gru.b_hn"]
-        n = np.tanh(xt @ params["gru.w_xn"] + params["gru.b_xn"] + r * hnlin)
+        h_pre = h_prev @ params["gru.w_h"]
+        gates[:, i, : 2 * h] = _sigmoid(x_pre[:, i, : 2 * h] + h_pre[:, : 2 * h])
+        r, z = gates[:, i, :h], gates[:, i, h : 2 * h]
+        hnlin[:, i] = h_pre[:, 2 * h :] + params["gru.b_hn"]
+        n = np.tanh(x_pre[:, i, 2 * h :] + r * hnlin[:, i])
+        gates[:, i, 2 * h :] = n
         h_new = (1.0 - z) * n + z * h_prev
         m = mask[:, i, None]
         h_prev = m * h_new + (1.0 - m) * h_prev
         h_seq[:, i, :] = h_prev
-        r_all[:, i, :] = r
-        z_all[:, i, :] = z
-        n_all[:, i, :] = n
-        hnlin_all[:, i, :] = hnlin
-    cache.update(h_seq=h_seq, r=r_all, z=z_all, n=n_all, hnlin=hnlin_all, hprev=hprev_all)
+    cache.update(h_seq=h_seq, gates=gates, hnlin=hnlin)
 
     # --- pre-norm self-attention block --------------------------------------
     if cfg.use_mhsa:
@@ -249,13 +232,9 @@ def _attn_block(params, cfg: ModelConfig, h_seq: np.ndarray, mask: np.ndarray):
     nh = cfg.heads
     dk = h // nh
     a_norm, ln1_cache = _ln_forward(h_seq, params["attn.ln1_g"], params["attn.ln1_b"])
-
-    def split(m2):
-        return m2.reshape(b, t, nh, dk).transpose(0, 2, 1, 3)
-
-    q_h = split(a_norm @ params["attn.w_q"] + params["attn.b_q"])
-    k_h = split(a_norm @ params["attn.w_k"] + params["attn.b_k"])
-    v_h = split(a_norm @ params["attn.w_v"] + params["attn.b_v"])
+    qkv = a_norm @ params["attn.w_qkv"] + params["attn.b_qkv"]
+    # (B, T, 3H) -> three (B, heads, T, dk) views
+    q_h, k_h, v_h = qkv.reshape(b, t, 3, nh, dk).transpose(2, 0, 3, 1, 4)
     scores = np.einsum("bntk,bnsk->bnts", q_h, k_h) / np.sqrt(dk)
     scores = np.where(mask[:, None, None, :] > 0.0, scores, _NEG_INF)
     scores -= scores.max(axis=-1, keepdims=True)
@@ -358,68 +337,40 @@ def backward(
         dscore = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
         dq_h = np.einsum("bnts,bnsk->bntk", dscore, k_h) / np.sqrt(dk)
         dk_h = np.einsum("bnts,bntk->bnsk", dscore, q_h) / np.sqrt(dk)
-
-        def merge(m4):
-            return m4.transpose(0, 2, 1, 3).reshape(b, t, h)
-
-        dqf, dkf, dvf = merge(dq_h), merge(dk_h), merge(dv_h)
-        a_norm = cache["a_norm"]
-        grads["attn.w_q"] = np.einsum("bth,btk->hk", a_norm, dqf)
-        grads["attn.b_q"] = dqf.sum(axis=(0, 1))
-        grads["attn.w_k"] = np.einsum("bth,btk->hk", a_norm, dkf)
-        grads["attn.b_k"] = dkf.sum(axis=(0, 1))
-        grads["attn.w_v"] = np.einsum("bth,btk->hk", a_norm, dvf)
-        grads["attn.b_v"] = dvf.sum(axis=(0, 1))
-        da_norm = dqf @ params["attn.w_q"].T + dkf @ params["attn.w_k"].T + dvf @ params["attn.w_v"].T
+        # inverse of the forward split: three (B, heads, T, dk) -> (B, T, 3H)
+        dqkv = np.stack([dq_h, dk_h, dv_h]).transpose(1, 3, 0, 2, 4).reshape(b, t, 3 * h)
+        grads["attn.w_qkv"] = np.einsum("bth,btk->hk", cache["a_norm"], dqkv)
+        grads["attn.b_qkv"] = dqkv.sum(axis=(0, 1))
+        da_norm = dqkv @ params["attn.w_qkv"].T
         dh_ln1, grads["attn.ln1_g"], grads["attn.ln1_b"] = _ln_backward(da_norm, cache["ln1"])
         dh_seq += dh_ln1
     else:
         dh_seq = dh2
 
-    # GRU backprop through time
-    xg = cache["xg"]
-    dxg = np.zeros_like(xg)
+    # GRU backprop through time: the loop carries only dh_prev; the weight
+    # gradients come from the stored pre-activation gradients afterwards
+    gates, hnlin, xg = cache["gates"], cache["hnlin"], cache["xg"]
+    hprev = np.concatenate([np.zeros((b, 1, h)), cache["h_seq"][:, :-1]], axis=1)
+    d_x = np.empty((b, t, 3 * h))  # d(input-side pre-activation), [r | z | n]
+    d_h = np.empty((b, t, 3 * h))  # d(recurrent pre-activation), [r | z | hnlin]
     carry = np.zeros((b, h))
     for i in range(t - 1, -1, -1):
         dh = dh_seq[:, i, :] + carry
         m = mask[:, i, None]
         dh_new = m * dh
-        dh_prev = (1.0 - m) * dh
-
-        r, z, n = cache["r"][:, i], cache["z"][:, i], cache["n"][:, i]
-        hnlin, h_prev = cache["hnlin"][:, i], cache["hprev"][:, i]
-        xt = xg[:, i, :]
-
-        dz = dh_new * (h_prev - n)
-        dn = dh_new * (1.0 - z)
-        dh_prev += dh_new * z
-
-        da_n = dn * (1.0 - n * n)
-        grads["gru.w_xn"] += xt.T @ da_n
-        grads["gru.b_xn"] += da_n.sum(axis=0)
-        dr = da_n * hnlin
-        dhnlin = da_n * r
-        grads["gru.w_hn"] += h_prev.T @ dhnlin
-        grads["gru.b_hn"] += dhnlin.sum(axis=0)
-        dh_prev += dhnlin @ params["gru.w_hn"].T
-        dxt = da_n @ params["gru.w_xn"].T
-
-        da_z = dz * z * (1.0 - z)
-        grads["gru.w_xz"] += xt.T @ da_z
-        grads["gru.w_hz"] += h_prev.T @ da_z
-        grads["gru.b_z"] += da_z.sum(axis=0)
-        dxt += da_z @ params["gru.w_xz"].T
-        dh_prev += da_z @ params["gru.w_hz"].T
-
-        da_r = dr * r * (1.0 - r)
-        grads["gru.w_xr"] += xt.T @ da_r
-        grads["gru.w_hr"] += h_prev.T @ da_r
-        grads["gru.b_r"] += da_r.sum(axis=0)
-        dxt += da_r @ params["gru.w_xr"].T
-        dh_prev += da_r @ params["gru.w_hr"].T
-
-        dxg[:, i, :] = dxt
-        carry = dh_prev
+        r, z, n = gates[:, i, :h], gates[:, i, h : 2 * h], gates[:, i, 2 * h :]
+        da_n = dh_new * (1.0 - z) * (1.0 - n * n)
+        d_x[:, i, :h] = da_n * hnlin[:, i] * r * (1.0 - r)
+        d_x[:, i, h : 2 * h] = dh_new * (hprev[:, i] - n) * z * (1.0 - z)
+        d_x[:, i, 2 * h :] = da_n
+        d_h[:, i, : 2 * h] = d_x[:, i, : 2 * h]
+        d_h[:, i, 2 * h :] = da_n * r
+        carry = (1.0 - m) * dh + dh_new * z + d_h[:, i] @ params["gru.w_h"].T
+    grads["gru.w_x"] = xg.reshape(b * t, -1).T @ d_x.reshape(b * t, -1)
+    grads["gru.b_x"] = d_x.sum(axis=(0, 1))
+    grads["gru.w_h"] = hprev.reshape(b * t, h).T @ d_h.reshape(b * t, -1)
+    grads["gru.b_hn"] = d_h[:, :, 2 * h :].sum(axis=(0, 1))
+    dxg = d_x @ params["gru.w_x"].T
 
     # feature gate
     if cfg.use_feature_gate:

@@ -84,7 +84,7 @@ def pad_batch(seqs: Sequence[FeatureSequence]) -> tuple[np.ndarray, np.ndarray]:
     for i, s in enumerate(seqs):
         t = s.x.shape[0]
         x[i, :t] = s.x
-        mask[i, :t] = s.mask
+        mask[i, :t] = 1.0
     return x, mask
 
 

@@ -1,15 +1,19 @@
-"""Every function the benchmark tracer hooks must exist under its recorded name.
+"""The benchmark's view of the package must keep working.
 
 perfbench/spans.py looks its hooks up by module and attribute path at run
 time and reports a missing one instead of failing, so a rename would silently
-drop per-layer metrics. This test turns such a rename into a failure.
+drop per-layer metrics. perfbench/layers.py builds a ModelConfig and calls
+forward/backward itself, so a signature change would break only the
+benchmark. These tests turn either into a failure.
 """
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def load_hooks():
@@ -33,3 +37,12 @@ def test_every_bench_hook_resolves():
     assert hooks
     missing = [f"{module}.{attr}" for _, module, attr, _ in hooks if not resolves(module, attr)]
     assert missing == []
+
+
+def test_layer_bench_times_every_model_block(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # layers.py imports its sibling spans.py
+    layers = importlib.import_module("layers")
+    got = layers.model_block_ms()
+    cells = ("full", "no_gate", "no_mhsa", "core")
+    assert set(got) == {f"model.{kind}_ms.{cell}" for kind in ("fwd", "bwd") for cell in cells}
+    assert all(math.isfinite(ms) and ms > 0 for ms in got.values())

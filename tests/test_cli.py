@@ -26,7 +26,7 @@ from cotriage.cli import (
     resolve_options,
     write_manifest,
 )
-from cotriage.model import ModelConfig, init_params, save_checkpoint
+from cotriage.model import CKPT_SCHEMA, ModelConfig, init_params, save_checkpoint
 from cotriage.trajectory import load_questions, write_questions
 from test_harvest import Q1, Q2, make_fake
 
@@ -240,6 +240,8 @@ def test_parse_config_text_coercion():
     }
     with pytest.raises(UsageError):
         parse_config_text("broken line")
+    with pytest.raises(UsageError, match="line 3: n_train is already set on line 1"):
+        parse_config_text("n_train = 3\n# again\nn-train = 5\n")
 
 
 def test_usage_exit_codes(tmp_path, capsys):
@@ -254,6 +256,12 @@ def test_usage_exit_codes(tmp_path, capsys):
                "--model", tmp_path / "m.ckpt", "--out", tmp_path / "r",
                "--tau", 0.5, "--selection", tmp_path / "s.json") == EXIT_USAGE
     assert "exactly one of --tau and --selection" in capsys.readouterr().err
+    empty = tmp_path / "empty"
+    for sizes in ((0, 0, 0), (4, -1, 4)):
+        assert run("synth", "--out", empty, "--n-train", sizes[0], "--n-val", sizes[1],
+                   "--n-test", sizes[2]) == EXIT_USAGE, sizes
+        assert "split sizes" in capsys.readouterr().err
+    assert not empty.exists()
     assert run("--version") == EXIT_OK
 
 
@@ -287,14 +295,18 @@ def test_data_error_exit_codes(tmp_path, capsys):
     good = json.loads(ckpt.read_text())
     unknown_key = dict(good, config=dict(good["config"], dropout=0.1))
     short_tensor = json.loads(json.dumps(good))
-    short_tensor["tensors"]["gru.b_r"]["data"] = "AAAAAAAAAAA="
+    short_tensor["tensors"]["gru.b_hn"]["data"] = "AAAAAAAAAAA="
     capsys.readouterr()
-    for text in ("not json", '{"schema": "ckpt/1"}', json.dumps(unknown_key),
+    for text in ("not json", json.dumps({"schema": CKPT_SCHEMA}), json.dumps(unknown_key),
                  json.dumps(short_tensor)):
         ckpt.write_text(text)
         assert run("calibrate", "--data", run_dir / "d", "--features", run_dir / "f",
                    "--model", ckpt, "--out", tmp_path / "c", "--budget", 2) == EXIT_DATA, text
         assert "bad checkpoint" in capsys.readouterr().err
+    ckpt.write_text(json.dumps(dict(good, schema="ckpt/1")))
+    assert run("calibrate", "--data", run_dir / "d", "--features", run_dir / "f",
+               "--model", ckpt, "--out", tmp_path / "c", "--budget", 2) == EXIT_DATA
+    assert f"expected schema {CKPT_SCHEMA!r}" in capsys.readouterr().err
 
 
 def test_endpoint_error_exit_code(tmp_path, capsys):

