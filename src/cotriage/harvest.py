@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import requests
 
 from .errors import CapabilityError, CotriageError, HarvestError
-from .jsonl import dumps_record, read_jsonl
+from .jsonl import dumps_record, read_jsonl, write_jsonl
 from .trajectory import (
     TRAJ_SCHEMA,
     ChoiceDistribution,
@@ -363,6 +363,19 @@ def _append_records(path: Path, schema: str, records: Iterable[dict]) -> None:
             fh.write(dumps_record(rec) + "\n")
 
 
+def _drop_uncommitted_paths(path: Path, done: set[str]) -> None:
+    """Rewrite a paths output without the records of questions that have no trajectory.
+
+    A crash between a question's two appends leaves its paths without a
+    trajectory; the rerun harvests that question again.
+    """
+    if not (path.exists() and path.stat().st_size):
+        return
+    records = list(read_jsonl(path, PATHS_SCHEMA, lambda rec: (str(rec["question_id"]), rec)))
+    if any(qid not in done for qid, _ in records):
+        write_jsonl(path, PATHS_SCHEMA, [rec for qid, rec in records if qid in done])
+
+
 def harvest_dataset(
     questions: Sequence[McQuestion],
     client: EndpointClient,
@@ -374,9 +387,11 @@ def harvest_dataset(
 ) -> tuple[int, int]:
     """Harvest every question, appending as it goes so a rerun resumes.
 
-    A rerun first cuts a torn last line (left by a crash) off each output,
-    then skips the questions already in it; an output cut back to nothing
-    (a torn header) starts afresh. A question whose requests keep
+    A question's paths are appended before its trajectory, which commits
+    it. A rerun first cuts a torn last line (left by a crash) off each
+    output and drops the paths of uncommitted questions, then skips the
+    questions already in the trajectories output; an output cut back to
+    nothing (a torn header) starts afresh. A question whose requests keep
     failing or whose generation cannot be used (blank text, for one) is
     logged and skipped, never aborting the job.
     Returns (harvested, failed).
@@ -384,11 +399,13 @@ def harvest_dataset(
     probe_scoring_capability(client)
     out_trajectories = Path(out_trajectories)
     _drop_torn_tail(out_trajectories)
-    if out_paths is not None:
-        _drop_torn_tail(Path(out_paths))
     done = set()
     if out_trajectories.exists() and out_trajectories.stat().st_size:
         done = set(read_jsonl(out_trajectories, TRAJ_SCHEMA, lambda rec: str(rec["question_id"])))
+    if out_paths is not None:
+        out_paths = Path(out_paths)
+        _drop_torn_tail(out_paths)
+        _drop_uncommitted_paths(out_paths, done)
     harvested = 0
     failed = 0
     for q in questions:
@@ -411,8 +428,9 @@ def harvest_dataset(
             log.warning("skipping %s: %s", q.question_id, exc)
             failed += 1
             continue
-        _append_records(out_trajectories, TRAJ_SCHEMA, records)
+        # the trajectory commits the question, so it goes last
         if out_paths is not None:
-            _append_records(Path(out_paths), PATHS_SCHEMA, path_records)
+            _append_records(out_paths, PATHS_SCHEMA, path_records)
+        _append_records(out_trajectories, TRAJ_SCHEMA, records)
         harvested += 1
     return harvested, failed

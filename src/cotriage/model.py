@@ -146,12 +146,14 @@ def _ln_backward(dy: np.ndarray, cache):
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def _wgrad(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Weight gradient of y = a @ w: a^T d summed over every leading axis."""
+    return a.reshape(-1, a.shape[-1]).T @ d.reshape(-1, d.shape[-1])
 
 
 def forward(
@@ -235,12 +237,12 @@ def _attn_block(params, cfg: ModelConfig, h_seq: np.ndarray, mask: np.ndarray):
     qkv = a_norm @ params["attn.w_qkv"] + params["attn.b_qkv"]
     # (B, T, 3H) -> three (B, heads, T, dk) views
     q_h, k_h, v_h = qkv.reshape(b, t, 3, nh, dk).transpose(2, 0, 3, 1, 4)
-    scores = np.einsum("bntk,bnsk->bnts", q_h, k_h) / np.sqrt(dk)
+    scores = q_h @ k_h.swapaxes(-1, -2) / np.sqrt(dk)
     scores = np.where(mask[:, None, None, :] > 0.0, scores, _NEG_INF)
     scores -= scores.max(axis=-1, keepdims=True)
     exps = np.exp(scores)
     attn = exps / exps.sum(axis=-1, keepdims=True)
-    o_head = np.einsum("bnts,bnsk->bntk", attn, v_h)
+    o_head = attn @ v_h
     o_cat = o_head.transpose(0, 2, 1, 3).reshape(b, t, h)
     o_proj = o_cat @ params["attn.w_o"] + params["attn.b_o"]
     h1 = h_seq + o_proj
@@ -299,11 +301,11 @@ def backward(
     q = cache["q"]
     dlogit = dq * q * (1.0 - q)
     z1h = cache["z1h"]
-    grads["head.w2"] = np.einsum("btp,bt->p", z1h, dlogit)[:, None]
+    grads["head.w2"] = _wgrad(z1h, dlogit[..., None])
     grads["head.b2"] = np.array([dlogit.sum()])
     dz1h = dlogit[:, :, None] * params["head.w2"][:, 0]
     dz1h_pre = dz1h * (cache["z1h_pre"] > 0.0)
-    grads["head.w1"] = np.einsum("bth,btp->hp", cache["c_norm"], dz1h_pre)
+    grads["head.w1"] = _wgrad(cache["c_norm"], dz1h_pre)
     grads["head.b1"] = dz1h_pre.sum(axis=(0, 1))
     dc = dz1h_pre @ params["head.w1"].T
     dh2, grads["head.ln_g"], grads["head.ln_b"] = _ln_backward(dc, cache["ln3"])
@@ -314,11 +316,11 @@ def backward(
         dk = h // nh
         dh1 = dh2.copy()
         df_out = dh2
-        grads["attn.w_f2"] = np.einsum("btf,bth->fh", cache["f_act"], df_out)
+        grads["attn.w_f2"] = _wgrad(cache["f_act"], df_out)
         grads["attn.b_f2"] = df_out.sum(axis=(0, 1))
         df_act = df_out @ params["attn.w_f2"].T
         df_pre = df_act * (cache["f_pre"] > 0.0)
-        grads["attn.w_f1"] = np.einsum("bth,btf->hf", cache["a2"], df_pre)
+        grads["attn.w_f1"] = _wgrad(cache["a2"], df_pre)
         grads["attn.b_f1"] = df_pre.sum(axis=(0, 1))
         da2 = df_pre @ params["attn.w_f1"].T
         dh1_ln, grads["attn.ln2_g"], grads["attn.ln2_b"] = _ln_backward(da2, cache["ln2"])
@@ -326,20 +328,20 @@ def backward(
 
         dh_seq = dh1.copy()
         do_proj = dh1
-        grads["attn.w_o"] = np.einsum("bth,btk->hk", cache["o_cat"], do_proj)
+        grads["attn.w_o"] = _wgrad(cache["o_cat"], do_proj)
         grads["attn.b_o"] = do_proj.sum(axis=(0, 1))
         do_cat = do_proj @ params["attn.w_o"].T
         do_head = do_cat.reshape(b, t, nh, dk).transpose(0, 2, 1, 3)
 
         attn, v_h, q_h, k_h = cache["attn"], cache["v_h"], cache["q_h"], cache["k_h"]
-        dattn = np.einsum("bntk,bnsk->bnts", do_head, v_h)
-        dv_h = np.einsum("bnts,bntk->bnsk", attn, do_head)
+        dattn = do_head @ v_h.swapaxes(-1, -2)
+        dv_h = attn.swapaxes(-1, -2) @ do_head
         dscore = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dq_h = np.einsum("bnts,bnsk->bntk", dscore, k_h) / np.sqrt(dk)
-        dk_h = np.einsum("bnts,bntk->bnsk", dscore, q_h) / np.sqrt(dk)
+        dq_h = dscore @ k_h / np.sqrt(dk)
+        dk_h = dscore.swapaxes(-1, -2) @ q_h / np.sqrt(dk)
         # inverse of the forward split: three (B, heads, T, dk) -> (B, T, 3H)
         dqkv = np.stack([dq_h, dk_h, dv_h]).transpose(1, 3, 0, 2, 4).reshape(b, t, 3 * h)
-        grads["attn.w_qkv"] = np.einsum("bth,btk->hk", cache["a_norm"], dqkv)
+        grads["attn.w_qkv"] = _wgrad(cache["a_norm"], dqkv)
         grads["attn.b_qkv"] = dqkv.sum(axis=(0, 1))
         da_norm = dqkv @ params["attn.w_qkv"].T
         dh_ln1, grads["attn.ln1_g"], grads["attn.ln1_b"] = _ln_backward(da_norm, cache["ln1"])
@@ -366,9 +368,9 @@ def backward(
         d_h[:, i, : 2 * h] = d_x[:, i, : 2 * h]
         d_h[:, i, 2 * h :] = da_n * r
         carry = (1.0 - m) * dh + dh_new * z + d_h[:, i] @ params["gru.w_h"].T
-    grads["gru.w_x"] = xg.reshape(b * t, -1).T @ d_x.reshape(b * t, -1)
+    grads["gru.w_x"] = _wgrad(xg, d_x)
     grads["gru.b_x"] = d_x.sum(axis=(0, 1))
-    grads["gru.w_h"] = hprev.reshape(b * t, h).T @ d_h.reshape(b * t, -1)
+    grads["gru.w_h"] = _wgrad(hprev, d_h)
     grads["gru.b_hn"] = d_h[:, :, 2 * h :].sum(axis=(0, 1))
     dxg = d_x @ params["gru.w_x"].T
 

@@ -1,7 +1,8 @@
 """Training loop for the decision model.
 
 Binary cross-entropy on the trajectory score (optionally plus an auxiliary
-per-sentence term), Adam updates, early stopping on validation ROC-AUC.
+per-sentence term), Adam updates, early stopping on validation ROC-AUC
+(after `patience` epochs without a new best, or at once when it reaches 1.0).
 Minibatches are padded to the longest trajectory in the batch; the model's
 masking makes padding inert, so batch composition cannot change any
 trajectory's forward value.
@@ -272,6 +273,8 @@ def train(
             best_epoch = epoch
             best_params = {k: v.copy() for k, v in params.items()}
             stale = 0
+            if auc >= 1.0:  # nothing can beat it, so no later epoch can be kept
+                break
         else:
             stale += 1
             if stale >= train_cfg.patience:

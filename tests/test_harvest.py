@@ -332,6 +332,36 @@ def test_dataset_harvest_resumes_after_torn_line(tmp_path):
     assert [t.question_id for t in read_trajectories(torn_header)] == ["h003"]
 
 
+def test_dataset_harvest_resumes_after_crash_between_appends(tmp_path, monkeypatch):
+    out_traj, out_paths = tmp_path / "traj.jsonl", tmp_path / "paths.jsonl"
+    real_append = harvest_mod._append_records
+    calls = []
+
+    def crash_in_h002_second_append(path, schema, records):
+        records = list(records)
+        calls.append(records[0]["question_id"])
+        if calls.count("h002") == 2:
+            raise RuntimeError("killed between the two appends")
+        real_append(path, schema, records)
+
+    monkeypatch.setattr(harvest_mod, "_append_records", crash_in_h002_second_append)
+    client, _ = make_client()
+    with pytest.raises(RuntimeError):
+        harvest_dataset([Q1, Q2, Q3], client, out_traj, out_paths, n_samples=2)
+    monkeypatch.setattr(harvest_mod, "_append_records", real_append)
+
+    assert harvest_dataset([Q1, Q2, Q3], client, out_traj, out_paths, n_samples=2) == (2, 0)
+    assert [t.question_id for t in read_trajectories(out_traj)] == ["h001", "h002", "h003"]
+    grouped = read_paths(out_paths)
+    assert sorted(grouped) == ["h001", "h002", "h003"]
+    assert all([p.sample_idx for p in v] == [0, 1] for v in grouped.values())
+
+    fresh_traj, fresh_paths = tmp_path / "fresh_traj.jsonl", tmp_path / "fresh_paths.jsonl"
+    harvest_dataset([Q1, Q2, Q3], client, fresh_traj, fresh_paths, n_samples=2)
+    assert out_traj.read_bytes() == fresh_traj.read_bytes()
+    assert out_paths.read_bytes() == fresh_paths.read_bytes()
+
+
 def test_dataset_harvest_rejects_wrong_schema_output(tmp_path):
     out_traj = tmp_path / "traj.jsonl"
     out_traj.write_text('{"schema":"paths/1"}\n')

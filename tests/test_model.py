@@ -4,6 +4,7 @@ import pytest
 from cotriage.errors import ConfigMismatch, EmptyMask
 from cotriage.model import (
     ModelConfig,
+    _sigmoid,
     forward,
     init_params,
     load_checkpoint,
@@ -146,6 +147,19 @@ def test_gru_state_carries_through_padding():
     h = cache["h_seq"][0]
     np.testing.assert_array_equal(h[3], h[2])
     np.testing.assert_array_equal(h[5], h[2])
+
+
+def test_sigmoid_matches_two_branch_reference():
+    x = np.concatenate([np.linspace(-800.0, 800.0, 1_100_001), [0.0, -0.0]])
+    ref = np.empty_like(x)
+    pos = x >= 0
+    ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    ref[~pos] = ex / (1.0 + ex)
+    # exp(-|x|) flushing to 0 is the intended value; overflow or NaN would not be
+    with np.errstate(all="raise", under="ignore"):
+        out = _sigmoid(x)
+    np.testing.assert_array_equal(out.view(np.int64), ref.view(np.int64))
 
 
 def test_init_params_deterministic_and_complete():

@@ -147,6 +147,25 @@ def test_early_stopping_uses_patience():
     assert result.best_epoch == 1
 
 
+def test_training_stops_at_perfect_val_auc():
+    rng = np.random.default_rng(3)
+    train_seqs, train_labels = _planted_dataset(rng, 40)
+    val_seqs, val_labels = _planted_dataset(rng, 16)
+    model_cfg = ModelConfig(input_dim=4, hidden=8, heads=2, head_hidden=4)
+    cfg = TrainConfig(batch_size=8, max_epochs=30, patience=5, seed=3)
+    result = train(train_seqs, train_labels, val_seqs, val_labels, model_cfg, cfg)
+    aucs = [row["val_auc"] for row in result.log]
+    assert aucs[-1] == 1.0 and max(aucs[:-1]) < 1.0  # reaches 1.0 after epoch 1
+    assert result.best_epoch == len(result.log) and result.best_val_auc == 1.0
+    rerun = train(
+        train_seqs, train_labels, val_seqs, val_labels, model_cfg,
+        TrainConfig(batch_size=8, max_epochs=result.best_epoch, patience=5, seed=3),
+    )
+    assert rerun.log == result.log
+    for name in result.params:
+        np.testing.assert_array_equal(result.params[name], rerun.params[name])
+
+
 def test_empty_datasets_rejected():
     model_cfg = ModelConfig(input_dim=4, hidden=8, heads=2, head_hidden=4)
     seqs, labels = _planted_dataset(np.random.default_rng(0), 4)
