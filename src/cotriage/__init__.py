@@ -2,12 +2,4 @@
 chain-of-thought answer and multi-path reasoning, based on a learned
 trustworthiness score for the greedy trajectory."""
 
-import os
-
-# One BLAS thread unless the user says otherwise. Set before any submodule
-# imports numpy: at the detector's sizes a second OpenBLAS thread doubles CPU
-# use without shortening the wall time.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 __version__ = "0.1.0"

@@ -7,9 +7,7 @@ defined in test_harvest.
 
 import argparse
 import json
-import os
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -113,19 +111,6 @@ def test_manifest_git_revision_is_the_package_checkout(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     path = write_manifest("synth", argparse.Namespace(seed=0), [], [], {}, tmp_path)
     assert json.loads(path.read_text())["git_revision"] == head.stdout.strip()
-
-
-@pytest.mark.parametrize("user_value", [None, "2"])
-def test_blas_threads_default_to_one_unless_set(user_value):
-    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    env["PYTHONPATH"] = str(Path(cotriage.__file__).resolve().parents[1])
-    if user_value is not None:
-        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = user_value
-    code = "import os, cotriage; print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         timeout=60, check=True)
-    expected = user_value or "1"
-    assert out.stdout.split() == [expected, expected]
 
 
 def test_route_at_tau_zero_equals_greedy(tmp_path, capsys):
