@@ -1,5 +1,5 @@
 """Command-line pipeline: synth, harvest, extract-features, train, calibrate,
-route, evaluate, bootstrap, report.
+route, report.
 
 Stages talk to each other only through files with versioned schema headers, so
 any stage can be re-run in isolation. Every run that produces files also
@@ -36,7 +36,6 @@ from .evaluation import (
     OUTCOMES_SCHEMA,
     REPORT_SCHEMA,
     build_calibration_items,
-    paired_bootstrap,
     read_outcomes,
     route_outcomes,
     summarize,
@@ -202,17 +201,6 @@ COMMANDS: dict[str, tuple[str, tuple]] = {
         ("split", str, "test", "split name"),
         ("tau", float, None, "acceptance threshold (exclusive with --selection)"),
         ("selection", str, None, "selection.json from calibrate (exclusive with --tau)"),
-    )),
-    "evaluate": ("summarize one outcome file", (
-        ("outcomes", str, ..., "outcomes jsonl file"),
-        ("out", str, None, "optional output directory"),
-    )),
-    "bootstrap": ("paired bootstrap significance between two outcome files", (
-        ("a", str, ..., "first outcomes jsonl file"),
-        ("b", str, ..., "second outcomes jsonl file"),
-        ("resamples", int, 2000, "bootstrap resamples"),
-        ("method", ("sign-flip", "percentile"), "sign-flip", "p-value convention"),
-        ("out", str, None, "optional output directory"),
     )),
     "report": ("summary, significance and outcome tables for a routed run", (
         ("in_dir", str, ..., "directory with outcomes.*.jsonl"),
@@ -565,75 +553,17 @@ def cmd_route(opts) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(opts) -> int:
-    vector = read_outcomes(opts.outcomes)
-    s = summarize(vector)
-    doc = {
-        "n": len(vector),
-        "accuracy": s.accuracy,
-        "mean_tokens": s.mean_tokens,
-        "tokens_q1": s.tokens_q1,
-        "tokens_median": s.tokens_median,
-        "tokens_q3": s.tokens_q3,
-    }
-    print(json.dumps(doc, sort_keys=True))
-    if opts.out is not None:
-        path = Path(opts.out) / "evaluation.json"
-        write_json(path, doc)
-        write_manifest(
-            "evaluate",
-            opts,
-            [str(opts.outcomes)],
-            [str(path)],
-            {"outcomes": OUTCOMES_SCHEMA},
-            opts.out,
-        )
-    return EXIT_OK
-
-
-def cmd_bootstrap(opts) -> int:
-    result = paired_bootstrap(
-        read_outcomes(opts.a),
-        read_outcomes(opts.b),
-        resamples=opts.resamples,
-        seed=opts.seed,
-        method=opts.method,
-    )
-    doc = {
-        "delta_accuracy": result.delta_accuracy,
-        "delta_tokens": result.delta_tokens,
-        "p_accuracy": result.p_accuracy,
-        "p_tokens": result.p_tokens,
-        "resamples": result.resamples,
-    }
-    print(json.dumps(doc, sort_keys=True))
-    if opts.out is not None:
-        path = Path(opts.out) / "bootstrap.json"
-        write_json(path, doc)
-        write_manifest(
-            "bootstrap",
-            opts,
-            [str(opts.a), str(opts.b)],
-            [str(path)],
-            {"outcomes": OUTCOMES_SCHEMA},
-            opts.out,
-        )
-    return EXIT_OK
-
-
 def cmd_report(opts) -> int:
     in_dir = Path(opts.in_dir)
-    methods = {}
-    for path in sorted(in_dir.glob("outcomes.*.jsonl")):
-        name = path.name.split(".")[1]
-        methods[name] = read_outcomes(path)
-    if not methods:
+    inputs = sorted(in_dir.glob("outcomes.*.jsonl"))
+    if not inputs:
         raise EmptyDataset(f"no outcomes.*.jsonl files under {in_dir}")
+    methods = {path.name.split(".")[1]: read_outcomes(path) for path in inputs}
     written = write_report(methods, opts.out, seed=opts.seed, resamples=opts.resamples)
     write_manifest(
         "report",
         opts,
-        sorted(str(p) for p in in_dir.glob("outcomes.*.jsonl")),
+        [str(p) for p in inputs],
         [str(p) for p in written],
         {"report": REPORT_SCHEMA},
         opts.out,
@@ -648,8 +578,6 @@ HANDLERS = {
     "train": cmd_train,
     "calibrate": cmd_calibrate,
     "route": cmd_route,
-    "evaluate": cmd_evaluate,
-    "bootstrap": cmd_bootstrap,
     "report": cmd_report,
 }
 

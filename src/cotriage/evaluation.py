@@ -1,5 +1,6 @@
 """Routing evaluation: per-question outcome vectors, summary statistics,
-paired bootstrap significance, and report files.
+paired bootstrap significance, and the report stage's files (summary.csv,
+significance.csv, outcomes.csv), the one place these numbers are written.
 
 Bootstrap p-values use the two-sided sign-flip convention: resample question
 indices with replacement (the same draws for both metrics of a pair, keeping
@@ -75,7 +76,6 @@ class BootstrapResult:
     delta_tokens: float
     p_accuracy: float
     p_tokens: float
-    resamples: int
 
 
 def _align(a: OutcomeVector, b: OutcomeVector) -> OutcomeVector:
@@ -99,15 +99,12 @@ def paired_bootstrap(
     b: OutcomeVector,
     resamples: int = 2000,
     seed: int = 0,
-    method: str = "sign-flip",
 ) -> BootstrapResult:
     """Two-sided significance of accuracy and token-cost differences (a - b).
 
     Swapping a and b negates the deltas and leaves both p-values unchanged:
     the index draws depend only on (seed, i), not on the operand order.
     """
-    if method not in ("sign-flip", "percentile"):
-        raise ValueError(f"unknown bootstrap method {method!r}")
     if len(a) == 0:
         raise EmptyDataset("cannot bootstrap empty outcome vectors")
     b = _align(a, b)
@@ -126,18 +123,11 @@ def paired_bootstrap(
         d_acc[i] = acc_a[idx].mean() - acc_b[idx].mean()
         d_tok[i] = tok_a[idx].mean() - tok_b[idx].mean()
 
-    if method == "sign-flip":
-        p_acc = _sign_flip_p(obs_acc, d_acc)
-        p_tok = _sign_flip_p(obs_tok, d_tok)
-    else:
-        p_acc = min(1.0, 2.0 * min(float(np.mean(d_acc <= 0)), float(np.mean(d_acc >= 0))))
-        p_tok = min(1.0, 2.0 * min(float(np.mean(d_tok <= 0)), float(np.mean(d_tok >= 0))))
     return BootstrapResult(
         delta_accuracy=obs_acc,
         delta_tokens=obs_tok,
-        p_accuracy=p_acc,
-        p_tokens=p_tok,
-        resamples=resamples,
+        p_accuracy=_sign_flip_p(obs_acc, d_acc),
+        p_tokens=_sign_flip_p(obs_tok, d_tok),
     )
 
 

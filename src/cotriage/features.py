@@ -274,12 +274,6 @@ def write_layout_registry(path: str | Path) -> None:
     )
 
 
-def read_layout_registry(path: str | Path) -> dict[str, list[str]]:
-    return dict(
-        read_jsonl(path, LAYOUTS_SCHEMA, lambda rec: (rec["layout_id"], list(rec["columns"])))
-    )
-
-
 def write_labels(path: str | Path, labels: dict[str, bool]) -> None:
     write_jsonl(
         path,

@@ -9,8 +9,9 @@ log-probabilities, from which the answer span is summed.
 The HTTP transport is a plain callable so tests substitute a fake endpoint;
 everything above it (caching, retries, concurrency, parsing) is exercised for
 real. Responses are cached on disk keyed by a hash of the model, template and
-full payload, written atomically so concurrent workers cannot corrupt a
-cache entry.
+full payload, written atomically through a temp file unique to the writing
+thread, so concurrent workers, even two sending the same request, cannot
+corrupt a cache entry or abort on each other's rename.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import requests
 
 from .errors import CapabilityError, CotriageError, HarvestError
-from .jsonl import dumps_record, read_jsonl, write_jsonl
+from .jsonl import _replace_atomically, dumps_record, read_jsonl, write_jsonl
 from .trajectory import (
     TRAJ_SCHEMA,
     ChoiceDistribution,
@@ -195,11 +196,8 @@ class EndpointClient:
                     ) from exc
                 self._sleep(self.cfg.backoff * (2.0**attempt))
         if cache_path is not None:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = cache_path.with_name(cache_path.name + f".tmp{os.getpid()}")
-            with open(tmp, "w", encoding="utf-8") as fh:
+            with _replace_atomically(cache_path) as fh:
                 json.dump(response, fh, sort_keys=True)
-            os.replace(tmp, cache_path)
         return response
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
@@ -25,10 +26,14 @@ def dumps_record(record: dict[str, Any]) -> str:
 
 @contextmanager
 def _replace_atomically(path: str | Path) -> Iterator[TextIO]:
-    """Create the parent directory, write a temp file, then rename it over the target."""
+    """Create the parent directory, write a temp file, then rename it over the target.
+
+    The temp name is unique to the writing process and thread, so concurrent
+    writers of one target never share (and never rename away) a temp file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}.{threading.get_ident()}")
     with open(tmp, "w", encoding="utf-8") as fh:
         yield fh
     os.replace(tmp, path)

@@ -413,11 +413,6 @@ def _run_cli_pipeline(base: Path) -> None:
          "--seed", "19"],
         ["report", "--in", str(r), "--out", str(base / "rep"), "--resamples", "50",
          "--seed", "19"],
-        ["evaluate", "--outcomes", str(r / "outcomes.policy.jsonl"),
-         "--out", str(base / "ev")],
-        ["bootstrap", "--a", str(r / "outcomes.policy.jsonl"),
-         "--b", str(r / "outcomes.multi.jsonl"), "--resamples", "50", "--seed", "19",
-         "--out", str(base / "bs")],
     ]
     for argv in steps:
         code = cli_main(argv)
@@ -444,6 +439,6 @@ def test_cli_determinism(tmp_path):
     report(
         "cli-determinism",
         not diffs and not manifest_diffs and len(before) == len(files),
-        f"8-stage pipeline rerun: {len(files)} files byte-identical "
+        f"6-stage pipeline rerun: {len(files)} files byte-identical "
         f"(manifest timestamps excluded); diffs={diffs or 'none'}",
     )

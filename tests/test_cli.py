@@ -113,7 +113,7 @@ def test_manifest_git_revision_is_the_package_checkout(tmp_path, monkeypatch):
     assert json.loads(path.read_text())["git_revision"] == head.stdout.strip()
 
 
-def test_route_at_tau_zero_equals_greedy(tmp_path, capsys):
+def test_route_at_tau_zero_equals_greedy(tmp_path):
     base = tmp_path / "run"
     pipeline(base, seed=4)
     d, f, m = base / "d", base / "f", base / "m"
@@ -123,28 +123,6 @@ def test_route_at_tau_zero_equals_greedy(tmp_path, capsys):
     policy = (r0 / "outcomes.policy.jsonl").read_bytes()
     greedy = (r0 / "outcomes.greedy.jsonl").read_bytes()
     assert policy == greedy
-
-    capsys.readouterr()
-    assert run("evaluate", "--outcomes", r0 / "outcomes.policy.jsonl") == EXIT_OK
-    eval_doc = json.loads(capsys.readouterr().out)
-    assert run("evaluate", "--outcomes", r0 / "outcomes.greedy.jsonl") == EXIT_OK
-    assert json.loads(capsys.readouterr().out) == eval_doc
-
-
-def test_bootstrap_cli_outputs(tmp_path, capsys):
-    base = tmp_path / "run"
-    pipeline(base, seed=9)
-    r = base / "r"
-    out = tmp_path / "boot"
-    capsys.readouterr()
-    assert run("bootstrap", "--a", r / "outcomes.policy.jsonl",
-               "--b", r / "outcomes.multi.jsonl", "--resamples", 80,
-               "--seed", 9, "--out", out) == EXIT_OK
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["resamples"] == 80
-    assert 0.0 <= doc["p_accuracy"] <= 1.0
-    assert json.loads((out / "bootstrap.json").read_text()) == doc
-    assert (out / "bootstrap.manifest.json").is_file()
 
 
 def test_config_file_with_flag_precedence(tmp_path, capsys):
@@ -266,15 +244,19 @@ def test_usage_exit_codes(tmp_path, capsys):
 
 
 def test_data_error_exit_codes(tmp_path, capsys):
-    assert run("evaluate", "--outcomes", tmp_path / "missing.jsonl") == EXIT_DATA
+    assert run("route", "--data", tmp_path, "--features", tmp_path,
+               "--model", tmp_path / "m.ckpt", "--out", tmp_path / "r",
+               "--selection", tmp_path / "missing.json") == EXIT_DATA
 
-    corrupt = tmp_path / "corrupt.jsonl"
-    corrupt.write_text('{"schema": "wrong/9"}\n{"question_id": "a"}\n')
-    assert run("evaluate", "--outcomes", corrupt) == EXIT_DATA
+    corrupt_dir = tmp_path / "corrupt"
+    corrupt_dir.mkdir()
+    (corrupt_dir / "outcomes.x.jsonl").write_text('{"schema": "wrong/9"}\n{"question_id": "a"}\n')
+    assert run("report", "--in", corrupt_dir, "--out", tmp_path / "rep") == EXIT_DATA
     assert "data error" in capsys.readouterr().err
 
     empty_dir = tmp_path / "empty"
     empty_dir.mkdir()
+    assert run("report", "--in", empty_dir, "--out", tmp_path / "rep") == EXIT_DATA
     assert run("extract-features", "--in", empty_dir, "--out", tmp_path / "f") == EXIT_DATA
 
     selection = tmp_path / "selection.json"

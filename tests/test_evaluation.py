@@ -123,19 +123,6 @@ def test_sampled_bootstrap_matches_exhaustive_oracle_n3():
     assert abs(res.p_tokens - p_tok) < 0.05
 
 
-def test_percentile_variant():
-    ids = [f"q{i}" for i in range(30)]
-    rng = np.random.default_rng(7)
-    correct = rng.integers(0, 2, 30)
-    a = vec(ids, correct, rng.integers(50, 400, 30))
-    b = vec(ids, correct.copy(), rng.integers(50, 400, 30))
-    res = paired_bootstrap(a, b, resamples=300, seed=8, method="percentile")
-    assert res.p_accuracy == 1.0
-    assert 0.0 <= res.p_tokens <= 1.0
-    with pytest.raises(ValueError):
-        paired_bootstrap(a, b, method="median")
-
-
 def _items(n, rng):
     return [
         CalibrationItem(

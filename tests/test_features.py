@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cotriage import lexicons
 from cotriage.features import (
+    LAYOUTS_SCHEMA,
     LINGUISTIC_LAYOUT,
     NUMERIC_LAYOUT,
     LAYOUTS,
@@ -15,12 +16,12 @@ from cotriage.features import (
     numeric_features,
     read_features,
     read_labels,
-    read_layout_registry,
     write_features,
     write_labels,
     write_layout_registry,
 )
 from cotriage.errors import ParseError
+from cotriage.jsonl import read_jsonl
 from cotriage.trajectory import (
     McQuestion,
     SentenceRecord,
@@ -227,7 +228,7 @@ def test_feature_dump_roundtrip(tmp_path):
 def test_layout_registry_roundtrip(tmp_path):
     path = tmp_path / "layouts.jsonl"
     write_layout_registry(path)
-    reg = read_layout_registry(path)
+    reg = dict(read_jsonl(path, LAYOUTS_SCHEMA, lambda rec: (rec["layout_id"], rec["columns"])))
     assert reg["full"] == NUMERIC_LAYOUT + LINGUISTIC_LAYOUT
     assert reg["numeric"] == NUMERIC_LAYOUT
     assert reg["linguistic"] == LINGUISTIC_LAYOUT

@@ -8,6 +8,7 @@ distributions can be asserted against the target table exactly.
 
 import json
 import math
+import os
 import threading
 import time
 
@@ -186,6 +187,44 @@ def test_cache_replays_without_new_requests(tmp_path):
     assert client2.requests_made == 0
     assert client2.cache_hits == client1.requests_made
     assert _traj_to_record(traj1) == _traj_to_record(traj2)
+
+
+def test_identical_requests_in_flight_share_one_cache_entry(tmp_path, monkeypatch):
+    inner = make_fake()
+    both_sent = threading.Barrier(2, timeout=5)
+    both_replacing = threading.Barrier(2, timeout=5)
+    real_replace = os.replace
+
+    def together(route, payload):
+        both_sent.wait()  # neither call can see the other's cache entry
+        return inner(route, payload)
+
+    def replace_together(src, dst):
+        both_replacing.wait()
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_together)
+    client, _ = make_client(tmp_path, transport=together)
+    payload = {"model": "fake-model", "prompt": "probe: A", "max_tokens": 0, "echo": True, "logprobs": 0}
+    expected = inner("completions", payload)
+    results, errors = [], []
+
+    def post():
+        try:
+            results.append(client.post("completions", payload))
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=post) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert errors == []
+    assert results == [expected, expected]
+    cache = tmp_path / "cache"
+    assert len(list(cache.glob("*.json"))) == 1
+    assert [p.name for p in cache.iterdir() if not p.name.endswith(".json")] == []
 
 
 def test_transient_failures_retry_with_backoff():
