@@ -558,7 +558,10 @@ def cmd_report(opts) -> int:
     inputs = sorted(in_dir.glob("outcomes.*.jsonl"))
     if not inputs:
         raise EmptyDataset(f"no outcomes.*.jsonl files under {in_dir}")
-    methods = {path.name.split(".")[1]: read_outcomes(path) for path in inputs}
+    methods = {
+        path.name.removeprefix("outcomes.").removesuffix(".jsonl"): read_outcomes(path)
+        for path in inputs
+    }
     written = write_report(methods, opts.out, seed=opts.seed, resamples=opts.resamples)
     write_manifest(
         "report",

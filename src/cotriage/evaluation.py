@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .calibration import CalibrationItem, RoutingArrays, route_at_tau
 from .errors import AlignmentError, DuplicateId, EmptyDataset, IoError
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_unique_jsonl, write_jsonl
 from .trajectory import McQuestion, Trajectory
 from .voting import ABSTAIN, SampledPath, run_method
 
@@ -163,7 +164,7 @@ def build_calibration_items(
             raise AlignmentError(f"no sampled paths for {qid!r}")
         extra = None
         if include_greedy_vote:
-            extra = (traj.greedy_answer, float(traj.sentences[-1].p))
+            extra = (traj.greedy_answer, float(traj.p[-1]))
         vote = run_method(
             paths_by_qid[qid],
             method,
@@ -209,10 +210,11 @@ def write_outcomes(path: str | Path, v: OutcomeVector) -> None:
 
 def read_outcomes(path: str | Path) -> OutcomeVector:
     rows = list(
-        read_jsonl(
+        read_unique_jsonl(
             path,
             OUTCOMES_SCHEMA,
             lambda rec: (str(rec["question_id"]), bool(rec["correct"]), int(rec["tokens"])),
+            itemgetter(0),
         )
     )
     return OutcomeVector(

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
 from . import lexicons
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_unique_jsonl, write_jsonl
 from .trajectory import McQuestion, Trajectory
 
 FEATURES_SCHEMA = "features/1"
@@ -109,9 +110,8 @@ def _zscore(values: np.ndarray) -> np.ndarray:
 
 def numeric_features(traj: Trajectory) -> np.ndarray:
     """Shape (T, 12); column order is NUMERIC_LAYOUT."""
-    p = np.array([s.p for s in traj.sentences], dtype=np.float64)
-    entropy = np.array([s.entropy for s in traj.sentences], dtype=np.float64)
-    plen = np.array([s.prefix_len for s in traj.sentences], dtype=np.float64)
+    p, entropy = traj.p, traj.entropy
+    plen = traj.prefix_len.astype(np.float64)
 
     delta_p = np.diff(p, prepend=p[:1])
     delta_h = np.diff(entropy, prepend=entropy[:1])
@@ -211,7 +211,7 @@ def assemble(
     """
     if subset not in LAYOUTS:
         raise ValueError(f"unknown feature subset {subset!r}")
-    t_total = len(traj.sentences)
+    t_total = len(traj.texts)
     blocks = []
     if subset in ("full", "numeric"):
         blocks.append(numeric_features(traj))
@@ -225,8 +225,8 @@ def assemble(
             )
         ling = np.stack(
             [
-                linguistic_features(s.text, i + 1, t_total, question)
-                for i, s in enumerate(traj.sentences)
+                linguistic_features(text, i + 1, t_total, question)
+                for i, text in enumerate(traj.texts)
             ]
         )
         blocks.append(ling)
@@ -255,15 +255,17 @@ def write_features(path: str | Path, seqs: Iterable[FeatureSequence]) -> None:
 
 def _features_from_record(rec: dict) -> FeatureSequence:
     x = np.array(rec["rows"], dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("rows must form a matrix")
+    seq = FeatureSequence(question_id=str(rec["question_id"]), x=x, layout_id=str(rec["layout_id"]))
+    seq.validate()
     if int(rec["mask_len"]) != x.shape[0]:
         raise ValueError("mask_len disagrees with row count")
-    return FeatureSequence(question_id=str(rec["question_id"]), x=x, layout_id=str(rec["layout_id"]))
+    return seq
 
 
 def read_features(path: str | Path) -> list[FeatureSequence]:
-    return list(read_jsonl(path, FEATURES_SCHEMA, _features_from_record))
+    """Read a features/1 file, applying the writer's checks; question ids must be unique."""
+    key = attrgetter("question_id")
+    return list(read_unique_jsonl(path, FEATURES_SCHEMA, _features_from_record, key))
 
 
 def write_layout_registry(path: str | Path) -> None:
@@ -282,7 +284,9 @@ def write_labels(path: str | Path, labels: dict[str, bool]) -> None:
     )
 
 
+def _label_from_record(rec: dict) -> tuple[str, bool]:
+    return str(rec["question_id"]), bool(rec["label"])
+
+
 def read_labels(path: str | Path) -> dict[str, bool]:
-    return dict(
-        read_jsonl(path, LABELS_SCHEMA, lambda rec: (str(rec["question_id"]), bool(rec["label"])))
-    )
+    return dict(read_unique_jsonl(path, LABELS_SCHEMA, _label_from_record, itemgetter(0)))

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
 import requests
 
 from .errors import CapabilityError, CotriageError, HarvestError
@@ -35,14 +36,12 @@ from .trajectory import (
     TRAJ_SCHEMA,
     ChoiceDistribution,
     McQuestion,
-    SentenceRecord,
     Trajectory,
     _traj_to_record,
     answer_logscore,
     normalize_choices,
     prefix_lengths,
     segment_sentences,
-    sentence_signals,
 )
 from .voting import ABSTAIN, PATHS_SCHEMA, SampledPath, path_record
 
@@ -257,8 +256,8 @@ def probe_scoring_capability(client: EndpointClient) -> None:
 
 def _score_prefixes(
     client: EndpointClient, q: McQuestion, prefixes: Sequence[Sequence[str]]
-) -> list[ChoiceDistribution]:
-    """The answer distribution after each reasoning prefix: K x len(prefixes) calls.
+) -> ChoiceDistribution:
+    """The answer distribution after each reasoning prefix, one row each: K x len(prefixes) calls.
 
     The calls may run concurrently but land by (prefix, option) index, so the
     result does not depend on the order in which they complete.
@@ -274,7 +273,7 @@ def _score_prefixes(
             flat = list(pool.map(lambda pair: _score_answer_span(client, *pair), pairs))
     else:
         flat = [_score_answer_span(client, *pair) for pair in pairs]
-    return [normalize_choices(flat[j * k : (j + 1) * k]) for j in range(len(prefixes))]
+    return normalize_choices(np.reshape(flat, (len(prefixes), k)))
 
 
 def harvest_greedy(
@@ -288,26 +287,19 @@ def harvest_greedy(
     """
     text, token_cost = _generate(client, q, temperature=0.0, seed=0, max_new_tokens=max_new_tokens)
     sentences = segment_sentences(text)
-    dists = _score_prefixes(client, q, [sentences[:s] for s in range(1, len(sentences) + 1)])
-    records = []
-    for sentence, dist, plen in zip(sentences, dists, prefix_lengths(sentences)):
-        p, entropy = sentence_signals(dist)
-        records.append(
-            SentenceRecord(text=sentence, distribution=dist, p=p, entropy=entropy, prefix_len=plen)
-        )
-
+    dist = _score_prefixes(client, q, [sentences[:s] for s in range(1, len(sentences) + 1)])
     parsed = parse_answer(text, client.template.answer_marker, len(q.options))
     if parsed is None:
-        parsed = int(records[-1].distribution.probs.argmax())
-    traj = Trajectory(
+        parsed = int(dist.probs[-1].argmax())
+    return Trajectory(
         question_id=q.question_id,
-        sentences=records,
+        texts=sentences,
+        log_scores=dist.log_scores,
+        prefix_len=prefix_lengths(sentences),
         greedy_answer=parsed,
         greedy_token_cost=token_cost,
         label=None if q.gold_idx is None else parsed == q.gold_idx,
     )
-    traj.validate()
-    return traj
 
 
 def harvest_samples(
@@ -327,11 +319,11 @@ def harvest_samples(
         _generate(client, q, temperature=temperature, seed=j, max_new_tokens=max_new_tokens)
         for j in range(n_samples)
     ]
-    dists = _score_prefixes(client, q, [segment_sentences(text) for text, _ in generations])
+    dist = _score_prefixes(client, q, [segment_sentences(text) for text, _ in generations])
     paths = []
-    for j, ((text, token_cost), dist) in enumerate(zip(generations, dists)):
+    for j, ((text, token_cost), probs) in enumerate(zip(generations, dist.probs)):
         answer = parse_answer(text, client.template.answer_marker, len(q.options))
-        conf = float(dist.probs[answer]) if answer is not None else float(dist.probs.max())
+        conf = float(probs[answer]) if answer is not None else float(probs.max())
         paths.append(
             SampledPath(
                 question_id=q.question_id,

@@ -13,9 +13,9 @@ import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
+from typing import Any, Callable, Hashable, Iterable, Iterator, TextIO, TypeVar
 
-from .errors import ParseError
+from .errors import DuplicateId, ParseError
 
 T = TypeVar("T")
 
@@ -53,14 +53,9 @@ def write_json(path: str | Path, doc: dict[str, Any]) -> None:
         fh.write("\n")
 
 
-def read_jsonl(path: str | Path, schema: str, parse: Callable[[dict[str, Any]], T]) -> Iterator[T]:
-    """Yield parse(record) for each record after the header.
-
-    The first non-blank line must be the header naming schema; a file without
-    one is a ParseError. Line numbers are 1-based file lines, blank lines
-    counted. A KeyError, TypeError or ValueError raised by parse becomes a
-    ParseError naming the record's line.
-    """
+def _numbered_records(
+    path: str | Path, schema: str, parse: Callable[[dict[str, Any]], T]
+) -> Iterator[tuple[int, T]]:
     path = Path(path)
     header_seen = False
     with open(path, encoding="utf-8") as fh:
@@ -84,6 +79,34 @@ def read_jsonl(path: str | Path, schema: str, parse: Callable[[dict[str, Any]], 
                 item = parse(rec)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad {schema} record: {exc!r}", line=lineno) from exc
-            yield item
+            yield lineno, item
     if not header_seen:
         raise ParseError(f"{path} has no {schema!r} header")
+
+
+def read_jsonl(path: str | Path, schema: str, parse: Callable[[dict[str, Any]], T]) -> Iterator[T]:
+    """Yield parse(record) for each record after the header.
+
+    The first non-blank line must be the header naming schema; a file without
+    one is a ParseError. Line numbers are 1-based file lines, blank lines
+    counted. A KeyError, TypeError or ValueError raised by parse becomes a
+    ParseError naming the record's line.
+    """
+    for _, item in _numbered_records(path, schema, parse):
+        yield item
+
+
+def read_unique_jsonl(
+    path: str | Path,
+    schema: str,
+    parse: Callable[[dict[str, Any]], T],
+    key: Callable[[T], Hashable],
+) -> Iterator[T]:
+    """read_jsonl for keyed files: a record whose key repeats is a DuplicateId naming its line."""
+    seen: set[Hashable] = set()
+    for lineno, item in _numbered_records(path, schema, parse):
+        k = key(item)
+        if k in seen:
+            raise DuplicateId(f"line {lineno}: duplicate {schema} key {k!r}")
+        seen.add(k)
+        yield item

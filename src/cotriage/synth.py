@@ -24,14 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trajectory import (
-    McQuestion,
-    SentenceRecord,
-    Trajectory,
-    normalize_choices,
-    prefix_lengths,
-    sentence_signals,
-)
+from .trajectory import McQuestion, Trajectory, prefix_lengths
 from .voting import SampledPath
 
 _MID_TEMPLATES = [
@@ -153,8 +146,7 @@ def generate(
         texts = [
             _sentence_text(rng, s + 1, t, confident, letters[greedy]) for s in range(t)
         ]
-        plens = prefix_lengths(texts)
-        sentences = []
+        log_scores = np.empty((t, k))
         for s in range(t):
             if confident:
                 top = greedy
@@ -162,22 +154,16 @@ def generate(
                 top = greedy if rng.random() < 0.6 else int(rng.integers(k))
             probs = np.full(k, (1.0 - p_series[s]) / (k - 1))
             probs[top] = p_series[s]
-            log_scores = np.log(probs) + rng.normal(0.0, 1.0)
-            dist = normalize_choices(log_scores)
-            p, entropy = sentence_signals(dist)
-            sentences.append(
-                SentenceRecord(
-                    text=texts[s], distribution=dist, p=p, entropy=entropy, prefix_len=plens[s]
-                )
-            )
+            log_scores[s] = np.log(probs) + rng.normal(0.0, 1.0)
         traj = Trajectory(
             question_id=qid,
-            sentences=sentences,
+            texts=texts,
+            log_scores=log_scores,
+            prefix_len=prefix_lengths(texts),
             greedy_answer=greedy,
             greedy_token_cost=_token_cost(rng),
             label=correct,
         )
-        traj.validate()
 
         agree_p = 0.5 + 0.45 * cfg.beta if correct else 0.25 + 0.1 * cfg.beta
         paths = []

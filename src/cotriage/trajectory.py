@@ -1,26 +1,32 @@
 """Core data types for scored chain-of-thought trajectories.
 
 A trajectory is the greedy reasoning for one multiple-choice question, split
-into sentences. Each sentence carries the model's per-choice answer
-distribution at that point in the reasoning, obtained by scoring every answer
-option against the prefix ending at that sentence.
+into sentences and held as columns: the sentence texts, a (T, K) array of
+per-choice log-scores (row t scores every answer option against the prefix
+ending at sentence t) and the prefix lengths. The top-choice probability p
+and the entropy of each row are derived from the log-scores once, when the
+trajectory is built. Reading a traj/1 file applies the same checks as
+writing one, and a record whose stored p or entropy is off by more than
+1e-9 is rejected.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DuplicateId, EmptyTrajectory, InvalidAnswerTokens, NonFiniteScore
-from .jsonl import read_jsonl, write_jsonl
+from .errors import EmptyTrajectory, InvalidAnswerTokens, NonFiniteScore
+from .jsonl import read_unique_jsonl, write_jsonl
 
 TRAJ_SCHEMA = "traj/1"
 QUESTIONS_SCHEMA = "questions/1"
 
+_BY_ID = attrgetter("question_id")
 _TERMINALS = ".?!"
 # A bare list marker like "1." or "A." at the head of a fragment.
 _LIST_MARKER = re.compile(r"^(?:\d+|[A-Za-z])\.$")
@@ -44,80 +50,56 @@ class McQuestion:
 
 @dataclass
 class ChoiceDistribution:
-    """Normalized per-choice probabilities together with the raw log-scores."""
+    """Per-choice probabilities (softmax over the last axis) beside the raw log-scores."""
 
     probs: np.ndarray
     log_scores: np.ndarray
 
-    def validate(self) -> None:
-        if self.probs.shape != self.log_scores.shape or self.probs.ndim != 1:
-            raise ValueError("probs and log_scores must be 1-d and congruent")
-        if len(self.probs) < 2:
-            raise ValueError("need at least 2 choices")
-        if abs(float(self.probs.sum()) - 1.0) > 1e-9:
-            raise ValueError("probs do not sum to 1")
-        ref = _softmax(self.log_scores)
-        if np.max(np.abs(ref - self.probs)) > 1e-9:
-            raise ValueError("probs are not the softmax of log_scores")
-
-
-@dataclass
-class SentenceRecord:
-    """One reasoning sentence plus the answer distribution after it."""
-
-    text: str
-    distribution: ChoiceDistribution
-    p: float
-    entropy: float
-    prefix_len: int
-
-    def validate(self) -> None:
-        if not self.text.strip():
-            raise ValueError("sentence text is empty")
-        self.distribution.validate()
-        p, entropy = sentence_signals(self.distribution)
-        if abs(p - self.p) > 1e-9 or abs(entropy - self.entropy) > 1e-9:
-            raise ValueError("stored (p, entropy) disagree with the distribution")
-        if self.prefix_len < 1:
-            raise ValueError("prefix_len must be positive")
-
 
 @dataclass
 class Trajectory:
-    """Greedy reasoning for one question, one record per sentence."""
+    """Greedy reasoning for one question, held as per-sentence columns.
+
+    Row t of log_scores (T, K) scores the K options after sentence t, and
+    prefix_len[t] is the whitespace-token length of the reasoning up to it.
+    p (top-choice probability) and entropy are derived from log_scores at
+    construction, which also validates the whole record.
+    """
 
     question_id: str
-    sentences: list[SentenceRecord]
+    texts: list[str]
+    log_scores: np.ndarray
+    prefix_len: np.ndarray
     greedy_answer: int
     greedy_token_cost: int
     label: bool | None = None
+    p: np.ndarray = field(init=False, repr=False)
+    entropy: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def num_choices(self) -> int:
-        return len(self.sentences[0].distribution.probs)
+    def __post_init__(self) -> None:
+        self.log_scores = np.asarray(self.log_scores, dtype=np.float64)
+        self.prefix_len = np.asarray(self.prefix_len, dtype=np.int64)
+        self.validate()
+        self.p, self.entropy = sentence_signals(normalize_choices(self.log_scores))
 
     def validate(self) -> None:
-        if not self.sentences:
-            raise ValueError(f"{self.question_id}: trajectory has no sentences")
-        k = self.num_choices
-        prev = 0
-        for rec in self.sentences:
-            rec.validate()
-            if len(rec.distribution.probs) != k:
-                raise ValueError(f"{self.question_id}: inconsistent choice count")
-            if rec.prefix_len <= prev:
-                raise ValueError(f"{self.question_id}: prefix_len not strictly increasing")
-            prev = rec.prefix_len
-        if not 0 <= self.greedy_answer < k:
-            raise ValueError(f"{self.question_id}: greedy_answer out of range")
+        qid, t = self.question_id, len(self.texts)
+        if t == 0:
+            raise ValueError(f"{qid}: trajectory has no sentences")
+        if self.log_scores.ndim != 2 or len(self.log_scores) != t or self.log_scores.shape[1] < 2:
+            raise ValueError(f"{qid}: log_scores must be (T, K) with T={t} and K >= 2")
+        if self.prefix_len.shape != (t,):
+            raise ValueError(f"{qid}: need one prefix_len per sentence")
+        if not all(text.strip() for text in self.texts):
+            raise ValueError(f"{qid}: sentence text is empty")
+        if not np.all(np.isfinite(self.log_scores)):
+            raise ValueError(f"{qid}: log-scores contain NaN or infinity")
+        if self.prefix_len[0] < 1 or np.any(np.diff(self.prefix_len) <= 0):
+            raise ValueError(f"{qid}: prefix_len must be positive and strictly increasing")
+        if not 0 <= self.greedy_answer < self.log_scores.shape[1]:
+            raise ValueError(f"{qid}: greedy_answer out of range")
         if self.greedy_token_cost <= 0:
-            raise ValueError(f"{self.question_id}: greedy_token_cost must be positive")
-
-
-def _softmax(log_scores: np.ndarray) -> np.ndarray:
-    shifted = log_scores - np.max(log_scores)
-    unnorm = np.exp(shifted)
-    return unnorm / unnorm.sum()
+            raise ValueError(f"{qid}: greedy_token_cost must be positive")
 
 
 def segment_sentences(cot_text: str) -> list[str]:
@@ -167,29 +149,30 @@ def answer_logscore(token_logprobs: Sequence[float]) -> float:
     return float(sum(token_logprobs))
 
 
-def normalize_choices(log_scores: Sequence[float]) -> ChoiceDistribution:
-    """Softmax the per-choice log-scores into a distribution.
+def normalize_choices(log_scores: Sequence[float] | np.ndarray) -> ChoiceDistribution:
+    """Softmax per-choice log-scores, (K,) or (T, K), along the last axis.
 
     Invariant to adding a constant to every log-score; the max is subtracted
     before exponentiation so large magnitudes stay finite.
     """
     arr = np.asarray(log_scores, dtype=np.float64)
-    if arr.ndim != 1 or len(arr) < 2:
-        raise ValueError("need a 1-d vector of at least 2 log-scores")
+    if arr.ndim not in (1, 2) or arr.shape[-1] < 2:
+        raise ValueError("need (K,) or (T, K) log-scores with K >= 2")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteScore("log-scores contain NaN or infinity")
-    return ChoiceDistribution(probs=_softmax(arr), log_scores=arr)
+    unnorm = np.exp(arr - arr.max(axis=-1, keepdims=True))
+    return ChoiceDistribution(probs=unnorm / unnorm.sum(axis=-1, keepdims=True), log_scores=arr)
 
 
-def sentence_signals(dist: ChoiceDistribution) -> tuple[float, float]:
-    """Return (top-choice probability, entropy in nats) of a distribution.
+def sentence_signals(dist: ChoiceDistribution) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """(top-choice probability, entropy in nats) along the last axis of a distribution.
 
-    Entropy terms use a 1e-12 probability floor so zero-probability choices
+    Scalars for a (K,) distribution, (T,) arrays for a (T, K) one. Entropy
+    terms use a 1e-12 probability floor so zero-probability choices
     contribute zero rather than NaN.
     """
-    probs = np.maximum(dist.probs, 1e-12)
-    entropy = float(-np.sum(dist.probs * np.log(probs)))
-    return float(np.max(dist.probs)), entropy
+    entropy = -np.sum(dist.probs * np.log(np.maximum(dist.probs, 1e-12)), axis=-1)
+    return np.max(dist.probs, axis=-1), entropy
 
 
 def prefix_lengths(sentences: Sequence[str]) -> list[int]:
@@ -206,17 +189,18 @@ def prefix_lengths(sentences: Sequence[str]) -> list[int]:
 
 
 def _traj_to_record(traj: Trajectory) -> dict:
+    columns = zip(
+        traj.texts,
+        traj.log_scores.tolist(),
+        traj.p.tolist(),
+        traj.entropy.tolist(),
+        traj.prefix_len.tolist(),
+    )
     rec = {
         "question_id": traj.question_id,
         "sentences": [
-            {
-                "text": s.text,
-                "log_scores": [float(v) for v in s.distribution.log_scores],
-                "p": s.p,
-                "entropy": s.entropy,
-                "prefix_len": s.prefix_len,
-            }
-            for s in traj.sentences
+            {"text": text, "log_scores": row, "p": p, "entropy": h, "prefix_len": plen}
+            for text, row, p, h, plen in columns
         ],
         "greedy_answer": traj.greedy_answer,
         "greedy_token_cost": traj.greedy_token_cost,
@@ -227,24 +211,21 @@ def _traj_to_record(traj: Trajectory) -> dict:
 
 
 def _traj_from_record(rec: dict) -> Trajectory:
-    sentences = [
-        SentenceRecord(
-            text=s["text"],
-            distribution=normalize_choices(s["log_scores"]),
-            p=float(s["p"]),
-            entropy=float(s["entropy"]),
-            prefix_len=int(s["prefix_len"]),
-        )
-        for s in rec["sentences"]
-    ]
+    sentences = rec["sentences"]
     label = rec.get("label")
-    return Trajectory(
+    traj = Trajectory(
         question_id=str(rec["question_id"]),
-        sentences=sentences,
+        texts=[str(s["text"]) for s in sentences],
+        log_scores=[s["log_scores"] for s in sentences],
+        prefix_len=[int(s["prefix_len"]) for s in sentences],
         greedy_answer=int(rec["greedy_answer"]),
         greedy_token_cost=int(rec["greedy_token_cost"]),
         label=None if label is None else bool(label),
     )
+    stored = np.array([[s["p"], s["entropy"]] for s in sentences], dtype=np.float64)
+    if not np.all(np.abs(stored - np.stack([traj.p, traj.entropy], axis=1)) <= 1e-9):
+        raise ValueError(f"{traj.question_id}: stored p/entropy disagree with log_scores")
+    return traj
 
 
 def write_trajectories(path: str | Path, trajectories: Iterable[Trajectory]) -> None:
@@ -259,14 +240,12 @@ def write_trajectories(path: str | Path, trajectories: Iterable[Trajectory]) -> 
 
 
 def read_trajectories(path: str | Path) -> list[Trajectory]:
-    out = []
-    seen: set[str] = set()
-    for traj in read_jsonl(path, TRAJ_SCHEMA, _traj_from_record):
-        if traj.question_id in seen:
-            raise DuplicateId(f"duplicate trajectory for {traj.question_id!r}")
-        seen.add(traj.question_id)
-        out.append(traj)
-    return out
+    """Read a traj/1 file, applying the writer's checks to every record.
+
+    A record's stored p and entropy must match the values derived from its
+    log_scores to within 1e-9.
+    """
+    return list(read_unique_jsonl(path, TRAJ_SCHEMA, _traj_from_record, _BY_ID))
 
 
 def write_questions(path: str | Path, questions: Iterable[McQuestion]) -> None:
@@ -294,11 +273,4 @@ def _question_from_record(rec: dict) -> McQuestion:
 
 def load_questions(path: str | Path) -> list[McQuestion]:
     """Load a questions/1 file; rejects items with fewer than two options."""
-    out = []
-    seen: set[str] = set()
-    for q in read_jsonl(path, QUESTIONS_SCHEMA, _question_from_record):
-        if q.question_id in seen:
-            raise DuplicateId(f"duplicate question id {q.question_id!r}")
-        seen.add(q.question_id)
-        out.append(q)
-    return out
+    return list(read_unique_jsonl(path, QUESTIONS_SCHEMA, _question_from_record, _BY_ID))

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import DuplicateId
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_unique_jsonl, write_jsonl
 
 PATHS_SCHEMA = "paths/1"
 ABSTAIN = -1
@@ -185,12 +185,8 @@ def _path_from_record(rec: dict) -> SampledPath:
 def read_paths(path: str | Path) -> dict[str, list[SampledPath]]:
     """Paths grouped by question, ordered by sample index within a question."""
     grouped: dict[str, list[SampledPath]] = defaultdict(list)
-    seen: set[tuple[str, int]] = set()
-    for p in read_jsonl(path, PATHS_SCHEMA, _path_from_record):
-        key = (p.question_id, p.sample_idx)
-        if key in seen:
-            raise DuplicateId(f"duplicate sample {p.sample_idx} for {p.question_id!r}")
-        seen.add(key)
+    key = attrgetter("question_id", "sample_idx")
+    for p in read_unique_jsonl(path, PATHS_SCHEMA, _path_from_record, key):
         grouped[p.question_id].append(p)
     for qid in grouped:
         grouped[qid].sort(key=lambda p: p.sample_idx)

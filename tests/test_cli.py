@@ -26,6 +26,7 @@ from cotriage.cli import (
     resolve_options,
     write_manifest,
 )
+from cotriage.evaluation import OutcomeVector, write_outcomes
 from cotriage.model import CKPT_SCHEMA, ModelConfig, init_params, save_checkpoint
 from cotriage.trajectory import load_questions, write_questions
 from test_harvest import Q1, Q2, make_fake
@@ -289,6 +290,81 @@ def test_data_error_exit_codes(tmp_path, capsys):
     assert run("calibrate", "--data", run_dir / "d", "--features", run_dir / "f",
                "--model", ckpt, "--out", tmp_path / "c", "--budget", 2) == EXIT_DATA
     assert f"expected schema {CKPT_SCHEMA!r}" in capsys.readouterr().err
+
+
+def _edit_record(path: Path, lineno: int, edit) -> None:
+    """Apply edit to the JSON record on 1-based line lineno of a JSONL file."""
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[lineno - 1])
+    edit(rec)
+    lines[lineno - 1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _drop_sentences(rec):
+    rec["sentences"] = []
+
+
+def _answer_nine(rec):
+    rec["greedy_answer"] = 9
+
+
+def _stale_p(rec):
+    rec["sentences"][1]["p"] += 0.1
+
+
+def _nan_row(rec):
+    rec["rows"][0][0] = float("nan")
+
+
+@pytest.mark.parametrize(
+    "stage, name, edit, message",
+    [
+        ("extract-features", "train.traj.jsonl", _drop_sentences, "no sentences"),
+        ("extract-features", "train.traj.jsonl", _answer_nine, "greedy_answer out of range"),
+        ("extract-features", "train.traj.jsonl", _stale_p, "p/entropy disagree"),
+        ("train", "train.features.jsonl", _nan_row, "NaN or infinity"),
+        ("train", "train.features.jsonl", None, "duplicate features/1 key"),
+    ],
+    ids=["traj_no_sentences", "traj_answer_9_of_4", "traj_stale_p", "features_nan",
+         "features_duplicate"],
+)
+def test_record_failing_the_writers_checks_exits_2_naming_its_line(
+    tmp_path, capsys, stage, name, edit, message
+):
+    d, f = tmp_path / "d", tmp_path / "f"
+    assert run("synth", "--seed", 2, "--out", d, "--n-train", 4, "--n-val", 4,
+               "--n-test", 0, "--samples", 2) == EXIT_OK
+    assert run("extract-features", "--in", d, "--out", f) == EXIT_OK
+    target = (d if name.endswith("traj.jsonl") else f) / name
+    if edit is None:  # repeat the first record as line 6
+        with open(target, "a") as fh:
+            fh.write(target.read_text().splitlines()[1] + "\n")
+        bad_line = 6
+    else:
+        _edit_record(target, 3, edit)
+        bad_line = 3
+    capsys.readouterr()
+    if stage == "extract-features":
+        code = run(stage, "--in", d, "--out", tmp_path / "f2")
+    else:
+        code = run(stage, "--in", f, "--out", tmp_path / "m", "--max-epochs", 1)
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"line {bad_line}:" in err and message in err, err
+
+
+def test_report_names_each_method_by_its_whole_file_stem(tmp_path):
+    r = tmp_path / "r"
+    for method, tokens in (("policy", 10), ("policy.v2", 20)):
+        write_outcomes(r / f"outcomes.{method}.jsonl",
+                       OutcomeVector(["a", "b"], [True, False], [tokens, tokens]))
+    assert run("report", "--in", r, "--out", tmp_path / "rep", "--resamples", 20) == EXIT_OK
+    rows = (tmp_path / "rep" / "summary.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[:4] for row in rows] == [
+        ["policy", "2", "0.5", "10.0"],
+        ["policy.v2", "2", "0.5", "20.0"],
+    ]
 
 
 def test_endpoint_error_exit_code(tmp_path, capsys):

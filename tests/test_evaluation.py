@@ -9,17 +9,12 @@ from cotriage.evaluation import (
     OutcomeVector,
     build_calibration_items,
     paired_bootstrap,
+    read_outcomes,
     route_outcomes,
     summarize,
     write_report,
 )
-from cotriage.trajectory import (
-    McQuestion,
-    SentenceRecord,
-    Trajectory,
-    normalize_choices,
-    sentence_signals,
-)
+from cotriage.trajectory import McQuestion, Trajectory
 from cotriage.voting import SampledPath
 
 
@@ -36,9 +31,14 @@ def test_summarize_quartiles():
         summarize(vec([], [], []))
 
 
-def test_outcome_vector_rejects_duplicates():
+def test_outcome_vector_rejects_duplicates(tmp_path):
     with pytest.raises(DuplicateId):
         vec(["a", "a"], [1, 0], [1, 2])
+    path = tmp_path / "outcomes.x.jsonl"
+    rec = '{"question_id": "a", "correct": true, "tokens": 3}\n'
+    path.write_text('{"schema": "outcomes/1"}\n' + rec + rec)
+    with pytest.raises(DuplicateId, match="line 3: duplicate outcomes/1 key 'a'"):
+        read_outcomes(path)
 
 
 def test_identical_vectors_give_p_one():
@@ -155,12 +155,12 @@ def test_route_outcomes_boundaries():
 
 
 def _tiny_traj(qid, answer, final_p=0.8, k=4):
-    probs = np.full(k, (1.0 - final_p) / (k - 1))
-    probs[answer] = final_p
-    dist = normalize_choices(np.log(probs))
-    p, h = sentence_signals(dist)
-    rec = SentenceRecord("Only one step here.", dist, p, h, 4)
-    return Trajectory(qid, [rec], greedy_answer=answer, greedy_token_cost=100, label=None)
+    probs = np.full((1, k), (1.0 - final_p) / (k - 1))
+    probs[0, answer] = final_p
+    return Trajectory(
+        qid, ["Only one step here."], np.log(probs), [4], greedy_answer=answer,
+        greedy_token_cost=100, label=None,
+    )
 
 
 def test_build_calibration_items_joins_everything():

@@ -20,16 +20,9 @@ from cotriage.features import (
     write_labels,
     write_layout_registry,
 )
-from cotriage.errors import ParseError
+from cotriage.errors import DuplicateId, ParseError
 from cotriage.jsonl import read_jsonl
-from cotriage.trajectory import (
-    McQuestion,
-    SentenceRecord,
-    Trajectory,
-    normalize_choices,
-    prefix_lengths,
-    sentence_signals,
-)
+from cotriage.trajectory import McQuestion, Trajectory, prefix_lengths
 
 def col(name, subset="full"):
     return LAYOUTS[subset].index(name)
@@ -43,18 +36,12 @@ def make_traj(p_series, texts=None, k=None, qid="q0"):
     t = len(p_series)
     if texts is None:
         texts = [f"Reasoning step {i} considers the options." for i in range(t)]
-    plens = prefix_lengths(texts)
-    sentences = []
-    for i, p in enumerate(p_series):
-        rest = (1.0 - p) / (k - 1)
-        probs = np.full(k, rest)
-        probs[0] = p
-        dist = normalize_choices(np.log(probs))
-        pp, hh = sentence_signals(dist)
-        sentences.append(
-            SentenceRecord(text=texts[i], distribution=dist, p=pp, entropy=hh, prefix_len=plens[i])
-        )
-    return Trajectory(qid, sentences, greedy_answer=0, greedy_token_cost=100, label=True)
+    probs = np.full((t, k), (1.0 - np.asarray(p_series)[:, None]) / (k - 1))
+    probs[:, 0] = p_series
+    return Trajectory(
+        qid, texts, np.log(probs), prefix_lengths(texts), greedy_answer=0, greedy_token_cost=100,
+        label=True,
+    )
 
 
 QUESTION = McQuestion(
@@ -122,7 +109,7 @@ def test_rolling_window_hand_computed():
 def test_p_over_log_len_column():
     traj = make_traj([0.5, 0.6])
     x = numeric_features(traj)
-    plens = [s.prefix_len for s in traj.sentences]
+    plens = traj.prefix_len
     expected = [0.5 / math.log(1 + plens[0]), 0.6 / math.log(1 + plens[1])]
     np.testing.assert_allclose(x[:, col("p_over_log_len")], expected, atol=1e-12)
 
@@ -223,6 +210,31 @@ def test_feature_dump_roundtrip(tmp_path):
     for orig, back in zip(seqs, loaded):
         np.testing.assert_allclose(back.x, orig.x, atol=0)
         assert back.layout_id == orig.layout_id
+
+
+def test_features_read_applies_the_writers_checks(tmp_path):
+    path = tmp_path / "feat.jsonl"
+    path.write_text(
+        '{"schema": "features/1"}\n'
+        '{"question_id": "a", "mask_len": 1, "layout_id": "numeric", "rows": [[NaN, 1.0]]}\n'
+    )
+    with pytest.raises(ParseError, match="NaN") as err:
+        read_features(path)
+    assert err.value.line == 2
+
+
+def test_keyed_readers_reject_a_repeated_id_naming_its_line(tmp_path):
+    path = tmp_path / "feat.jsonl"
+    write_features(path, [assemble(make_traj([0.5, 0.7], qid=q), "numeric") for q in "aba"])
+    with pytest.raises(DuplicateId, match="line 4: duplicate features/1 key 'a'"):
+        read_features(path)
+    path = tmp_path / "labels.jsonl"
+    path.write_text(
+        '{"schema": "labels/1"}\n\n'
+        '{"question_id": "a", "label": true}\n{"question_id": "a", "label": false}\n'
+    )
+    with pytest.raises(DuplicateId, match="line 4: duplicate labels/1 key 'a'"):
+        read_labels(path)
 
 
 def test_layout_registry_roundtrip(tmp_path):

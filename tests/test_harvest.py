@@ -31,6 +31,7 @@ from cotriage.harvest import (
 from cotriage.trajectory import (
     McQuestion,
     _traj_to_record,
+    normalize_choices,
     read_trajectories,
     segment_sentences,
 )
@@ -142,13 +143,12 @@ def test_greedy_trajectory_matches_target_table():
     client, _ = make_client()
     traj = harvest_greedy(Q1, client)
     assert traj.question_id == "h001"
-    assert [s.text for s in traj.sentences] == segment_sentences(GENERATIONS[("h001", 0.0, 0)])
+    assert traj.texts == segment_sentences(GENERATIONS[("h001", 0.0, 0)])
     assert traj.greedy_answer == 1
     assert traj.label is True
     assert traj.greedy_token_cost == 42
-    for rec, row in zip(traj.sentences, ROWS["h001"]):
-        assert np.allclose(rec.distribution.probs, row, atol=1e-12)
-        assert rec.p == pytest.approx(max(row), abs=1e-12)
+    assert np.allclose(normalize_choices(traj.log_scores).probs, ROWS["h001"], atol=1e-12)
+    assert np.allclose(traj.p, np.max(ROWS["h001"], axis=1), atol=1e-12)
 
 
 def test_greedy_falls_back_to_argmax_without_marker():

@@ -38,7 +38,7 @@ def test_different_seeds_differ():
     a = generate(SynthConfig(n_questions=20, seed=0))[1]
     b = generate(SynthConfig(n_questions=20, seed=1))[1]
     assert any(
-        x.greedy_token_cost != y.greedy_token_cost or x.sentences[0].text != y.sentences[0].text
+        x.greedy_token_cost != y.greedy_token_cost or x.texts[0] != y.texts[0]
         for x, y in zip(a, b)
     )
 
@@ -62,10 +62,9 @@ def test_everything_validates_and_aligns():
         t.validate()
         assert q.question_id == t.question_id
         assert t.label == (t.greedy_answer == q.gold_idx)
-        assert 2 <= len(t.sentences) <= 9
-        assert t.num_choices == 3
-        for s in t.sentences:
-            assert 0.2 <= s.p <= 0.975
+        assert 2 <= len(t.texts) <= 9
+        assert t.log_scores.shape == (len(t.texts), 3)
+        assert np.all((0.2 <= t.p) & (t.p <= 0.975))
         qp = paths[q.question_id]
         assert [p.sample_idx for p in qp] == list(range(10))
         for p in qp:
@@ -81,9 +80,9 @@ def _probe_auc(trajs, feature):
 
 
 PROBES = {
-    "mean_p": lambda t: np.mean([s.p for s in t.sentences]),
-    "final_p": lambda t: t.sentences[-1].p,
-    "mean_entropy": lambda t: -np.mean([s.entropy for s in t.sentences]),
+    "mean_p": lambda t: np.mean(t.p),
+    "final_p": lambda t: t.p[-1],
+    "mean_entropy": lambda t: -np.mean(t.entropy),
 }
 
 

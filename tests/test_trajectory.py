@@ -15,9 +15,7 @@ from cotriage.errors import (
     ParseError,
 )
 from cotriage.trajectory import (
-    ChoiceDistribution,
     McQuestion,
-    SentenceRecord,
     Trajectory,
     answer_logscore,
     load_questions,
@@ -156,23 +154,29 @@ def test_prefix_lengths_cumulative():
 def _make_trajectory(qid="q0", k=4, t=3, label=True, seed=0):
     rng = np.random.default_rng(seed)
     texts = [f"Sentence number {i} has some words." for i in range(t)]
-    plens = prefix_lengths(texts)
-    sentences = []
-    for i in range(t):
-        dist = normalize_choices(rng.normal(size=k))
-        p, entropy = sentence_signals(dist)
-        sentences.append(
-            SentenceRecord(
-                text=texts[i], distribution=dist, p=p, entropy=entropy, prefix_len=plens[i]
-            )
-        )
     return Trajectory(
         question_id=qid,
-        sentences=sentences,
+        texts=texts,
+        log_scores=rng.normal(size=(t, k)),
+        prefix_len=prefix_lengths(texts),
         greedy_answer=1,
         greedy_token_cost=120,
         label=label,
     )
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 7, 16, 63])
+def test_columns_equal_the_per_row_results(k):
+    rng = np.random.default_rng(k)
+    scores = rng.normal(scale=3.0, size=(12, k))
+    dist = normalize_choices(scores)
+    p, entropy = sentence_signals(dist)
+    for t, row in enumerate(scores):
+        one = normalize_choices(row)
+        assert np.array_equal(dist.probs[t], one.probs)
+        assert (p[t], entropy[t]) == sentence_signals(one)
+    traj = Trajectory("q", ["x."] * 12, scores, range(1, 13), 0, 10)
+    assert np.array_equal(traj.p, p) and np.array_equal(traj.entropy, entropy)
 
 
 def test_trajectory_roundtrip(tmp_path):
@@ -192,17 +196,17 @@ def test_trajectory_roundtrip(tmp_path):
         assert back.greedy_answer == orig.greedy_answer
         assert back.greedy_token_cost == orig.greedy_token_cost
         assert back.label == orig.label
-        for s0, s1 in zip(orig.sentences, back.sentences):
-            assert s1.text == s0.text
-            assert s1.prefix_len == s0.prefix_len
-            assert np.allclose(s1.distribution.probs, s0.distribution.probs, atol=1e-12)
+        assert back.texts == orig.texts
+        assert np.array_equal(back.prefix_len, orig.prefix_len)
+        assert np.array_equal(back.log_scores, orig.log_scores)
+        assert np.array_equal(back.p, orig.p) and np.array_equal(back.entropy, orig.entropy)
         back.validate()
 
 
 def test_trajectory_read_rejects_duplicates(tmp_path):
     path = tmp_path / "dup.jsonl"
     write_trajectories(path, [_make_trajectory("q0"), _make_trajectory("q0", seed=1)])
-    with pytest.raises(DuplicateId):
+    with pytest.raises(DuplicateId, match="line 3: duplicate traj/1 key 'q0'"):
         read_trajectories(path)
 
 
@@ -222,18 +226,68 @@ def test_trajectory_read_reports_bad_line(tmp_path):
     assert err.value.line == 2
 
 
-def test_validate_catches_stale_signals():
-    traj = _make_trajectory()
-    traj.sentences[1].p = traj.sentences[1].p + 0.1
-    with pytest.raises(ValueError):
-        traj.validate()
+def _rewrite_second_record(path, edit):
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    edit(rec)
+    lines[2] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _stale_p(rec):
+    rec["sentences"][1]["p"] += 0.1
+
+
+def _stale_entropy(rec):
+    rec["sentences"][0]["entropy"] -= 1e-8
+
+
+def _no_sentences(rec):
+    rec["sentences"] = []
+
+
+def _answer_out_of_range(rec):
+    rec["greedy_answer"] = 9
+
+
+def _ragged_scores(rec):
+    rec["sentences"][0]["log_scores"].append(0.0)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_stale_p, "p/entropy disagree"),
+        (_stale_entropy, "p/entropy disagree"),
+        (_no_sentences, "no sentences"),
+        (_answer_out_of_range, "greedy_answer out of range"),
+        (_ragged_scores, "bad traj/1 record"),
+    ],
+    ids=["stale_p", "stale_entropy", "no_sentences", "answer_out_of_range", "ragged_scores"],
+)
+def test_read_applies_the_writers_checks(tmp_path, edit, message):
+    path = tmp_path / "t.jsonl"
+    write_trajectories(path, [_make_trajectory("q0"), _make_trajectory("q1", seed=1)])
+    _rewrite_second_record(path, edit)
+    with pytest.raises(ParseError, match=message) as err:
+        read_trajectories(path)
+    assert err.value.line == 3
 
 
 def test_validate_catches_non_increasing_prefix():
     traj = _make_trajectory()
-    traj.sentences[2].prefix_len = traj.sentences[1].prefix_len
+    traj.prefix_len[2] = traj.prefix_len[1]
     with pytest.raises(ValueError):
         traj.validate()
+
+
+def test_construction_validates():
+    with pytest.raises(ValueError, match="no sentences"):
+        Trajectory("q", [], np.zeros((0, 3)), [], 0, 10)
+    with pytest.raises(ValueError, match="greedy_answer"):
+        Trajectory("q", ["a b."], np.zeros((1, 3)), [2], 3, 10)
+    with pytest.raises(ValueError, match="NaN"):
+        Trajectory("q", ["a b."], [[0.0, float("nan")]], [2], 0, 10)
 
 
 def test_validate_catches_bad_answer_index():
@@ -241,16 +295,6 @@ def test_validate_catches_bad_answer_index():
     traj.greedy_answer = 4
     with pytest.raises(ValueError):
         traj.validate()
-
-
-def test_distribution_validate_checks_softmax_link():
-    dist = normalize_choices([0.0, 1.0, -1.0])
-    dist.validate()
-    broken = ChoiceDistribution(
-        probs=np.array([0.5, 0.3, 0.2]), log_scores=dist.log_scores.copy()
-    )
-    with pytest.raises(ValueError):
-        broken.validate()
 
 
 def test_questions_roundtrip(tmp_path):
@@ -281,5 +325,5 @@ def test_questions_reject_duplicate_ids(tmp_path):
     path = tmp_path / "qs.jsonl"
     rec = '{"id": "a", "question": "?", "options": ["x", "y"]}\n'
     path.write_text('{"schema": "questions/1"}\n' + rec + rec)
-    with pytest.raises(DuplicateId):
+    with pytest.raises(DuplicateId, match="line 3:"):
         load_questions(path)
