@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptyDataset, ParseError
-from .jsonl import write_json
+from .jsonl import typed, write_json
 
 DEFAULT_MAX_REL_DROP = 0.005
 
@@ -175,12 +175,11 @@ def write_selection_summary(
 
 
 def read_selection_summary(path: str | Path) -> dict:
-    """The selection.json document; ParseError unless it is JSON with a numeric selected_tau."""
+    """The selection.json document, selected_tau a float; ParseError unless it is a number."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-            if type(doc["selected_tau"]) not in (int, float):
-                raise TypeError(f"selected_tau {doc['selected_tau']!r} is not a number")
+            doc["selected_tau"] = typed(doc, "selected_tau", float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad selection summary {path}: {exc!r}") from exc
     return doc

@@ -45,13 +45,12 @@ from .evaluation import (
 from .features import (
     FEATURES_SCHEMA,
     LABELS_SCHEMA,
-    LAYOUTS_SCHEMA,
+    LAYOUTS,
     assemble,
     read_features,
     read_labels,
     write_features,
     write_labels,
-    write_layout_registry,
 )
 from .harvest import EndpointClient, EndpointConfig, harvest_dataset
 from .jsonl import write_json
@@ -281,7 +280,9 @@ def write_manifest(
     outputs: list[str],
     schemas: dict[str, str],
     out_dir: str | Path,
+    **extra,
 ) -> Path:
+    """Write <subcommand>.manifest.json; extra holds stage-specific top-level keys."""
     doc = {
         "subcommand": subcommand,
         "version": __version__,
@@ -292,6 +293,7 @@ def write_manifest(
         "schemas": schemas,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "git_revision": _git_revision(),
+        **extra,
     }
     path = Path(out_dir) / f"{subcommand}.manifest.json"
     write_json(path, doc)
@@ -444,7 +446,7 @@ def cmd_extract_features(opts) -> int:
                 raise AlignmentError(f"no question for trajectory {traj.question_id!r}")
             seqs.append(assemble(traj, opts.subset, questions[traj.question_id]))
             if traj.label is not None:
-                labels[traj.question_id] = bool(traj.label)
+                labels[traj.question_id] = traj.label
         f_out = out_dir / f"{split}.features.jsonl"
         write_features(f_out, seqs)
         inputs.extend([str(files["traj"]), str(files["questions"])])
@@ -455,11 +457,10 @@ def cmd_extract_features(opts) -> int:
             outputs.append(str(l_out))
     if not found:
         raise EmptyDataset(f"no <split>.traj.jsonl files under {in_dir}")
-    layout_path = out_dir / "layouts.jsonl"
-    write_layout_registry(layout_path)
-    outputs.append(str(layout_path))
-    schemas = {"features": FEATURES_SCHEMA, "labels": LABELS_SCHEMA, "layouts": LAYOUTS_SCHEMA}
-    write_manifest("extract-features", opts, inputs, outputs, schemas, out_dir)
+    schemas = {"features": FEATURES_SCHEMA, "labels": LABELS_SCHEMA}
+    write_manifest(
+        "extract-features", opts, inputs, outputs, schemas, out_dir, columns=LAYOUTS[opts.subset]
+    )
     return EXIT_OK
 
 
@@ -527,7 +528,7 @@ def cmd_route(opts) -> int:
         raise UsageError("route: pass exactly one of --tau and --selection selection.json")
     tau = opts.tau
     if tau is None:
-        tau = float(read_selection_summary(opts.selection)["selected_tau"])
+        tau = read_selection_summary(opts.selection)["selected_tau"]
     items, inputs = _load_routing_inputs(opts)
     if opts.selection is not None:
         inputs.append(str(opts.selection))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .calibration import CalibrationItem, RoutingArrays, route_at_tau
 from .errors import AlignmentError, DuplicateId, EmptyDataset, IoError
-from .jsonl import read_unique_jsonl, write_jsonl
+from .jsonl import read_unique_jsonl, typed, write_jsonl
 from .trajectory import McQuestion, Trajectory
 from .voting import ABSTAIN, SampledPath, run_method
 
@@ -208,18 +208,13 @@ def write_outcomes(path: str | Path, v: OutcomeVector) -> None:
     write_jsonl(path, OUTCOMES_SCHEMA, records)
 
 
+def _outcome_from_record(rec: dict) -> tuple[str, bool, int]:
+    return typed(rec, "question_id", str), typed(rec, "correct", bool), typed(rec, "tokens", int)
+
+
 def read_outcomes(path: str | Path) -> OutcomeVector:
-    rows = list(
-        read_unique_jsonl(
-            path,
-            OUTCOMES_SCHEMA,
-            lambda rec: (str(rec["question_id"]), bool(rec["correct"]), int(rec["tokens"])),
-            itemgetter(0),
-        )
-    )
-    return OutcomeVector(
-        [qid for qid, _, _ in rows], [c for _, c, _ in rows], [t for _, _, t in rows]
-    )
+    rows = list(read_unique_jsonl(path, OUTCOMES_SCHEMA, _outcome_from_record, itemgetter(0)))
+    return OutcomeVector(*([row[i] for row in rows] for i in range(3)))
 
 
 # --- report files -------------------------------------------------------------

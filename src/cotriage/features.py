@@ -3,8 +3,8 @@
 Turns a scored trajectory into a T x D float64 matrix: 12 numeric columns
 derived from the per-sentence answer distributions, and 20 linguistic columns
 derived from the sentence text and the question it answers. Column order is
-frozen by the layout lists below; a layout registry file records the order any
-feature dump was written with.
+frozen by the layout lists below; the extract-features manifest records the
+order a feature dump was written with under "columns".
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ from typing import Iterable
 import numpy as np
 
 from . import lexicons
-from .jsonl import read_unique_jsonl, write_jsonl
-from .trajectory import McQuestion, Trajectory
+from .jsonl import read_unique_jsonl, typed, write_jsonl
+from .trajectory import McQuestion, Trajectory, numeric_array
 
 FEATURES_SCHEMA = "features/1"
 LABELS_SCHEMA = "labels/1"
-LAYOUTS_SCHEMA = "layouts/1"
 
 NUMERIC_LAYOUT = [
     "p",
@@ -63,7 +62,7 @@ LINGUISTIC_LAYOUT = [
     "is_final",
 ]
 
-# layout id -> column order; layouts.jsonl lists them in this order
+# layout id -> column order
 LAYOUTS = {
     "full": NUMERIC_LAYOUT + LINGUISTIC_LAYOUT,
     "numeric": NUMERIC_LAYOUT,
@@ -77,13 +76,14 @@ ZSCORE_EPS = 1e-8
 _PUNCT = set(string.punctuation)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureSequence:
     question_id: str
     x: np.ndarray  # (T, D) float64, one row per sentence
     layout_id: str
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "x", numeric_array(self.x, "fiu", np.float64))
         if self.x.ndim != 2:
             raise ValueError("feature matrix must be 2-D")
         if self.x.shape[0] < 1:
@@ -231,9 +231,7 @@ def assemble(
         )
         blocks.append(ling)
     x = np.concatenate(blocks, axis=1) if len(blocks) > 1 else blocks[0]
-    seq = FeatureSequence(question_id=traj.question_id, x=x, layout_id=subset)
-    seq.validate()
-    return seq
+    return FeatureSequence(question_id=traj.question_id, x=x, layout_id=subset)
 
 
 # --- serialization ---------------------------------------------------------
@@ -242,7 +240,6 @@ def assemble(
 def write_features(path: str | Path, seqs: Iterable[FeatureSequence]) -> None:
     def records():
         for seq in seqs:
-            seq.validate()
             yield {
                 "question_id": seq.question_id,
                 "mask_len": seq.x.shape[0],
@@ -253,27 +250,30 @@ def write_features(path: str | Path, seqs: Iterable[FeatureSequence]) -> None:
     write_jsonl(path, FEATURES_SCHEMA, records())
 
 
-def _features_from_record(rec: dict) -> FeatureSequence:
-    x = np.array(rec["rows"], dtype=np.float64)
-    seq = FeatureSequence(question_id=str(rec["question_id"]), x=x, layout_id=str(rec["layout_id"]))
-    seq.validate()
-    if int(rec["mask_len"]) != x.shape[0]:
-        raise ValueError("mask_len disagrees with row count")
-    return seq
-
-
 def read_features(path: str | Path) -> list[FeatureSequence]:
-    """Read a features/1 file, applying the writer's checks; question ids must be unique."""
-    key = attrgetter("question_id")
-    return list(read_unique_jsonl(path, FEATURES_SCHEMA, _features_from_record, key))
+    """Read a features/1 file, applying the writer's checks; question ids must be unique.
 
+    Every record has the first record's layout, and a column per layout column.
+    """
+    first_layout = None
 
-def write_layout_registry(path: str | Path) -> None:
-    write_jsonl(
-        path,
-        LAYOUTS_SCHEMA,
-        [{"layout_id": s, "columns": columns} for s, columns in LAYOUTS.items()],
-    )
+    def parse(rec: dict) -> FeatureSequence:
+        nonlocal first_layout
+        layout_id = typed(rec, "layout_id", str)
+        first_layout = first_layout or layout_id
+        if layout_id not in LAYOUTS:
+            raise ValueError(f"unknown layout_id {layout_id!r}")
+        if layout_id != first_layout:
+            raise ValueError(f"layout {layout_id!r} differs from the file's {first_layout!r}")
+        seq = FeatureSequence(typed(rec, "question_id", str), rec["rows"], layout_id)
+        if typed(rec, "mask_len", int) != len(seq.x):
+            raise ValueError("mask_len disagrees with row count")
+        n_cols = len(LAYOUTS[layout_id])
+        if seq.x.shape[1] != n_cols:
+            raise ValueError(f"rows have {seq.x.shape[1]} columns, layout {layout_id!r} has {n_cols}")
+        return seq
+
+    return list(read_unique_jsonl(path, FEATURES_SCHEMA, parse, attrgetter("question_id")))
 
 
 def write_labels(path: str | Path, labels: dict[str, bool]) -> None:
@@ -285,7 +285,7 @@ def write_labels(path: str | Path, labels: dict[str, bool]) -> None:
 
 
 def _label_from_record(rec: dict) -> tuple[str, bool]:
-    return str(rec["question_id"]), bool(rec["label"])
+    return typed(rec, "question_id", str), typed(rec, "label", bool)
 
 
 def read_labels(path: str | Path) -> dict[str, bool]:

@@ -31,7 +31,7 @@ import numpy as np
 import requests
 
 from .errors import CapabilityError, CotriageError, HarvestError
-from .jsonl import _replace_atomically, dumps_record, read_jsonl, write_jsonl
+from .jsonl import _replace_atomically, dumps_record
 from .trajectory import (
     TRAJ_SCHEMA,
     ChoiceDistribution,
@@ -41,9 +41,10 @@ from .trajectory import (
     answer_logscore,
     normalize_choices,
     prefix_lengths,
+    read_trajectories,
     segment_sentences,
 )
-from .voting import ABSTAIN, PATHS_SCHEMA, SampledPath, path_record
+from .voting import ABSTAIN, PATHS_SCHEMA, SampledPath, path_record, read_paths, write_paths
 
 log = logging.getLogger(__name__)
 
@@ -337,11 +338,14 @@ def harvest_samples(
     return paths
 
 
-def _drop_torn_tail(path: Path) -> None:
-    """Cut a file back to its last newline: a crash mid-append leaves a partial line."""
-    if path.exists():
-        with open(path, "rb+") as fh:
-            fh.truncate(fh.read().rfind(b"\n") + 1)
+def _drop_torn_tail(path: Path) -> bool:
+    """Cut the partial line a crash mid-append leaves; True when whole lines are left."""
+    if not path.exists():
+        return False
+    with open(path, "rb+") as fh:
+        size = fh.read().rfind(b"\n") + 1
+        fh.truncate(size)
+    return size > 0
 
 
 def _append_records(path: Path, schema: str, records: Iterable[dict]) -> None:
@@ -351,19 +355,6 @@ def _append_records(path: Path, schema: str, records: Iterable[dict]) -> None:
             fh.write(dumps_record({"schema": schema}) + "\n")
         for rec in records:
             fh.write(dumps_record(rec) + "\n")
-
-
-def _drop_uncommitted_paths(path: Path, done: set[str]) -> None:
-    """Rewrite a paths output without the records of questions that have no trajectory.
-
-    A crash between a question's two appends leaves its paths without a
-    trajectory; the rerun harvests that question again.
-    """
-    if not (path.exists() and path.stat().st_size):
-        return
-    records = list(read_jsonl(path, PATHS_SCHEMA, lambda rec: (str(rec["question_id"]), rec)))
-    if any(qid not in done for qid, _ in records):
-        write_jsonl(path, PATHS_SCHEMA, [rec for qid, rec in records if qid in done])
 
 
 def harvest_dataset(
@@ -381,21 +372,24 @@ def harvest_dataset(
     it. A rerun first cuts a torn last line (left by a crash) off each
     output and drops the paths of uncommitted questions, then skips the
     questions already in the trajectories output; an output cut back to
-    nothing (a torn header) starts afresh. A question whose requests keep
-    failing or whose generation cannot be used (blank text, for one) is
-    logged and skipped, never aborting the job.
+    nothing (a torn header) starts afresh. The outputs are read through their
+    readers, so a record they reject stops the rerun with a ParseError. A
+    question whose requests keep failing or whose generation cannot be used
+    (blank text, for one) is logged and skipped, never aborting the job.
     Returns (harvested, failed).
     """
     probe_scoring_capability(client)
     out_trajectories = Path(out_trajectories)
-    _drop_torn_tail(out_trajectories)
     done = set()
-    if out_trajectories.exists() and out_trajectories.stat().st_size:
-        done = set(read_jsonl(out_trajectories, TRAJ_SCHEMA, lambda rec: str(rec["question_id"])))
+    if _drop_torn_tail(out_trajectories):
+        done = {traj.question_id for traj in read_trajectories(out_trajectories)}
     if out_paths is not None:
         out_paths = Path(out_paths)
-        _drop_torn_tail(out_paths)
-        _drop_uncommitted_paths(out_paths, done)
+        # a crash between a question's two appends leaves paths without a trajectory
+        if _drop_torn_tail(out_paths):
+            grouped = read_paths(out_paths)
+            if any(qid not in done for qid in grouped):
+                write_paths(out_paths, [p for q, ps in grouped.items() if q in done for p in ps])
     harvested = 0
     failed = 0
     for q in questions:

@@ -53,11 +53,21 @@ def write_json(path: str | Path, doc: dict[str, Any]) -> None:
         fh.write("\n")
 
 
-def _numbered_records(
-    path: str | Path, schema: str, parse: Callable[[dict[str, Any]], T]
-) -> Iterator[tuple[int, T]]:
-    path = Path(path)
+def read_unique_jsonl(
+    path: str | Path,
+    schema: str,
+    parse: Callable[[dict[str, Any]], T],
+    key: Callable[[T], Hashable],
+) -> Iterator[T]:
+    """Yield parse(record) for each record after the header; keys must be unique.
+
+    The first non-blank line must be the header naming schema; a file without
+    one is a ParseError. Line numbers are 1-based file lines, blank lines
+    counted. A KeyError, TypeError or ValueError raised by parse becomes a
+    ParseError naming the record's line, and a repeated key a DuplicateId.
+    """
     header_seen = False
+    seen: set[Hashable] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
@@ -79,34 +89,28 @@ def _numbered_records(
                 item = parse(rec)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad {schema} record: {exc!r}", line=lineno) from exc
-            yield lineno, item
+            k = key(item)
+            if k in seen:
+                raise DuplicateId(f"line {lineno}: duplicate {schema} key {k!r}")
+            seen.add(k)
+            yield item
     if not header_seen:
         raise ParseError(f"{path} has no {schema!r} header")
 
 
-def read_jsonl(path: str | Path, schema: str, parse: Callable[[dict[str, Any]], T]) -> Iterator[T]:
-    """Yield parse(record) for each record after the header.
+def typed(rec: dict[str, Any], key: str, kind: type[T], default: Any = ...) -> T:
+    """rec[key], checked to hold the JSON type kind instead of being cast to it.
 
-    The first non-blank line must be the header naming schema; a file without
-    one is a ParseError. Line numbers are 1-based file lines, blank lines
-    counted. A KeyError, TypeError or ValueError raised by parse becomes a
-    ParseError naming the record's line.
+    A bool is not an int; a float field takes an int and returns a float. With
+    a default, an absent or null field returns it. A missing required field is
+    a KeyError and a mismatch a TypeError, which the reader reports as a
+    ParseError naming the line.
     """
-    for _, item in _numbered_records(path, schema, parse):
-        yield item
-
-
-def read_unique_jsonl(
-    path: str | Path,
-    schema: str,
-    parse: Callable[[dict[str, Any]], T],
-    key: Callable[[T], Hashable],
-) -> Iterator[T]:
-    """read_jsonl for keyed files: a record whose key repeats is a DuplicateId naming its line."""
-    seen: set[Hashable] = set()
-    for lineno, item in _numbered_records(path, schema, parse):
-        k = key(item)
-        if k in seen:
-            raise DuplicateId(f"line {lineno}: duplicate {schema} key {k!r}")
-        seen.add(k)
-        yield item
+    value = rec[key] if default is ... else rec.get(key)
+    if value is None and default is not ...:
+        return default
+    if type(value) is kind:
+        return value
+    if kind is float and type(value) is int:
+        return float(value)
+    raise TypeError(f"{key} must be {kind.__name__}, not {value!r}")

@@ -5,9 +5,9 @@ into sentences and held as columns: the sentence texts, a (T, K) array of
 per-choice log-scores (row t scores every answer option against the prefix
 ending at sentence t) and the prefix lengths. The top-choice probability p
 and the entropy of each row are derived from the log-scores once, when the
-trajectory is built. Reading a traj/1 file applies the same checks as
-writing one, and a record whose stored p or entropy is off by more than
-1e-9 is rejected.
+trajectory is built, which also checks it, as building a question does. The
+readers check every field's JSON type instead of casting it, and a traj/1
+record whose stored p or entropy is off by more than 1e-9 is rejected.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EmptyTrajectory, InvalidAnswerTokens, NonFiniteScore
-from .jsonl import read_unique_jsonl, write_jsonl
+from .jsonl import read_unique_jsonl, typed, write_jsonl
 
 TRAJ_SCHEMA = "traj/1"
 QUESTIONS_SCHEMA = "questions/1"
@@ -32,16 +32,29 @@ _TERMINALS = ".?!"
 _LIST_MARKER = re.compile(r"^(?:\d+|[A-Za-z])\.$")
 
 
-@dataclass
+def numeric_array(values, kinds: str, dtype) -> np.ndarray:
+    """values as a dtype array; TypeError unless np.asarray infers a kind in kinds.
+
+    An empty array passes, so that "no sentences" keeps its own message.
+    """
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in kinds:
+        raise TypeError(f"need {np.dtype(dtype).name} values, got dtype {arr.dtype}")
+    return arr.astype(dtype, copy=False)
+
+
+@dataclass(frozen=True)
 class McQuestion:
-    """One multiple-choice question; gold_idx is None for unlabeled items."""
+    """One multiple-choice question, checked when built; gold_idx is None for unlabeled items."""
 
     question_id: str
     question: str
     options: list[str]
     gold_idx: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        if not all(type(o) is str for o in self.options):
+            raise TypeError(f"{self.question_id}: options must be strings")
         if len(self.options) < 2:
             raise ValueError(f"{self.question_id}: need at least 2 options")
         if self.gold_idx is not None and not 0 <= self.gold_idx < len(self.options):
@@ -77,8 +90,8 @@ class Trajectory:
     entropy: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.log_scores = np.asarray(self.log_scores, dtype=np.float64)
-        self.prefix_len = np.asarray(self.prefix_len, dtype=np.int64)
+        self.log_scores = numeric_array(self.log_scores, "fiu", np.float64)
+        self.prefix_len = numeric_array(self.prefix_len, "iu", np.int64)
         self.validate()
         self.p, self.entropy = sentence_signals(normalize_choices(self.log_scores))
 
@@ -211,25 +224,24 @@ def _traj_to_record(traj: Trajectory) -> dict:
 
 
 def _traj_from_record(rec: dict) -> Trajectory:
-    sentences = rec["sentences"]
-    label = rec.get("label")
+    sentences = typed(rec, "sentences", list)
     traj = Trajectory(
-        question_id=str(rec["question_id"]),
-        texts=[str(s["text"]) for s in sentences],
+        question_id=typed(rec, "question_id", str),
+        texts=[typed(s, "text", str) for s in sentences],
         log_scores=[s["log_scores"] for s in sentences],
-        prefix_len=[int(s["prefix_len"]) for s in sentences],
-        greedy_answer=int(rec["greedy_answer"]),
-        greedy_token_cost=int(rec["greedy_token_cost"]),
-        label=None if label is None else bool(label),
+        prefix_len=[s["prefix_len"] for s in sentences],
+        greedy_answer=typed(rec, "greedy_answer", int),
+        greedy_token_cost=typed(rec, "greedy_token_cost", int),
+        label=typed(rec, "label", bool, None),
     )
-    stored = np.array([[s["p"], s["entropy"]] for s in sentences], dtype=np.float64)
+    stored = numeric_array([[s["p"], s["entropy"]] for s in sentences], "fiu", np.float64)
     if not np.all(np.abs(stored - np.stack([traj.p, traj.entropy], axis=1)) <= 1e-9):
         raise ValueError(f"{traj.question_id}: stored p/entropy disagree with log_scores")
     return traj
 
 
 def write_trajectories(path: str | Path, trajectories: Iterable[Trajectory]) -> None:
-    """Write a traj/1 file; every trajectory is validated before writing."""
+    """Write a traj/1 file; fields stay assignable, so each trajectory is validated again."""
 
     def records():
         for traj in trajectories:
@@ -242,8 +254,8 @@ def write_trajectories(path: str | Path, trajectories: Iterable[Trajectory]) -> 
 def read_trajectories(path: str | Path) -> list[Trajectory]:
     """Read a traj/1 file, applying the writer's checks to every record.
 
-    A record's stored p and entropy must match the values derived from its
-    log_scores to within 1e-9.
+    Every field must hold its JSON type, and a record's stored p and entropy
+    must match the values derived from its log_scores to within 1e-9.
     """
     return list(read_unique_jsonl(path, TRAJ_SCHEMA, _traj_from_record, _BY_ID))
 
@@ -251,7 +263,6 @@ def read_trajectories(path: str | Path) -> list[Trajectory]:
 def write_questions(path: str | Path, questions: Iterable[McQuestion]) -> None:
     def records():
         for q in questions:
-            q.validate()
             rec = {"id": q.question_id, "question": q.question, "options": q.options}
             if q.gold_idx is not None:
                 rec["answer_idx"] = q.gold_idx
@@ -261,16 +272,14 @@ def write_questions(path: str | Path, questions: Iterable[McQuestion]) -> None:
 
 
 def _question_from_record(rec: dict) -> McQuestion:
-    q = McQuestion(
-        question_id=str(rec["id"]),
-        question=str(rec["question"]),
-        options=[str(o) for o in rec["options"]],
-        gold_idx=int(rec["answer_idx"]) if rec.get("answer_idx") is not None else None,
+    return McQuestion(
+        question_id=typed(rec, "id", str),
+        question=typed(rec, "question", str),
+        options=typed(rec, "options", list),
+        gold_idx=typed(rec, "answer_idx", int, None),
     )
-    q.validate()
-    return q
 
 
 def load_questions(path: str | Path) -> list[McQuestion]:
-    """Load a questions/1 file; rejects items with fewer than two options."""
+    """Load a questions/1 file; rejects items with fewer than two string options."""
     return list(read_unique_jsonl(path, QUESTIONS_SCHEMA, _question_from_record, _BY_ID))

@@ -16,7 +16,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .jsonl import read_unique_jsonl, write_jsonl
+from .jsonl import read_unique_jsonl, typed, write_jsonl
 
 PATHS_SCHEMA = "paths/1"
 ABSTAIN = -1
@@ -31,7 +31,7 @@ class SampledPath:
     confidence: float
     temperature: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.sample_idx < 0:
             raise ValueError("sample_idx must be non-negative")
         if self.answer < ABSTAIN:
@@ -153,8 +153,7 @@ def run_method(
 
 
 def path_record(p: SampledPath) -> dict:
-    """The paths/1 record of one sampled path, validated first."""
-    p.validate()
+    """The paths/1 record of one sampled path."""
     return {
         "question_id": p.question_id,
         "sample_idx": p.sample_idx,
@@ -170,20 +169,18 @@ def write_paths(path: str | Path, paths: Iterable[SampledPath]) -> None:
 
 
 def _path_from_record(rec: dict) -> SampledPath:
-    p = SampledPath(
-        question_id=str(rec["question_id"]),
-        sample_idx=int(rec["sample_idx"]),
-        answer=int(rec["answer"]),
-        token_cost=int(rec["token_cost"]),
-        confidence=float(rec["confidence"]),
-        temperature=float(rec.get("temperature", 1.0)),
+    return SampledPath(
+        question_id=typed(rec, "question_id", str),
+        sample_idx=typed(rec, "sample_idx", int),
+        answer=typed(rec, "answer", int),
+        token_cost=typed(rec, "token_cost", int),
+        confidence=typed(rec, "confidence", float),
+        temperature=typed(rec, "temperature", float, 1.0),
     )
-    p.validate()
-    return p
 
 
 def read_paths(path: str | Path) -> dict[str, list[SampledPath]]:
-    """Paths grouped by question, ordered by sample index within a question."""
+    """Paths grouped by question, ordered by sample index; an absent temperature is 1.0."""
     grouped: dict[str, list[SampledPath]] = defaultdict(list)
     key = attrgetter("question_id", "sample_idx")
     for p in read_unique_jsonl(path, PATHS_SCHEMA, _path_from_record, key):

@@ -27,6 +27,7 @@ from cotriage.cli import (
     write_manifest,
 )
 from cotriage.evaluation import OutcomeVector, write_outcomes
+from cotriage.features import LAYOUTS
 from cotriage.model import CKPT_SCHEMA, ModelConfig, init_params, save_checkpoint
 from cotriage.trajectory import load_questions, write_questions
 from test_harvest import Q1, Q2, make_fake
@@ -317,6 +318,40 @@ def _nan_row(rec):
     rec["rows"][0][0] = float("nan")
 
 
+def _string_log_scores(rec):
+    rec["sentences"][0]["log_scores"] = [str(v) for v in rec["sentences"][0]["log_scores"]]
+
+
+def _fractional_prefix_len(rec):
+    rec["sentences"][0]["prefix_len"] = 3.7
+
+
+def _string_options(rec):
+    rec["options"] = "abcd"
+
+
+def _int_option(rec):
+    rec["options"][1] = 2
+
+
+def _string_label(rec):
+    rec["label"] = "false"
+
+
+def _bogus_layout(rec):
+    rec["layout_id"] = "bogus"
+    rec["rows"] = [row[:5] for row in rec["rows"]]
+
+
+def _numeric_layout(rec):
+    rec["layout_id"] = "numeric"
+    rec["rows"] = [row[:12] for row in rec["rows"]]
+
+
+def _narrow_rows(rec):
+    rec["rows"] = [row[:5] for row in rec["rows"]]
+
+
 @pytest.mark.parametrize(
     "stage, name, edit, message",
     [
@@ -325,9 +360,19 @@ def _nan_row(rec):
         ("extract-features", "train.traj.jsonl", _stale_p, "p/entropy disagree"),
         ("train", "train.features.jsonl", _nan_row, "NaN or infinity"),
         ("train", "train.features.jsonl", None, "duplicate features/1 key"),
+        ("extract-features", "train.traj.jsonl", _string_log_scores, "need float64 values"),
+        ("extract-features", "train.traj.jsonl", _fractional_prefix_len, "need int64 values"),
+        ("extract-features", "train.questions.jsonl", _string_options, "options must be list"),
+        ("extract-features", "train.questions.jsonl", _int_option, "options must be strings"),
+        ("train", "train.labels.jsonl", _string_label, "label must be bool"),
+        ("train", "train.features.jsonl", _bogus_layout, "unknown layout_id 'bogus'"),
+        ("train", "train.features.jsonl", _numeric_layout, "differs from the file's 'full'"),
+        ("train", "train.features.jsonl", _narrow_rows, "5 columns, layout 'full' has 32"),
     ],
     ids=["traj_no_sentences", "traj_answer_9_of_4", "traj_stale_p", "features_nan",
-         "features_duplicate"],
+         "features_duplicate", "traj_string_log_scores", "traj_prefix_len_3_7",
+         "questions_options_string", "questions_option_2", "labels_string_false",
+         "features_bogus_layout", "features_numeric_in_full", "features_5_of_32_columns"],
 )
 def test_record_failing_the_writers_checks_exits_2_naming_its_line(
     tmp_path, capsys, stage, name, edit, message
@@ -336,7 +381,7 @@ def test_record_failing_the_writers_checks_exits_2_naming_its_line(
     assert run("synth", "--seed", 2, "--out", d, "--n-train", 4, "--n-val", 4,
                "--n-test", 0, "--samples", 2) == EXIT_OK
     assert run("extract-features", "--in", d, "--out", f) == EXIT_OK
-    target = (d if name.endswith("traj.jsonl") else f) / name
+    target = d / name if (d / name).exists() else f / name
     if edit is None:  # repeat the first record as line 6
         with open(target, "a") as fh:
             fh.write(target.read_text().splitlines()[1] + "\n")
@@ -352,6 +397,39 @@ def test_record_failing_the_writers_checks_exits_2_naming_its_line(
     assert code == EXIT_DATA
     err = capsys.readouterr().err
     assert f"line {bad_line}:" in err and message in err, err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("correct", "no", "correct must be bool"), ("tokens", 12.9, "tokens must be int")],
+    ids=["correct_no", "tokens_12_9"],
+)
+def test_outcomes_field_of_the_wrong_type_exits_2_naming_its_line(
+    tmp_path, capsys, field, value, message
+):
+    r = tmp_path / "r"
+    path = r / "outcomes.policy.jsonl"
+    write_outcomes(path, OutcomeVector(["a", "b"], [True, False], [10, 20]))
+    _edit_record(path, 3, lambda rec: rec.update({field: value}))
+    capsys.readouterr()
+    assert run("report", "--in", r, "--out", tmp_path / "rep", "--resamples", 20) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "line 3:" in err and message in err, err
+
+
+def test_extract_features_manifest_records_the_layout_columns(tmp_path):
+    d, f = tmp_path / "d", tmp_path / "f"
+    assert run("synth", "--seed", 1, "--out", d, "--n-train", 3, "--n-val", 0,
+               "--n-test", 0, "--samples", 2) == EXIT_OK
+    for subset, columns in LAYOUTS.items():
+        assert run("extract-features", "--in", d, "--out", f / subset,
+                   "--subset", subset) == EXIT_OK
+        doc = json.loads((f / subset / "extract-features.manifest.json").read_text())
+        assert doc["columns"] == columns
+        assert doc["schemas"] == {"features": "features/1", "labels": "labels/1"}
+        assert sorted(p.name for p in (f / subset).iterdir()) == [
+            "extract-features.manifest.json", "train.features.jsonl", "train.labels.jsonl"
+        ]
 
 
 def test_report_names_each_method_by_its_whole_file_stem(tmp_path):

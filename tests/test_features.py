@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cotriage import lexicons
 from cotriage.features import (
-    LAYOUTS_SCHEMA,
     LINGUISTIC_LAYOUT,
     NUMERIC_LAYOUT,
     LAYOUTS,
@@ -18,10 +17,8 @@ from cotriage.features import (
     read_labels,
     write_features,
     write_labels,
-    write_layout_registry,
 )
 from cotriage.errors import DuplicateId, ParseError
-from cotriage.jsonl import read_jsonl
 from cotriage.trajectory import McQuestion, Trajectory, prefix_lengths
 
 def col(name, subset="full"):
@@ -235,15 +232,6 @@ def test_keyed_readers_reject_a_repeated_id_naming_its_line(tmp_path):
     )
     with pytest.raises(DuplicateId, match="line 4: duplicate labels/1 key 'a'"):
         read_labels(path)
-
-
-def test_layout_registry_roundtrip(tmp_path):
-    path = tmp_path / "layouts.jsonl"
-    write_layout_registry(path)
-    reg = dict(read_jsonl(path, LAYOUTS_SCHEMA, lambda rec: (rec["layout_id"], rec["columns"])))
-    assert reg["full"] == NUMERIC_LAYOUT + LINGUISTIC_LAYOUT
-    assert reg["numeric"] == NUMERIC_LAYOUT
-    assert reg["linguistic"] == LINGUISTIC_LAYOUT
 
 
 def test_labels_roundtrip(tmp_path):

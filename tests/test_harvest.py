@@ -401,6 +401,32 @@ def test_dataset_harvest_resumes_after_crash_between_appends(tmp_path, monkeypat
     assert out_paths.read_bytes() == fresh_paths.read_bytes()
 
 
+def _no_sentences(rec):
+    rec["sentences"] = []
+
+
+def _string_confidence(rec):
+    rec["confidence"] = str(rec["confidence"])
+
+
+@pytest.mark.parametrize("target, edit", [("traj", _no_sentences), ("paths", _string_confidence)])
+def test_dataset_harvest_resume_reads_its_outputs_through_the_readers(tmp_path, target, edit):
+    outputs = {"traj": tmp_path / "traj.jsonl", "paths": tmp_path / "paths.jsonl"}
+    client, _ = make_client()
+    assert harvest_dataset([Q1], client, outputs["traj"], outputs["paths"], n_samples=2) == (1, 0)
+    path = outputs[target]
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    edit(rec)
+    lines[1] = json.dumps(rec)
+    bad = "\n".join(lines) + "\n"
+    path.write_text(bad)
+    with pytest.raises(ParseError) as err:
+        harvest_dataset([Q1, Q2], client, outputs["traj"], outputs["paths"], n_samples=2)
+    assert err.value.line == 2
+    assert path.read_text() == bad
+
+
 def test_dataset_harvest_rejects_wrong_schema_output(tmp_path):
     out_traj = tmp_path / "traj.jsonl"
     out_traj.write_text('{"schema":"paths/1"}\n')

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -58,8 +60,9 @@ def test_everything_validates_and_aligns():
     questions, trajs, paths = generate(cfg)
     assert len(questions) == len(trajs) == len(paths) == 50
     for q, t in zip(questions, trajs):
-        q.validate()
-        t.validate()
+        # building a record runs its checks, so a rebuilt copy must build cleanly
+        replace(q)
+        replace(t)
         assert q.question_id == t.question_id
         assert t.label == (t.greedy_answer == q.gold_idx)
         assert 2 <= len(t.texts) <= 9
@@ -68,7 +71,7 @@ def test_everything_validates_and_aligns():
         qp = paths[q.question_id]
         assert [p.sample_idx for p in qp] == list(range(10))
         for p in qp:
-            p.validate()
+            replace(p)
             assert 0 <= p.answer < 3  # the generator never abstains
             assert p.token_cost >= 20
 

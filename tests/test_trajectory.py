@@ -254,6 +254,18 @@ def _ragged_scores(rec):
     rec["sentences"][0]["log_scores"].append(0.0)
 
 
+def _int_text(rec):
+    rec["sentences"][1]["text"] = 5
+
+
+def _bool_greedy_answer(rec):
+    rec["greedy_answer"] = True
+
+
+def _string_label(rec):
+    rec["label"] = "false"
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -262,8 +274,12 @@ def _ragged_scores(rec):
         (_no_sentences, "no sentences"),
         (_answer_out_of_range, "greedy_answer out of range"),
         (_ragged_scores, "bad traj/1 record"),
+        (_int_text, "text must be str"),
+        (_bool_greedy_answer, "greedy_answer must be int"),
+        (_string_label, "label must be bool"),
     ],
-    ids=["stale_p", "stale_entropy", "no_sentences", "answer_out_of_range", "ragged_scores"],
+    ids=["stale_p", "stale_entropy", "no_sentences", "answer_out_of_range", "ragged_scores",
+         "text_5", "greedy_answer_true", "label_string"],
 )
 def test_read_applies_the_writers_checks(tmp_path, edit, message):
     path = tmp_path / "t.jsonl"
@@ -309,6 +325,16 @@ def test_questions_roundtrip(tmp_path):
     assert loaded[0].gold_idx == 2
     assert loaded[1].gold_idx is None
     assert loaded[0].options == ["opt A", "opt B", "opt C"]
+
+
+def test_questions_read_a_null_or_absent_answer_idx(tmp_path):
+    path = tmp_path / "qs.jsonl"
+    path.write_text(
+        '{"schema": "questions/1"}\n'
+        '{"id": "a", "question": "?", "options": ["x", "y"], "answer_idx": null}\n'
+        '{"id": "b", "question": "?", "options": ["x", "y"]}\n'
+    )
+    assert [q.gold_idx for q in load_questions(path)] == [None, None]
 
 
 def test_questions_reject_single_option(tmp_path):

@@ -170,14 +170,16 @@ def test_uniform_confidence_makes_cer_match_sc(stream):
 
 def test_path_validation():
     with pytest.raises(ValueError):
-        mk_path(0, -2).validate()
+        mk_path(0, -2)
     with pytest.raises(ValueError):
-        mk_path(0, 0, conf=0.0).validate()
+        mk_path(0, 0, conf=0.0)
     with pytest.raises(ValueError):
-        mk_path(0, 0, conf=1.5).validate()
+        mk_path(0, 0, conf=1.5)
     with pytest.raises(ValueError):
-        mk_path(0, 0, cost=-1).validate()
-    mk_path(0, ABSTAIN, conf=1.0).validate()
+        mk_path(0, 0, cost=-1)
+    with pytest.raises(ValueError):
+        mk_path(-1, 0)
+    mk_path(0, ABSTAIN, conf=1.0)
 
 
 def test_paths_roundtrip(tmp_path):
@@ -198,12 +200,43 @@ def test_paths_reject_duplicates(tmp_path):
         read_paths(file)
 
 
-def test_paths_reject_bad_records(tmp_path):
+_PATH_FIELDS = '"question_id": "q0", "sample_idx": 0, "answer": 1, "token_cost": 12'
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ('"question_id": "q0", "sample_idx": 0', "KeyError"),
+        (_PATH_FIELDS + ', "confidence": "0.5"', "confidence must be float"),
+        (_PATH_FIELDS.replace('"sample_idx": 0', '"sample_idx": true') + ', "confidence": 0.5',
+         "sample_idx must be int"),
+        (_PATH_FIELDS.replace('"answer": 1', '"answer": 1.0') + ', "confidence": 0.5',
+         "answer must be int"),
+        (_PATH_FIELDS + ', "confidence": 0.5, "temperature": "1"', "temperature must be float"),
+    ],
+    ids=["missing_fields", "confidence_string", "sample_idx_true", "answer_float",
+         "temperature_string"],
+)
+def test_paths_reject_bad_records(tmp_path, fields, message):
     file = tmp_path / "paths.jsonl"
-    file.write_text('{"schema": "paths/1"}\n{"question_id": "q0", "sample_idx": 0}\n')
-    with pytest.raises(ParseError) as err:
+    file.write_text(f'{{"schema": "paths/1"}}\n{{{fields}}}\n')
+    with pytest.raises(ParseError, match=message) as err:
         read_paths(file)
     assert err.value.line == 2
+
+
+def test_paths_read_integer_confidence_and_temperature_and_no_temperature(tmp_path):
+    file = tmp_path / "paths.jsonl"
+    second_fields = _PATH_FIELDS.replace('"sample_idx": 0', '"sample_idx": 1')
+    file.write_text(
+        '{"schema": "paths/1"}\n'
+        f'{{{_PATH_FIELDS}, "confidence": 1, "temperature": 2}}\n'
+        f'{{{second_fields}, "confidence": 0.5}}\n'
+    )
+    first, second = read_paths(file)["q0"]
+    assert (first.confidence, first.temperature) == (1.0, 2.0)
+    assert type(first.confidence) is float and type(first.temperature) is float
+    assert second.temperature == 1.0
 
 
 def test_bad_record_line_counts_blank_lines(tmp_path):
