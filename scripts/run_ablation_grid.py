@@ -7,7 +7,6 @@ threshold. The grid lands in ablation_grid.csv with one row per cell.
 """
 
 import argparse
-import csv
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +14,7 @@ import numpy as np
 from cotriage.calibration import select_threshold, simulate_at_tau, sweep
 from cotriage.evaluation import build_calibration_items
 from cotriage.features import assemble
+from cotriage.jsonl import write_csv
 from cotriage.model import ModelConfig
 from cotriage.synth import SynthConfig, generate
 from cotriage.training import TrainConfig, roc_auc, score_features, train
@@ -85,13 +85,8 @@ def main() -> None:
         print(f"{name}: tau={tau} acc={test_pt.accuracy:.4f} "
               f"tokens={test_pt.mean_tokens:.1f}")
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    grid = out_dir / "ablation_grid.csv"
-    with open(grid, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    grid = Path(args.out) / "ablation_grid.csv"
+    write_csv(grid, list(rows[0]), [list(row.values()) for row in rows])
     print(f"wrote {grid}")
 
 

@@ -10,16 +10,15 @@ available behind sunk_greedy=False.
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import EmptyDataset, ParseError
-from .jsonl import typed, write_json
+from .jsonl import typed, write_csv, write_json
 
 DEFAULT_MAX_REL_DROP = 0.005
 
@@ -148,15 +147,8 @@ def select_threshold(
 
 
 def profile_to_csv(profile: CalibrationProfile, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "accuracy", "mean_tokens", "token_reduction", "accept_rate"])
-        for pt in profile.points:
-            writer.writerow(
-                [pt.tau, pt.accuracy, pt.mean_tokens, pt.token_reduction, pt.accept_rate]
-            )
+    header = [f.name for f in fields(CalibrationPoint)]
+    write_csv(path, header, map(astuple, profile.points))
 
 
 def write_selection_summary(

@@ -2,9 +2,10 @@
 route, report.
 
 Stages talk to each other only through files with versioned schema headers, so
-any stage can be re-run in isolation. Every run that produces files also
-writes a single <subcommand>.manifest.json beside them recording the resolved
-options, the input and output paths, the schema versions and a wall-clock
+any stage can be re-run in isolation. A stage's handler reads and names every
+file through its Run, and main then writes a single
+<subcommand>.manifest.json beside the outputs recording the resolved options,
+exactly the files read and written, the schema versions and a wall-clock
 stamp; reruns with the same seed produce byte-identical outputs, the manifest
 timestamp aside.
 
@@ -300,22 +301,37 @@ def write_manifest(
     return path
 
 
+class Run:
+    """One stage's file access, recorded for its manifest.
+
+    A handler passes every file it reads through reads() and names every file
+    it writes through writes(), so the manifest lists exactly those files.
+    extra holds the stage's own top-level manifest keys.
+    """
+
+    def __init__(self, out_dir: str):
+        self.out_dir = Path(out_dir)
+        self.inputs: list[str] = []
+        self.outputs: list[str] = []
+        self.extra: dict = {}
+
+    def reads(self, path: str | Path) -> str | Path:
+        self.inputs.append(str(path))
+        return path
+
+    def writes(self, name: str) -> Path:
+        path = self.out_dir / name
+        self.outputs.append(str(path))
+        return path
+
+
 # --- shared loading helpers ---------------------------------------------------
 
 
-def _split_paths(data_dir: str | Path, split: str) -> dict[str, Path]:
-    d = Path(data_dir)
-    return {
-        "questions": d / f"{split}.questions.jsonl",
-        "traj": d / f"{split}.traj.jsonl",
-        "paths": d / f"{split}.paths.jsonl",
-    }
-
-
-def _load_split_features(features_dir: str | Path, split: str):
+def _load_split_features(run: Run, features_dir: str, split: str):
     fdir = Path(features_dir)
-    seqs = read_features(fdir / f"{split}.features.jsonl")
-    labels = read_labels(fdir / f"{split}.labels.jsonl")
+    seqs = read_features(run.reads(fdir / f"{split}.features.jsonl"))
+    labels = read_labels(run.reads(fdir / f"{split}.labels.jsonl"))
     ordered = []
     for seq in seqs:
         if seq.question_id not in labels:
@@ -324,24 +340,20 @@ def _load_split_features(features_dir: str | Path, split: str):
     return seqs, ordered
 
 
-def _scores_in_traj_order(params, mcfg, seqs, trajectories):
-    by_qid = {s.question_id: s for s in seqs}
+def _load_routing_items(opts, run: Run) -> list:
+    data, split = Path(opts.data), opts.split
+    trajectories = read_trajectories(run.reads(data / f"{split}.traj.jsonl"))
+    qfile = run.reads(data / f"{split}.questions.jsonl")
+    questions = {q.question_id: q for q in load_questions(qfile)}
+    paths_by_qid = read_paths(run.reads(data / f"{split}.paths.jsonl"))
+    features = read_features(run.reads(Path(opts.features) / f"{split}.features.jsonl"))
+    by_qid = {s.question_id: s for s in features}
     missing = [t.question_id for t in trajectories if t.question_id not in by_qid]
     if missing:
         raise AlignmentError(f"no features for {missing[0]!r}")
-    ordered = [by_qid[t.question_id] for t in trajectories]
-    return score_features(params, mcfg, ordered)
-
-
-def _load_routing_inputs(opts) -> tuple:
-    paths = _split_paths(opts.data, opts.split)
-    trajectories = read_trajectories(paths["traj"])
-    questions = {q.question_id: q for q in load_questions(paths["questions"])}
-    paths_by_qid = read_paths(paths["paths"])
-    seqs = read_features(Path(opts.features) / f"{opts.split}.features.jsonl")
-    params, mcfg = load_checkpoint(opts.model)
-    scores = _scores_in_traj_order(params, mcfg, seqs, trajectories)
-    items = build_calibration_items(
+    params, mcfg = load_checkpoint(run.reads(opts.model))
+    scores = score_features(params, mcfg, [by_qid[t.question_id] for t in trajectories])
+    return build_calibration_items(
         trajectories,
         scores,
         paths_by_qid,
@@ -351,21 +363,18 @@ def _load_routing_inputs(opts) -> tuple:
         votes_needed=opts.votes_needed,
         include_greedy_vote=opts.include_greedy_vote,
     )
-    inputs = [str(p) for p in paths.values()]
-    inputs.append(str(Path(opts.features) / f"{opts.split}.features.jsonl"))
-    inputs.append(str(opts.model))
-    return items, inputs
 
 
 # --- subcommands --------------------------------------------------------------
+#
+# A handler does all its file access through its Run and returns its stdout
+# record, or None; main writes the manifest and prints the record.
 
 
-def cmd_synth(opts) -> int:
-    out_dir = Path(opts.out)
+def cmd_synth(opts, run: Run) -> None:
     sizes = {"train": opts.n_train, "val": opts.n_val, "test": opts.n_test}
     if min(sizes.values()) < 0 or max(sizes.values()) == 0:
         raise UsageError("synth: split sizes must be >= 0 and at least one must be positive")
-    outputs = []
     for offset, split in enumerate(SPLITS):
         if sizes[split] == 0:
             continue
@@ -381,18 +390,14 @@ def cmd_synth(opts) -> int:
             id_prefix=f"{split}-",
         )
         questions, trajectories, paths_by_qid = generate(cfg)
-        files = _split_paths(out_dir, split)
-        write_questions(files["questions"], questions)
-        write_trajectories(files["traj"], trajectories)
-        write_paths(files["paths"], [p for qid in paths_by_qid for p in paths_by_qid[qid]])
-        outputs.extend(str(p) for p in files.values())
-    schemas = {"questions": QUESTIONS_SCHEMA, "traj": TRAJ_SCHEMA, "paths": PATHS_SCHEMA}
-    write_manifest("synth", opts, [], outputs, schemas, out_dir)
-    return EXIT_OK
+        write_questions(run.writes(f"{split}.questions.jsonl"), questions)
+        write_trajectories(run.writes(f"{split}.traj.jsonl"), trajectories)
+        paths = [p for qid in paths_by_qid for p in paths_by_qid[qid]]
+        write_paths(run.writes(f"{split}.paths.jsonl"), paths)
 
 
-def cmd_harvest(opts) -> int:
-    questions = load_questions(opts.questions)
+def cmd_harvest(opts, run: Run) -> dict:
+    questions = load_questions(run.reads(opts.questions))
     endpoint = EndpointConfig(
         base_url=opts.base_url,
         model=opts.model,
@@ -404,41 +409,31 @@ def cmd_harvest(opts) -> int:
         cache_dir=opts.cache_dir,
     )
     client = EndpointClient(endpoint)
-    out_dir = Path(opts.out)
-    files = _split_paths(out_dir, opts.split)
-    write_questions(files["questions"], questions)
+    write_questions(run.writes(f"{opts.split}.questions.jsonl"), questions)
     harvested, failed = harvest_dataset(
         questions,
         client,
-        files["traj"],
-        None if opts.no_paths else files["paths"],
+        run.writes(f"{opts.split}.traj.jsonl"),
+        None if opts.no_paths else run.writes(f"{opts.split}.paths.jsonl"),
         n_samples=opts.n_samples,
         temperature=opts.temperature,
         max_new_tokens=opts.max_new_tokens,
     )
-    outputs = [str(files["questions"]), str(files["traj"])]
-    schemas = {"questions": QUESTIONS_SCHEMA, "traj": TRAJ_SCHEMA}
-    if not opts.no_paths:
-        outputs.append(str(files["paths"]))
-        schemas["paths"] = PATHS_SCHEMA
-    write_manifest("harvest", opts, [str(opts.questions)], outputs, schemas, out_dir)
-    print(json.dumps({"harvested": harvested, "failed": failed, "skipped_existing": len(questions) - harvested - failed}))
-    return EXIT_OK
+    skipped = len(questions) - harvested - failed
+    return {"harvested": harvested, "failed": failed, "skipped_existing": skipped}
 
 
-def cmd_extract_features(opts) -> int:
+def cmd_extract_features(opts, run: Run) -> None:
     in_dir = Path(opts.in_dir)
-    out_dir = Path(opts.out)
-    inputs: list[str] = []
-    outputs: list[str] = []
     found = False
     for split in SPLITS:
-        files = _split_paths(in_dir, split)
-        if not files["traj"].exists():
+        traj_path = in_dir / f"{split}.traj.jsonl"
+        if not traj_path.exists():
             continue
         found = True
-        trajectories = read_trajectories(files["traj"])
-        questions = {q.question_id: q for q in load_questions(files["questions"])}
+        trajectories = read_trajectories(run.reads(traj_path))
+        qfile = run.reads(in_dir / f"{split}.questions.jsonl")
+        questions = {q.question_id: q for q in load_questions(qfile)}
         seqs = []
         labels = {}
         for traj in trajectories:
@@ -447,26 +442,17 @@ def cmd_extract_features(opts) -> int:
             seqs.append(assemble(traj, opts.subset, questions[traj.question_id]))
             if traj.label is not None:
                 labels[traj.question_id] = traj.label
-        f_out = out_dir / f"{split}.features.jsonl"
-        write_features(f_out, seqs)
-        inputs.extend([str(files["traj"]), str(files["questions"])])
-        outputs.append(str(f_out))
+        write_features(run.writes(f"{split}.features.jsonl"), seqs)
         if labels:
-            l_out = out_dir / f"{split}.labels.jsonl"
-            write_labels(l_out, labels)
-            outputs.append(str(l_out))
+            write_labels(run.writes(f"{split}.labels.jsonl"), labels)
     if not found:
         raise EmptyDataset(f"no <split>.traj.jsonl files under {in_dir}")
-    schemas = {"features": FEATURES_SCHEMA, "labels": LABELS_SCHEMA}
-    write_manifest(
-        "extract-features", opts, inputs, outputs, schemas, out_dir, columns=LAYOUTS[opts.subset]
-    )
-    return EXIT_OK
+    run.extra["columns"] = LAYOUTS[opts.subset]
 
 
-def cmd_train(opts) -> int:
-    train_seqs, train_labels = _load_split_features(opts.in_dir, "train")
-    val_seqs, val_labels = _load_split_features(opts.in_dir, "val")
+def cmd_train(opts, run: Run) -> dict:
+    train_seqs, train_labels = _load_split_features(run, opts.in_dir, "train")
+    val_seqs, val_labels = _load_split_features(run, opts.in_dir, "val")
     if not train_seqs:
         raise EmptyDataset("training split is empty")
     mcfg = ModelConfig(
@@ -488,101 +474,69 @@ def cmd_train(opts) -> int:
         class_weights=not opts.no_class_weights,
     )
     result = train(train_seqs, train_labels, val_seqs, val_labels, mcfg, tcfg)
-    out_dir = Path(opts.out)
-    ckpt = out_dir / "model.ckpt"
-    save_checkpoint(ckpt, result.params, mcfg)
-    log_path = out_dir / "training_log.csv"
-    write_training_log(log_path, result)
-    inputs = [
-        str(Path(opts.in_dir) / f"{s}.{kind}.jsonl")
-        for s in ("train", "val")
-        for kind in ("features", "labels")
-    ]
-    outputs = [str(ckpt), str(log_path), str(log_path.with_suffix(".best.json"))]
-    write_manifest("train", opts, inputs, outputs, {"checkpoint": CKPT_SCHEMA}, out_dir)
-    print(
-        json.dumps(
-            {"best_epoch": result.best_epoch, "best_val_auc": round(result.best_val_auc, 6)}
-        )
+    save_checkpoint(run.writes("model.ckpt"), result.params, mcfg)
+    write_training_log(
+        run.writes("training_log.csv"), run.writes("training_log.best.json"), result
     )
-    return EXIT_OK
+    return {"best_epoch": result.best_epoch, "best_val_auc": round(result.best_val_auc, 6)}
 
 
-def cmd_calibrate(opts) -> int:
-    items, inputs = _load_routing_inputs(opts)
+def cmd_calibrate(opts, run: Run) -> dict:
+    items = _load_routing_items(opts, run)
     profile = sweep(items, sunk_greedy=not opts.no_sunk_greedy, baseline_method=opts.method)
     tau = select_threshold(profile, max_rel_drop=opts.max_rel_drop)
-    out_dir = Path(opts.out)
-    profile_path = out_dir / "profile.csv"
-    profile_to_csv(profile, profile_path)
-    selection_path = out_dir / "selection.json"
-    write_selection_summary(profile, selection_path, max_rel_drop=opts.max_rel_drop)
-    outputs = [str(profile_path), str(selection_path)]
-    write_manifest("calibrate", opts, inputs, outputs, {"profile": REPORT_SCHEMA}, out_dir)
-    print(json.dumps({"selected_tau": tau}))
-    return EXIT_OK
+    profile_to_csv(profile, run.writes("profile.csv"))
+    write_selection_summary(profile, run.writes("selection.json"), max_rel_drop=opts.max_rel_drop)
+    return {"selected_tau": tau}
 
 
-def cmd_route(opts) -> int:
+def cmd_route(opts, run: Run) -> dict:
     if (opts.tau is None) == (opts.selection is None):
         raise UsageError("route: pass exactly one of --tau and --selection selection.json")
     tau = opts.tau
     if tau is None:
-        tau = read_selection_summary(opts.selection)["selected_tau"]
-    items, inputs = _load_routing_inputs(opts)
-    if opts.selection is not None:
-        inputs.append(str(opts.selection))
+        tau = read_selection_summary(run.reads(opts.selection))["selected_tau"]
+    items = _load_routing_items(opts, run)
     outcomes = route_outcomes(items, tau, sunk_greedy=not opts.no_sunk_greedy)
-    out_dir = Path(opts.out)
-    outputs = []
     for name, vector in outcomes.items():
-        path = out_dir / f"outcomes.{name}.jsonl"
-        write_outcomes(path, vector)
-        outputs.append(str(path))
-    write_manifest("route", opts, inputs, outputs, {"outcomes": OUTCOMES_SCHEMA}, out_dir)
+        write_outcomes(run.writes(f"outcomes.{name}.jsonl"), vector)
     policy = summarize(outcomes["policy"])
-    print(
-        json.dumps(
-            {
-                "tau": tau,
-                "n": len(outcomes["policy"]),
-                "accuracy": policy.accuracy,
-                "mean_tokens": policy.mean_tokens,
-            }
-        )
-    )
-    return EXIT_OK
+    n = len(outcomes["policy"])
+    return {"tau": tau, "n": n, "accuracy": policy.accuracy, "mean_tokens": policy.mean_tokens}
 
 
-def cmd_report(opts) -> int:
+def cmd_report(opts, run: Run) -> None:
     in_dir = Path(opts.in_dir)
     inputs = sorted(in_dir.glob("outcomes.*.jsonl"))
     if not inputs:
         raise EmptyDataset(f"no outcomes.*.jsonl files under {in_dir}")
     methods = {
-        path.name.removeprefix("outcomes.").removesuffix(".jsonl"): read_outcomes(path)
+        path.name.removeprefix("outcomes.").removesuffix(".jsonl"): read_outcomes(run.reads(path))
         for path in inputs
     }
-    written = write_report(methods, opts.out, seed=opts.seed, resamples=opts.resamples)
-    write_manifest(
-        "report",
-        opts,
-        [str(p) for p in inputs],
-        [str(p) for p in written],
-        {"report": REPORT_SCHEMA},
-        opts.out,
+    write_report(
+        methods,
+        run.writes("summary.csv"),
+        run.writes("significance.csv"),
+        run.writes("outcomes.csv"),
+        seed=opts.seed,
+        resamples=opts.resamples,
     )
-    return EXIT_OK
 
 
-HANDLERS = {
-    "synth": cmd_synth,
-    "harvest": cmd_harvest,
-    "extract-features": cmd_extract_features,
-    "train": cmd_train,
-    "calibrate": cmd_calibrate,
-    "route": cmd_route,
-    "report": cmd_report,
+_SPLIT_SCHEMAS = {"questions": QUESTIONS_SCHEMA, "traj": TRAJ_SCHEMA, "paths": PATHS_SCHEMA}
+
+# subcommand -> (handler, the schemas of the files the stage writes)
+STAGES = {
+    "synth": (cmd_synth, _SPLIT_SCHEMAS),
+    "harvest": (cmd_harvest, _SPLIT_SCHEMAS),
+    "extract-features": (
+        cmd_extract_features, {"features": FEATURES_SCHEMA, "labels": LABELS_SCHEMA}
+    ),
+    "train": (cmd_train, {"checkpoint": CKPT_SCHEMA}),
+    "calibrate": (cmd_calibrate, {"profile": REPORT_SCHEMA}),
+    "route": (cmd_route, {"outcomes": OUTCOMES_SCHEMA}),
+    "report": (cmd_report, {"report": REPORT_SCHEMA}),
 }
 
 
@@ -619,17 +573,20 @@ def main(argv: list[str] | None = None) -> int:
     explicit = {k: v for k, v in vars(ns).items() if k != "subcommand"}
     try:
         opts = resolve_options(ns.subcommand, explicit)
-        return HANDLERS[ns.subcommand](opts)
+        handler, schemas = STAGES[ns.subcommand]
+        run = Run(opts.out)
+        record = handler(opts, run)
+        write_manifest(ns.subcommand, opts, run.inputs, run.outputs, schemas, opts.out, **run.extra)
+        if record is not None:
+            print(json.dumps(record))
+        return EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (HarvestError, CapabilityError) as exc:
         print(f"endpoint error: {exc}", file=sys.stderr)
         return EXIT_ENDPOINT
-    except CotriageError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (CotriageError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

@@ -60,7 +60,3 @@ class HarvestError(CotriageError):
 
 class CapabilityError(CotriageError):
     """Raised when the scoring endpoint does not return log-probabilities."""
-
-
-class IoError(CotriageError):
-    """Raised when report output cannot be written."""

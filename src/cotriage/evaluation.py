@@ -1,6 +1,6 @@
 """Routing evaluation: per-question outcome vectors, summary statistics,
-paired bootstrap significance, and the report stage's files (summary.csv,
-significance.csv, outcomes.csv), the one place these numbers are written.
+paired bootstrap significance, and the report stage's three tables, the one
+place these numbers are written.
 
 Bootstrap p-values use the two-sided sign-flip convention: resample question
 indices with replacement (the same draws for both metrics of a pair, keeping
@@ -11,8 +11,7 @@ seeded with [seed, i] so any resample can be reproduced in isolation.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -20,8 +19,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .calibration import CalibrationItem, RoutingArrays, route_at_tau
-from .errors import AlignmentError, DuplicateId, EmptyDataset, IoError
-from .jsonl import read_unique_jsonl, typed, write_jsonl
+from .errors import AlignmentError, DuplicateId, EmptyDataset
+from .jsonl import read_unique_jsonl, typed, write_csv, write_jsonl
 from .trajectory import McQuestion, Trajectory
 from .voting import ABSTAIN, SampledPath, run_method
 
@@ -166,11 +165,7 @@ def build_calibration_items(
         if include_greedy_vote:
             extra = (traj.greedy_answer, float(traj.p[-1]))
         vote = run_method(
-            paths_by_qid[qid],
-            method,
-            budget=budget,
-            votes_needed=votes_needed,
-            extra_vote=extra if method != "dv" else None,
+            paths_by_qid[qid], method, budget=budget, votes_needed=votes_needed, extra_vote=extra
         )
         items.append(
             CalibrationItem(
@@ -220,75 +215,51 @@ def read_outcomes(path: str | Path) -> OutcomeVector:
 # --- report files -------------------------------------------------------------
 
 
-def _open_report_file(path: Path, seed: int):
-    try:
-        fh = open(path, "w", newline="", encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write report file {path}: {exc}") from exc
-    fh.write(f"# schema={REPORT_SCHEMA} seed={seed}\n")
-    return fh
-
-
 def write_report(
     methods: Mapping[str, OutcomeVector],
-    out_dir: str | Path,
+    summary_path: str | Path,
+    significance_path: str | Path,
+    outcomes_path: str | Path,
     seed: int = 0,
     resamples: int = 2000,
-) -> list[Path]:
-    """Write summary.csv, significance.csv and outcomes.csv under out_dir.
+) -> None:
+    """Write the summary, significance and outcomes tables.
 
-    significance.csv holds one row per unordered method pair, marked '*' when
-    p < 0.05. Every file starts with a comment line naming the schema version
-    and the bootstrap seed.
+    The significance table holds one row per unordered method pair, marked '*'
+    when p < 0.05. Every table starts with a comment line naming the schema
+    version and the bootstrap seed.
     """
     if not methods:
         raise EmptyDataset("no methods to report")
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create report directory {out_dir}: {exc}") from exc
-    written = []
+    names = sorted(methods)
+    comment = f"schema={REPORT_SCHEMA} seed={seed}"
+    write_csv(
+        summary_path,
+        ["method", "n", *(f.name for f in fields(Summary))],
+        ([name, len(methods[name]), *astuple(summarize(methods[name]))] for name in names),
+        comment,
+    )
 
-    path = out_dir / "summary.csv"
-    with _open_report_file(path, seed) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["method", "n", "accuracy", "mean_tokens", "tokens_q1", "tokens_median", "tokens_q3"]
-        )
-        for name in sorted(methods):
-            s = summarize(methods[name])
-            writer.writerow(
-                [name, len(methods[name]), s.accuracy, s.mean_tokens, s.tokens_q1,
-                 s.tokens_median, s.tokens_q3]
-            )
-    written.append(path)
-
-    path = out_dir / "significance.csv"
-    with _open_report_file(path, seed) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["method_a", "method_b", "delta_accuracy", "delta_tokens",
-             "p_accuracy", "p_tokens", "marker"]
-        )
-        names = sorted(methods)
+    def significance_rows():
         for i, a in enumerate(names):
             for b in names[i + 1 :]:
                 res = paired_bootstrap(methods[a], methods[b], resamples=resamples, seed=seed)
                 marker = "*" if min(res.p_accuracy, res.p_tokens) < 0.05 else "n.s."
-                writer.writerow(
-                    [a, b, res.delta_accuracy, res.delta_tokens,
-                     res.p_accuracy, res.p_tokens, marker]
-                )
-    written.append(path)
+                yield [a, b, *astuple(res), marker]
 
-    path = out_dir / "outcomes.csv"
-    with _open_report_file(path, seed) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "question_id", "correct", "tokens"])
-        for name in sorted(methods):
-            v = methods[name]
-            for qid, c, t in zip(v.question_ids, v.correct, v.tokens):
-                writer.writerow([name, qid, int(c), int(t)])
-    written.append(path)
-    return written
+    write_csv(
+        significance_path,
+        ["method_a", "method_b", *(f.name for f in fields(BootstrapResult)), "marker"],
+        significance_rows(),
+        comment,
+    )
+    write_csv(
+        outcomes_path,
+        ["method", "question_id", "correct", "tokens"],
+        (
+            [name, qid, int(c), int(t)]
+            for name, v in sorted(methods.items())
+            for qid, c, t in zip(v.question_ids, v.correct, v.tokens)
+        ),
+        comment,
+    )

@@ -141,7 +141,10 @@ def _default_transport(cfg: EndpointConfig) -> Callable[[str, dict], dict]:
             raise TransportError(f"endpoint returned {resp.status_code}")
         if resp.status_code != 200:
             raise HarvestError(f"endpoint rejected request: {resp.status_code} {resp.text[:200]}")
-        return resp.json()
+        try:
+            return resp.json()
+        except requests.JSONDecodeError as exc:
+            raise HarvestError(f"endpoint response is not JSON: {resp.text[:200]}") from exc
 
     return call
 

@@ -3,17 +3,19 @@
 Each file starts with a header record {"schema": "<name>/<version>"} followed
 by one JSON object per line. Writers emit keys in sorted order so identical
 payloads produce identical bytes. write_json writes the single indented JSON
-documents (manifests, summaries, checkpoints) with the same atomic rename.
+documents (manifests, summaries, checkpoints) and write_csv the tables with
+the same atomic rename.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Hashable, Iterable, Iterator, TextIO, TypeVar
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 from .errors import DuplicateId, ParseError
 
@@ -30,12 +32,19 @@ def _replace_atomically(path: str | Path) -> Iterator[TextIO]:
 
     The temp name is unique to the writing process and thread, so concurrent
     writers of one target never share (and never rename away) a temp file.
+    A write that raises removes its temp file and leaves the target as it
+    was. Newlines are written untranslated, so the bytes are the same on
+    every platform and the csv module's row endings pass through.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.tmp{os.getpid()}.{threading.get_ident()}")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        yield fh
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
@@ -51,6 +60,21 @@ def write_json(path: str | Path, doc: dict[str, Any]) -> None:
     with _replace_atomically(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def write_csv(
+    path: str | Path,
+    header: Sequence[str],
+    rows: Iterable[Sequence[Any]],
+    comment: str | None = None,
+) -> None:
+    """A CSV table, after a '# comment' line when one is given, written atomically."""
+    with _replace_atomically(path) as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_unique_jsonl(

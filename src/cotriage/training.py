@@ -10,7 +10,6 @@ trajectory's forward value.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import EmptyDataset
 from .features import FeatureSequence
-from .jsonl import write_json
+from .jsonl import write_csv, write_json
 from .model import ModelConfig, backward, forward, init_params
 
 _CLIP_LO = 1e-7
@@ -283,15 +282,8 @@ def train(
     return TrainResult(params=best_params, log=log, best_epoch=best_epoch, best_val_auc=best_auc)
 
 
-def write_training_log(path: str | Path, result: TrainResult) -> None:
-    """CSV of per-epoch metrics plus a JSON pointer to the selected epoch."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["epoch", "train_loss", "val_auc", "val_acc_at_0.5"])
-        writer.writeheader()
-        writer.writerows(result.log)
-    write_json(
-        path.with_suffix(".best.json"),
-        {"best_epoch": result.best_epoch, "best_val_auc": result.best_val_auc},
-    )
+def write_training_log(path: str | Path, best_path: str | Path, result: TrainResult) -> None:
+    """CSV of per-epoch metrics at path, and a JSON pointer to the selected epoch at best_path."""
+    header = ["epoch", "train_loss", "val_auc", "val_acc_at_0.5"]
+    write_csv(path, header, ([row[k] for k in header] for row in result.log))
+    write_json(best_path, {"best_epoch": result.best_epoch, "best_val_auc": result.best_val_auc})

@@ -127,12 +127,15 @@ def run_method(
     """Answer one question with a voting method over its sampled paths.
 
     extra_vote injects an already-paid-for answer (the greedy one) into the
-    tallies of the set-based methods at zero token cost.
+    tallies of the set-based methods at zero token cost; dv rejects it.
+    votes_needed is dv's early-stop count; sc and cer reject it.
     """
     if method == "dv":
         if extra_vote is not None:
             raise ValueError("dynamic voting does not take an extra vote")
         return dynamic_vote(paths, budget=budget, votes_needed=votes_needed)
+    if votes_needed is not None:
+        raise ValueError(f"{method} voting does not take votes_needed, only dv does")
     window = list(paths[:budget])
     answers = [p.answer for p in window]
     confidences = [p.confidence for p in window]

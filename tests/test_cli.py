@@ -11,10 +11,12 @@ import subprocess
 from pathlib import Path
 
 import pytest
+import requests
 
 import cotriage
 import cotriage.harvest as harvest_mod
 from cotriage.cli import (
+    DEFAULTS,
     EXIT_DATA,
     EXIT_ENDPOINT,
     EXIT_OK,
@@ -83,6 +85,17 @@ def test_pipeline_reruns_byte_identically(tmp_path):
             ), name
         else:
             assert before[name] == after[name], f"{name} changed between reruns"
+
+
+def test_each_manifest_lists_exactly_the_files_its_stage_read_and_wrote(tmp_path):
+    base = tmp_path / "run"
+    pipeline(base)
+    for out in sorted(p for p in base.iterdir() if p.is_dir()):
+        [manifest] = out.glob("*.manifest.json")
+        doc = json.loads(manifest.read_text())
+        written = sorted(str(p) for p in out.iterdir() if p != manifest)
+        assert doc["outputs"] == written, manifest.name
+        assert all(Path(p).is_file() for p in doc["inputs"]), manifest.name
 
 
 def test_manifest_records_resolved_run(tmp_path):
@@ -445,6 +458,82 @@ def test_report_names_each_method_by_its_whole_file_stem(tmp_path):
     ]
 
 
+@pytest.fixture(scope="module")
+def routed_run(tmp_path_factory):
+    base = tmp_path_factory.mktemp("routed")
+    pipeline(base)
+    return base
+
+
+def _stage_argv(stage: str, base: Path, qfile: Path) -> list:
+    d, f, m, c, r = (base / name for name in ("d", "f", "m", "c", "r"))
+    routing = ["--data", d, "--features", f, "--model", m / "model.ckpt", "--budget", 5]
+    return {
+        "synth": ["--n-train", 4, "--n-val", 0, "--n-test", 0, "--samples", 2],
+        "harvest": ["--questions", qfile, "--base-url", "http://fake/v1", "--model", "fake-model",
+                    "--n-samples", 2],
+        "extract-features": ["--in", d],
+        "train": ["--in", f, "--hidden", 8, "--heads", 2, "--max-epochs", 1],
+        "calibrate": routing,
+        "route": [*routing, "--tau", 0.5],
+        "report": ["--in", r, "--resamples", 20],
+    }[stage]
+
+
+@pytest.mark.parametrize("stage", list(DEFAULTS))
+def test_out_under_a_regular_file_exits_2(routed_run, tmp_path, monkeypatch, capsys, stage):
+    monkeypatch.setattr(harvest_mod, "_default_transport", lambda cfg: make_fake())
+    qfile = tmp_path / "q.jsonl"
+    write_questions(qfile, [Q1])
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    capsys.readouterr()
+    assert run(stage, *_stage_argv(stage, routed_run, qfile), "--out", blocker / "sub") == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "q.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--method", "dv", "--include-greedy-vote"], "dynamic voting does not take an extra vote"),
+        (["--method", "sc", "--votes-needed", 3], "sc voting does not take votes_needed"),
+        (["--method", "cer", "--votes-needed", 3], "cer voting does not take votes_needed"),
+    ],
+    ids=["dv_greedy_vote", "sc_votes_needed", "cer_votes_needed"],
+)
+def test_voting_option_the_method_ignores_is_a_usage_error(routed_run, tmp_path, capsys, flags,
+                                                           message):
+    argv = _stage_argv("calibrate", routed_run, tmp_path / "unused")
+    assert run("calibrate", *argv, *flags, "--out", tmp_path / "c") == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+def test_a_table_whose_rows_fail_leaves_no_file_behind(tmp_path, capsys):
+    r = tmp_path / "r"
+    write_outcomes(r / "outcomes.policy.jsonl", OutcomeVector([], [], []))
+    assert run("report", "--in", r, "--out", tmp_path / "rep", "--resamples", 20) == EXIT_DATA
+    assert "cannot summarize an empty outcome vector" in capsys.readouterr().err
+    assert list((tmp_path / "rep").iterdir()) == []
+
+
+def test_200_response_that_is_not_json_is_an_endpoint_error(tmp_path, monkeypatch, capsys):
+    def html_post(self, url, **kwargs):
+        resp = requests.Response()
+        resp.status_code = 200
+        resp._content = b"<html>gateway</html>"
+        return resp
+
+    monkeypatch.setattr(requests.Session, "post", html_post)
+    qfile = tmp_path / "q.jsonl"
+    write_questions(qfile, [Q1])
+    code = run("harvest", "--questions", qfile, "--out", tmp_path / "h",
+               "--base-url", "http://api.test/v1", "--model", "m")
+    assert code == EXIT_ENDPOINT
+    assert "endpoint response is not JSON: <html>gateway</html>" in capsys.readouterr().err
+
+
 def test_endpoint_error_exit_code(tmp_path, capsys):
     qfile = tmp_path / "q.jsonl"
     write_questions(qfile, [Q1])
@@ -487,8 +576,6 @@ def test_harvest_cli_with_fake_endpoint(tmp_path, monkeypatch, capsys):
 
 
 def test_exemplar_configs_match_option_tables():
-    from cotriage.cli import DEFAULTS
-
     config_dir = Path(__file__).resolve().parent.parent / "configs"
     found = sorted(config_dir.glob("*.cfg"))
     assert {p.stem for p in found} == set(DEFAULTS)

@@ -192,7 +192,7 @@ def test_training_log_files(tmp_path):
         TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=4),
     )
     log_path = tmp_path / "log.csv"
-    write_training_log(log_path, result)
+    write_training_log(log_path, tmp_path / "log.best.json", result)
     with open(log_path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(result.log)
