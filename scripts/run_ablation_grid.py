@@ -13,7 +13,7 @@ import numpy as np
 
 from cotriage.calibration import select_threshold, simulate_at_tau, sweep
 from cotriage.evaluation import build_calibration_items
-from cotriage.features import assemble
+from cotriage.features import assemble, numeric_features
 from cotriage.jsonl import write_csv
 from cotriage.model import ModelConfig
 from cotriage.synth import SynthConfig, generate
@@ -48,7 +48,9 @@ def main() -> None:
     feats = {}
     for split, (questions, trajectories, _) in data.items():
         qmap = {q.question_id: q for q in questions}
-        seqs = [assemble(t, "full", qmap[t.question_id]) for t in trajectories]
+        numeric = numeric_features(trajectories)
+        seqs = [assemble(t, "full", qmap[t.question_id], block)
+                for t, block in zip(trajectories, numeric)]
         feats[split] = (seqs, [bool(t.label) for t in trajectories])
 
     rows = []

@@ -48,6 +48,7 @@ from .features import (
     LABELS_SCHEMA,
     LAYOUTS,
     assemble,
+    numeric_features,
     read_features,
     read_labels,
     write_features,
@@ -66,7 +67,7 @@ from .trajectory import (
     write_trajectories,
 )
 from .training import TrainConfig, score_features, train, write_training_log
-from .voting import PATHS_SCHEMA, read_paths, write_paths
+from .voting import PATHS_SCHEMA, check_method_options, read_paths, write_paths
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -434,12 +435,15 @@ def cmd_extract_features(opts, run: Run) -> None:
         trajectories = read_trajectories(run.reads(traj_path))
         qfile = run.reads(in_dir / f"{split}.questions.jsonl")
         questions = {q.question_id: q for q in load_questions(qfile)}
+        numeric = [None] * len(trajectories)
+        if opts.subset != "linguistic":
+            numeric = numeric_features(trajectories)
         seqs = []
         labels = {}
-        for traj in trajectories:
+        for traj, block in zip(trajectories, numeric):
             if traj.question_id not in questions:
                 raise AlignmentError(f"no question for trajectory {traj.question_id!r}")
-            seqs.append(assemble(traj, opts.subset, questions[traj.question_id]))
+            seqs.append(assemble(traj, opts.subset, questions[traj.question_id], block))
             if traj.label is not None:
                 labels[traj.question_id] = traj.label
         write_features(run.writes(f"{split}.features.jsonl"), seqs)
@@ -482,6 +486,7 @@ def cmd_train(opts, run: Run) -> dict:
 
 
 def cmd_calibrate(opts, run: Run) -> dict:
+    check_method_options(opts.method, opts.votes_needed, opts.include_greedy_vote)
     items = _load_routing_items(opts, run)
     profile = sweep(items, sunk_greedy=not opts.no_sunk_greedy, baseline_method=opts.method)
     tau = select_threshold(profile, max_rel_drop=opts.max_rel_drop)
@@ -491,6 +496,7 @@ def cmd_calibrate(opts, run: Run) -> dict:
 
 
 def cmd_route(opts, run: Run) -> dict:
+    check_method_options(opts.method, opts.votes_needed, opts.include_greedy_vote)
     if (opts.tau is None) == (opts.selection is None):
         raise UsageError("route: pass exactly one of --tau and --selection selection.json")
     tau = opts.tau

@@ -10,10 +10,12 @@ order a feature dump was written with under "columns".
 from __future__ import annotations
 
 import string
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -93,35 +95,32 @@ class FeatureSequence:
 
 
 def _rolling(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    t = len(values)
-    std = np.empty(t)
-    rng = np.empty(t)
-    for i in range(t):
-        lo = max(0, i - ROLL_WINDOW + 1)
-        win = values[lo : i + 1]
-        std[i] = win.std()
-        rng[i] = win.max() - win.min()
+    """Std and range of each row's trailing ROLL_WINDOW-sentence window, per column."""
+    std = np.empty_like(values)
+    rng = np.empty_like(values)
+    for i in range(values.shape[1]):
+        win = values[:, max(0, i - ROLL_WINDOW + 1) : i + 1]
+        std[:, i] = win.std(axis=1)
+        rng[:, i] = win.max(axis=1) - win.min(axis=1)
     return std, rng
 
 
 def _zscore(values: np.ndarray) -> np.ndarray:
-    return (values - values.mean()) / (values.std() + ZSCORE_EPS)
+    mean = values.mean(axis=1, keepdims=True)
+    return (values - mean) / (values.std(axis=1, keepdims=True) + ZSCORE_EPS)
 
 
-def numeric_features(traj: Trajectory) -> np.ndarray:
-    """Shape (T, 12); column order is NUMERIC_LAYOUT."""
-    p, entropy = traj.p, traj.entropy
-    plen = traj.prefix_len.astype(np.float64)
-
-    delta_p = np.diff(p, prepend=p[:1])
-    delta_h = np.diff(entropy, prepend=entropy[:1])
+def _numeric_block(p: np.ndarray, entropy: np.ndarray, plen: np.ndarray) -> np.ndarray:
+    """(n, T, 12) from (n, T) C-contiguous columns of n equal-length trajectories."""
+    delta_p = np.diff(p, axis=1, prepend=p[:, :1])
+    delta_h = np.diff(entropy, axis=1, prepend=entropy[:, :1])
     roll_std, roll_rng = _rolling(p)
 
     ema = np.empty_like(p)
-    ema[0] = p[0]
-    for i in range(1, len(p)):
-        ema[i] = EMA_DECAY * p[i] + (1.0 - EMA_DECAY) * ema[i - 1]
-    delta_ema = np.diff(ema, prepend=ema[:1])
+    ema[:, 0] = p[:, 0]
+    for i in range(1, p.shape[1]):
+        ema[:, i] = EMA_DECAY * p[:, i] + (1.0 - EMA_DECAY) * ema[:, i - 1]
+    delta_ema = np.diff(ema, axis=1, prepend=ema[:, :1])
 
     cols = [
         p,
@@ -137,7 +136,31 @@ def numeric_features(traj: Trajectory) -> np.ndarray:
         _zscore(p),
         _zscore(ema),
     ]
-    return np.stack(cols, axis=1)
+    return np.stack(cols, axis=2)
+
+
+def numeric_features(trajectories: Sequence[Trajectory]) -> list[np.ndarray]:
+    """One (T, 12) block per trajectory, in order; column order is NUMERIC_LAYOUT.
+
+    Trajectories of equal length T are computed together as (n, T) arrays,
+    reduced along axis 1. numpy reduces each C-contiguous row the way it
+    reduces a 1-D array of T values, so every block equals the one the
+    trajectory gets on its own, bit for bit; a padded or column-major layout
+    would regroup the additions of the longer rows.
+    """
+    by_len: dict[int, list[int]] = defaultdict(list)
+    for i, traj in enumerate(trajectories):
+        by_len[len(traj.p)].append(i)
+    blocks: dict[int, np.ndarray] = {}
+    for idx in by_len.values():
+        group = [trajectories[i] for i in idx]
+        x = _numeric_block(
+            np.stack([traj.p for traj in group]),
+            np.stack([traj.entropy for traj in group]),
+            np.stack([traj.prefix_len for traj in group]).astype(np.float64),
+        )
+        blocks.update(zip(idx, x))
+    return [blocks[i] for i in range(len(trajectories))]
 
 
 def _norm_tokens(text: str) -> list[str]:
@@ -149,72 +172,86 @@ def _norm_tokens(text: str) -> list[str]:
     return out
 
 
-def linguistic_features(
-    sentence: str,
-    t_index: int,
-    t_total: int,
-    question: McQuestion,
-) -> np.ndarray:
-    """Shape (20,); column order is LINGUISTIC_LAYOUT. t_index is 1-based."""
-    raw_tokens = sentence.split()
-    n_tok = len(raw_tokens)
-    n_char = len(sentence)
-    norm = _norm_tokens(sentence)
+def linguistic_features(texts: Sequence[str], question: McQuestion) -> np.ndarray:
+    """Shape (T, 20), one row per sentence; column order is LINGUISTIC_LAYOUT.
 
+    The question and its options are tokenised once; each sentence's tokens
+    are normalised and counted against the six word sets in one pass.
+    """
     q_ref = set(_norm_tokens(question.question))
-    opt_ref = set()
-    for opt in question.options:
-        opt_ref.update(_norm_tokens(opt))
-
-    q_overlap = sum(1 for t in norm if t in q_ref)
-    opt_overlap = sum(1 for t in norm if t in opt_ref)
-
-    n_punct = sum(1 for c in sentence if c in _PUNCT)
-    n_digit = sum(1 for c in sentence if c.isdigit())
-    n_upper = sum(1 for c in sentence if c.isupper())
-
-    return np.array(
-        [
-            n_tok,
-            n_char,
-            sum(len(t) for t in raw_tokens) / n_tok if n_tok else 0.0,
-            sum(1 for t in norm if t in lexicons.STOPWORDS) / n_tok if n_tok else 0.0,
-            sentence.count(","),
-            sentence.count("."),
-            sentence.count("?"),
-            sentence.count("!"),
-            n_punct / n_char if n_char else 0.0,
-            n_digit / n_char if n_char else 0.0,
-            n_upper / n_char if n_char else 0.0,
-            q_overlap,
-            q_overlap / n_tok if n_tok else 0.0,
-            opt_overlap,
-            opt_overlap / n_tok if n_tok else 0.0,
-            sum(1 for t in norm if t in lexicons.HEDGES),
-            sum(1 for t in norm if t in lexicons.CERTAINTY),
-            sum(1 for t in norm if t in lexicons.CONNECTORS),
-            t_index / t_total,
-            1.0 if t_index == t_total else 0.0,
-        ],
-        dtype=np.float64,
+    opt_ref = set(chain.from_iterable(map(_norm_tokens, question.options)))
+    stop, hedges, certain, connect = (
+        lexicons.STOPWORDS, lexicons.HEDGES, lexicons.CERTAINTY, lexicons.CONNECTORS
     )
+    t_total = len(texts)
+    rows = []
+    for t_index, sentence in enumerate(texts, start=1):
+        raw_tokens = sentence.split()
+        n_tok = len(raw_tokens)
+        n_char = len(sentence)
+        n_stop = q_overlap = opt_overlap = n_hedge = n_certain = n_connect = 0
+        for t in _norm_tokens(sentence):
+            if t in stop:
+                n_stop += 1
+            if t in q_ref:
+                q_overlap += 1
+            if t in opt_ref:
+                opt_overlap += 1
+            if t in hedges:
+                n_hedge += 1
+            if t in certain:
+                n_certain += 1
+            if t in connect:
+                n_connect += 1
+        n_punct = sum(map(_PUNCT.__contains__, sentence))
+        n_digit = sum(map(str.isdigit, sentence))
+        n_upper = sum(map(str.isupper, sentence))
+        rows.append(
+            [
+                n_tok,
+                n_char,
+                sum(map(len, raw_tokens)) / n_tok if n_tok else 0.0,
+                n_stop / n_tok if n_tok else 0.0,
+                sentence.count(","),
+                sentence.count("."),
+                sentence.count("?"),
+                sentence.count("!"),
+                n_punct / n_char if n_char else 0.0,
+                n_digit / n_char if n_char else 0.0,
+                n_upper / n_char if n_char else 0.0,
+                q_overlap,
+                q_overlap / n_tok if n_tok else 0.0,
+                opt_overlap,
+                opt_overlap / n_tok if n_tok else 0.0,
+                n_hedge,
+                n_certain,
+                n_connect,
+                t_index / t_total,
+                1.0 if t_index == t_total else 0.0,
+            ]
+        )
+    return np.array(rows, dtype=np.float64)
 
 
 def assemble(
-    traj: Trajectory, subset: str, question: McQuestion | None = None
+    traj: Trajectory,
+    subset: str,
+    question: McQuestion | None = None,
+    numeric: np.ndarray | None = None,
 ) -> FeatureSequence:
     """Build the feature matrix of one trajectory with the columns of LAYOUTS[subset].
 
-    The question is required whenever the subset includes linguistic columns,
-    because the overlap features compare sentence tokens against the question
-    and its answer options.
+    numeric is the trajectory's block from numeric_features, which computes a
+    whole split at once; without it the block is computed here. The question
+    is required whenever the subset includes linguistic columns, because the
+    overlap features compare sentence tokens against the question and its
+    answer options.
     """
     if subset not in LAYOUTS:
         raise ValueError(f"unknown feature subset {subset!r}")
-    t_total = len(traj.texts)
     blocks = []
     if subset in ("full", "numeric"):
-        blocks.append(numeric_features(traj))
+        blocks.append(numeric_features([traj])[0] if numeric is None else numeric)
     if subset in ("full", "linguistic"):
         if question is None:
             raise ValueError(f"subset {subset!r} needs the question for overlap features")
@@ -223,13 +260,7 @@ def assemble(
                 f"question {question.question_id!r} does not match trajectory "
                 f"{traj.question_id!r}"
             )
-        ling = np.stack(
-            [
-                linguistic_features(text, i + 1, t_total, question)
-                for i, text in enumerate(traj.texts)
-            ]
-        )
-        blocks.append(ling)
+        blocks.append(linguistic_features(traj.texts, question))
     x = np.concatenate(blocks, axis=1) if len(blocks) > 1 else blocks[0]
     return FeatureSequence(question_id=traj.question_id, x=x, layout_id=subset)
 
@@ -244,7 +275,7 @@ def write_features(path: str | Path, seqs: Iterable[FeatureSequence]) -> None:
                 "question_id": seq.question_id,
                 "mask_len": seq.x.shape[0],
                 "layout_id": seq.layout_id,
-                "rows": [[float(v) for v in row] for row in seq.x],
+                "rows": seq.x.tolist(),
             }
 
     write_jsonl(path, FEATURES_SCHEMA, records())

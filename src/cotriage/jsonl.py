@@ -22,8 +22,14 @@ from .errors import DuplicateId, ParseError
 T = TypeVar("T")
 
 
+# json.dumps builds a new encoder per call; encode() keeps no state between
+# calls, so one shared encoder is safe from any thread.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps_record(record: dict[str, Any]) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    """The bytes json.dumps(record, sort_keys=True, separators=(",", ":")) gives."""
+    return _ENCODER.encode(record)
 
 
 @contextmanager

@@ -146,15 +146,16 @@ def generate(
         texts = [
             _sentence_text(rng, s + 1, t, confident, letters[greedy]) for s in range(t)
         ]
-        log_scores = np.empty((t, k))
-        for s in range(t):
+        tops, shifts = [], []
+        for _ in range(t):
             if confident:
-                top = greedy
+                tops.append(greedy)
             else:
-                top = greedy if rng.random() < 0.6 else int(rng.integers(k))
-            probs = np.full(k, (1.0 - p_series[s]) / (k - 1))
-            probs[top] = p_series[s]
-            log_scores[s] = np.log(probs) + rng.normal(0.0, 1.0)
+                tops.append(greedy if rng.random() < 0.6 else int(rng.integers(k)))
+            shifts.append(rng.normal(0.0, 1.0))
+        probs = np.repeat(((1.0 - p_series) / (k - 1))[:, None], k, axis=1)
+        probs[np.arange(t), tops] = p_series
+        log_scores = np.log(probs) + np.array(shifts)[:, None]
         traj = Trajectory(
             question_id=qid,
             texts=texts,
@@ -171,10 +172,10 @@ def generate(
             agrees = bool(rng.random() < agree_p)
             if agrees:
                 answer = gold
-                conf = float(np.clip(rng.normal(0.75, 0.10), 0.05, 0.99))
+                conf = min(max(float(rng.normal(0.75, 0.10)), 0.05), 0.99)
             else:
                 answer = int((gold + 1 + rng.integers(k - 1)) % k)
-                conf = float(np.clip(rng.normal(0.45, 0.15), 0.05, 0.99))
+                conf = min(max(float(rng.normal(0.45, 0.15)), 0.05), 0.99)
             paths.append(
                 SampledPath(
                     question_id=qid,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -35,11 +36,17 @@ _LIST_MARKER = re.compile(r"^(?:\d+|[A-Za-z])\.$")
 def numeric_array(values, kinds: str, dtype) -> np.ndarray:
     """values as a dtype array; TypeError unless np.asarray infers a kind in kinds.
 
-    An empty array passes, so that "no sentences" keeps its own message.
+    numpy reads a bool among numbers as 0 or 1, so a 1-D or 2-D list that
+    holds a bool anywhere is a TypeError too. An empty array passes, so that
+    "no sentences" keeps its own message.
     """
     arr = np.asarray(values)
     if arr.size and arr.dtype.kind not in kinds:
         raise TypeError(f"need {np.dtype(dtype).name} values, got dtype {arr.dtype}")
+    if not isinstance(values, np.ndarray) and 1 <= arr.ndim <= 2:
+        items = chain.from_iterable(values) if arr.ndim == 2 else values
+        if bool in map(type, items):
+            raise TypeError(f"need {np.dtype(dtype).name} values, got a boolean")
     return arr.astype(dtype, copy=False)
 
 
@@ -69,14 +76,15 @@ class ChoiceDistribution:
     log_scores: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """Greedy reasoning for one question, held as per-sentence columns.
 
     Row t of log_scores (T, K) scores the K options after sentence t, and
     prefix_len[t] is the whitespace-token length of the reasoning up to it.
     p (top-choice probability) and entropy are derived from log_scores at
-    construction, which also validates the whole record.
+    construction, which also validates the whole record; the fields cannot
+    be reassigned afterwards.
     """
 
     question_id: str
@@ -90,24 +98,28 @@ class Trajectory:
     entropy: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.log_scores = numeric_array(self.log_scores, "fiu", np.float64)
-        self.prefix_len = numeric_array(self.prefix_len, "iu", np.int64)
+        log_scores = numeric_array(self.log_scores, "fiu", np.float64)
+        object.__setattr__(self, "log_scores", log_scores)
+        object.__setattr__(self, "prefix_len", numeric_array(self.prefix_len, "iu", np.int64))
         self.validate()
-        self.p, self.entropy = sentence_signals(normalize_choices(self.log_scores))
+        p, entropy = sentence_signals(ChoiceDistribution(_softmax(log_scores), log_scores))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "entropy", entropy)
 
     def validate(self) -> None:
         qid, t = self.question_id, len(self.texts)
+        plen = self.prefix_len
         if t == 0:
             raise ValueError(f"{qid}: trajectory has no sentences")
         if self.log_scores.ndim != 2 or len(self.log_scores) != t or self.log_scores.shape[1] < 2:
             raise ValueError(f"{qid}: log_scores must be (T, K) with T={t} and K >= 2")
-        if self.prefix_len.shape != (t,):
+        if plen.shape != (t,):
             raise ValueError(f"{qid}: need one prefix_len per sentence")
-        if not all(text.strip() for text in self.texts):
+        if not all(map(str.strip, self.texts)):
             raise ValueError(f"{qid}: sentence text is empty")
-        if not np.all(np.isfinite(self.log_scores)):
+        if not np.isfinite(self.log_scores).all():
             raise ValueError(f"{qid}: log-scores contain NaN or infinity")
-        if self.prefix_len[0] < 1 or np.any(np.diff(self.prefix_len) <= 0):
+        if plen[0] < 1 or (plen[1:] <= plen[:-1]).any():
             raise ValueError(f"{qid}: prefix_len must be positive and strictly increasing")
         if not 0 <= self.greedy_answer < self.log_scores.shape[1]:
             raise ValueError(f"{qid}: greedy_answer out of range")
@@ -171,10 +183,14 @@ def normalize_choices(log_scores: Sequence[float] | np.ndarray) -> ChoiceDistrib
     arr = np.asarray(log_scores, dtype=np.float64)
     if arr.ndim not in (1, 2) or arr.shape[-1] < 2:
         raise ValueError("need (K,) or (T, K) log-scores with K >= 2")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteScore("log-scores contain NaN or infinity")
+    return ChoiceDistribution(probs=_softmax(arr), log_scores=arr)
+
+
+def _softmax(arr: np.ndarray) -> np.ndarray:
     unnorm = np.exp(arr - arr.max(axis=-1, keepdims=True))
-    return ChoiceDistribution(probs=unnorm / unnorm.sum(axis=-1, keepdims=True), log_scores=arr)
+    return unnorm / unnorm.sum(axis=-1, keepdims=True)
 
 
 def sentence_signals(dist: ChoiceDistribution) -> tuple[float | np.ndarray, float | np.ndarray]:
@@ -184,8 +200,9 @@ def sentence_signals(dist: ChoiceDistribution) -> tuple[float | np.ndarray, floa
     terms use a 1e-12 probability floor so zero-probability choices
     contribute zero rather than NaN.
     """
-    entropy = -np.sum(dist.probs * np.log(np.maximum(dist.probs, 1e-12)), axis=-1)
-    return np.max(dist.probs, axis=-1), entropy
+    probs = dist.probs
+    entropy = -(probs * np.log(np.maximum(probs, 1e-12))).sum(axis=-1)
+    return probs.max(axis=-1), entropy
 
 
 def prefix_lengths(sentences: Sequence[str]) -> list[int]:
@@ -234,21 +251,17 @@ def _traj_from_record(rec: dict) -> Trajectory:
         greedy_token_cost=typed(rec, "greedy_token_cost", int),
         label=typed(rec, "label", bool, None),
     )
-    stored = numeric_array([[s["p"], s["entropy"]] for s in sentences], "fiu", np.float64)
-    if not np.all(np.abs(stored - np.stack([traj.p, traj.entropy], axis=1)) <= 1e-9):
+    stored_values = [s["p"] for s in sentences] + [s["entropy"] for s in sentences]
+    stored = numeric_array(stored_values, "fiu", np.float64)
+    derived = np.concatenate((traj.p, traj.entropy))
+    if stored.shape != derived.shape or not (np.abs(stored - derived) <= 1e-9).all():
         raise ValueError(f"{traj.question_id}: stored p/entropy disagree with log_scores")
     return traj
 
 
 def write_trajectories(path: str | Path, trajectories: Iterable[Trajectory]) -> None:
-    """Write a traj/1 file; fields stay assignable, so each trajectory is validated again."""
-
-    def records():
-        for traj in trajectories:
-            traj.validate()
-            yield _traj_to_record(traj)
-
-    write_jsonl(path, TRAJ_SCHEMA, records())
+    """Write a traj/1 file; a Trajectory was validated when it was built."""
+    write_jsonl(path, TRAJ_SCHEMA, map(_traj_to_record, trajectories))
 
 
 def read_trajectories(path: str | Path) -> list[Trajectory]:

@@ -117,6 +117,14 @@ def dynamic_vote(
     return VoteResult(answer, used, tokens, stopped_early=False)
 
 
+def check_method_options(method: str, votes_needed: int | None, extra_vote: bool) -> None:
+    """ValueError for an option the method ignores: an extra vote with dv, votes_needed without."""
+    if method == "dv" and extra_vote:
+        raise ValueError("dynamic voting does not take an extra vote")
+    if method != "dv" and votes_needed is not None:
+        raise ValueError(f"{method} voting does not take votes_needed, only dv does")
+
+
 def run_method(
     paths: Sequence[SampledPath],
     method: str,
@@ -130,12 +138,9 @@ def run_method(
     tallies of the set-based methods at zero token cost; dv rejects it.
     votes_needed is dv's early-stop count; sc and cer reject it.
     """
+    check_method_options(method, votes_needed, extra_vote is not None)
     if method == "dv":
-        if extra_vote is not None:
-            raise ValueError("dynamic voting does not take an extra vote")
         return dynamic_vote(paths, budget=budget, votes_needed=votes_needed)
-    if votes_needed is not None:
-        raise ValueError(f"{method} voting does not take votes_needed, only dv does")
     window = list(paths[:budget])
     answers = [p.answer for p in window]
     confidences = [p.confidence for p in window]

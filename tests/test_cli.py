@@ -365,6 +365,18 @@ def _narrow_rows(rec):
     rec["rows"] = [row[:5] for row in rec["rows"]]
 
 
+def _true_prefix_len(rec):
+    rec["sentences"][0]["prefix_len"] = True
+
+
+def _true_log_score(rec):
+    rec["sentences"][1]["log_scores"][0] = True
+
+
+def _true_feature(rec):
+    rec["rows"][0][3] = True
+
+
 @pytest.mark.parametrize(
     "stage, name, edit, message",
     [
@@ -381,11 +393,15 @@ def _narrow_rows(rec):
         ("train", "train.features.jsonl", _bogus_layout, "unknown layout_id 'bogus'"),
         ("train", "train.features.jsonl", _numeric_layout, "differs from the file's 'full'"),
         ("train", "train.features.jsonl", _narrow_rows, "5 columns, layout 'full' has 32"),
+        ("extract-features", "train.traj.jsonl", _true_prefix_len, "need int64 values, got a boolean"),
+        ("extract-features", "train.traj.jsonl", _true_log_score, "need float64 values, got a boolean"),
+        ("train", "train.features.jsonl", _true_feature, "need float64 values, got a boolean"),
     ],
     ids=["traj_no_sentences", "traj_answer_9_of_4", "traj_stale_p", "features_nan",
          "features_duplicate", "traj_string_log_scores", "traj_prefix_len_3_7",
          "questions_options_string", "questions_option_2", "labels_string_false",
-         "features_bogus_layout", "features_numeric_in_full", "features_5_of_32_columns"],
+         "features_bogus_layout", "features_numeric_in_full", "features_5_of_32_columns",
+         "traj_prefix_len_true", "traj_log_score_true", "features_row_true"],
 )
 def test_record_failing_the_writers_checks_exits_2_naming_its_line(
     tmp_path, capsys, stage, name, edit, message
@@ -508,6 +524,19 @@ def test_voting_option_the_method_ignores_is_a_usage_error(routed_run, tmp_path,
     assert run("calibrate", *argv, *flags, "--out", tmp_path / "c") == EXIT_USAGE
     assert message in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("stage", ["calibrate", "route"])
+def test_voting_option_the_method_ignores_is_rejected_before_any_file_is_read(
+    tmp_path, capsys, stage
+):
+    missing = tmp_path / "missing"
+    argv = ["--data", missing, "--features", missing, "--model", missing / "model.ckpt",
+            "--method", "dv", "--include-greedy-vote", "--out", tmp_path / "c"]
+    if stage == "route":
+        argv += ["--selection", missing / "selection.json"]
+    assert run(stage, *argv) == EXIT_USAGE
+    assert "dynamic voting does not take an extra vote" in capsys.readouterr().err
 
 
 def test_a_table_whose_rows_fail_leaves_no_file_behind(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import json
 import math
+import string
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from cotriage.features import (
     write_labels,
 )
 from cotriage.errors import DuplicateId, ParseError
+from cotriage.jsonl import dumps_record
 from cotriage.trajectory import McQuestion, Trajectory, prefix_lengths
 
 def col(name, subset="full"):
@@ -83,20 +86,20 @@ def test_question_id_mismatch_rejected():
 
 def test_ema_worked_example():
     traj = make_traj([0.2, 0.8])
-    x = numeric_features(traj)
+    x = numeric_features([traj])[0]
     np.testing.assert_allclose(x[:, col("p_ema")], [0.2, 0.38], atol=1e-12)
 
 
 def test_first_row_deltas_are_zero():
     traj = make_traj([0.3, 0.5, 0.4])
-    x = numeric_features(traj)
+    x = numeric_features([traj])[0]
     for name in ("delta_p", "delta_entropy", "delta_ema"):
         assert x[0, col(name)] == 0.0
 
 
 def test_rolling_window_hand_computed():
     traj = make_traj([0.2, 0.5, 0.9, 0.4])
-    x = numeric_features(traj)
+    x = numeric_features([traj])[0]
     exp_std = [0.0, 0.15, math.sqrt(0.246666666666667 / 3), math.sqrt(0.14 / 3)]
     exp_rng = [0.0, 0.3, 0.7, 0.5]
     np.testing.assert_allclose(x[:, col("p_roll_std")], exp_std, atol=1e-9)
@@ -105,7 +108,7 @@ def test_rolling_window_hand_computed():
 
 def test_p_over_log_len_column():
     traj = make_traj([0.5, 0.6])
-    x = numeric_features(traj)
+    x = numeric_features([traj])[0]
     plens = traj.prefix_len
     expected = [0.5 / math.log(1 + plens[0]), 0.6 / math.log(1 + plens[1])]
     np.testing.assert_allclose(x[:, col("p_over_log_len")], expected, atol=1e-12)
@@ -117,13 +120,13 @@ def test_p_over_log_len_column():
 @settings(max_examples=100)
 def test_zscore_columns_centered(p_series):
     traj = make_traj(p_series)
-    x = numeric_features(traj)
+    x = numeric_features([traj])[0]
     for name in ("p_zscore", "ema_zscore"):
         assert abs(x[:, col(name)].mean()) < 1e-6
 
 
 def test_linguistic_worked_example():
-    row = linguistic_features("Hello.", 1, 1, QUESTION)
+    row = linguistic_features(["Hello."], QUESTION)[0]
     get = lambda n: row[LINGUISTIC_LAYOUT.index(n)]
     assert get("tok_count") == 1
     assert get("char_count") == 6
@@ -137,7 +140,7 @@ def test_linguistic_worked_example():
 
 
 def test_overlap_features():
-    row = linguistic_features("the dose is low", 1, 2, QUESTION)
+    row = linguistic_features(["the dose is low", "Next."], QUESTION)[0]
     get = lambda n: row[LINGUISTIC_LAYOUT.index(n)]
     assert get("q_overlap_count") == 4
     assert get("q_overlap_ratio") == 1.0
@@ -150,8 +153,8 @@ def test_overlap_features():
 
 def test_lexicon_counts():
     row = linguistic_features(
-        "Maybe it could be right, but this is definitely unclear.", 1, 1, QUESTION
-    )
+        ["Maybe it could be right, but this is definitely unclear."], QUESTION
+    )[0]
     get = lambda n: row[LINGUISTIC_LAYOUT.index(n)]
     assert get("hedge_count") == 3  # maybe, could, unclear
     assert get("certainty_count") == 1  # definitely
@@ -160,7 +163,7 @@ def test_lexicon_counts():
 
 
 def test_punctuation_only_sentence_is_finite():
-    row = linguistic_features("...", 1, 1, QUESTION)
+    row = linguistic_features(["..."], QUESTION)[0]
     assert np.all(np.isfinite(row))
     assert row[LINGUISTIC_LAYOUT.index("tok_count")] == 1
     assert row[LINGUISTIC_LAYOUT.index("punct_density")] == 1.0
@@ -252,3 +255,167 @@ def test_file_without_header_rejected(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ParseError, match="labels/1"):
         read_labels(path)
+
+
+# --- bit-for-bit oracle ------------------------------------------------------
+# The per-trajectory numeric and per-sentence linguistic code the columns were
+# first computed with, kept as the reference that the split-wide code must
+# reproduce byte for byte.
+
+
+_REF_PUNCT = set(string.punctuation)
+
+
+def _ref_rolling(values):
+    t = len(values)
+    std = np.empty(t)
+    rng = np.empty(t)
+    for i in range(t):
+        lo = max(0, i - 3 + 1)
+        win = values[lo : i + 1]
+        std[i] = win.std()
+        rng[i] = win.max() - win.min()
+    return std, rng
+
+
+def _ref_zscore(values):
+    return (values - values.mean()) / (values.std() + 1e-8)
+
+
+def _ref_numeric(traj):
+    p, entropy = traj.p, traj.entropy
+    plen = traj.prefix_len.astype(np.float64)
+    delta_p = np.diff(p, prepend=p[:1])
+    delta_h = np.diff(entropy, prepend=entropy[:1])
+    roll_std, roll_rng = _ref_rolling(p)
+    ema = np.empty_like(p)
+    ema[0] = p[0]
+    for i in range(1, len(p)):
+        ema[i] = 0.3 * p[i] + (1.0 - 0.3) * ema[i - 1]
+    delta_ema = np.diff(ema, prepend=ema[:1])
+    cols = [p, entropy, p / np.log1p(plen), delta_p, delta_h, roll_std, roll_rng, plen, ema,
+            delta_ema, _ref_zscore(p), _ref_zscore(ema)]
+    return np.stack(cols, axis=1)
+
+
+def _ref_norm_tokens(text):
+    out = []
+    for tok in text.split():
+        t = tok.lower().strip(string.punctuation)
+        if t:
+            out.append(t)
+    return out
+
+
+def _ref_linguistic(sentence, t_index, t_total, question):
+    raw_tokens = sentence.split()
+    n_tok = len(raw_tokens)
+    n_char = len(sentence)
+    norm = _ref_norm_tokens(sentence)
+    q_ref = set(_ref_norm_tokens(question.question))
+    opt_ref = set()
+    for opt in question.options:
+        opt_ref.update(_ref_norm_tokens(opt))
+    q_overlap = sum(1 for t in norm if t in q_ref)
+    opt_overlap = sum(1 for t in norm if t in opt_ref)
+    n_punct = sum(1 for c in sentence if c in _REF_PUNCT)
+    n_digit = sum(1 for c in sentence if c.isdigit())
+    n_upper = sum(1 for c in sentence if c.isupper())
+    return np.array(
+        [
+            n_tok,
+            n_char,
+            sum(len(t) for t in raw_tokens) / n_tok if n_tok else 0.0,
+            sum(1 for t in norm if t in lexicons.STOPWORDS) / n_tok if n_tok else 0.0,
+            sentence.count(","),
+            sentence.count("."),
+            sentence.count("?"),
+            sentence.count("!"),
+            n_punct / n_char if n_char else 0.0,
+            n_digit / n_char if n_char else 0.0,
+            n_upper / n_char if n_char else 0.0,
+            q_overlap,
+            q_overlap / n_tok if n_tok else 0.0,
+            opt_overlap,
+            opt_overlap / n_tok if n_tok else 0.0,
+            sum(1 for t in norm if t in lexicons.HEDGES),
+            sum(1 for t in norm if t in lexicons.CERTAINTY),
+            sum(1 for t in norm if t in lexicons.CONNECTORS),
+            t_index / t_total,
+            1.0 if t_index == t_total else 0.0,
+        ],
+        dtype=np.float64,
+    )
+
+
+def _ref_full(traj, question):
+    ling = np.stack([_ref_linguistic(s, i + 1, len(traj.texts), question)
+                     for i, s in enumerate(traj.texts)])
+    return np.concatenate([_ref_numeric(traj), ling], axis=1)
+
+
+_WORDS = (
+    "the dose is low high maybe perhaps clearly definitely however so because option A B "
+    "Step 3.5 mg, (b). well?! 12% É über Ⅻ ² ٣ -- ... 'quoted' x=4; THEREFORE unclear Dose"
+).split()
+
+
+def _mixed_split(seed, n_per_length=3):
+    """Trajectories of every length 1..16 in a shuffled order, with their questions."""
+    rng = np.random.default_rng(seed)
+    lengths = [t for t in range(1, 17) for _ in range(n_per_length)]
+    rng.shuffle(lengths)
+    trajs, questions = [], []
+    for i, t in enumerate(lengths):
+        k = int(rng.integers(2, 7))
+        texts = [" ".join(rng.choice(_WORDS, size=int(rng.integers(1, 12)))) for _ in range(t)]
+        qid = f"q{i}"
+        trajs.append(Trajectory(qid, texts, rng.normal(scale=3.0, size=(t, k)),
+                                prefix_lengths(texts), 0, 100, label=bool(i % 2)))
+        words = rng.choice(_WORDS, size=8)
+        questions.append(McQuestion(qid, " ".join(words), [" ".join(rng.choice(_WORDS, size=2))
+                                                          for _ in range(k)]))
+    return trajs, questions
+
+
+def test_numeric_columns_equal_the_per_trajectory_reference_bit_for_bit():
+    # both splits use the ids q0, q1, ... for different content
+    for seed in (0, 1):
+        trajs, _ = _mixed_split(seed)
+        blocks = numeric_features(trajs)
+        assert len(blocks) == len(trajs)
+        for traj, block in zip(trajs, blocks):
+            ref = _ref_numeric(traj)
+            assert block.shape == ref.shape
+            assert block.tobytes() == ref.tobytes(), traj.question_id
+
+
+def test_linguistic_columns_equal_the_per_sentence_reference_bit_for_bit():
+    for seed in (2, 3):
+        trajs, questions = _mixed_split(seed, n_per_length=1)
+        for traj, q in zip(trajs, questions):
+            ref = np.stack([_ref_linguistic(s, i + 1, len(traj.texts), q)
+                            for i, s in enumerate(traj.texts)])
+            assert linguistic_features(traj.texts, q).tobytes() == ref.tobytes()
+
+
+def test_assembled_split_equals_the_reference_bytes():
+    for seed in (4, 5):
+        trajs, questions = _mixed_split(seed, n_per_length=2)
+        blocks = numeric_features(trajs)
+        for traj, q, block in zip(trajs, questions, blocks):
+            ref = _ref_full(traj, q)
+            assert assemble(traj, "full", q, block).x.tobytes() == ref.tobytes()
+            assert assemble(traj, "full", q).x.tobytes() == ref.tobytes()
+            assert assemble(traj, "numeric", None, block).x.tobytes() == ref[:, :12].tobytes()
+
+
+def test_dumps_record_is_the_bytes_of_json_dumps():
+    records = [
+        {"schema": "traj/1"},
+        {"z": 1, "a": [0.1, -0.0, 1e-300, 2.5e16, 1 / 3], "m": {"y": True, "b": None}},
+        {"question_id": "é \"q\"\\", "rows": [[0.5, 1.0], [float("inf"), -1.5]],
+         "label": False, "nested": [{"k": "ünï", "j": [True, 3, "x"]}]},
+    ]
+    for rec in records:
+        assert dumps_record(rec) == json.dumps(rec, sort_keys=True, separators=(",", ":"))

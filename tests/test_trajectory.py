@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -180,8 +181,9 @@ def test_columns_equal_the_per_row_results(k):
 
 
 def test_trajectory_roundtrip(tmp_path):
-    trajs = [_make_trajectory(f"q{i}", seed=i, label=(i % 2 == 0)) for i in range(5)]
-    trajs[3].label = None
+    trajs = [
+        _make_trajectory(f"q{i}", seed=i, label=None if i == 3 else i % 2 == 0) for i in range(5)
+    ]
     path = tmp_path / "out.jsonl"
     write_trajectories(path, trajs)
 
@@ -308,9 +310,10 @@ def test_construction_validates():
 
 def test_validate_catches_bad_answer_index():
     traj = _make_trajectory(k=4)
-    traj.greedy_answer = 4
-    with pytest.raises(ValueError):
-        traj.validate()
+    with pytest.raises(ValueError, match="greedy_answer out of range"):
+        replace(traj, greedy_answer=4)
+    with pytest.raises(FrozenInstanceError):
+        traj.greedy_answer = 4
 
 
 def test_questions_roundtrip(tmp_path):
