@@ -168,7 +168,7 @@ COMMANDS: dict[str, tuple[str, tuple]] = {
         ("cache_dir", str, None, "response cache directory"),
         ("api_key_env", str, "COTRIAGE_API_KEY", "environment variable holding the API key"),
         ("timeout", float, 120.0, "seconds per HTTP request"),
-        ("max_in_flight", int, 4, "concurrent scoring requests"),
+        ("max_in_flight", int, 4, "concurrent sampled-generation requests per question"),
         ("max_retries", int, 3, "retries of a failed request"),
         ("backoff", float, 0.5, "first retry delay in seconds, doubled per retry"),
         ("no_paths", bool, False, "skip sampled paths"),

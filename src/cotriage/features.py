@@ -21,7 +21,7 @@ import numpy as np
 
 from . import lexicons
 from .jsonl import read_unique_jsonl, typed, write_jsonl
-from .trajectory import McQuestion, Trajectory, numeric_array
+from .trajectory import McQuestion, Trajectory, numeric_array, read_only
 
 FEATURES_SCHEMA = "features/1"
 LABELS_SCHEMA = "labels/1"
@@ -81,11 +81,11 @@ _PUNCT = set(string.punctuation)
 @dataclass(frozen=True)
 class FeatureSequence:
     question_id: str
-    x: np.ndarray  # (T, D) float64, one row per sentence
+    x: np.ndarray  # (T, D) float64, one row per sentence; a read-only view
     layout_id: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", numeric_array(self.x, "fiu", np.float64))
+        object.__setattr__(self, "x", read_only(numeric_array(self.x, "fiu", np.float64)))
         if self.x.ndim != 2:
             raise ValueError("feature matrix must be 2-D")
         if self.x.shape[0] < 1:

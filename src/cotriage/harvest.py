@@ -1,17 +1,22 @@
 """Harvesting trajectories from an OpenAI-compatible endpoint.
 
-One generation request produces the greedy chain of thought; T x K teacher-
-forced scoring requests (echo + logprobs on the completions route) produce
-the per-sentence answer distributions. Scoring a prefix never re-generates
-text: max_tokens is 0 and the endpoint echoes the prompt with per-token
-log-probabilities, from which the answer span is summed.
+One generation request produces the greedy chain of thought; one teacher-
+forced scoring request (echo + logprobs on the completions route) with a
+list of T x K prompts produces the per-sentence answer distributions. Scoring
+a prefix never re-generates text: max_tokens is 0 and the endpoint echoes
+each prompt with per-token log-probabilities, from which the answer span is
+summed. With n sampled paths a question costs n + 3 requests: the greedy
+generation and its scoring request, the n sampled generations and one
+scoring request for all of them.
 
 The HTTP transport is a plain callable so tests substitute a fake endpoint;
 everything above it (caching, retries, concurrency, parsing) is exercised for
 real. Responses are cached on disk keyed by a hash of the model, template and
-full payload, written atomically through a temp file unique to the writing
-thread, so concurrent workers, even two sending the same request, cannot
-corrupt a cache entry or abort on each other's rename.
+full payload; a list of prompts is cached one entry per prompt, under the key
+of that prompt's single-prompt payload. Entries are written atomically
+through a temp file unique to the writing thread, so concurrent workers, even
+two sending the same request, cannot corrupt a cache entry or abort on each
+other's rename.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import json
 import logging
 import os
 import re
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -150,7 +156,12 @@ def _default_transport(cfg: EndpointConfig) -> Callable[[str, dict], dict]:
 
 
 class EndpointClient:
-    """Caching, retrying front end over a transport callable."""
+    """Caching, retrying front end over a transport callable.
+
+    requests_made counts every attempt handed to the transport, retries
+    included, and cache_hits every cache entry read; worker threads may share
+    one client.
+    """
 
     def __init__(
         self,
@@ -162,6 +173,8 @@ class EndpointClient:
         self.template = TEMPLATES["mc-cot/1"]
         self._transport = transport or _default_transport(cfg)
         self._sleep = sleep
+        self._lock = threading.Lock()
+        self._list_prompts = True  # until the endpoint mishandles a list-valued prompt
         self.requests_made = 0
         self.cache_hits = 0
 
@@ -179,29 +192,103 @@ class EndpointClient:
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
         return Path(self.cfg.cache_dir) / f"{digest}.json"
 
-    def post(self, route: str, payload: dict) -> dict:
-        cache_path = self._cache_path(route, payload)
-        if cache_path is not None and cache_path.exists():
-            with open(cache_path, encoding="utf-8") as fh:
-                self.cache_hits += 1
-                return json.load(fh)
-        last: Exception | None = None
+    def _load(self, cache_path: Path | None):
+        """The cached response, or None when there is none."""
+        if cache_path is None or not cache_path.exists():
+            return None
+        with open(cache_path, encoding="utf-8") as fh:
+            response = json.load(fh)
+        with self._lock:
+            self.cache_hits += 1
+        return response
+
+    @staticmethod
+    def _store(cache_path: Path | None, response) -> None:
+        if cache_path is not None:
+            with _replace_atomically(cache_path) as fh:
+                json.dump(response, fh, sort_keys=True)
+
+    def _send(self, route: str, payload: dict) -> dict:
+        """The transport's response, retrying transient failures with backoff."""
         for attempt in range(self.cfg.max_retries + 1):
-            try:
+            with self._lock:
                 self.requests_made += 1
-                response = self._transport(route, payload)
-                break
+            try:
+                return self._transport(route, payload)
             except TransportError as exc:
-                last = exc
                 if attempt == self.cfg.max_retries:
                     raise HarvestError(
                         f"{route} failed after {self.cfg.max_retries + 1} attempts: {exc}"
                     ) from exc
                 self._sleep(self.cfg.backoff * (2.0**attempt))
-        if cache_path is not None:
-            with _replace_atomically(cache_path) as fh:
-                json.dump(response, fh, sort_keys=True)
-        return response
+
+    def _send_list(self, route: str, payload: dict, prompts: list[str]) -> list | None:
+        """Each prompt's choice, in prompt order, from one list-valued request.
+
+        None when the endpoint rejects the list or answers it with choices
+        whose indices are not exactly 0..m-1; the client then sends one
+        prompt per request for the rest of its life.
+        """
+        try:
+            choices = self._send(route, {**payload, "prompt": prompts})["choices"]
+            by_index = {choice["index"]: choice for choice in choices}
+            if len(choices) == len(prompts):
+                return [by_index[i] for i in range(len(prompts))]
+            reason = f"{len(choices)} choices"
+        except HarvestError as exc:
+            if isinstance(exc.__cause__, TransportError):
+                raise  # the retries ran out: the endpoint is failing, not refusing lists
+            reason = str(exc)
+        except (KeyError, TypeError) as exc:
+            reason = f"malformed choices ({exc!r})"
+        with self._lock:
+            first, self._list_prompts = self._list_prompts, False
+        if first:
+            log.warning(
+                "%s mishandled a list of %d prompts (%s); sending one prompt per request",
+                route, len(prompts), reason,
+            )
+        return None
+
+    def post(self, route: str, payload: dict) -> dict:
+        """The endpoint's response to payload, from the cache when it holds one.
+
+        A list-valued payload["prompt"] is answered as {"choices": [...]},
+        choice i being prompt i's. Each prompt is cached on its own, under
+        the key of the payload that holds it alone, so lists and single
+        prompts share entries. The uncached prompts go out as one request,
+        whose choices are matched to them by "index", or one prompt per
+        request once the endpoint has mishandled a list (see _send_list).
+        """
+        prompts = payload.get("prompt")
+        if not isinstance(prompts, list):
+            cache_path = self._cache_path(route, payload)
+            response = self._load(cache_path)
+            if response is None:
+                response = self._send(route, payload)
+                self._store(cache_path, response)
+            return response
+        singles = [{**payload, "prompt": prompt} for prompt in prompts]
+        paths = [self._cache_path(route, single) for single in singles]
+        responses = [self._load(path) for path in paths]
+        todo = [i for i, response in enumerate(responses) if response is None]
+        if todo and self._list_prompts:
+            choices = self._send_list(route, payload, [prompts[i] for i in todo])
+            if choices is not None:
+                for i, choice in zip(todo, choices):
+                    responses[i] = {"choices": [{**choice, "index": 0}]}
+                    self._store(paths[i], responses[i])
+                todo = []
+        for i in todo:
+            responses[i] = self.post(route, singles[i])
+        return {"choices": [_first_choice(response) for response in responses]}
+
+
+def _first_choice(response):
+    try:
+        return response["choices"][0]
+    except (KeyError, IndexError, TypeError):
+        return None
 
 
 def _completion_tokens(response: dict, text: str) -> int:
@@ -228,17 +315,14 @@ def _generate(client: EndpointClient, q: McQuestion, temperature: float, seed: i
     return text, _completion_tokens(response, text)
 
 
-def _score_answer_span(client: EndpointClient, context: str, continuation: str) -> float:
-    payload = {
-        "model": client.cfg.model,
-        "prompt": context + continuation,
-        "max_tokens": 0,
-        "echo": True,
-        "logprobs": 0,
-    }
-    response = client.post("completions", payload)
+def _scoring_payload(client: EndpointClient, prompt: str | list[str]) -> dict:
+    return {"model": client.cfg.model, "prompt": prompt, "max_tokens": 0, "echo": True, "logprobs": 0}
+
+
+def _answer_span_logscore(choice, context: str) -> float:
+    """Log-score of the tokens after context in one echoed scoring choice."""
     try:
-        lp = response["choices"][0]["logprobs"]
+        lp = choice["logprobs"]
         token_logprobs = lp["token_logprobs"]
         offsets = lp["text_offset"]
     except (KeyError, IndexError, TypeError) as exc:
@@ -255,39 +339,37 @@ def _score_answer_span(client: EndpointClient, context: str, continuation: str) 
 
 def probe_scoring_capability(client: EndpointClient) -> None:
     """Fail fast (CapabilityError) if the endpoint cannot score tokens."""
-    _score_answer_span(client, "probe:", " A")
+    response = client.post("completions", _scoring_payload(client, "probe: A"))
+    _answer_span_logscore(_first_choice(response), "probe:")
 
 
 def _score_prefixes(
     client: EndpointClient, q: McQuestion, prefixes: Sequence[Sequence[str]]
 ) -> ChoiceDistribution:
-    """The answer distribution after each reasoning prefix, one row each: K x len(prefixes) calls.
+    """The answer distribution after each reasoning prefix, one row each.
 
-    The calls may run concurrently but land by (prefix, option) index, so the
-    result does not depend on the order in which they complete.
+    All K x len(prefixes) scoring prompts go to the endpoint as one
+    list-valued request (see EndpointClient.post for the cache and the
+    fallback to one prompt per request); row t, column i scores option i
+    after prefix t.
     """
     k = len(q.options)
-    pairs = [
-        (client.template.scoring_context(q, prefix), client.template.answer_continuation(i))
-        for prefix in prefixes
-        for i in range(k)
-    ]
-    if client.cfg.max_in_flight > 1:
-        with ThreadPoolExecutor(max_workers=client.cfg.max_in_flight) as pool:
-            flat = list(pool.map(lambda pair: _score_answer_span(client, *pair), pairs))
-    else:
-        flat = [_score_answer_span(client, *pair) for pair in pairs]
+    contexts = [client.template.scoring_context(q, prefix) for prefix in prefixes]
+    continuations = [client.template.answer_continuation(i) for i in range(k)]
+    prompts = [context + continuation for context in contexts for continuation in continuations]
+    choices = client.post("completions", _scoring_payload(client, prompts))["choices"]
+    flat = [_answer_span_logscore(choice, contexts[j // k]) for j, choice in enumerate(choices)]
     return normalize_choices(np.reshape(flat, (len(prefixes), k)))
 
 
 def harvest_greedy(
     q: McQuestion, client: EndpointClient, max_new_tokens: int = 1024
 ) -> Trajectory:
-    """Greedy trajectory for one question: 1 generation + T x K scoring calls.
+    """Greedy trajectory for one question: 1 generation + 1 scoring request of T x K prompts.
 
-    Results are deterministic given deterministic endpoint responses (see
-    _score_prefixes). When the answer marker is missing from the generation,
-    the final sentence's argmax choice stands in for the parsed answer.
+    Results are deterministic given deterministic endpoint responses. When
+    the answer marker is missing from the generation, the final sentence's
+    argmax choice stands in for the parsed answer.
     """
     text, token_cost = _generate(client, q, temperature=0.0, seed=0, max_new_tokens=max_new_tokens)
     sentences = segment_sentences(text)
@@ -317,12 +399,19 @@ def harvest_samples(
 
     confidence is the scored probability of the path's own answer at the end
     of its reasoning, or of the top choice when the path gave no parsable
-    answer. All n generations come first, then one K x n scoring round.
+    answer. The n generations come first, up to cfg.max_in_flight of them in
+    flight at once and landing by sample index, then one scoring request of
+    K x n prompts.
     """
-    generations = [
-        _generate(client, q, temperature=temperature, seed=j, max_new_tokens=max_new_tokens)
-        for j in range(n_samples)
-    ]
+
+    def generate(j: int) -> tuple[str, int]:
+        return _generate(client, q, temperature=temperature, seed=j, max_new_tokens=max_new_tokens)
+
+    if client.cfg.max_in_flight > 1:
+        with ThreadPoolExecutor(max_workers=client.cfg.max_in_flight) as pool:
+            generations = list(pool.map(generate, range(n_samples)))
+    else:
+        generations = [generate(j) for j in range(n_samples)]
     dist = _score_prefixes(client, q, [segment_sentences(text) for text, _ in generations])
     paths = []
     for j, ((text, token_cost), probs) in enumerate(zip(generations, dist.probs)):

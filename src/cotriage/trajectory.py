@@ -50,6 +50,13 @@ def numeric_array(values, kinds: str, dtype) -> np.ndarray:
     return arr.astype(dtype, copy=False)
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """A view of arr that cannot be written through; arr itself stays writable."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class McQuestion:
     """One multiple-choice question, checked when built; gold_idx is None for unlabeled items."""
@@ -83,8 +90,9 @@ class Trajectory:
     Row t of log_scores (T, K) scores the K options after sentence t, and
     prefix_len[t] is the whitespace-token length of the reasoning up to it.
     p (top-choice probability) and entropy are derived from log_scores at
-    construction, which also validates the whole record; the fields cannot
-    be reassigned afterwards.
+    construction, which also validates the whole record. The fields cannot
+    be reassigned afterwards, and the arrays are read-only views, so the
+    record cannot be written through them either.
     """
 
     question_id: str
@@ -98,13 +106,13 @@ class Trajectory:
     entropy: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        log_scores = numeric_array(self.log_scores, "fiu", np.float64)
+        log_scores = read_only(numeric_array(self.log_scores, "fiu", np.float64))
         object.__setattr__(self, "log_scores", log_scores)
-        object.__setattr__(self, "prefix_len", numeric_array(self.prefix_len, "iu", np.int64))
+        object.__setattr__(self, "prefix_len", read_only(numeric_array(self.prefix_len, "iu", np.int64)))
         self.validate()
         p, entropy = sentence_signals(ChoiceDistribution(_softmax(log_scores), log_scores))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "entropy", entropy)
+        object.__setattr__(self, "p", read_only(p))
+        object.__setattr__(self, "entropy", read_only(entropy))
 
     def validate(self) -> None:
         qid, t = self.question_id, len(self.texts)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cotriage import lexicons
 from cotriage.features import (
     LINGUISTIC_LAYOUT,
+    FeatureSequence,
     NUMERIC_LAYOUT,
     LAYOUTS,
     assemble,
@@ -210,6 +211,14 @@ def test_feature_dump_roundtrip(tmp_path):
     for orig, back in zip(seqs, loaded):
         np.testing.assert_allclose(back.x, orig.x, atol=0)
         assert back.layout_id == orig.layout_id
+
+
+def test_feature_matrix_is_a_read_only_view_of_the_callers_array():
+    x = np.zeros((2, 3))
+    seq = FeatureSequence("a", x, "numeric")
+    with pytest.raises(ValueError, match="read-only"):
+        seq.x[0, 0] = np.nan
+    assert np.shares_memory(seq.x, x) and x.flags.writeable
 
 
 def test_features_read_applies_the_writers_checks(tmp_path):

@@ -9,6 +9,7 @@ distributions can be asserted against the target table exactly.
 import json
 import math
 import os
+import sys
 import threading
 import time
 
@@ -78,7 +79,11 @@ USAGE = {"h001": 42, "h003": 17}
 
 
 def make_fake():
-    """Transport callable covering both routes for the canned questions."""
+    """Transport callable covering both routes for the canned questions.
+
+    A list-valued completions prompt gets one choice per prompt, each
+    carrying its "index"; a single prompt's choice carries none.
+    """
 
     def find_question(text: str) -> McQuestion:
         for q in QUESTIONS.values():
@@ -98,8 +103,13 @@ def make_fake():
                 resp["usage"] = {"completion_tokens": USAGE[q.question_id] + payload["seed"]}
             return resp
         assert route == "completions"
-        prompt = payload["prompt"]
         assert payload["max_tokens"] == 0 and payload["echo"] is True
+        prompt = payload["prompt"]
+        if isinstance(prompt, list):
+            return {"choices": [{**score(p), "index": i} for i, p in enumerate(prompt)]}
+        return {"choices": [score(prompt)]}
+
+    def score(prompt: str) -> dict:
         context, letter = prompt[:-2], prompt[-1]
         if context == "probe:":
             lp = -1.0
@@ -111,16 +121,12 @@ def make_fake():
             row = rows[min(s, len(rows)) - 1]
             lp = math.log(row[ord(letter) - ord("A")])
         return {
-            "choices": [
-                {
-                    "text": prompt,
-                    "logprobs": {
-                        "tokens": [context, " ", letter],
-                        "token_logprobs": [None, -0.01, lp],
-                        "text_offset": [0, len(context), len(context) + 1],
-                    },
-                }
-            ]
+            "text": prompt,
+            "logprobs": {
+                "tokens": [context, " ", letter],
+                "token_logprobs": [None, -0.01, lp],
+                "text_offset": [0, len(context), len(context) + 1],
+            },
         }
 
     return call
@@ -185,7 +191,9 @@ def test_cache_replays_without_new_requests(tmp_path):
     traj2 = harvest_greedy(Q1, client2)
     assert calls == []
     assert client2.requests_made == 0
-    assert client2.cache_hits == client1.requests_made
+    # one entry per prompt: the generation and each of the T x K scoring prompts
+    assert client2.cache_hits == len(list((tmp_path / "cache").glob("*.json")))
+    assert client2.cache_hits == 1 + 4 * len(Q1.options)
     assert _traj_to_record(traj1) == _traj_to_record(traj2)
 
 
@@ -296,14 +304,160 @@ def test_concurrency_stays_within_bound_and_is_deterministic():
             with lock:
                 state["current"] -= 1
 
-    client, _ = make_client(transport=tracked, max_in_flight=3)
-    traj_parallel = harvest_greedy(Q1, client)
-    assert state["peak"] <= 3
-    assert state["peak"] >= 2
+    client, _ = make_client(transport=tracked, max_in_flight=2)
+    paths_parallel = harvest_samples(Q1, client, n_samples=3)
+    assert state["peak"] == 2
 
     serial_client, _ = make_client(max_in_flight=1)
-    traj_serial = harvest_greedy(Q1, serial_client)
-    assert _traj_to_record(traj_parallel) == _traj_to_record(traj_serial)
+    assert paths_parallel == harvest_samples(Q1, serial_client, n_samples=3)
+
+
+def _refuse(route, payload):
+    raise AssertionError("cache miss reached the endpoint")
+
+
+def _harvest_all(tmp_path, name, transport=None, **kw):
+    """Harvest Q1..Q3 with two paths each under tmp_path/name.
+
+    Returns the two outputs' bytes, {cache file name: bytes} and the client.
+    """
+    root = tmp_path / name
+    client, _ = make_client(root, transport=transport, **kw)
+    assert harvest_dataset([Q1, Q2, Q3], client, root / "traj.jsonl", root / "paths.jsonl", n_samples=2) == (3, 0)
+    outputs = [(root / f).read_bytes() for f in ("traj.jsonl", "paths.jsonl")]
+    cache = {p.name: p.read_bytes() for p in (root / "cache").iterdir()}
+    return outputs, cache, client
+
+
+def test_dataset_harvest_sends_n_plus_3_requests_per_question(tmp_path):
+    _, cache, client = _harvest_all(tmp_path, "lists")
+    # the probe, then per question: greedy generation and its scoring, n generations, their scoring
+    assert client.requests_made == 1 + 3 * (2 + 2 + 1)
+    # one entry per request or prompt: the probe, 3 generations and T x K + 2 x K prompts per question
+    prompts = sum(
+        (len(segment_sentences(GENERATIONS[(q.question_id, 0.0, 0)])) + 2) * len(q.options)
+        for q in (Q1, Q2, Q3)
+    )
+    assert len(cache) == 1 + 3 * 3 + prompts
+
+
+def test_batch_choices_are_matched_by_index_not_position(tmp_path):
+    inner = make_fake()
+
+    def reversed_choices(route, payload):
+        response = inner(route, payload)
+        response["choices"].reverse()
+        return response
+
+    expected, expected_cache, _ = _harvest_all(tmp_path, "in_order")
+    got, cache, _ = _harvest_all(tmp_path, "reversed", reversed_choices)
+    assert got == expected
+    assert cache == expected_cache
+
+
+@pytest.mark.parametrize("mishandle", ["rejects", "drops_a_choice"])
+def test_endpoint_that_mishandles_lists_gets_one_prompt_per_request(tmp_path, caplog, mishandle):
+    inner = make_fake()
+    lists_sent = []
+
+    def string_only(route, payload):
+        batched = isinstance(payload.get("prompt"), list)
+        if batched:
+            lists_sent.append(len(payload["prompt"]))
+            if mishandle == "rejects":
+                raise HarvestError("endpoint rejected request: 400 prompt must be a string")
+        response = inner(route, payload)
+        if batched:
+            response["choices"].pop()
+        return response
+
+    expected, expected_cache, _ = _harvest_all(tmp_path, "lists")
+    with caplog.at_level("WARNING", logger="cotriage.harvest"):
+        got, cache, _ = _harvest_all(tmp_path, "fallback", string_only)
+    assert got == expected
+    assert sorted(cache) == sorted(expected_cache)
+    assert len(lists_sent) == 1  # the first list switched the client to single prompts
+    assert caplog.text.count("one prompt per request") == 1
+
+
+def test_list_whose_retries_run_out_does_not_switch_to_single_prompts():
+    inner = make_fake()
+    state = {"down": True}
+    sent = []
+
+    def outage(route, payload):
+        sent.append(payload["prompt"])
+        if state["down"]:
+            raise TransportError("down")
+        return inner(route, payload)
+
+    client, _ = make_client(transport=outage, max_retries=1)
+    payload = {"model": "fake-model", "prompt": ["probe: A", "probe: B"], "max_tokens": 0, "echo": True, "logprobs": 0}
+    with pytest.raises(HarvestError):
+        client.post("completions", payload)
+    state["down"] = False
+    sent.clear()
+    response = client.post("completions", payload)
+    assert sent == [["probe: A", "probe: B"]]
+    assert [c["text"] for c in response["choices"]] == ["probe: A", "probe: B"]
+
+
+def test_dataset_harvest_at_three_in_flight_equals_one_in_flight(tmp_path):
+    serial = _harvest_all(tmp_path, "serial", max_in_flight=1)[:2]
+    assert _harvest_all(tmp_path, "parallel", max_in_flight=3)[:2] == serial
+
+
+def test_client_counters_match_the_transport_at_three_in_flight(tmp_path):
+    inner = make_fake()
+    lock = threading.Lock()
+    calls = []
+
+    def counted(route, payload):
+        with lock:
+            calls.append(route)
+            fail = len(calls) % 7 == 0
+        if fail:
+            raise TransportError("injected")
+        return inner(route, payload)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _, cache, client = _harvest_all(tmp_path, "warm", counted, max_in_flight=3)
+        replay, _ = make_client(tmp_path / "warm", transport=_refuse, max_in_flight=3)
+        harvest_dataset([Q1, Q2, Q3], replay, tmp_path / "replay.traj.jsonl", tmp_path / "replay.paths.jsonl", n_samples=2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert client.requests_made == len(calls)
+    assert replay.requests_made == 0
+    serial_replay, _ = make_client(tmp_path / "warm", transport=_refuse)
+    harvest_dataset([Q1, Q2, Q3], serial_replay, tmp_path / "serial.traj.jsonl", tmp_path / "serial.paths.jsonl", n_samples=2)
+    assert replay.cache_hits == serial_replay.cache_hits == len(cache)  # no prompt repeats
+
+
+def test_cache_written_one_prompt_at_a_time_replays_a_batched_harvest(tmp_path):
+    inner = make_fake()
+    sent = []
+
+    def recording(route, payload):
+        sent.append((route, payload))
+        return inner(route, payload)
+
+    expected, expected_cache, _ = _harvest_all(tmp_path, "batched", recording)
+    # the same requests with each list split into single-prompt posts, the
+    # layout a client that sends one prompt per request leaves behind
+    writer, _ = make_client(tmp_path / "single")
+    for route, payload in sent:
+        prompts = payload.get("prompt")
+        if isinstance(prompts, list):
+            for prompt in prompts:
+                writer.post(route, {**payload, "prompt": prompt})
+        else:
+            writer.post(route, payload)
+    got, cache, replay = _harvest_all(tmp_path, "single", _refuse)
+    assert replay.requests_made == 0
+    assert got == expected
+    assert sorted(cache) == sorted(expected_cache)
 
 
 def test_dataset_harvest_resumes_and_skips_failures(tmp_path, caplog):

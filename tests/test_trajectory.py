@@ -294,9 +294,23 @@ def test_read_applies_the_writers_checks(tmp_path, edit, message):
 
 def test_validate_catches_non_increasing_prefix():
     traj = _make_trajectory()
-    traj.prefix_len[2] = traj.prefix_len[1]
-    with pytest.raises(ValueError):
-        traj.validate()
+    with pytest.raises(ValueError, match="read-only"):
+        traj.prefix_len[2] = traj.prefix_len[1]
+    plen = traj.prefix_len.copy()
+    plen[2] = plen[1]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        replace(traj, prefix_len=plen)
+
+
+def test_array_fields_are_read_only_views_of_the_callers_arrays():
+    scores = np.random.default_rng(1).normal(size=(3, 4))
+    plen = np.array([3, 7, 9])
+    traj = Trajectory("q", ["a b c.", "d e f g.", "h i."], scores, plen, 1, 10)
+    for name in ("log_scores", "prefix_len", "p", "entropy"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(traj, name)[0] = 1
+    assert np.shares_memory(traj.log_scores, scores) and np.shares_memory(traj.prefix_len, plen)
+    assert scores.flags.writeable and plen.flags.writeable
 
 
 def test_construction_validates():
