@@ -130,8 +130,11 @@ def select_threshold(
     """Most token-frugal feasible threshold; ties go to the smaller tau.
 
     Feasible means accuracy >= (1 - max_rel_drop) * best grid accuracy.
-    The best-accuracy point is always feasible, so a selection always exists.
+    The best-accuracy point is always feasible, so a selection always exists;
+    ValueError unless 0 <= max_rel_drop <= 1.
     """
+    if not 0.0 <= max_rel_drop <= 1.0:
+        raise ValueError(f"max_rel_drop must be in [0, 1], got {max_rel_drop}")
     if not profile.points:
         raise EmptyDataset("profile has no grid points")
     max_acc = max(pt.accuracy for pt in profile.points)

@@ -486,7 +486,7 @@ def cmd_train(opts, run: Run) -> dict:
 
 
 def cmd_calibrate(opts, run: Run) -> dict:
-    check_method_options(opts.method, opts.votes_needed, opts.include_greedy_vote)
+    check_method_options(opts.method, opts.budget, opts.votes_needed, opts.include_greedy_vote)
     items = _load_routing_items(opts, run)
     profile = sweep(items, sunk_greedy=not opts.no_sunk_greedy, baseline_method=opts.method)
     tau = select_threshold(profile, max_rel_drop=opts.max_rel_drop)
@@ -496,7 +496,7 @@ def cmd_calibrate(opts, run: Run) -> dict:
 
 
 def cmd_route(opts, run: Run) -> dict:
-    check_method_options(opts.method, opts.votes_needed, opts.include_greedy_vote)
+    check_method_options(opts.method, opts.budget, opts.votes_needed, opts.include_greedy_vote)
     if (opts.tau is None) == (opts.selection is None):
         raise UsageError("route: pass exactly one of --tau and --selection selection.json")
     tau = opts.tau

@@ -227,8 +227,11 @@ def write_report(
 
     The significance table holds one row per unordered method pair, marked '*'
     when p < 0.05. Every table starts with a comment line naming the schema
-    version and the bootstrap seed.
+    version and the bootstrap seed. ValueError, before any table is written,
+    when resamples < 1.
     """
+    if resamples < 1:
+        raise ValueError("resamples must be positive")
     if not methods:
         raise EmptyDataset("no methods to report")
     names = sorted(methods)

@@ -13,7 +13,8 @@ The HTTP transport is a plain callable so tests substitute a fake endpoint;
 everything above it (caching, retries, concurrency, parsing) is exercised for
 real. Responses are cached on disk keyed by a hash of the model, template and
 full payload; a list of prompts is cached one entry per prompt, under the key
-of that prompt's single-prompt payload. Entries are written atomically
+of that prompt's single-prompt payload. An entry that does not parse is a
+miss: it is logged, sent again and overwritten. Entries are written atomically
 through a temp file unique to the writing thread, so concurrent workers, even
 two sending the same request, cannot corrupt a cache entry or abort on each
 other's rename.
@@ -193,11 +194,15 @@ class EndpointClient:
         return Path(self.cfg.cache_dir) / f"{digest}.json"
 
     def _load(self, cache_path: Path | None):
-        """The cached response, or None when there is none."""
+        """The cached response, or None when there is none or it does not parse."""
         if cache_path is None or not cache_path.exists():
             return None
-        with open(cache_path, encoding="utf-8") as fh:
-            response = json.load(fh)
+        try:
+            with open(cache_path, encoding="utf-8") as fh:
+                response = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            log.warning("corrupt cache entry %s (%s); sending the request again", cache_path, exc)
+            return None
         with self._lock:
             self.cache_hits += 1
         return response

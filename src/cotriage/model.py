@@ -16,6 +16,10 @@ product) and [query | key | value] for attention (``attn.w_qkv`` (H, 3H),
 
 Everything is float64 numpy. The backward pass is written by hand and must
 mirror the forward pass exactly; finite-difference tests hold it to that.
+Each block is an adjacent pair ``_<block>_forward``/``_<block>_backward``:
+the forward returns ``(out, ctx)``, and that ``ctx`` tuple is all its backward
+sees. ``_blocks`` picks the pairs the ablation flags enable; ``forward`` runs
+them in order and ``backward`` in reverse.
 Padded rows cannot influence any valid position: pooling is masked, the GRU
 carries its state through padding, attention masks padded keys, and the score
 reads only the last valid index.
@@ -156,45 +160,33 @@ def _wgrad(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1]).T @ d.reshape(-1, d.shape[-1])
 
 
-def forward(
-    params: dict[str, np.ndarray],
-    cfg: ModelConfig,
-    x: np.ndarray,
-    mask: np.ndarray,
-    want_cache: bool = False,
-):
-    """Batched forward pass.
+def _gate_forward(params, cfg: ModelConfig, x: np.ndarray, mask: np.ndarray):
+    """Masked mean-pool over valid rows, two-layer MLP, sigmoid: one weight per column."""
+    denom = mask.sum(axis=1, keepdims=True)
+    s = (x * mask[:, :, None]).sum(axis=1) / denom
+    z1 = s @ params["gate.w1"] + params["gate.b1"]
+    a1 = np.maximum(z1, 0.0)
+    g = _sigmoid(a1 @ params["gate.w2"] + params["gate.b2"])
+    return x * g[:, None, :], (x, s, z1, a1, g)
 
-    x: (B, T, D) float64, mask: (B, T) of 0/1 with padding as a suffix.
-    Returns (q, scores, cache): q is (B, T), scores (B,) = q at each row's
-    last valid index.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    if x.ndim != 3 or mask.shape != x.shape[:2]:
-        raise ValueError("expected x of shape (B, T, D) and mask (B, T)")
-    if x.shape[2] != cfg.input_dim:
-        raise ConfigMismatch(f"model expects {cfg.input_dim} features, got {x.shape[2]}")
-    lengths = _check_mask(mask)
-    b, t, d = x.shape
+
+def _gate_backward(params, ctx, dxg: np.ndarray, grads) -> None:
+    """The first block: the input features need no gradient."""
+    x, s, z1, a1, g = ctx
+    dg = (dxg * x).sum(axis=1)
+    du2 = dg * g * (1.0 - g)
+    grads["gate.w2"] = a1.T @ du2
+    grads["gate.b2"] = du2.sum(axis=0)
+    da1 = du2 @ params["gate.w2"].T
+    dz1 = da1 * (z1 > 0.0)
+    grads["gate.w1"] = s.T @ dz1
+    grads["gate.b1"] = dz1.sum(axis=0)
+
+
+def _gru_forward(params, cfg: ModelConfig, xg: np.ndarray, mask: np.ndarray):
+    """GRU with mask-carry: a padded step keeps the previous state."""
+    b, t, _ = xg.shape
     h = cfg.hidden
-    cache: dict[str, Any] = {"x": x, "mask": mask, "lengths": lengths}
-
-    # --- feature gate -----------------------------------------------------
-    if cfg.use_feature_gate:
-        denom = mask.sum(axis=1, keepdims=True)
-        s = (x * mask[:, :, None]).sum(axis=1) / denom
-        z1 = s @ params["gate.w1"] + params["gate.b1"]
-        a1 = np.maximum(z1, 0.0)
-        g_pre = a1 @ params["gate.w2"] + params["gate.b2"]
-        g = _sigmoid(g_pre)
-        xg = x * g[:, None, :]
-        cache.update(s=s, z1=z1, a1=a1, g=g)
-    else:
-        xg = x
-    cache["xg"] = xg
-
-    # --- GRU with mask-carry ------------------------------------------------
     x_pre = xg @ params["gru.w_x"] + params["gru.b_x"]  # every timestep at once
     h_prev = np.zeros((b, h))
     h_seq = np.empty((b, t, h))
@@ -211,148 +203,15 @@ def forward(
         m = mask[:, i, None]
         h_prev = m * h_new + (1.0 - m) * h_prev
         h_seq[:, i, :] = h_prev
-    cache.update(h_seq=h_seq, gates=gates, hnlin=hnlin)
-
-    # --- pre-norm self-attention block --------------------------------------
-    if cfg.use_mhsa:
-        h2, attn_cache = _attn_block(params, cfg, h_seq, mask)
-        cache.update(attn_cache)
-    else:
-        h2 = h_seq
-    cache["h2"] = h2
-
-    # --- position-wise head --------------------------------------------------
-    q, head_cache = _head_block(params, h2)
-    cache.update(head_cache)
-
-    scores_out = q[np.arange(b), lengths - 1]
-    return (q, scores_out, cache) if want_cache else (q, scores_out, None)
+    return h_seq, (xg, mask, h_seq, gates, hnlin)
 
 
-def _attn_block(params, cfg: ModelConfig, h_seq: np.ndarray, mask: np.ndarray):
+def _gru_backward(params, ctx, dh_seq: np.ndarray, grads) -> np.ndarray:
+    """Backprop through time: the loop carries only dh_prev; the weight
+    gradients come from the stored pre-activation gradients afterwards."""
+    xg, mask, h_seq, gates, hnlin = ctx
     b, t, h = h_seq.shape
-    nh = cfg.heads
-    dk = h // nh
-    a_norm, ln1_cache = _ln_forward(h_seq, params["attn.ln1_g"], params["attn.ln1_b"])
-    qkv = a_norm @ params["attn.w_qkv"] + params["attn.b_qkv"]
-    # (B, T, 3H) -> three (B, heads, T, dk) views
-    q_h, k_h, v_h = qkv.reshape(b, t, 3, nh, dk).transpose(2, 0, 3, 1, 4)
-    scores = q_h @ k_h.swapaxes(-1, -2) / np.sqrt(dk)
-    scores = np.where(mask[:, None, None, :] > 0.0, scores, _NEG_INF)
-    scores -= scores.max(axis=-1, keepdims=True)
-    exps = np.exp(scores)
-    attn = exps / exps.sum(axis=-1, keepdims=True)
-    o_head = attn @ v_h
-    o_cat = o_head.transpose(0, 2, 1, 3).reshape(b, t, h)
-    o_proj = o_cat @ params["attn.w_o"] + params["attn.b_o"]
-    h1 = h_seq + o_proj
-    a2, ln2_cache = _ln_forward(h1, params["attn.ln2_g"], params["attn.ln2_b"])
-    f_pre = a2 @ params["attn.w_f1"] + params["attn.b_f1"]
-    f_act = np.maximum(f_pre, 0.0)
-    f_out = f_act @ params["attn.w_f2"] + params["attn.b_f2"]
-    h2 = h1 + f_out
-    attn_cache = dict(
-        a_norm=a_norm,
-        ln1=ln1_cache,
-        q_h=q_h,
-        k_h=k_h,
-        v_h=v_h,
-        attn=attn,
-        o_cat=o_cat,
-        h1=h1,
-        a2=a2,
-        ln2=ln2_cache,
-        f_pre=f_pre,
-        f_act=f_act,
-    )
-    return h2, attn_cache
-
-
-def _head_block(params, h2: np.ndarray):
-    c_norm, ln3_cache = _ln_forward(h2, params["head.ln_g"], params["head.ln_b"])
-    z1h_pre = c_norm @ params["head.w1"] + params["head.b1"]
-    z1h = np.maximum(z1h_pre, 0.0)
-    logit = (z1h @ params["head.w2"] + params["head.b2"])[..., 0]
-    q = _sigmoid(logit)
-    return q, dict(c_norm=c_norm, ln3=ln3_cache, z1h_pre=z1h_pre, z1h=z1h, q=q)
-
-
-def zero_grads(cfg: ModelConfig) -> dict[str, np.ndarray]:
-    return {name: np.zeros(shape) for name, shape in param_shapes(cfg).items()}
-
-
-def backward(
-    params: dict[str, np.ndarray],
-    cfg: ModelConfig,
-    cache: dict[str, Any],
-    dq: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss given dq = dL/dq, shape (B, T).
-
-    Callers must put zeros at padded positions of dq; the loss only reads
-    valid positions, so that holds by construction.
-    """
-    grads = zero_grads(cfg)
-    x, mask = cache["x"], cache["mask"]
-    b, t, _ = x.shape
-    h = cfg.hidden
-
-    # head
-    q = cache["q"]
-    dlogit = dq * q * (1.0 - q)
-    z1h = cache["z1h"]
-    grads["head.w2"] = _wgrad(z1h, dlogit[..., None])
-    grads["head.b2"] = np.array([dlogit.sum()])
-    dz1h = dlogit[:, :, None] * params["head.w2"][:, 0]
-    dz1h_pre = dz1h * (cache["z1h_pre"] > 0.0)
-    grads["head.w1"] = _wgrad(cache["c_norm"], dz1h_pre)
-    grads["head.b1"] = dz1h_pre.sum(axis=(0, 1))
-    dc = dz1h_pre @ params["head.w1"].T
-    dh2, grads["head.ln_g"], grads["head.ln_b"] = _ln_backward(dc, cache["ln3"])
-
-    # attention block
-    if cfg.use_mhsa:
-        nh = cfg.heads
-        dk = h // nh
-        dh1 = dh2.copy()
-        df_out = dh2
-        grads["attn.w_f2"] = _wgrad(cache["f_act"], df_out)
-        grads["attn.b_f2"] = df_out.sum(axis=(0, 1))
-        df_act = df_out @ params["attn.w_f2"].T
-        df_pre = df_act * (cache["f_pre"] > 0.0)
-        grads["attn.w_f1"] = _wgrad(cache["a2"], df_pre)
-        grads["attn.b_f1"] = df_pre.sum(axis=(0, 1))
-        da2 = df_pre @ params["attn.w_f1"].T
-        dh1_ln, grads["attn.ln2_g"], grads["attn.ln2_b"] = _ln_backward(da2, cache["ln2"])
-        dh1 += dh1_ln
-
-        dh_seq = dh1.copy()
-        do_proj = dh1
-        grads["attn.w_o"] = _wgrad(cache["o_cat"], do_proj)
-        grads["attn.b_o"] = do_proj.sum(axis=(0, 1))
-        do_cat = do_proj @ params["attn.w_o"].T
-        do_head = do_cat.reshape(b, t, nh, dk).transpose(0, 2, 1, 3)
-
-        attn, v_h, q_h, k_h = cache["attn"], cache["v_h"], cache["q_h"], cache["k_h"]
-        dattn = do_head @ v_h.swapaxes(-1, -2)
-        dv_h = attn.swapaxes(-1, -2) @ do_head
-        dscore = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dq_h = dscore @ k_h / np.sqrt(dk)
-        dk_h = dscore.swapaxes(-1, -2) @ q_h / np.sqrt(dk)
-        # inverse of the forward split: three (B, heads, T, dk) -> (B, T, 3H)
-        dqkv = np.stack([dq_h, dk_h, dv_h]).transpose(1, 3, 0, 2, 4).reshape(b, t, 3 * h)
-        grads["attn.w_qkv"] = _wgrad(cache["a_norm"], dqkv)
-        grads["attn.b_qkv"] = dqkv.sum(axis=(0, 1))
-        da_norm = dqkv @ params["attn.w_qkv"].T
-        dh_ln1, grads["attn.ln1_g"], grads["attn.ln1_b"] = _ln_backward(da_norm, cache["ln1"])
-        dh_seq += dh_ln1
-    else:
-        dh_seq = dh2
-
-    # GRU backprop through time: the loop carries only dh_prev; the weight
-    # gradients come from the stored pre-activation gradients afterwards
-    gates, hnlin, xg = cache["gates"], cache["hnlin"], cache["xg"]
-    hprev = np.concatenate([np.zeros((b, 1, h)), cache["h_seq"][:, :-1]], axis=1)
+    hprev = np.concatenate([np.zeros((b, 1, h)), h_seq[:, :-1]], axis=1)
     d_x = np.empty((b, t, 3 * h))  # d(input-side pre-activation), [r | z | n]
     d_h = np.empty((b, t, 3 * h))  # d(recurrent pre-activation), [r | z | hnlin]
     carry = np.zeros((b, h))
@@ -372,20 +231,140 @@ def backward(
     grads["gru.b_x"] = d_x.sum(axis=(0, 1))
     grads["gru.w_h"] = _wgrad(hprev, d_h)
     grads["gru.b_hn"] = d_h[:, :, 2 * h :].sum(axis=(0, 1))
-    dxg = d_x @ params["gru.w_x"].T
+    return d_x @ params["gru.w_x"].T
 
-    # feature gate
-    if cfg.use_feature_gate:
-        g, a1, z1, s = cache["g"], cache["a1"], cache["z1"], cache["s"]
-        dg = (dxg * x).sum(axis=1)
-        du2 = dg * g * (1.0 - g)
-        grads["gate.w2"] = a1.T @ du2
-        grads["gate.b2"] = du2.sum(axis=0)
-        da1 = du2 @ params["gate.w2"].T
-        dz1 = da1 * (z1 > 0.0)
-        grads["gate.w1"] = s.T @ dz1
-        grads["gate.b1"] = dz1.sum(axis=0)
 
+def _attn_forward(params, cfg: ModelConfig, h_seq: np.ndarray, mask: np.ndarray):
+    """Pre-norm multi-head self-attention and feed-forward, both residual."""
+    b, t, h = h_seq.shape
+    nh = cfg.heads
+    dk = h // nh
+    a_norm, ln1 = _ln_forward(h_seq, params["attn.ln1_g"], params["attn.ln1_b"])
+    qkv = a_norm @ params["attn.w_qkv"] + params["attn.b_qkv"]
+    # (B, T, 3H) -> three (B, heads, T, dk) views
+    q_h, k_h, v_h = qkv.reshape(b, t, 3, nh, dk).transpose(2, 0, 3, 1, 4)
+    scores = q_h @ k_h.swapaxes(-1, -2) / np.sqrt(dk)
+    scores = np.where(mask[:, None, None, :] > 0.0, scores, _NEG_INF)
+    scores -= scores.max(axis=-1, keepdims=True)
+    exps = np.exp(scores)
+    attn = exps / exps.sum(axis=-1, keepdims=True)
+    o_cat = (attn @ v_h).transpose(0, 2, 1, 3).reshape(b, t, h)
+    h1 = h_seq + (o_cat @ params["attn.w_o"] + params["attn.b_o"])
+    a2, ln2 = _ln_forward(h1, params["attn.ln2_g"], params["attn.ln2_b"])
+    f_pre = a2 @ params["attn.w_f1"] + params["attn.b_f1"]
+    f_act = np.maximum(f_pre, 0.0)
+    h2 = h1 + (f_act @ params["attn.w_f2"] + params["attn.b_f2"])
+    return h2, (a_norm, ln1, q_h, k_h, v_h, attn, o_cat, a2, ln2, f_pre, f_act)
+
+
+def _attn_backward(params, ctx, dh2: np.ndarray, grads) -> np.ndarray:
+    a_norm, ln1, q_h, k_h, v_h, attn, o_cat, a2, ln2, f_pre, f_act = ctx
+    b, nh, t, dk = q_h.shape
+    grads["attn.w_f2"] = _wgrad(f_act, dh2)
+    grads["attn.b_f2"] = dh2.sum(axis=(0, 1))
+    df_pre = (dh2 @ params["attn.w_f2"].T) * (f_pre > 0.0)
+    grads["attn.w_f1"] = _wgrad(a2, df_pre)
+    grads["attn.b_f1"] = df_pre.sum(axis=(0, 1))
+    da2 = df_pre @ params["attn.w_f1"].T
+    dh1_ln, grads["attn.ln2_g"], grads["attn.ln2_b"] = _ln_backward(da2, ln2)
+    dh1 = dh2 + dh1_ln
+
+    grads["attn.w_o"] = _wgrad(o_cat, dh1)
+    grads["attn.b_o"] = dh1.sum(axis=(0, 1))
+    do_cat = dh1 @ params["attn.w_o"].T
+    do_head = do_cat.reshape(b, t, nh, dk).transpose(0, 2, 1, 3)
+    dattn = do_head @ v_h.swapaxes(-1, -2)
+    dv_h = attn.swapaxes(-1, -2) @ do_head
+    dscore = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    dq_h = dscore @ k_h / np.sqrt(dk)
+    dk_h = dscore.swapaxes(-1, -2) @ q_h / np.sqrt(dk)
+    # inverse of the forward split: three (B, heads, T, dk) -> (B, T, 3H)
+    dqkv = np.stack([dq_h, dk_h, dv_h]).transpose(1, 3, 0, 2, 4).reshape(b, t, 3 * nh * dk)
+    grads["attn.w_qkv"] = _wgrad(a_norm, dqkv)
+    grads["attn.b_qkv"] = dqkv.sum(axis=(0, 1))
+    da_norm = dqkv @ params["attn.w_qkv"].T
+    dh_ln1, grads["attn.ln1_g"], grads["attn.ln1_b"] = _ln_backward(da_norm, ln1)
+    return dh1 + dh_ln1
+
+
+def _head_forward(params, cfg: ModelConfig, h2: np.ndarray, mask: np.ndarray):
+    """Position-wise LayerNorm + two-layer MLP + sigmoid: q_t per position."""
+    c_norm, ln3 = _ln_forward(h2, params["head.ln_g"], params["head.ln_b"])
+    z1h_pre = c_norm @ params["head.w1"] + params["head.b1"]
+    z1h = np.maximum(z1h_pre, 0.0)
+    q = _sigmoid((z1h @ params["head.w2"] + params["head.b2"])[..., 0])
+    return q, (c_norm, ln3, z1h_pre, z1h, q)
+
+
+def _head_backward(params, ctx, dq: np.ndarray, grads) -> np.ndarray:
+    c_norm, ln3, z1h_pre, z1h, q = ctx
+    dlogit = dq * q * (1.0 - q)
+    grads["head.w2"] = _wgrad(z1h, dlogit[..., None])
+    grads["head.b2"] = np.array([dlogit.sum()])
+    dz1h_pre = (dlogit[:, :, None] * params["head.w2"][:, 0]) * (z1h_pre > 0.0)
+    grads["head.w1"] = _wgrad(c_norm, dz1h_pre)
+    grads["head.b1"] = dz1h_pre.sum(axis=(0, 1))
+    dc = dz1h_pre @ params["head.w1"].T
+    dh2, grads["head.ln_g"], grads["head.ln_b"] = _ln_backward(dc, ln3)
+    return dh2
+
+
+def _blocks(cfg: ModelConfig):
+    """The (forward, backward) pairs the config enables, in forward order."""
+    blocks = [(_gate_forward, _gate_backward)] if cfg.use_feature_gate else []
+    blocks.append((_gru_forward, _gru_backward))
+    if cfg.use_mhsa:
+        blocks.append((_attn_forward, _attn_backward))
+    blocks.append((_head_forward, _head_backward))
+    return blocks
+
+
+def forward(
+    params: dict[str, np.ndarray],
+    cfg: ModelConfig,
+    x: np.ndarray,
+    mask: np.ndarray,
+    want_cache: bool = False,
+):
+    """Batched forward pass.
+
+    x: (B, T, D) float64, mask: (B, T) of 0/1 with padding as a suffix.
+    Returns (q, scores, cache): q is (B, T), scores (B,) = q at each row's
+    last valid index. cache is None unless want_cache; then it holds the
+    valid ``lengths`` (B,) and ``blocks``, each enabled block's backward with
+    the context its forward returned.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    mask = np.asarray(mask, dtype=np.float64)
+    if x.ndim != 3 or mask.shape != x.shape[:2]:
+        raise ValueError("expected x of shape (B, T, D) and mask (B, T)")
+    if x.shape[2] != cfg.input_dim:
+        raise ConfigMismatch(f"model expects {cfg.input_dim} features, got {x.shape[2]}")
+    lengths = _check_mask(mask)
+    q, blocks = x, []  # each block's output feeds the next; the head's is q
+    for block_forward, block_backward in _blocks(cfg):
+        q, ctx = block_forward(params, cfg, q, mask)
+        blocks.append((block_backward, ctx))
+    scores = q[np.arange(len(q)), lengths - 1]
+    return q, scores, ({"lengths": lengths, "blocks": blocks} if want_cache else None)
+
+
+def backward(
+    params: dict[str, np.ndarray],
+    cfg: ModelConfig,
+    cache: dict[str, Any],
+    dq: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """Gradients of a scalar loss given dq = dL/dq, shape (B, T).
+
+    Runs the forward's blocks in reverse; a disabled block's parameters keep
+    zero gradients. Callers must put zeros at padded positions of dq; the
+    loss only reads valid positions, so that holds by construction.
+    """
+    grads = {name: np.zeros(shape) for name, shape in param_shapes(cfg).items()}
+    d = dq
+    for block_backward, ctx in reversed(cache["blocks"]):
+        d = block_backward(params, ctx, d, grads)
     return grads
 
 

@@ -93,8 +93,6 @@ def dynamic_vote(
     Without early consensus the drawn paths fall back to confidence-weighted
     voting. Tokens are counted for every consumed path, abstains included.
     """
-    if budget < 1:
-        raise ValueError("budget must be positive")
     if votes_needed is None:
         votes_needed = budget // 2 + 1
     if votes_needed < 1:
@@ -117,8 +115,13 @@ def dynamic_vote(
     return VoteResult(answer, used, tokens, stopped_early=False)
 
 
-def check_method_options(method: str, votes_needed: int | None, extra_vote: bool) -> None:
-    """ValueError for an option the method ignores: an extra vote with dv, votes_needed without."""
+def check_method_options(
+    method: str, budget: int, votes_needed: int | None, extra_vote: bool
+) -> None:
+    """ValueError for a budget below 1 or an option the method ignores: an
+    extra vote with dv, votes_needed without."""
+    if budget < 1:
+        raise ValueError("budget must be positive")
     if method == "dv" and extra_vote:
         raise ValueError("dynamic voting does not take an extra vote")
     if method != "dv" and votes_needed is not None:
@@ -138,7 +141,7 @@ def run_method(
     tallies of the set-based methods at zero token cost; dv rejects it.
     votes_needed is dv's early-stop count; sc and cer reject it.
     """
-    check_method_options(method, votes_needed, extra_vote is not None)
+    check_method_options(method, budget, votes_needed, extra_vote is not None)
     if method == "dv":
         return dynamic_vote(paths, budget=budget, votes_needed=votes_needed)
     window = list(paths[:budget])

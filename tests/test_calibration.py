@@ -130,6 +130,13 @@ def test_selection_always_exists():
     assert select_threshold(_profile(pts)) in [p.tau for p in pts]
 
 
+@pytest.mark.parametrize("max_rel_drop", [-0.1, 1.5, float("nan")])
+def test_max_rel_drop_outside_zero_one_is_rejected(max_rel_drop):
+    pts = [CalibrationPoint(i / 4, 0.5 + i / 100, 100.0 - i, i / 10.0, 1.0) for i in range(5)]
+    with pytest.raises(ValueError, match="max_rel_drop"):
+        select_threshold(_profile(pts), max_rel_drop=max_rel_drop)
+
+
 @given(st.integers(min_value=1, max_value=500), st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=30)
 def test_selected_tau_is_feasible_and_on_grid(n, seed):

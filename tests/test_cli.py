@@ -642,3 +642,31 @@ def test_train_rejects_bad_geometry(tmp_path, capsys):
                "--hidden", 10, "--heads", 4, "--max-epochs", 1)
     assert code == EXIT_USAGE
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["sc", "cer", "dv"])
+@pytest.mark.parametrize("budget", [0, -3])
+def test_budget_below_one_is_rejected_before_any_file_is_read(tmp_path, capsys, method, budget):
+    missing = tmp_path / "missing"
+    assert run("calibrate", "--data", missing, "--features", missing, "--model",
+               missing / "model.ckpt", "--method", method, "--budget", budget,
+               "--out", tmp_path / "c") == EXIT_USAGE
+    assert "budget must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("resamples", [0, -5])
+def test_report_resamples_below_one_exits_1_writing_no_table(tmp_path, capsys, resamples):
+    r = tmp_path / "r"
+    write_outcomes(r / "outcomes.policy.jsonl", OutcomeVector(["a", "b"], [True, False], [10, 20]))
+    write_outcomes(r / "outcomes.multi.jsonl", OutcomeVector(["a", "b"], [True, True], [30, 40]))
+    rep = tmp_path / "rep"
+    assert run("report", "--in", r, "--out", rep, "--resamples", resamples) == EXIT_USAGE
+    assert "resamples must be positive" in capsys.readouterr().err
+    assert not rep.exists() or list(rep.iterdir()) == []
+
+
+def test_calibrate_max_rel_drop_outside_zero_one_exits_1(routed_run, tmp_path, capsys):
+    argv = _stage_argv("calibrate", routed_run, tmp_path / "unused")
+    assert run("calibrate", *argv, "--max-rel-drop", -0.1, "--out", tmp_path / "c") == EXIT_USAGE
+    assert "max_rel_drop must be in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists() or list((tmp_path / "c").iterdir()) == []

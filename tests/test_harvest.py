@@ -460,6 +460,23 @@ def test_cache_written_one_prompt_at_a_time_replays_a_batched_harvest(tmp_path):
     assert sorted(cache) == sorted(expected_cache)
 
 
+def test_corrupt_cache_entry_is_a_miss_that_is_sent_again_and_overwritten(tmp_path, caplog):
+    expected, expected_cache, _ = _harvest_all(tmp_path, "first")
+    root = tmp_path / "first"
+    victim = sorted((root / "cache").iterdir())[0]
+    victim.write_text('{"choices": [')
+    client, _ = make_client(root)
+    out = tmp_path / "second"
+    with caplog.at_level("WARNING", logger="cotriage.harvest"):
+        assert harvest_dataset(
+            [Q1, Q2, Q3], client, out / "traj.jsonl", out / "paths.jsonl", n_samples=2
+        ) == (3, 0)
+    assert [(out / f).read_bytes() for f in ("traj.jsonl", "paths.jsonl")] == expected
+    assert client.requests_made == 1
+    assert victim.read_bytes() == expected_cache[victim.name]
+    assert str(victim) in caplog.text
+
+
 def test_dataset_harvest_resumes_and_skips_failures(tmp_path, caplog):
     out_traj = tmp_path / "traj.jsonl"
     out_paths = tmp_path / "paths.jsonl"

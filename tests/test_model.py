@@ -4,6 +4,8 @@ import pytest
 from cotriage.errors import ConfigMismatch, EmptyMask
 from cotriage.model import (
     ModelConfig,
+    _gate_forward,
+    _gru_forward,
     _sigmoid,
     forward,
     init_params,
@@ -109,8 +111,8 @@ def test_gate_pools_valid_rows_hand_example():
     cfg = small_cfg(input_dim=2)
     params = init_params(cfg, seed=4)
     x = np.array([[[1.0, 2.0], [3.0, 4.0], [100.0, 200.0]]])
-    _, _, cache = forward(params, cfg, x, np.array([[1.0, 1.0, 0.0]]), want_cache=True)
-    np.testing.assert_allclose(cache["s"], [[2.0, 3.0]])
+    _, (_, s, _, _, _) = _gate_forward(params, cfg, x, np.array([[1.0, 1.0, 0.0]]))
+    np.testing.assert_allclose(s, [[2.0, 3.0]])
 
 
 def test_empty_mask_rejected():
@@ -132,9 +134,9 @@ def test_feature_gate_range():
     cfg = small_cfg()
     params = init_params(cfg, seed=4)
     x, mask, _, _ = make_batch(rng, b=3, t=5, lengths=(5, 3, 1))
-    _, _, cache = forward(params, cfg, x, mask, want_cache=True)
-    assert cache["g"].shape == (3, cfg.input_dim)
-    assert np.all((cache["g"] > 0) & (cache["g"] < 1))
+    _, (_, _, _, _, g) = _gate_forward(params, cfg, x, mask)
+    assert g.shape == (3, cfg.input_dim)
+    assert np.all((g > 0) & (g < 1))
 
 
 def test_gru_state_carries_through_padding():
@@ -143,8 +145,9 @@ def test_gru_state_carries_through_padding():
     params = init_params(cfg, seed=6)
     x = rng.normal(size=(1, 6, cfg.input_dim))
     mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0, 0.0]])
-    _, _, cache = forward(params, cfg, x, mask, want_cache=True)
-    h = cache["h_seq"][0]
+    xg, _ = _gate_forward(params, cfg, x, mask)
+    h_seq, _ = _gru_forward(params, cfg, xg, mask)
+    h = h_seq[0]
     np.testing.assert_array_equal(h[3], h[2])
     np.testing.assert_array_equal(h[5], h[2])
 

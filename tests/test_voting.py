@@ -95,6 +95,14 @@ def test_run_method_token_accounting():
         run_method(paths, "vote-twice")
 
 
+@pytest.mark.parametrize("method", ["sc", "cer", "dv"])
+@pytest.mark.parametrize("budget", [0, -3])
+def test_budget_below_one_is_rejected(method, budget):
+    paths = [mk_path(i, 1) for i in range(10)]
+    with pytest.raises(ValueError, match="budget must be positive"):
+        run_method(paths, method, budget=budget)
+
+
 def test_extra_vote_changes_tally_not_tokens():
     paths = [mk_path(0, 0, cost=10, conf=0.6), mk_path(1, 1, cost=10, conf=0.5)]
     base = run_method(paths, "sc", budget=2)
