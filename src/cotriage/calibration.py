@@ -44,12 +44,11 @@ class CalibrationPoint:
     accept_rate: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class CalibrationProfile:
     points: list[CalibrationPoint]
     baseline_method: str
     sunk_greedy: bool
-    selected_tau: float | None = None
 
 
 def default_grid() -> list[float]:
@@ -145,7 +144,6 @@ def select_threshold(
             continue
         if best is None or pt.token_reduction > best.token_reduction:
             best = pt
-    profile.selected_tau = best.tau
     return best.tau
 
 
@@ -155,12 +153,11 @@ def profile_to_csv(profile: CalibrationProfile, path: str | Path) -> None:
 
 
 def write_selection_summary(
-    profile: CalibrationProfile, path: str | Path, max_rel_drop: float = DEFAULT_MAX_REL_DROP
+    profile: CalibrationProfile, tau: float, path: str | Path, max_rel_drop: float
 ) -> None:
-    if profile.selected_tau is None:
-        raise ValueError("select_threshold has not been run on this profile")
+    """selection.json: the tau that select_threshold(profile, max_rel_drop) chose, in context."""
     doc = {
-        "selected_tau": profile.selected_tau,
+        "selected_tau": tau,
         "max_accuracy": max(pt.accuracy for pt in profile.points),
         "max_rel_drop": max_rel_drop,
         "baseline_method": profile.baseline_method,

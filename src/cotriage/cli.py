@@ -22,10 +22,12 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
 from .calibration import (
+    DEFAULT_MAX_REL_DROP,
     profile_to_csv,
     read_selection_summary,
     select_threshold,
@@ -54,7 +56,7 @@ from .features import (
     write_features,
     write_labels,
 )
-from .harvest import EndpointClient, EndpointConfig, harvest_dataset
+from .harvest import EndpointClient, EndpointConfig, check_harvest_options, harvest_dataset
 from .jsonl import write_json
 from .model import CKPT_SCHEMA, ModelConfig, load_checkpoint, save_checkpoint
 from .synth import SynthConfig, generate
@@ -66,8 +68,8 @@ from .trajectory import (
     write_questions,
     write_trajectories,
 )
-from .training import TrainConfig, score_features, train, write_training_log
-from .voting import PATHS_SCHEMA, check_method_options, read_paths, write_paths
+from .training import LOSS_VARIANTS, TrainConfig, score_features, train, write_training_log
+from .voting import METHODS, PATHS_SCHEMA, check_method_options, read_paths, write_paths
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,10 +77,6 @@ EXIT_DATA = 2
 EXIT_ENDPOINT = 3
 
 SPLITS = ("train", "val", "test")
-
-
-class UsageError(Exception):
-    """Bad invocation: missing required option, unknown config key, and so on."""
 
 
 # --- config files -----------------------------------------------------------
@@ -91,7 +89,7 @@ _VALUE = re.compile(r'\s*(?:"([^"]*)"|([^#]*?))\s*(?:#.*)?')
 def parse_config_text(text: str) -> dict[str, str]:
     """Flat key = value document of raw strings; # starts a comment, quotes protect strings.
 
-    A key may appear once; a repeat is a usage error, not a silent override.
+    A key may appear once; a repeat is a ValueError, not a silent override.
     """
     out: dict[str, str] = {}
     first_line: dict[str, int] = {}
@@ -100,13 +98,13 @@ def parse_config_text(text: str) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if line.startswith("["):
-            raise UsageError(f"config line {lineno}: sections are not supported, use flat keys")
+            raise ValueError(f"config line {lineno}: sections are not supported, use flat keys")
         if "=" not in line:
-            raise UsageError(f"config line {lineno}: expected key = value")
+            raise ValueError(f"config line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         if key in first_line:
-            raise UsageError(f"config line {lineno}: {key} is already set on line {first_line[key]}")
+            raise ValueError(f"config line {lineno}: {key} is already set on line {first_line[key]}")
         first_line[key] = lineno
         quoted, bare = _VALUE.fullmatch(value).groups()
         out[key] = bare if quoted is None else quoted
@@ -117,7 +115,7 @@ def load_config(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text)
 
 
@@ -136,7 +134,7 @@ _ROUTING = (
     ("features", str, ..., "directory from extract-features"),
     ("model", str, ..., "checkpoint file"),
     ("out", str, ..., "output directory"),
-    ("method", ("sc", "cer", "dv"), "sc", "voting method of the multi-path route"),
+    ("method", METHODS, "sc", "voting method of the multi-path route"),
     ("budget", int, 10, "sampled paths consumed per escalation"),
     ("votes_needed", int, None, "dv early-stop vote count (default budget // 2 + 1)"),
     ("include_greedy_vote", bool, False, "count the greedy answer as one more sc/cer vote"),
@@ -176,7 +174,7 @@ COMMANDS: dict[str, tuple[str, tuple]] = {
     "extract-features": ("turn trajectories into padded feature sequences", (
         ("in_dir", str, ..., "directory with <split>.traj.jsonl files"),
         ("out", str, ..., "output directory"),
-        ("subset", ("full", "numeric", "linguistic"), "full", "feature columns to keep"),
+        ("subset", tuple(LAYOUTS), "full", "feature columns to keep"),
     )),
     "train": ("train the escalation detector on extracted features", (
         ("in_dir", str, ..., "directory from extract-features"),
@@ -190,13 +188,13 @@ COMMANDS: dict[str, tuple[str, tuple]] = {
         ("batch_size", int, 64, "trajectories per batch"),
         ("max_epochs", int, 100, "epoch limit"),
         ("patience", int, 10, "epochs without val AUC gain before stopping"),
-        ("loss_variant", ("final", "final_aux"), "final", "final_aux adds per-sentence loss"),
+        ("loss_variant", LOSS_VARIANTS, "final", "final_aux adds per-sentence loss"),
         ("aux_weight", float, 0.5, "weight of the per-sentence loss"),
         ("no_class_weights", bool, False, "do not reweight the classes"),
     )),
     "calibrate": ("sweep the acceptance threshold on a validation split", _ROUTING + (
         ("split", str, "val", "split name"),
-        ("max_rel_drop", float, 0.005, "allowed relative accuracy drop from the best"),
+        ("max_rel_drop", float, DEFAULT_MAX_REL_DROP, "allowed relative accuracy drop from the best"),
     )),
     "route": ("apply a threshold to a split and write outcome files", _ROUTING + (
         ("split", str, "test", "split name"),
@@ -235,7 +233,7 @@ def _convert(subcommand: str, name: str, kind, raw: str):
             return kind(raw)
         except ValueError:
             wanted = "an integer" if kind is int else "a number"
-    raise UsageError(f"{subcommand}: {name} must be {wanted}, not {raw!r}")
+    raise ValueError(f"{subcommand}: {name} must be {wanted}, not {raw!r}")
 
 
 def resolve_options(subcommand: str, explicit: dict) -> argparse.Namespace:
@@ -246,60 +244,18 @@ def resolve_options(subcommand: str, explicit: dict) -> argparse.Namespace:
         file_opts = load_config(config_path)
         unknown = sorted(set(file_opts) - set(merged))
         if unknown:
-            raise UsageError(f"unknown config keys for {subcommand}: {', '.join(unknown)}")
+            raise ValueError(f"unknown config keys for {subcommand}: {', '.join(unknown)}")
         for name, kind, _, _ in rows:
             if name in file_opts:
                 merged[name] = _convert(subcommand, name, kind, file_opts[name])
     merged.update(explicit)
     for name, _, default, _ in rows:
         if default is ... and merged[name] is None:
-            raise UsageError(f"{subcommand}: {_flag(name)} is required (flag or config file)")
+            raise ValueError(f"{subcommand}: {_flag(name)} is required (flag or config file)")
     return argparse.Namespace(**merged)
 
 
 # --- manifests ---------------------------------------------------------------
-
-
-def _git_revision() -> str:
-    """HEAD of the checkout this package is loaded from, whatever the working directory."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    return out.stdout.strip() if out.returncode == 0 else "unknown"
-
-
-def write_manifest(
-    subcommand: str,
-    opts: argparse.Namespace,
-    inputs: list[str],
-    outputs: list[str],
-    schemas: dict[str, str],
-    out_dir: str | Path,
-    **extra,
-) -> Path:
-    """Write <subcommand>.manifest.json; extra holds stage-specific top-level keys."""
-    doc = {
-        "subcommand": subcommand,
-        "version": __version__,
-        "seed": getattr(opts, "seed", 0),
-        "config": {k: v for k, v in sorted(vars(opts).items()) if k != "config"},
-        "inputs": sorted(inputs),
-        "outputs": sorted(outputs),
-        "schemas": schemas,
-        "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "git_revision": _git_revision(),
-        **extra,
-    }
-    path = Path(out_dir) / f"{subcommand}.manifest.json"
-    write_json(path, doc)
-    return path
 
 
 class Run:
@@ -326,7 +282,49 @@ class Run:
         return path
 
 
-# --- shared loading helpers ---------------------------------------------------
+def _git_revision() -> str:
+    """HEAD of the checkout this package is loaded from, whatever the working directory."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
+
+
+def write_manifest(
+    subcommand: str, opts: argparse.Namespace, run: Run, schemas: dict[str, str]
+) -> Path:
+    """Write <subcommand>.manifest.json into the run's output directory."""
+    doc = {
+        "subcommand": subcommand,
+        "version": __version__,
+        "seed": getattr(opts, "seed", 0),
+        "config": {k: v for k, v in sorted(vars(opts).items()) if k != "config"},
+        "inputs": sorted(run.inputs),
+        "outputs": sorted(run.outputs),
+        "schemas": schemas,
+        "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "git_revision": _git_revision(),
+        **run.extra,
+    }
+    path = run.out_dir / f"{subcommand}.manifest.json"
+    write_json(path, doc)
+    return path
+
+
+# --- shared helpers -----------------------------------------------------------
+
+
+def _config(cls, opts: argparse.Namespace, **given):
+    """cls built from given and, for each of its other fields, the option of the same name."""
+    named = {f.name: getattr(opts, f.name) for f in fields(cls) if f.name not in given}
+    return cls(**named, **given)
 
 
 def _load_split_features(run: Run, features_dir: str, split: str):
@@ -355,14 +353,8 @@ def _load_routing_items(opts, run: Run) -> list:
     params, mcfg = load_checkpoint(run.reads(opts.model))
     scores = score_features(params, mcfg, [by_qid[t.question_id] for t in trajectories])
     return build_calibration_items(
-        trajectories,
-        scores,
-        paths_by_qid,
-        questions,
-        method=opts.method,
-        budget=opts.budget,
-        votes_needed=opts.votes_needed,
-        include_greedy_vote=opts.include_greedy_vote,
+        trajectories, scores, paths_by_qid, questions, method=opts.method, budget=opts.budget,
+        votes_needed=opts.votes_needed, include_greedy_vote=opts.include_greedy_vote,
     )
 
 
@@ -375,20 +367,13 @@ def _load_routing_items(opts, run: Run) -> list:
 def cmd_synth(opts, run: Run) -> None:
     sizes = {"train": opts.n_train, "val": opts.n_val, "test": opts.n_test}
     if min(sizes.values()) < 0 or max(sizes.values()) == 0:
-        raise UsageError("synth: split sizes must be >= 0 and at least one must be positive")
+        raise ValueError("synth: split sizes must be >= 0 and at least one must be positive")
     for offset, split in enumerate(SPLITS):
         if sizes[split] == 0:
             continue
-        cfg = SynthConfig(
-            n_questions=sizes[split],
-            seed=opts.seed + offset,
-            beta=opts.beta,
-            num_choices=opts.choices,
-            base_rate=opts.base_rate,
-            t_min=opts.t_min,
-            t_max=opts.t_max,
-            samples_per_question=opts.samples,
-            id_prefix=f"{split}-",
+        cfg = _config(
+            SynthConfig, opts, n_questions=sizes[split], seed=opts.seed + offset,
+            num_choices=opts.choices, samples_per_question=opts.samples, id_prefix=f"{split}-",
         )
         questions, trajectories, paths_by_qid = generate(cfg)
         write_questions(run.writes(f"{split}.questions.jsonl"), questions)
@@ -398,27 +383,14 @@ def cmd_synth(opts, run: Run) -> None:
 
 
 def cmd_harvest(opts, run: Run) -> dict:
+    client = EndpointClient(_config(EndpointConfig, opts))
+    check_harvest_options(opts.n_samples, opts.temperature, opts.max_new_tokens, not opts.no_paths)
     questions = load_questions(run.reads(opts.questions))
-    endpoint = EndpointConfig(
-        base_url=opts.base_url,
-        model=opts.model,
-        api_key_env=opts.api_key_env,
-        timeout=opts.timeout,
-        max_retries=opts.max_retries,
-        backoff=opts.backoff,
-        max_in_flight=opts.max_in_flight,
-        cache_dir=opts.cache_dir,
-    )
-    client = EndpointClient(endpoint)
     write_questions(run.writes(f"{opts.split}.questions.jsonl"), questions)
     harvested, failed = harvest_dataset(
-        questions,
-        client,
-        run.writes(f"{opts.split}.traj.jsonl"),
+        questions, client, run.writes(f"{opts.split}.traj.jsonl"),
         None if opts.no_paths else run.writes(f"{opts.split}.paths.jsonl"),
-        n_samples=opts.n_samples,
-        temperature=opts.temperature,
-        max_new_tokens=opts.max_new_tokens,
+        n_samples=opts.n_samples, temperature=opts.temperature, max_new_tokens=opts.max_new_tokens,
     )
     skipped = len(questions) - harvested - failed
     return {"harvested": harvested, "failed": failed, "skipped_existing": skipped}
@@ -455,27 +427,14 @@ def cmd_extract_features(opts, run: Run) -> None:
 
 
 def cmd_train(opts, run: Run) -> dict:
+    tcfg = _config(TrainConfig, opts, class_weights=not opts.no_class_weights)
     train_seqs, train_labels = _load_split_features(run, opts.in_dir, "train")
     val_seqs, val_labels = _load_split_features(run, opts.in_dir, "val")
     if not train_seqs:
         raise EmptyDataset("training split is empty")
-    mcfg = ModelConfig(
-        input_dim=train_seqs[0].x.shape[1],
-        hidden=opts.hidden,
-        heads=opts.heads,
-        head_hidden=opts.head_hidden,
-        use_feature_gate=not opts.no_feature_gate,
-        use_mhsa=not opts.no_mhsa,
-    )
-    tcfg = TrainConfig(
-        lr=opts.lr,
-        batch_size=opts.batch_size,
-        max_epochs=opts.max_epochs,
-        patience=opts.patience,
-        seed=opts.seed,
-        loss_variant=opts.loss_variant,
-        aux_weight=opts.aux_weight,
-        class_weights=not opts.no_class_weights,
+    mcfg = _config(
+        ModelConfig, opts, input_dim=train_seqs[0].x.shape[1],
+        use_feature_gate=not opts.no_feature_gate, use_mhsa=not opts.no_mhsa,
     )
     result = train(train_seqs, train_labels, val_seqs, val_labels, mcfg, tcfg)
     save_checkpoint(run.writes("model.ckpt"), result.params, mcfg)
@@ -491,14 +450,14 @@ def cmd_calibrate(opts, run: Run) -> dict:
     profile = sweep(items, sunk_greedy=not opts.no_sunk_greedy, baseline_method=opts.method)
     tau = select_threshold(profile, max_rel_drop=opts.max_rel_drop)
     profile_to_csv(profile, run.writes("profile.csv"))
-    write_selection_summary(profile, run.writes("selection.json"), max_rel_drop=opts.max_rel_drop)
+    write_selection_summary(profile, tau, run.writes("selection.json"), opts.max_rel_drop)
     return {"selected_tau": tau}
 
 
 def cmd_route(opts, run: Run) -> dict:
     check_method_options(opts.method, opts.budget, opts.votes_needed, opts.include_greedy_vote)
     if (opts.tau is None) == (opts.selection is None):
-        raise UsageError("route: pass exactly one of --tau and --selection selection.json")
+        raise ValueError("route: pass exactly one of --tau and --selection selection.json")
     tau = opts.tau
     if tau is None:
         tau = read_selection_summary(run.reads(opts.selection))["selected_tau"]
@@ -521,12 +480,8 @@ def cmd_report(opts, run: Run) -> None:
         for path in inputs
     }
     write_report(
-        methods,
-        run.writes("summary.csv"),
-        run.writes("significance.csv"),
-        run.writes("outcomes.csv"),
-        seed=opts.seed,
-        resamples=opts.resamples,
+        methods, run.writes("summary.csv"), run.writes("significance.csv"),
+        run.writes("outcomes.csv"), seed=opts.seed, resamples=opts.resamples,
     )
 
 
@@ -582,13 +537,10 @@ def main(argv: list[str] | None = None) -> int:
         handler, schemas = STAGES[ns.subcommand]
         run = Run(opts.out)
         record = handler(opts, run)
-        write_manifest(ns.subcommand, opts, run.inputs, run.outputs, schemas, opts.out, **run.extra)
+        write_manifest(ns.subcommand, opts, run, schemas)
         if record is not None:
             print(json.dumps(record))
         return EXIT_OK
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (HarvestError, CapabilityError) as exc:
         print(f"endpoint error: {exc}", file=sys.stderr)
         return EXIT_ENDPOINT

@@ -104,7 +104,10 @@ def paired_bootstrap(
 
     Swapping a and b negates the deltas and leaves both p-values unchanged:
     the index draws depend only on (seed, i), not on the operand order.
+    ValueError when resamples < 1.
     """
+    if resamples < 1:
+        raise ValueError("resamples must be positive")
     if len(a) == 0:
         raise EmptyDataset("cannot bootstrap empty outcome vectors")
     b = _align(a, b)

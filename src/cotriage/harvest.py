@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import threading
@@ -32,24 +33,24 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import requests
 
 from .errors import CapabilityError, CotriageError, HarvestError
-from .jsonl import _replace_atomically, dumps_record
+from .jsonl import dumps_record, replace_atomically
 from .trajectory import (
     TRAJ_SCHEMA,
     ChoiceDistribution,
     McQuestion,
     Trajectory,
-    _traj_to_record,
     answer_logscore,
     normalize_choices,
     prefix_lengths,
     read_trajectories,
     segment_sentences,
+    traj_record,
 )
 from .voting import ABSTAIN, PATHS_SCHEMA, SampledPath, path_record, read_paths, write_paths
 
@@ -70,6 +71,16 @@ class EndpointConfig:
     backoff: float = 0.5
     max_in_flight: int = 4
     cache_dir: str | None = None
+
+    def __post_init__(self):
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError("timeout must be a positive number of seconds")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be non-negative")
+        if not (math.isfinite(self.backoff) and self.backoff >= 0):
+            raise ValueError("backoff must be a non-negative number of seconds")
+        if self.max_in_flight < 1:
+            raise ValueError("max_in_flight must be positive")
 
 
 @dataclass(frozen=True)
@@ -210,7 +221,7 @@ class EndpointClient:
     @staticmethod
     def _store(cache_path: Path | None, response) -> None:
         if cache_path is not None:
-            with _replace_atomically(cache_path) as fh:
+            with replace_atomically(cache_path) as fh:
                 json.dump(response, fh, sort_keys=True)
 
     def _send(self, route: str, payload: dict) -> dict:
@@ -454,6 +465,18 @@ def _append_records(path: Path, schema: str, records: Iterable[dict]) -> None:
             fh.write(dumps_record(rec) + "\n")
 
 
+def check_harvest_options(
+    n_samples: int, temperature: float, max_new_tokens: int, with_paths: bool = True
+) -> None:
+    """ValueError for a value no harvest can use; n_samples counts only when with_paths."""
+    if max_new_tokens < 1:
+        raise ValueError("max_new_tokens must be positive")
+    if not (math.isfinite(temperature) and temperature >= 0):
+        raise ValueError("temperature must be a non-negative number")
+    if with_paths and n_samples < 1:
+        raise ValueError("n_samples must be positive when sampled paths are harvested")
+
+
 def harvest_dataset(
     questions: Sequence[McQuestion],
     client: EndpointClient,
@@ -473,8 +496,9 @@ def harvest_dataset(
     readers, so a record they reject stops the rerun with a ParseError. A
     question whose requests keep failing or whose generation cannot be used
     (blank text, for one) is logged and skipped, never aborting the job.
-    Returns (harvested, failed).
+    Returns (harvested, failed); check_harvest_options runs before any request.
     """
+    check_harvest_options(n_samples, temperature, max_new_tokens, out_paths is not None)
     probe_scoring_capability(client)
     out_trajectories = Path(out_trajectories)
     done = set()
@@ -494,7 +518,7 @@ def harvest_dataset(
             continue
         try:
             traj = harvest_greedy(q, client, max_new_tokens=max_new_tokens)
-            records = [_traj_to_record(traj)]
+            records = [traj_record(traj)]
             path_records = []
             if out_paths is not None:
                 samples = harvest_samples(

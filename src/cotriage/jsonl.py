@@ -33,7 +33,7 @@ def dumps_record(record: dict[str, Any]) -> str:
 
 
 @contextmanager
-def _replace_atomically(path: str | Path) -> Iterator[TextIO]:
+def replace_atomically(path: str | Path) -> Iterator[TextIO]:
     """Create the parent directory, write a temp file, then rename it over the target.
 
     The temp name is unique to the writing process and thread, so concurrent
@@ -55,7 +55,7 @@ def _replace_atomically(path: str | Path) -> Iterator[TextIO]:
 
 
 def write_jsonl(path: str | Path, schema: str, records: Iterable[dict[str, Any]]) -> None:
-    with _replace_atomically(path) as fh:
+    with replace_atomically(path) as fh:
         fh.write(dumps_record({"schema": schema}) + "\n")
         for rec in records:
             fh.write(dumps_record(rec) + "\n")
@@ -63,7 +63,7 @@ def write_jsonl(path: str | Path, schema: str, records: Iterable[dict[str, Any]]
 
 def write_json(path: str | Path, doc: dict[str, Any]) -> None:
     """One indented JSON document with sorted keys, written atomically."""
-    with _replace_atomically(path) as fh:
+    with replace_atomically(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
@@ -75,7 +75,7 @@ def write_csv(
     comment: str | None = None,
 ) -> None:
     """A CSV table, after a '# comment' line when one is given, written atomically."""
-    with _replace_atomically(path) as fh:
+    with replace_atomically(path) as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh)

@@ -10,6 +10,7 @@ trajectory's forward value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -44,12 +45,14 @@ class TrainConfig:
     class_weights: bool = True
 
     def __post_init__(self):
-        if self.lr <= 0 or self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
-            raise ValueError("lr, batch_size, max_epochs and patience must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("lr must be a positive number")
+        if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
+            raise ValueError("batch_size, max_epochs and patience must be positive")
         if self.loss_variant not in LOSS_VARIANTS:
             raise ValueError(f"loss_variant must be one of {LOSS_VARIANTS}")
-        if self.aux_weight < 0:
-            raise ValueError("aux_weight must be non-negative")
+        if not (math.isfinite(self.aux_weight) and self.aux_weight >= 0):
+            raise ValueError("aux_weight must be a non-negative number")
 
 
 @dataclass

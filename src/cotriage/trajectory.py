@@ -109,12 +109,6 @@ class Trajectory:
         log_scores = read_only(numeric_array(self.log_scores, "fiu", np.float64))
         object.__setattr__(self, "log_scores", log_scores)
         object.__setattr__(self, "prefix_len", read_only(numeric_array(self.prefix_len, "iu", np.int64)))
-        self.validate()
-        p, entropy = sentence_signals(ChoiceDistribution(_softmax(log_scores), log_scores))
-        object.__setattr__(self, "p", read_only(p))
-        object.__setattr__(self, "entropy", read_only(entropy))
-
-    def validate(self) -> None:
         qid, t = self.question_id, len(self.texts)
         plen = self.prefix_len
         if t == 0:
@@ -133,6 +127,9 @@ class Trajectory:
             raise ValueError(f"{qid}: greedy_answer out of range")
         if self.greedy_token_cost <= 0:
             raise ValueError(f"{qid}: greedy_token_cost must be positive")
+        p, entropy = sentence_signals(ChoiceDistribution(_softmax(log_scores), log_scores))
+        object.__setattr__(self, "p", read_only(p))
+        object.__setattr__(self, "entropy", read_only(entropy))
 
 
 def segment_sentences(cot_text: str) -> list[str]:
@@ -226,7 +223,8 @@ def prefix_lengths(sentences: Sequence[str]) -> list[int]:
 # --- serialization ---------------------------------------------------------
 
 
-def _traj_to_record(traj: Trajectory) -> dict:
+def traj_record(traj: Trajectory) -> dict:
+    """The traj/1 record of one trajectory."""
     columns = zip(
         traj.texts,
         traj.log_scores.tolist(),
@@ -269,7 +267,7 @@ def _traj_from_record(rec: dict) -> Trajectory:
 
 def write_trajectories(path: str | Path, trajectories: Iterable[Trajectory]) -> None:
     """Write a traj/1 file; a Trajectory was validated when it was built."""
-    write_jsonl(path, TRAJ_SCHEMA, map(_traj_to_record, trajectories))
+    write_jsonl(path, TRAJ_SCHEMA, map(traj_record, trajectories))
 
 
 def read_trajectories(path: str | Path) -> list[Trajectory]:

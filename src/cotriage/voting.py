@@ -20,6 +20,7 @@ from .jsonl import read_unique_jsonl, typed, write_jsonl
 
 PATHS_SCHEMA = "paths/1"
 ABSTAIN = -1
+METHODS = ("sc", "cer", "dv")
 
 
 @dataclass(frozen=True)

@@ -122,7 +122,6 @@ def test_selection_prefers_max_reduction_within_floor():
     profile = _profile(pts)
     # floor = 0.995 * 0.820 = 0.8159; the tie at reduction 0.50 goes to tau 0.4
     assert select_threshold(profile) == 0.4
-    assert profile.selected_tau == 0.4
 
 
 def test_selection_always_exists():
@@ -153,7 +152,7 @@ def test_selected_tau_is_feasible_and_on_grid(n, seed):
 def test_profile_csv_and_summary(tmp_path):
     items = random_items(np.random.default_rng(4), 50)
     profile = sweep(items)
-    select_threshold(profile)
+    tau = select_threshold(profile)
     csv_path = tmp_path / "calibration.csv"
     profile_to_csv(profile, csv_path)
     with open(csv_path) as fh:
@@ -163,14 +162,9 @@ def test_profile_csv_and_summary(tmp_path):
     assert float(rows[0]["tau"]) == 0.0
 
     summary_path = tmp_path / "selection.json"
-    write_selection_summary(profile, summary_path)
+    write_selection_summary(profile, tau, summary_path, max_rel_drop=0.005)
     doc = read_selection_summary(summary_path)
-    assert doc["selected_tau"] == profile.selected_tau
-    assert doc["baseline_method"] == "sc"
+    assert doc["selected_tau"] == tau
+    assert doc["baseline_method"] == "sc" and doc["max_rel_drop"] == 0.005
     assert json.loads(summary_path.read_text())["sunk_greedy"] is True
 
-
-def test_summary_requires_selection(tmp_path):
-    profile = _profile([CalibrationPoint(0.0, 0.8, 100.0, 0.5, 1.0)])
-    with pytest.raises(ValueError):
-        write_selection_summary(profile, tmp_path / "x.json")

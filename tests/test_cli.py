@@ -14,6 +14,7 @@ import pytest
 import requests
 
 import cotriage
+import cotriage.cli as cli
 import cotriage.harvest as harvest_mod
 from cotriage.cli import (
     DEFAULTS,
@@ -21,7 +22,7 @@ from cotriage.cli import (
     EXIT_ENDPOINT,
     EXIT_OK,
     EXIT_USAGE,
-    UsageError,
+    Run,
     build_parser,
     main,
     parse_config_text,
@@ -30,7 +31,10 @@ from cotriage.cli import (
 )
 from cotriage.evaluation import OutcomeVector, write_outcomes
 from cotriage.features import LAYOUTS
+from cotriage.harvest import EndpointConfig
 from cotriage.model import CKPT_SCHEMA, ModelConfig, init_params, save_checkpoint
+from cotriage.synth import SynthConfig
+from cotriage.training import TrainConfig
 from cotriage.trajectory import load_questions, write_questions
 from test_harvest import Q1, Q2, make_fake
 
@@ -124,7 +128,7 @@ def test_manifest_git_revision_is_the_package_checkout(tmp_path, monkeypatch):
     if head.returncode != 0:
         pytest.skip("the package is not loaded from a git checkout")
     monkeypatch.chdir(tmp_path)
-    path = write_manifest("synth", argparse.Namespace(seed=0), [], [], {}, tmp_path)
+    path = write_manifest("synth", argparse.Namespace(seed=0), Run(tmp_path), {})
     assert json.loads(path.read_text())["git_revision"] == head.stdout.strip()
 
 
@@ -231,9 +235,9 @@ def test_parse_config_text_coercion():
         "rate": "2.5e-1",
         "word": "bare",
     }
-    with pytest.raises(UsageError):
+    with pytest.raises(ValueError):
         parse_config_text("broken line")
-    with pytest.raises(UsageError, match="line 3: n_train is already set on line 1"):
+    with pytest.raises(ValueError, match="line 3: n_train is already set on line 1"):
         parse_config_text("n_train = 3\n# again\nn-train = 5\n")
 
 
@@ -670,3 +674,131 @@ def test_calibrate_max_rel_drop_outside_zero_one_exits_1(routed_run, tmp_path, c
     assert run("calibrate", *argv, "--max-rel-drop", -0.1, "--out", tmp_path / "c") == EXIT_USAGE
     assert "max_rel_drop must be in [0, 1]" in capsys.readouterr().err
     assert not (tmp_path / "c").exists() or list((tmp_path / "c").iterdir()) == []
+
+
+def _no_request(route, payload):
+    raise AssertionError(f"a request was sent to {route}")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--max-retries", -1], "max_retries must be non-negative"),
+        (["--timeout", 0], "timeout must be a positive number"),
+        (["--timeout", "inf"], "timeout must be a positive number"),
+        (["--backoff", -0.5], "backoff must be a non-negative number"),
+        (["--backoff", "nan"], "backoff must be a non-negative number"),
+        (["--max-in-flight", 0], "max_in_flight must be positive"),
+        (["--n-samples", 0], "n_samples must be positive"),
+        (["--max-new-tokens", 0], "max_new_tokens must be positive"),
+        (["--temperature", -0.5], "temperature must be a non-negative number"),
+        (["--temperature", "nan"], "temperature must be a non-negative number"),
+    ],
+    ids=["max_retries_-1", "timeout_0", "timeout_inf", "backoff_-0_5", "backoff_nan",
+         "max_in_flight_0", "n_samples_0", "max_new_tokens_0", "temperature_-0_5",
+         "temperature_nan"],
+)
+def test_harvest_value_that_cannot_work_exits_1_before_any_file_or_request(
+    tmp_path, monkeypatch, capsys, flags, message
+):
+    monkeypatch.setattr(harvest_mod, "_default_transport", lambda cfg: _no_request)
+    out = tmp_path / "h"
+    assert run("harvest", "--questions", tmp_path / "missing.jsonl", "--out", out,
+               "--base-url", "http://fake/v1", "--model", "fake-model", *flags) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_harvest_without_paths_takes_any_n_samples(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(harvest_mod, "_default_transport", lambda cfg: make_fake())
+    qfile = tmp_path / "q.jsonl"
+    write_questions(qfile, [Q1])
+    assert run("harvest", "--questions", qfile, "--out", tmp_path / "h", "--base-url",
+               "http://fake/v1", "--model", "fake-model", "--no-paths", "--n-samples", 0) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["harvested"] == 1
+    assert not (tmp_path / "h" / "train.paths.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--lr", 0], "lr must be a positive number"),
+        (["--lr", "nan"], "lr must be a positive number"),
+        (["--lr", "inf"], "lr must be a positive number"),
+        (["--aux-weight", -1], "aux_weight must be a non-negative number"),
+        (["--aux-weight", "nan"], "aux_weight must be a non-negative number"),
+    ],
+    ids=["lr_0", "lr_nan", "lr_inf", "aux_weight_-1", "aux_weight_nan"],
+)
+def test_train_value_that_cannot_work_exits_1_before_any_file(tmp_path, capsys, flags, message):
+    out = tmp_path / "m"
+    assert run("train", "--in", tmp_path / "missing", "--out", out, *flags) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+class Captured(Exception):
+    """Raised by a stand-in consumer once it has recorded its arguments."""
+
+
+def test_every_synth_option_reaches_its_config_field(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "generate", lambda cfg: seen.append(cfg) or ([], [], {}))
+    assert run("synth", "--out", tmp_path / "d", "--seed", 3, "--n-train", 5, "--n-val", 6,
+               "--n-test", 7, "--beta", 0.5, "--choices", 3, "--base-rate", 0.6,
+               "--samples", 4, "--t-min", 2, "--t-max", 5) == EXIT_OK
+    shared = dict(beta=0.5, num_choices=3, base_rate=0.6, t_min=2, t_max=5, samples_per_question=4)
+    assert seen == [
+        SynthConfig(n_questions=5, seed=3, id_prefix="train-", **shared),
+        SynthConfig(n_questions=6, seed=4, id_prefix="val-", **shared),
+        SynthConfig(n_questions=7, seed=5, id_prefix="test-", **shared),
+    ]
+
+
+def test_every_harvest_option_reaches_its_config_field(tmp_path, monkeypatch):
+    seen = {}
+    monkeypatch.setattr(cli, "EndpointClient", lambda cfg: seen.setdefault("endpoint", cfg))
+
+    def fake_harvest(questions, client, out_trajectories, out_paths, **kwargs):
+        seen["harvest"] = kwargs
+        raise Captured
+
+    monkeypatch.setattr(cli, "harvest_dataset", fake_harvest)
+    qfile = tmp_path / "q.jsonl"
+    write_questions(qfile, [Q1])
+    with pytest.raises(Captured):
+        run("harvest", "--questions", qfile, "--out", tmp_path / "h",
+            "--base-url", "http://fake/v1", "--model", "fake-model", "--api-key-env", "OTHER_KEY",
+            "--timeout", 7.5, "--max-retries", 5, "--backoff", 0.25, "--max-in-flight", 2,
+            "--cache-dir", tmp_path / "cache", "--n-samples", 3, "--temperature", 0.7,
+            "--max-new-tokens", 99)
+    assert seen["endpoint"] == EndpointConfig(
+        base_url="http://fake/v1", model="fake-model", api_key_env="OTHER_KEY", timeout=7.5,
+        max_retries=5, backoff=0.25, max_in_flight=2, cache_dir=str(tmp_path / "cache"),
+    )
+    assert seen["harvest"] == {"n_samples": 3, "temperature": 0.7, "max_new_tokens": 99}
+
+
+def test_every_train_option_reaches_its_config_field(tmp_path, monkeypatch):
+    d, f = tmp_path / "d", tmp_path / "f"
+    assert run("synth", "--seed", 1, "--out", d, "--n-train", 3, "--n-val", 2,
+               "--n-test", 0, "--samples", 2) == EXIT_OK
+    assert run("extract-features", "--in", d, "--out", f) == EXIT_OK
+    seen = []
+
+    def fake_train(train_seqs, train_labels, val_seqs, val_labels, mcfg, tcfg):
+        seen.extend([mcfg, tcfg])
+        raise Captured
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    with pytest.raises(Captured):
+        run("train", "--in", f, "--out", tmp_path / "m", "--seed", 9, "--hidden", 8, "--heads", 2,
+            "--head-hidden", 4, "--no-feature-gate", "--no-mhsa", "--lr", 0.01,
+            "--batch-size", 7, "--max-epochs", 3, "--patience", 2, "--loss-variant", "final_aux",
+            "--aux-weight", 0.25, "--no-class-weights")
+    assert seen == [
+        ModelConfig(input_dim=len(LAYOUTS["full"]), hidden=8, heads=2, head_hidden=4,
+                    use_feature_gate=False, use_mhsa=False),
+        TrainConfig(lr=0.01, batch_size=7, max_epochs=3, patience=2, seed=9,
+                    loss_variant="final_aux", aux_weight=0.25, class_weights=False),
+    ]

@@ -96,6 +96,13 @@ def test_mismatched_question_sets_rejected():
         paired_bootstrap(a, b)
 
 
+@pytest.mark.parametrize("resamples", [0, -5])
+def test_resamples_below_one_are_rejected(resamples):
+    a = vec(["a", "b"], [1, 0], [1, 2])
+    with pytest.raises(ValueError, match="resamples must be positive"):
+        paired_bootstrap(a, a, resamples=resamples)
+
+
 def _exhaustive_p(a_vals, b_vals):
     a_vals = np.asarray(a_vals, dtype=np.float64)
     b_vals = np.asarray(b_vals, dtype=np.float64)

@@ -31,10 +31,10 @@ from cotriage.harvest import (
 )
 from cotriage.trajectory import (
     McQuestion,
-    _traj_to_record,
     normalize_choices,
     read_trajectories,
     segment_sentences,
+    traj_record,
 )
 from cotriage.voting import ABSTAIN, read_paths
 
@@ -194,7 +194,7 @@ def test_cache_replays_without_new_requests(tmp_path):
     # one entry per prompt: the generation and each of the T x K scoring prompts
     assert client2.cache_hits == len(list((tmp_path / "cache").glob("*.json")))
     assert client2.cache_hits == 1 + 4 * len(Q1.options)
-    assert _traj_to_record(traj1) == _traj_to_record(traj2)
+    assert traj_record(traj1) == traj_record(traj2)
 
 
 def test_identical_requests_in_flight_share_one_cache_entry(tmp_path, monkeypatch):

@@ -202,7 +202,6 @@ def test_trajectory_roundtrip(tmp_path):
         assert np.array_equal(back.prefix_len, orig.prefix_len)
         assert np.array_equal(back.log_scores, orig.log_scores)
         assert np.array_equal(back.p, orig.p) and np.array_equal(back.entropy, orig.entropy)
-        back.validate()
 
 
 def test_trajectory_read_rejects_duplicates(tmp_path):
