@@ -11,6 +11,7 @@ available behind sunk_greedy=False.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -47,8 +48,6 @@ class CalibrationPoint:
 @dataclass(frozen=True)
 class CalibrationProfile:
     points: list[CalibrationPoint]
-    baseline_method: str
-    sunk_greedy: bool
 
 
 def default_grid() -> list[float]:
@@ -109,18 +108,16 @@ def simulate_at_tau(
     return _point(RoutingArrays.of(items), tau, sunk_greedy)
 
 
-def sweep(
-    items: Sequence[CalibrationItem],
-    sunk_greedy: bool = True,
-    baseline_method: str = "sc",
-) -> CalibrationProfile:
+def sweep(items: Sequence[CalibrationItem], sunk_greedy: bool = True) -> CalibrationProfile:
     """Route the items at every threshold of default_grid()."""
     arrays = RoutingArrays.of(items)
-    return CalibrationProfile(
-        points=[_point(arrays, tau, sunk_greedy) for tau in default_grid()],
-        baseline_method=baseline_method,
-        sunk_greedy=sunk_greedy,
-    )
+    return CalibrationProfile([_point(arrays, tau, sunk_greedy) for tau in default_grid()])
+
+
+def check_max_rel_drop(max_rel_drop: float) -> None:
+    """ValueError unless 0 <= max_rel_drop <= 1."""
+    if not 0.0 <= max_rel_drop <= 1.0:
+        raise ValueError(f"max_rel_drop must be in [0, 1], got {max_rel_drop}")
 
 
 def select_threshold(
@@ -132,8 +129,7 @@ def select_threshold(
     The best-accuracy point is always feasible, so a selection always exists;
     ValueError unless 0 <= max_rel_drop <= 1.
     """
-    if not 0.0 <= max_rel_drop <= 1.0:
-        raise ValueError(f"max_rel_drop must be in [0, 1], got {max_rel_drop}")
+    check_max_rel_drop(max_rel_drop)
     if not profile.points:
         raise EmptyDataset("profile has no grid points")
     max_acc = max(pt.accuracy for pt in profile.points)
@@ -153,25 +149,29 @@ def profile_to_csv(profile: CalibrationProfile, path: str | Path) -> None:
 
 
 def write_selection_summary(
-    profile: CalibrationProfile, tau: float, path: str | Path, max_rel_drop: float
+    profile: CalibrationProfile, tau: float, path: str | Path, max_rel_drop: float,
+    baseline_method: str, sunk_greedy: bool,
 ) -> None:
-    """selection.json: the tau that select_threshold(profile, max_rel_drop) chose, in context."""
+    """selection.json: the tau that select_threshold(profile, max_rel_drop) chose, in context:
+    the profile's voting method and greedy-cost accounting."""
     doc = {
         "selected_tau": tau,
         "max_accuracy": max(pt.accuracy for pt in profile.points),
         "max_rel_drop": max_rel_drop,
-        "baseline_method": profile.baseline_method,
-        "sunk_greedy": profile.sunk_greedy,
+        "baseline_method": baseline_method,
+        "sunk_greedy": sunk_greedy,
     }
     write_json(path, doc)
 
 
 def read_selection_summary(path: str | Path) -> dict:
-    """The selection.json document, selected_tau a float; ParseError unless it is a number."""
+    """The selection.json document, selected_tau a float; ParseError unless it is a finite number."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
             doc["selected_tau"] = typed(doc, "selected_tau", float)
+            if not math.isfinite(doc["selected_tau"]):
+                raise ValueError(f"selected_tau is {doc['selected_tau']}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad selection summary {path}: {exc!r}") from exc
     return doc

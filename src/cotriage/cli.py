@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import re
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from pathlib import Path
 from . import __version__
 from .calibration import (
     DEFAULT_MAX_REL_DROP,
+    check_max_rel_drop,
     profile_to_csv,
     read_selection_summary,
     select_threshold,
@@ -39,6 +41,7 @@ from .evaluation import (
     OUTCOMES_SCHEMA,
     REPORT_SCHEMA,
     build_calibration_items,
+    check_resamples,
     read_outcomes,
     route_outcomes,
     summarize,
@@ -147,12 +150,12 @@ COMMANDS: dict[str, tuple[str, tuple]] = {
         ("n_train", int, 500, "questions in the train split"),
         ("n_val", int, 200, "questions in the val split"),
         ("n_test", int, 500, "questions in the test split"),
-        ("beta", float, 1.0, "planted signal strength in [0, 1]"),
-        ("choices", int, 4, "options per question"),
-        ("base_rate", float, 0.8, "fraction of questions whose greedy answer is correct"),
-        ("samples", int, 10, "sampled paths per question"),
-        ("t_min", int, 3, "fewest sentences per trajectory"),
-        ("t_max", int, 12, "most sentences per trajectory"),
+        ("beta", float, SynthConfig.beta, "planted signal strength in [0, 1]"),
+        ("choices", int, SynthConfig.num_choices, "options per question"),
+        ("base_rate", float, SynthConfig.base_rate, "fraction of questions whose greedy answer is correct"),
+        ("samples", int, SynthConfig.samples_per_question, "sampled paths per question"),
+        ("t_min", int, SynthConfig.t_min, "fewest sentences per trajectory"),
+        ("t_max", int, SynthConfig.t_max, "most sentences per trajectory"),
     )),
     "harvest": ("harvest trajectories and sampled paths from an endpoint", (
         ("questions", str, ..., "questions jsonl file"),
@@ -163,12 +166,12 @@ COMMANDS: dict[str, tuple[str, tuple]] = {
         ("n_samples", int, 10, "sampled paths per question"),
         ("temperature", float, 1.0, "sampling temperature of the sampled paths"),
         ("max_new_tokens", int, 1024, "generation limit per request"),
-        ("cache_dir", str, None, "response cache directory"),
-        ("api_key_env", str, "COTRIAGE_API_KEY", "environment variable holding the API key"),
-        ("timeout", float, 120.0, "seconds per HTTP request"),
-        ("max_in_flight", int, 4, "concurrent sampled-generation requests per question"),
-        ("max_retries", int, 3, "retries of a failed request"),
-        ("backoff", float, 0.5, "first retry delay in seconds, doubled per retry"),
+        ("cache_dir", str, EndpointConfig.cache_dir, "response cache directory"),
+        ("api_key_env", str, EndpointConfig.api_key_env, "environment variable holding the API key"),
+        ("timeout", float, EndpointConfig.timeout, "seconds per HTTP request"),
+        ("max_in_flight", int, EndpointConfig.max_in_flight, "concurrent sampled-generation requests per question"),
+        ("max_retries", int, EndpointConfig.max_retries, "retries of a failed request"),
+        ("backoff", float, EndpointConfig.backoff, "first retry delay in seconds, doubled per retry"),
         ("no_paths", bool, False, "skip sampled paths"),
     )),
     "extract-features": ("turn trajectories into padded feature sequences", (
@@ -179,17 +182,17 @@ COMMANDS: dict[str, tuple[str, tuple]] = {
     "train": ("train the escalation detector on extracted features", (
         ("in_dir", str, ..., "directory from extract-features"),
         ("out", str, ..., "output directory for checkpoint and log"),
-        ("hidden", int, 64, "GRU and attention width"),
-        ("heads", int, 4, "attention heads"),
-        ("head_hidden", int, 32, "hidden width of the scoring head"),
+        ("hidden", int, ModelConfig.hidden, "GRU and attention width"),
+        ("heads", int, ModelConfig.heads, "attention heads"),
+        ("head_hidden", int, ModelConfig.head_hidden, "hidden width of the scoring head"),
         ("no_feature_gate", bool, False, "drop the channel gate"),
         ("no_mhsa", bool, False, "drop the self-attention block"),
-        ("lr", float, 1e-3, "Adam learning rate"),
-        ("batch_size", int, 64, "trajectories per batch"),
-        ("max_epochs", int, 100, "epoch limit"),
-        ("patience", int, 10, "epochs without val AUC gain before stopping"),
-        ("loss_variant", LOSS_VARIANTS, "final", "final_aux adds per-sentence loss"),
-        ("aux_weight", float, 0.5, "weight of the per-sentence loss"),
+        ("lr", float, TrainConfig.lr, "Adam learning rate"),
+        ("batch_size", int, TrainConfig.batch_size, "trajectories per batch"),
+        ("max_epochs", int, TrainConfig.max_epochs, "epoch limit"),
+        ("patience", int, TrainConfig.patience, "epochs without val AUC gain before stopping"),
+        ("loss_variant", LOSS_VARIANTS, TrainConfig.loss_variant, "final_aux adds per-sentence loss"),
+        ("aux_weight", float, TrainConfig.aux_weight, "weight of the per-sentence loss"),
         ("no_class_weights", bool, False, "do not reweight the classes"),
     )),
     "calibrate": ("sweep the acceptance threshold on a validation split", _ROUTING + (
@@ -304,7 +307,7 @@ def write_manifest(
     doc = {
         "subcommand": subcommand,
         "version": __version__,
-        "seed": getattr(opts, "seed", 0),
+        "seed": opts.seed,
         "config": {k: v for k, v in sorted(vars(opts).items()) if k != "config"},
         "inputs": sorted(run.inputs),
         "outputs": sorted(run.outputs),
@@ -446,11 +449,15 @@ def cmd_train(opts, run: Run) -> dict:
 
 def cmd_calibrate(opts, run: Run) -> dict:
     check_method_options(opts.method, opts.budget, opts.votes_needed, opts.include_greedy_vote)
+    check_max_rel_drop(opts.max_rel_drop)
     items = _load_routing_items(opts, run)
-    profile = sweep(items, sunk_greedy=not opts.no_sunk_greedy, baseline_method=opts.method)
+    sunk_greedy = not opts.no_sunk_greedy
+    profile = sweep(items, sunk_greedy=sunk_greedy)
     tau = select_threshold(profile, max_rel_drop=opts.max_rel_drop)
     profile_to_csv(profile, run.writes("profile.csv"))
-    write_selection_summary(profile, tau, run.writes("selection.json"), opts.max_rel_drop)
+    write_selection_summary(
+        profile, tau, run.writes("selection.json"), opts.max_rel_drop, opts.method, sunk_greedy
+    )
     return {"selected_tau": tau}
 
 
@@ -458,6 +465,8 @@ def cmd_route(opts, run: Run) -> dict:
     check_method_options(opts.method, opts.budget, opts.votes_needed, opts.include_greedy_vote)
     if (opts.tau is None) == (opts.selection is None):
         raise ValueError("route: pass exactly one of --tau and --selection selection.json")
+    if opts.tau is not None and not math.isfinite(opts.tau):
+        raise ValueError(f"tau must be a finite number, got {opts.tau}")
     tau = opts.tau
     if tau is None:
         tau = read_selection_summary(run.reads(opts.selection))["selected_tau"]
@@ -471,6 +480,7 @@ def cmd_route(opts, run: Run) -> dict:
 
 
 def cmd_report(opts, run: Run) -> None:
+    check_resamples(opts.resamples)
     in_dir = Path(opts.in_dir)
     inputs = sorted(in_dir.glob("outcomes.*.jsonl"))
     if not inputs:

@@ -6,7 +6,8 @@ Bootstrap p-values use the two-sided sign-flip convention: resample question
 indices with replacement (the same draws for both metrics of a pair, keeping
 the comparison paired), count mean-differences whose sign disagrees with the
 observed difference, double, and clamp to [0, 1]. Resample i uses the rng
-seeded with [seed, i] so any resample can be reproduced in isolation.
+seeded with [seed, i] so any resample can be reproduced in isolation; a
+report draws each resample once and applies it to every method pair.
 """
 
 from __future__ import annotations
@@ -87,11 +88,50 @@ def _align(a: OutcomeVector, b: OutcomeVector) -> OutcomeVector:
     return OutcomeVector(list(a.question_ids), b.correct[idx], b.tokens[idx])
 
 
-def _sign_flip_p(observed: float, deltas: np.ndarray) -> float:
-    if observed == 0.0:
-        return 1.0
-    flips = int(np.sum(np.sign(deltas) != np.sign(observed)))
-    return min(1.0, 2.0 * flips / len(deltas))
+def check_resamples(resamples: int) -> None:
+    """ValueError when resamples < 1."""
+    if resamples < 1:
+        raise ValueError("resamples must be positive")
+
+
+def _bootstrap_pairs(
+    pairs: Sequence[tuple[OutcomeVector, OutcomeVector]], resamples: int, seed: int
+) -> list[BootstrapResult]:
+    """paired_bootstrap of every (a, b) pair, all pairs sharing each resample's draw.
+
+    Each pair contributes two rows of integer per-question differences in a's
+    question order, correctness then tokens. A resample's row sum is exact, so
+    its sign is the sign of the float mean difference.
+    """
+    if any(len(a) == 0 for a, _ in pairs):
+        raise EmptyDataset("cannot bootstrap empty outcome vectors")
+    pairs = [(a, _align(a, b)) for a, b in pairs]
+    if not pairs:
+        return []
+    diffs = np.stack([
+        row for a, b in pairs
+        for row in (a.correct.astype(np.int64) - b.correct.astype(np.int64), a.tokens - b.tokens)
+    ])
+    n = diffs.shape[1]
+    observed = np.sign(diffs.sum(axis=1))
+    flips = np.zeros(len(diffs), dtype=np.int64)
+    for i in range(resamples):
+        idx = np.random.default_rng([seed, i]).integers(0, n, size=n)
+        flips += np.sign(diffs.take(idx, axis=1).sum(axis=1)) != observed
+    p = np.where(observed == 0, 1.0, np.minimum(1.0, 2.0 * flips / resamples))
+    return [
+        BootstrapResult(
+            delta_accuracy=_mean_diff(a.correct, b.correct),
+            delta_tokens=_mean_diff(a.tokens, b.tokens),
+            p_accuracy=float(p[2 * k]),
+            p_tokens=float(p[2 * k + 1]),
+        )
+        for k, (a, b) in enumerate(pairs)
+    ]
+
+
+def _mean_diff(x: np.ndarray, y: np.ndarray) -> float:
+    return float(x.astype(np.float64).mean() - y.astype(np.float64).mean())
 
 
 def paired_bootstrap(
@@ -106,32 +146,8 @@ def paired_bootstrap(
     the index draws depend only on (seed, i), not on the operand order.
     ValueError when resamples < 1.
     """
-    if resamples < 1:
-        raise ValueError("resamples must be positive")
-    if len(a) == 0:
-        raise EmptyDataset("cannot bootstrap empty outcome vectors")
-    b = _align(a, b)
-    n = len(a)
-    acc_a = a.correct.astype(np.float64)
-    acc_b = b.correct.astype(np.float64)
-    tok_a = a.tokens.astype(np.float64)
-    tok_b = b.tokens.astype(np.float64)
-    obs_acc = float(acc_a.mean() - acc_b.mean())
-    obs_tok = float(tok_a.mean() - tok_b.mean())
-
-    d_acc = np.empty(resamples)
-    d_tok = np.empty(resamples)
-    for i in range(resamples):
-        idx = np.random.default_rng([seed, i]).integers(0, n, size=n)
-        d_acc[i] = acc_a[idx].mean() - acc_b[idx].mean()
-        d_tok[i] = tok_a[idx].mean() - tok_b[idx].mean()
-
-    return BootstrapResult(
-        delta_accuracy=obs_acc,
-        delta_tokens=obs_tok,
-        p_accuracy=_sign_flip_p(obs_acc, d_acc),
-        p_tokens=_sign_flip_p(obs_tok, d_tok),
-    )
+    check_resamples(resamples)
+    return _bootstrap_pairs([(a, b)], resamples, seed)[0]
 
 
 # --- building routing inputs -------------------------------------------------
@@ -230,14 +246,16 @@ def write_report(
 
     The significance table holds one row per unordered method pair, marked '*'
     when p < 0.05. Every table starts with a comment line naming the schema
-    version and the bootstrap seed. ValueError, before any table is written,
-    when resamples < 1.
+    version and the bootstrap seed. The bootstrap runs before any table is
+    written, so ValueError for resamples < 1 and AlignmentError for outcome
+    files that cover different questions leave no table behind.
     """
-    if resamples < 1:
-        raise ValueError("resamples must be positive")
+    check_resamples(resamples)
     if not methods:
         raise EmptyDataset("no methods to report")
     names = sorted(methods)
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    results = _bootstrap_pairs([(methods[a], methods[b]) for a, b in pairs], resamples, seed)
     comment = f"schema={REPORT_SCHEMA} seed={seed}"
     write_csv(
         summary_path,
@@ -245,18 +263,13 @@ def write_report(
         ([name, len(methods[name]), *astuple(summarize(methods[name]))] for name in names),
         comment,
     )
-
-    def significance_rows():
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                res = paired_bootstrap(methods[a], methods[b], resamples=resamples, seed=seed)
-                marker = "*" if min(res.p_accuracy, res.p_tokens) < 0.05 else "n.s."
-                yield [a, b, *astuple(res), marker]
-
     write_csv(
         significance_path,
         ["method_a", "method_b", *(f.name for f in fields(BootstrapResult)), "marker"],
-        significance_rows(),
+        (
+            [a, b, *astuple(res), "*" if min(res.p_accuracy, res.p_tokens) < 0.05 else "n.s."]
+            for (a, b), res in zip(pairs, results)
+        ),
         comment,
     )
     write_csv(

@@ -97,7 +97,7 @@ def batch_loss(
     x: np.ndarray,
     mask: np.ndarray,
     y: np.ndarray,
-    weights: np.ndarray | None = None,
+    weights: np.ndarray,
     variant: str = "final",
     aux_weight: float = 0.5,
     with_grads: bool = True,
@@ -112,8 +112,6 @@ def batch_loss(
         raise ValueError(f"unknown loss variant {variant!r}")
     y = np.asarray(y, dtype=np.float64)
     b = len(y)
-    if weights is None:
-        weights = np.ones(b)
     q, scores, cache = forward(params, cfg, x, mask, want_cache=with_grads)
     loss = float(np.mean(weights * bce(scores, y)))
     if variant == "final_aux":
@@ -124,17 +122,10 @@ def batch_loss(
     if not with_grads:
         return loss, None
 
-    lengths_i = cache["lengths"]
     dq = np.zeros_like(q)
-    dq[np.arange(b), lengths_i - 1] = weights * _bce_dq(scores, y) / b
+    dq[np.arange(b), cache["lengths"] - 1] = weights * _bce_dq(scores, y) / b
     if variant == "final_aux":
-        lengths = mask.sum(axis=1)
-        dq += (
-            aux_weight
-            * (weights / (b * lengths))[:, None]
-            * _bce_dq(q, y[:, None])
-            * mask
-        )
+        dq += aux_weight * (weights / (b * lengths))[:, None] * _bce_dq(q, y[:, None]) * mask
     return loss, backward(params, cfg, cache, dq)
 
 
@@ -189,8 +180,7 @@ def class_weight_vector(labels: np.ndarray) -> np.ndarray:
     n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
         return np.ones(n)
-    w = np.where(labels, n / (2.0 * n_pos), n / (2.0 * n_neg))
-    return w
+    return np.where(labels, n / (2.0 * n_pos), n / (2.0 * n_neg))
 
 
 def score_features(
@@ -221,18 +211,14 @@ def train(
     if len(train_seqs) != len(train_labels) or len(val_seqs) != len(val_labels):
         raise ValueError("labels must align with sequences")
 
+    n = len(train_seqs)
     y_train = np.asarray(train_labels, dtype=np.float64)
     y_val = np.asarray(val_labels, dtype=bool)
-    weights = (
-        class_weight_vector(y_train.astype(bool))
-        if train_cfg.class_weights
-        else np.ones(len(y_train))
-    )
+    weights = class_weight_vector(y_train.astype(bool)) if train_cfg.class_weights else np.ones(n)
 
     rng = np.random.default_rng(train_cfg.seed)
     params = init_params(model_cfg, train_cfg.seed)
     state = AdamState()
-    n = len(train_seqs)
 
     best_auc = -np.inf
     best_epoch = -1
@@ -247,14 +233,8 @@ def train(
             idx = perm[lo : lo + train_cfg.batch_size]
             x, mask = pad_batch([train_seqs[i] for i in idx])
             loss, grads = batch_loss(
-                params,
-                model_cfg,
-                x,
-                mask,
-                y_train[idx],
-                weights=weights[idx],
-                variant=train_cfg.loss_variant,
-                aux_weight=train_cfg.aux_weight,
+                params, model_cfg, x, mask, y_train[idx], weights[idx],
+                variant=train_cfg.loss_variant, aux_weight=train_cfg.aux_weight,
             )
             adam_step(params, grads, state, train_cfg.lr)
             total += loss * len(idx)

@@ -46,27 +46,24 @@ class SampledPath:
 @dataclass(frozen=True)
 class VoteResult:
     answer: int  # ABSTAIN when every consumed path abstained
-    paths_used: int
     tokens_used: int
-    stopped_early: bool = False
 
 
 def _tally(
-    answers: Sequence[int], confidences: Sequence[float] | None
+    answers: Sequence[int], confidences: Sequence[float]
 ) -> tuple[dict[int, int], dict[int, float]]:
+    if len(answers) != len(confidences):
+        raise ValueError("answers and confidences must align")
     counts: dict[int, int] = defaultdict(int)
     conf: dict[int, float] = defaultdict(float)
-    for i, a in enumerate(answers):
-        if a == ABSTAIN:
-            continue
-        counts[a] += 1
-        conf[a] += confidences[i] if confidences is not None else 0.0
+    for a, c in zip(answers, confidences):
+        if a != ABSTAIN:
+            counts[a] += 1
+            conf[a] += c
     return counts, conf
 
 
-def majority_vote(
-    answers: Sequence[int], confidences: Sequence[float] | None = None
-) -> int:
+def majority_vote(answers: Sequence[int], confidences: Sequence[float]) -> int:
     """Most-voted answer; ties by summed confidence, then lowest index."""
     counts, conf = _tally(answers, confidences)
     if not counts:
@@ -76,8 +73,6 @@ def majority_vote(
 
 def confidence_weighted_vote(answers: Sequence[int], confidences: Sequence[float]) -> int:
     """Answer with the largest summed confidence; ties to the lowest index."""
-    if len(answers) != len(confidences):
-        raise ValueError("answers and confidences must align")
     _, conf = _tally(answers, confidences)
     if not conf:
         return ABSTAIN
@@ -93,36 +88,33 @@ def dynamic_vote(
 
     Without early consensus the drawn paths fall back to confidence-weighted
     voting. Tokens are counted for every consumed path, abstains included.
+    ValueError for a budget or votes_needed below 1.
     """
+    check_method_options("dv", budget, votes_needed, False)
     if votes_needed is None:
         votes_needed = budget // 2 + 1
-    if votes_needed < 1:
-        raise ValueError("votes_needed must be positive")
+    window = paths[:budget]
     counts: dict[int, int] = defaultdict(int)
-    used = 0
     tokens = 0
-    consumed: list[SampledPath] = []
-    for path in paths[:budget]:
-        consumed.append(path)
-        used += 1
+    for path in window:
         tokens += path.token_cost
         if path.answer != ABSTAIN:
             counts[path.answer] += 1
             if counts[path.answer] >= votes_needed:
-                return VoteResult(path.answer, used, tokens, stopped_early=True)
-    answer = confidence_weighted_vote(
-        [p.answer for p in consumed], [p.confidence for p in consumed]
-    )
-    return VoteResult(answer, used, tokens, stopped_early=False)
+                return VoteResult(path.answer, tokens)
+    answer = confidence_weighted_vote([p.answer for p in window], [p.confidence for p in window])
+    return VoteResult(answer, tokens)
 
 
 def check_method_options(
     method: str, budget: int, votes_needed: int | None, extra_vote: bool
 ) -> None:
-    """ValueError for a budget below 1 or an option the method ignores: an
-    extra vote with dv, votes_needed without."""
+    """ValueError for a budget or votes_needed below 1, or an option the
+    method ignores: an extra vote with dv, votes_needed without."""
     if budget < 1:
         raise ValueError("budget must be positive")
+    if votes_needed is not None and votes_needed < 1:
+        raise ValueError("votes_needed must be positive")
     if method == "dv" and extra_vote:
         raise ValueError("dynamic voting does not take an extra vote")
     if method != "dv" and votes_needed is not None:
@@ -157,8 +149,7 @@ def run_method(
         answer = confidence_weighted_vote(answers, confidences)
     else:
         raise ValueError(f"unknown voting method {method!r}")
-    tokens = sum(p.token_cost for p in window)
-    return VoteResult(answer, len(window), tokens, stopped_early=False)
+    return VoteResult(answer, sum(p.token_cost for p in window))
 
 
 # --- serialization -----------------------------------------------------------

@@ -109,7 +109,7 @@ def test_empty_items_rejected():
 
 
 def _profile(points):
-    return CalibrationProfile(points=points, baseline_method="sc", sunk_greedy=True)
+    return CalibrationProfile(points=points)
 
 
 def test_selection_prefers_max_reduction_within_floor():
@@ -162,9 +162,9 @@ def test_profile_csv_and_summary(tmp_path):
     assert float(rows[0]["tau"]) == 0.0
 
     summary_path = tmp_path / "selection.json"
-    write_selection_summary(profile, tau, summary_path, max_rel_drop=0.005)
+    write_selection_summary(profile, tau, summary_path, 0.005, "cer", False)
     doc = read_selection_summary(summary_path)
     assert doc["selected_tau"] == tau
-    assert doc["baseline_method"] == "sc" and doc["max_rel_drop"] == 0.005
-    assert json.loads(summary_path.read_text())["sunk_greedy"] is True
+    assert doc["baseline_method"] == "cer" and doc["max_rel_drop"] == 0.005
+    assert json.loads(summary_path.read_text())["sunk_greedy"] is False
 

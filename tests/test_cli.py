@@ -6,6 +6,7 @@ defined in test_harvest.
 """
 
 import argparse
+import dataclasses
 import json
 import subprocess
 from pathlib import Path
@@ -279,7 +280,8 @@ def test_data_error_exit_codes(tmp_path, capsys):
     assert run("extract-features", "--in", empty_dir, "--out", tmp_path / "f") == EXIT_DATA
 
     selection = tmp_path / "selection.json"
-    for text in ("{}", "not json", "[0.5]", '{"selected_tau": "0.5"}', '{"selected_tau": true}'):
+    for text in ("{}", "not json", "[0.5]", '{"selected_tau": "0.5"}', '{"selected_tau": true}',
+                 '{"selected_tau": NaN}', '{"selected_tau": -Infinity}'):
         selection.write_text(text)
         assert run("route", "--data", tmp_path, "--features", tmp_path,
                    "--model", tmp_path / "m.ckpt", "--out", tmp_path / "r",
@@ -550,6 +552,12 @@ def test_a_table_whose_rows_fail_leaves_no_file_behind(tmp_path, capsys):
     assert "cannot summarize an empty outcome vector" in capsys.readouterr().err
     assert list((tmp_path / "rep").iterdir()) == []
 
+    write_outcomes(r / "outcomes.policy.jsonl", OutcomeVector(["a", "b"], [True, False], [1, 2]))
+    write_outcomes(r / "outcomes.multi.jsonl", OutcomeVector(["a", "c"], [True, True], [3, 4]))
+    assert run("report", "--in", r, "--out", tmp_path / "rep", "--resamples", 20) == EXIT_DATA
+    assert "cover different question sets" in capsys.readouterr().err
+    assert list((tmp_path / "rep").iterdir()) == []
+
 
 def test_200_response_that_is_not_json_is_an_endpoint_error(tmp_path, monkeypatch, capsys):
     def html_post(self, url, **kwargs):
@@ -674,6 +682,62 @@ def test_calibrate_max_rel_drop_outside_zero_one_exits_1(routed_run, tmp_path, c
     assert run("calibrate", *argv, "--max-rel-drop", -0.1, "--out", tmp_path / "c") == EXIT_USAGE
     assert "max_rel_drop must be in [0, 1]" in capsys.readouterr().err
     assert not (tmp_path / "c").exists() or list((tmp_path / "c").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "stage, flags, message",
+    [
+        ("calibrate", ["--max-rel-drop", 2], "max_rel_drop must be in [0, 1]"),
+        ("calibrate", ["--max-rel-drop", "nan"], "max_rel_drop must be in [0, 1]"),
+        ("report", ["--resamples", 0], "resamples must be positive"),
+        ("calibrate", ["--method", "dv", "--votes-needed", 0], "votes_needed must be positive"),
+        ("route", ["--method", "dv", "--votes-needed", -1, "--tau", 0.5],
+         "votes_needed must be positive"),
+        ("route", ["--tau", "nan"], "tau must be a finite number"),
+        ("route", ["--tau", "inf"], "tau must be a finite number"),
+    ],
+    ids=["max_rel_drop_2", "max_rel_drop_nan", "resamples_0", "calibrate_votes_needed_0",
+         "route_votes_needed_-1", "tau_nan", "tau_inf"],
+)
+def test_routing_value_that_cannot_work_exits_1_before_any_file_is_read(
+    tmp_path, capsys, stage, flags, message
+):
+    missing = tmp_path / "missing"
+    out = tmp_path / "out"
+    inputs = ["--in", missing] if stage == "report" else [
+        "--data", missing, "--features", missing, "--model", missing / "model.ckpt"]
+    assert run(stage, *inputs, *flags, "--out", out) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+# config field of each option whose name differs from the field's; a no_* flag negates it
+_RENAMED_FIELDS = {
+    "choices": "num_choices", "samples": "samples_per_question",
+    "no_feature_gate": "use_feature_gate", "no_mhsa": "use_mhsa", "no_class_weights": "class_weights",
+}
+
+
+def test_every_config_fed_option_defaults_to_its_fields_default():
+    configs = {"synth": [SynthConfig], "harvest": [EndpointConfig], "train": [ModelConfig, TrainConfig]}
+    checked = []
+    for stage, classes in configs.items():
+        for name, _, default, _ in cli.COMMANDS[stage][1]:
+            wanted = _RENAMED_FIELDS.get(name, name)
+            for field in (f for cls in classes for f in dataclasses.fields(cls) if f.name == wanted):
+                if field.default is dataclasses.MISSING:
+                    assert default is ..., name  # a field without default is a required option
+                else:
+                    expected = not field.default if name.startswith("no_") else field.default
+                    assert (type(default), default) == (type(expected), expected), name
+                checked.append(name)
+    assert sorted(checked) == sorted([
+        "beta", "choices", "base_rate", "samples", "t_min", "t_max",
+        "base_url", "model", "cache_dir", "api_key_env", "timeout", "max_in_flight",
+        "max_retries", "backoff",
+        "hidden", "heads", "head_hidden", "no_feature_gate", "no_mhsa", "lr", "batch_size",
+        "max_epochs", "patience", "loss_variant", "aux_weight", "no_class_weights",
+    ])
 
 
 def _no_request(route, payload):

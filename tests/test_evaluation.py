@@ -1,3 +1,4 @@
+import csv
 import itertools
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from cotriage.calibration import CalibrationItem
 from cotriage.errors import AlignmentError, DuplicateId, EmptyDataset
 from cotriage.evaluation import (
+    BootstrapResult,
     OutcomeVector,
     build_calibration_items,
     paired_bootstrap,
@@ -101,6 +103,64 @@ def test_resamples_below_one_are_rejected(resamples):
     a = vec(["a", "b"], [1, 0], [1, 2])
     with pytest.raises(ValueError, match="resamples must be positive"):
         paired_bootstrap(a, a, resamples=resamples)
+
+
+def _float_bootstrap(a, b, resamples, seed):
+    """The per-pair float loop the shared-draw bootstrap replaced, kept as its oracle."""
+    pos = {qid: i for i, qid in enumerate(b.question_ids)}
+    order = np.array([pos[qid] for qid in a.question_ids])
+    acc_a, acc_b = a.correct.astype(np.float64), b.correct[order].astype(np.float64)
+    tok_a, tok_b = a.tokens.astype(np.float64), b.tokens[order].astype(np.float64)
+    n = len(a)
+    obs_acc = float(acc_a.mean() - acc_b.mean())
+    obs_tok = float(tok_a.mean() - tok_b.mean())
+    d_acc = np.empty(resamples)
+    d_tok = np.empty(resamples)
+    for i in range(resamples):
+        idx = np.random.default_rng([seed, i]).integers(0, n, size=n)
+        d_acc[i] = acc_a[idx].mean() - acc_b[idx].mean()
+        d_tok[i] = tok_a[idx].mean() - tok_b[idx].mean()
+
+    def p(observed, deltas):
+        if observed == 0.0:
+            return 1.0
+        return min(1.0, 2.0 * int(np.sum(np.sign(deltas) != np.sign(observed))) / len(deltas))
+
+    return BootstrapResult(obs_acc, obs_tok, p(obs_acc, d_acc), p(obs_tok, d_tok))
+
+
+def _random_pair(rng, n):
+    ids = [f"q{i}" for i in range(n)]
+    a = vec(ids, rng.integers(0, 2, n), rng.integers(0, 100_001, n))
+    # b near a, so that small deltas and p-values strictly inside (0, 1) are common
+    correct = np.where(rng.random(n) < 0.8, a.correct, rng.integers(0, 2, n))
+    tokens = np.where(rng.random(n) < 0.5, a.tokens, rng.integers(0, 100_001, n))
+    perm = rng.permutation(n)
+    b = vec([ids[i] for i in perm], correct[perm], tokens[perm])
+    return a, b
+
+
+def test_paired_bootstrap_equals_the_float_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        a, b = _random_pair(rng, int(rng.integers(1, 300)))
+        resamples, seed = int(rng.integers(1, 300)), int(rng.integers(0, 1000))
+        assert paired_bootstrap(a, b, resamples, seed) == _float_bootstrap(a, b, resamples, seed)
+
+
+def test_report_pairs_share_draws_and_equal_the_float_oracle(tmp_path):
+    rng = np.random.default_rng(12)
+    a, b = _random_pair(rng, 150)
+    _, c = _random_pair(rng, 150)
+    c = vec(list(reversed(c.question_ids)), c.correct[::-1], c.tokens[::-1])
+    methods = {"x": a, "y": b, "z": c}
+    paths = [tmp_path / f"{name}.csv" for name in ("summary", "significance", "outcomes")]
+    write_report(methods, *paths, seed=3, resamples=120)
+    rows = list(csv.reader(paths[1].read_text().splitlines()[2:]))
+    assert [row[:2] for row in rows] == [["x", "y"], ["x", "z"], ["y", "z"]]
+    for row in rows:
+        expected = _float_bootstrap(methods[row[0]], methods[row[1]], 120, 3)
+        assert BootstrapResult(*map(float, row[2:6])) == expected
 
 
 def _exhaustive_p(a_vals, b_vals):

@@ -179,7 +179,10 @@ def test_loss_variants_validated():
     with pytest.raises(ValueError):
         TrainConfig(loss_variant="other")
     with pytest.raises(ValueError):
-        batch_loss({}, ModelConfig(input_dim=2, hidden=4, heads=2), None, None, np.array([1.0]), variant="nope")
+        batch_loss(
+            {}, ModelConfig(input_dim=2, hidden=4, heads=2), None, None, np.array([1.0]), np.ones(1),
+            variant="nope",
+        )
 
 
 def test_training_log_files(tmp_path):

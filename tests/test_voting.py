@@ -21,8 +21,12 @@ def mk_path(i, answer, cost=100, conf=0.5, qid="q0"):
 
 
 def test_majority_basic():
-    assert majority_vote([0, 1, 1, 2]) == 1
-    assert majority_vote([3]) == 3
+    assert majority_vote([0, 1, 1, 2], [0.5] * 4) == 1
+    assert majority_vote([3], [0.5]) == 3
+    # the count decides before summed confidence does
+    assert majority_vote([5, 3, 3], [0.9, 0.1, 0.1]) == 3
+    with pytest.raises(ValueError):
+        majority_vote([0, 1], [0.5])
 
 
 def test_majority_tie_breaks_on_confidence_then_index():
@@ -30,12 +34,11 @@ def test_majority_tie_breaks_on_confidence_then_index():
     assert majority_vote([2, 2, 0, 0], [0.9, 0.9, 0.1, 0.1]) == 2
     # everything ties; lowest index wins
     assert majority_vote([5, 3], [0.5, 0.5]) == 3
-    assert majority_vote([5, 3]) == 3
 
 
 def test_abstains_excluded_from_tallies():
-    assert majority_vote([ABSTAIN, ABSTAIN, 1]) == 1
-    assert majority_vote([ABSTAIN, ABSTAIN]) == ABSTAIN
+    assert majority_vote([ABSTAIN, ABSTAIN, 1], [0.9, 0.9, 0.1]) == 1
+    assert majority_vote([ABSTAIN, ABSTAIN], [0.5, 0.5]) == ABSTAIN
     assert confidence_weighted_vote([ABSTAIN], [0.9]) == ABSTAIN
 
 
@@ -52,9 +55,7 @@ def test_dynamic_vote_stops_at_consensus():
     paths = [mk_path(i, 2, cost=10) for i in range(10)]
     res = dynamic_vote(paths, budget=10, votes_needed=6)
     assert res.answer == 2
-    assert res.paths_used == 6
-    assert res.tokens_used == 60
-    assert res.stopped_early
+    assert res.tokens_used == 60  # six of the ten paths
 
 
 def test_dynamic_vote_falls_back_to_weighted_vote():
@@ -65,29 +66,28 @@ def test_dynamic_vote_falls_back_to_weighted_vote():
     ]
     res = dynamic_vote(paths, budget=3, votes_needed=2)
     assert res.answer == 1
-    assert res.paths_used == 3
-    assert res.tokens_used == 30
-    assert not res.stopped_early
+    assert res.tokens_used == 30  # every path of the budget
 
 
 def test_dynamic_vote_counts_abstain_tokens():
-    paths = [mk_path(0, ABSTAIN, cost=50), mk_path(1, 1, cost=10), mk_path(2, 1, cost=10)]
-    res = dynamic_vote(paths, budget=3, votes_needed=2)
+    paths = [
+        mk_path(0, ABSTAIN, cost=50), mk_path(1, 1, cost=10), mk_path(2, 1, cost=10),
+        mk_path(3, 0, cost=1000),
+    ]
+    res = dynamic_vote(paths, budget=4, votes_needed=2)
     assert res.answer == 1
-    assert res.tokens_used == 70
-    assert res.stopped_early
+    assert res.tokens_used == 70  # stopped before the fourth path
 
 
 def test_dynamic_vote_default_needs_majority_of_budget():
     paths = [mk_path(i, 1, cost=1) for i in range(10)]
     res = dynamic_vote(paths, budget=10)
-    assert res.paths_used == 6  # 10 // 2 + 1
+    assert res.tokens_used == 6  # 10 // 2 + 1 paths of cost 1
 
 
 def test_run_method_token_accounting():
     paths = [mk_path(i, i % 2, cost=100 + i) for i in range(12)]
     sc = run_method(paths, "sc", budget=10)
-    assert sc.paths_used == 10
     assert sc.tokens_used == sum(100 + i for i in range(10))
     cer = run_method(paths, "cer", budget=10)
     assert cer.tokens_used == sc.tokens_used
@@ -134,7 +134,6 @@ def test_vote_invariants(stream, budget):
 
     for method in ("sc", "cer"):
         res = run_method(paths, method, budget=budget)
-        assert res.paths_used == len(window)
         assert res.tokens_used == sum(p.token_cost for p in window)
         if cast:
             assert res.answer in cast
@@ -142,16 +141,23 @@ def test_vote_invariants(stream, budget):
             assert res.answer == ABSTAIN
 
     dv = dynamic_vote(paths, budget=budget)
-    assert dv.paths_used <= min(budget, len(paths))
-    assert dv.tokens_used <= sum(p.token_cost for p in window)
     if cast:
         assert dv.answer in cast
     else:
         assert dv.answer == ABSTAIN
-    if dv.stopped_early:
-        needed = budget // 2 + 1
-        votes = [p.answer for p in window[: dv.paths_used]]
-        assert votes.count(dv.answer) == needed
+    # dv stops at the first path that gives an answer budget // 2 + 1 votes,
+    # else it spends the whole window on a confidence-weighted vote
+    votes = [p.answer for p in window]
+    stop = next(
+        (k for k, a in enumerate(votes) if a != ABSTAIN and votes[: k + 1].count(a) == budget // 2 + 1),
+        None,
+    )
+    if stop is None:
+        assert dv.answer == confidence_weighted_vote(votes, [p.confidence for p in window])
+        assert dv.tokens_used == sum(p.token_cost for p in window)
+    else:
+        assert dv.answer == votes[stop]
+        assert dv.tokens_used == sum(p.token_cost for p in window[: stop + 1])
 
 
 @given(_streams, st.randoms(use_true_random=False))
