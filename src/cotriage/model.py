@@ -184,7 +184,10 @@ def _gate_backward(params, ctx, dxg: np.ndarray, grads) -> None:
 
 
 def _gru_forward(params, cfg: ModelConfig, xg: np.ndarray, mask: np.ndarray):
-    """GRU with mask-carry: a padded step keeps the previous state."""
+    """GRU with mask-carry: a padded step keeps the previous state.
+
+    Without the gate the GRU is the first block, so its input needs no gradient.
+    """
     b, t, _ = xg.shape
     h = cfg.hidden
     x_pre = xg @ params["gru.w_x"] + params["gru.b_x"]  # every timestep at once
@@ -203,13 +206,13 @@ def _gru_forward(params, cfg: ModelConfig, xg: np.ndarray, mask: np.ndarray):
         m = mask[:, i, None]
         h_prev = m * h_new + (1.0 - m) * h_prev
         h_seq[:, i, :] = h_prev
-    return h_seq, (xg, mask, h_seq, gates, hnlin)
+    return h_seq, (xg, mask, h_seq, gates, hnlin, cfg.use_feature_gate)
 
 
-def _gru_backward(params, ctx, dh_seq: np.ndarray, grads) -> np.ndarray:
+def _gru_backward(params, ctx, dh_seq: np.ndarray, grads) -> np.ndarray | None:
     """Backprop through time: the loop carries only dh_prev; the weight
     gradients come from the stored pre-activation gradients afterwards."""
-    xg, mask, h_seq, gates, hnlin = ctx
+    xg, mask, h_seq, gates, hnlin, want_dx = ctx
     b, t, h = h_seq.shape
     hprev = np.concatenate([np.zeros((b, 1, h)), h_seq[:, :-1]], axis=1)
     d_x = np.empty((b, t, 3 * h))  # d(input-side pre-activation), [r | z | n]
@@ -231,7 +234,7 @@ def _gru_backward(params, ctx, dh_seq: np.ndarray, grads) -> np.ndarray:
     grads["gru.b_x"] = d_x.sum(axis=(0, 1))
     grads["gru.w_h"] = _wgrad(hprev, d_h)
     grads["gru.b_hn"] = d_h[:, :, 2 * h :].sum(axis=(0, 1))
-    return d_x @ params["gru.w_x"].T
+    return d_x @ params["gru.w_x"].T if want_dx else None
 
 
 def _attn_forward(params, cfg: ModelConfig, h_seq: np.ndarray, mask: np.ndarray):

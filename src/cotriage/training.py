@@ -3,9 +3,14 @@
 Binary cross-entropy on the trajectory score (optionally plus an auxiliary
 per-sentence term), Adam updates, early stopping on validation ROC-AUC
 (after `patience` epochs without a new best, or at once when it reaches 1.0).
-Minibatches are padded to the longest trajectory in the batch; the model's
-masking makes padding inert, so batch composition cannot change any
-trajectory's forward value.
+
+Each shuffled minibatch is sorted by length and split into SUB_BATCHES
+sub-batches, each padded only to its own longest trajectory; their gradients
+and losses, weighted by each part's share of the batch, sum to the whole
+batch's, and one Adam step follows. Scoring pads SCORE_BATCH chunks of the
+sequences in length order and returns the scores in input order. The model's
+masking makes padding inert, so regrouping rows changes a forward value or a
+summed gradient only up to float rounding.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 SCORE_BATCH = 256
+SUB_BATCHES = 3
 
 
 @dataclass(frozen=True)
@@ -129,6 +135,34 @@ def batch_loss(
     return loss, backward(params, cfg, cache, dq)
 
 
+def _sub_batched_loss(
+    params: dict[str, np.ndarray],
+    cfg: ModelConfig,
+    seqs: Sequence[FeatureSequence],
+    y: np.ndarray,
+    weights: np.ndarray,
+    variant: str,
+    aux_weight: float,
+):
+    """batch_loss of the padded seqs, from SUB_BATCHES length-sorted parts.
+
+    Each part's loss and gradients count by its share of the batch, so the
+    sums equal one padded batch's up to float rounding.
+    """
+    order = np.argsort([s.x.shape[0] for s in seqs], kind="stable")
+    loss, grads = 0.0, {}
+    for part in np.array_split(order, min(SUB_BATCHES, len(seqs))):
+        x, mask = pad_batch([seqs[i] for i in part])
+        part_loss, part_grads = batch_loss(
+            params, cfg, x, mask, y[part], weights[part], variant=variant, aux_weight=aux_weight,
+        )
+        share = len(part) / len(seqs)
+        loss += share * part_loss
+        for name, g in part_grads.items():
+            grads[name] = grads.get(name, 0.0) + share * g
+    return loss, grads
+
+
 @dataclass
 class AdamState:
     step: int = 0
@@ -188,13 +222,13 @@ def score_features(
     cfg: ModelConfig,
     seqs: Sequence[FeatureSequence],
 ) -> np.ndarray:
-    """Trajectory scores for many sequences, SCORE_BATCH at a time."""
+    """Trajectory scores in input order, SCORE_BATCH at a time in length order."""
+    order = np.argsort([s.x.shape[0] for s in seqs], kind="stable")
     out = np.empty(len(seqs))
     for lo in range(0, len(seqs), SCORE_BATCH):
-        chunk = seqs[lo : lo + SCORE_BATCH]
-        x, mask = pad_batch(chunk)
-        _, scores, _ = forward(params, cfg, x, mask)
-        out[lo : lo + len(chunk)] = scores
+        chunk = order[lo : lo + SCORE_BATCH]
+        x, mask = pad_batch([seqs[i] for i in chunk])
+        _, out[chunk], _ = forward(params, cfg, x, mask)
     return out
 
 
@@ -231,9 +265,8 @@ def train(
         total = 0.0
         for lo in range(0, n, train_cfg.batch_size):
             idx = perm[lo : lo + train_cfg.batch_size]
-            x, mask = pad_batch([train_seqs[i] for i in idx])
-            loss, grads = batch_loss(
-                params, model_cfg, x, mask, y_train[idx], weights[idx],
+            loss, grads = _sub_batched_loss(
+                params, model_cfg, [train_seqs[i] for i in idx], y_train[idx], weights[idx],
                 variant=train_cfg.loss_variant, aux_weight=train_cfg.aux_weight,
             )
             adam_step(params, grads, state, train_cfg.lr)

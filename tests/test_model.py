@@ -5,8 +5,10 @@ from cotriage.errors import ConfigMismatch, EmptyMask
 from cotriage.model import (
     ModelConfig,
     _gate_forward,
+    _gru_backward,
     _gru_forward,
     _sigmoid,
+    backward,
     forward,
     init_params,
     load_checkpoint,
@@ -150,6 +152,26 @@ def test_gru_state_carries_through_padding():
     h = h_seq[0]
     np.testing.assert_array_equal(h[3], h[2])
     np.testing.assert_array_equal(h[5], h[2])
+
+
+@pytest.mark.parametrize("mhsa", [True, False])
+def test_first_block_gru_skips_its_input_gradient_bit_for_bit(mhsa):
+    """Without the gate the GRU's input gradient is never read: skipping it
+    must leave every parameter gradient bit-identical."""
+    rng = np.random.default_rng(8)
+    cfg = small_cfg(use_feature_gate=False, use_mhsa=mhsa)
+    params = init_params(cfg, seed=8)
+    x, mask, _, _ = make_batch(rng, b=4, t=7, lengths=(7, 5, 2, 1))
+    q, _, cache = forward(params, cfg, x, mask, want_cache=True)
+    dq = rng.normal(size=q.shape) * mask
+    gru_backward, gru_ctx = cache["blocks"][0]
+    assert gru_backward is _gru_backward
+    assert gru_backward(params, gru_ctx, np.zeros(gru_ctx[2].shape), {}) is None
+    computing = {**cache, "blocks": [(gru_backward, gru_ctx[:-1] + (True,)), *cache["blocks"][1:]]}
+    got = backward(params, cfg, cache, dq)
+    want = backward(params, cfg, computing, dq)
+    assert got.keys() == want.keys()
+    assert all(np.array_equal(got[name], want[name]) for name in want)
 
 
 def test_sigmoid_matches_two_branch_reference():

@@ -4,12 +4,15 @@ import json
 import numpy as np
 import pytest
 
+from cotriage import training
 from cotriage.errors import EmptyDataset
 from cotriage.features import FeatureSequence
-from cotriage.model import ModelConfig
+from cotriage.model import ModelConfig, init_params
 from cotriage.training import (
+    SUB_BATCHES,
     AdamState,
     TrainConfig,
+    _sub_batched_loss,
     adam_step,
     batch_loss,
     bce,
@@ -202,3 +205,82 @@ def test_training_log_files(tmp_path):
     assert set(rows[0]) == {"epoch", "train_loss", "val_auc", "val_acc_at_0.5"}
     best = json.loads((tmp_path / "log.best.json").read_text())
     assert best["best_epoch"] == result.best_epoch
+
+
+def _record_pad_shapes(monkeypatch):
+    """Wrap training.pad_batch; the returned list gets each padded batch's mask."""
+    masks = []
+
+    def recording(seqs):
+        x, mask = pad_batch(seqs)
+        masks.append(mask)
+        return x, mask
+
+    monkeypatch.setattr(training, "pad_batch", recording)
+    return masks
+
+
+def _mixed_length_batch(rng, b, d=4):
+    seqs = [
+        FeatureSequence(f"q{i}", rng.normal(size=(int(rng.integers(1, 13)), d)), "numeric")
+        for i in range(b)
+    ]
+    labels = rng.random(b) < 0.3
+    return seqs, labels.astype(np.float64), class_weight_vector(labels)
+
+
+@pytest.mark.parametrize("variant", ["final", "final_aux"])
+@pytest.mark.parametrize("b", [1, 2, SUB_BATCHES + 1, 64])
+def test_sub_batches_sum_to_one_padded_batch(monkeypatch, variant, b):
+    rng = np.random.default_rng(b)
+    cfg = ModelConfig(input_dim=4, hidden=8, heads=2, head_hidden=4)
+    params = init_params(cfg, seed=b)
+    seqs, y, w = _mixed_length_batch(rng, b)
+    x, mask = pad_batch(seqs)
+    want_loss, want = batch_loss(params, cfg, x, mask, y, w, variant=variant, aux_weight=0.5)
+    masks = _record_pad_shapes(monkeypatch)
+    got_loss, got = _sub_batched_loss(params, cfg, seqs, y, w, variant=variant, aux_weight=0.5)
+
+    assert got_loss == pytest.approx(want_loss, rel=1e-12)
+    assert got.keys() == want.keys()
+    for name in want:
+        scale = max(np.abs(want[name]).max(), 1e-300)
+        assert np.abs(got[name] - want[name]).max() <= 1e-12 * scale, name
+    # min(SUB_BATCHES, b) non-empty parts, in length order, together the whole batch
+    assert len(masks) == min(SUB_BATCHES, b)
+    part_lengths = np.concatenate([m.sum(axis=1) for m in masks])
+    assert np.all(np.diff(part_lengths) >= 0)
+    assert sorted(part_lengths) == sorted(s.x.shape[0] for s in seqs)
+    if b == 64:
+        assert sum(m.size for m in masks) < mask.size
+
+
+def test_train_with_a_one_row_last_batch(monkeypatch):
+    rng = np.random.default_rng(5)
+    train_seqs, train_labels = _planted_dataset(rng, 17)
+    val_seqs, val_labels = _planted_dataset(rng, 6)
+    model_cfg = ModelConfig(input_dim=4, hidden=8, heads=2, head_hidden=4)
+    masks = _record_pad_shapes(monkeypatch)
+    result = train(
+        train_seqs, train_labels, val_seqs, val_labels, model_cfg,
+        TrainConfig(batch_size=8, max_epochs=1, patience=1, seed=5),
+    )
+    assert len(result.log) == 1 and np.isfinite(result.log[0]["train_loss"])
+    # two 8-row batches in SUB_BATCHES parts, the 1-row batch whole, then one val chunk
+    assert [len(m) for m in masks[:-1]].count(1) == 1
+    assert len(masks) == 2 * SUB_BATCHES + 1 + 1
+
+
+def test_score_features_returns_input_order(monkeypatch):
+    rng = np.random.default_rng(9)
+    cfg = ModelConfig(input_dim=4, hidden=8, heads=2, head_hidden=4)
+    params = init_params(cfg, seed=9)
+    seqs, _, _ = _mixed_length_batch(rng, 23)
+    monkeypatch.setattr(training, "SCORE_BATCH", 5)
+    masks = _record_pad_shapes(monkeypatch)
+    scores = score_features(params, cfg, seqs)
+    assert len(masks) == 5  # 23 sequences, 5 at a time
+    chunk_lengths = np.concatenate([m.sum(axis=1) for m in masks])
+    assert np.all(np.diff(chunk_lengths) >= 0)
+    alone = [score_features(params, cfg, [s])[0] for s in seqs]
+    np.testing.assert_allclose(scores, alone, rtol=1e-12, atol=0)
