@@ -8,6 +8,15 @@ position-wise head (LayerNorm + two-layer MLP + sigmoid) emits a
 trustworthiness value q_t per sentence. The trajectory score is q at the last
 valid position.
 
+Only attention mixes positions; the gate pools once per trajectory, the GRU
+runs left to right, and everything after attention's softmax is
+position-wise. So ``score``, the forward-only scorer, runs the gate, the GRU
+and attention's mixing on every position, and attention's out-projection and
+feed-forward and the head on each row's last valid position only. Its scores
+match ``forward``'s up to float rounding, not bit for bit: the head's final
+(P, 1) product is a BLAS gemv, which rounds a row according to its position in
+the block it is given.
+
 Parallel projections are stacked column-wise in the order [reset | update |
 candidate] for the GRU (``gru.w_x`` (D, 3H), ``gru.w_h`` (H, 3H), ``gru.b_x``
 (3H); ``gru.b_hn`` is the candidate's recurrent bias inside the reset
@@ -114,13 +123,20 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     return params
 
 
-def _check_mask(mask: np.ndarray) -> np.ndarray:
+def _inputs(cfg: ModelConfig, x, mask):
+    """x and mask as float64 and the valid lengths (B,): the input checks of forward and score."""
+    x = np.asarray(x, dtype=np.float64)
+    mask = np.asarray(mask, dtype=np.float64)
+    if x.ndim != 3 or mask.shape != x.shape[:2]:
+        raise ValueError("expected x of shape (B, T, D) and mask (B, T)")
+    if x.shape[2] != cfg.input_dim:
+        raise ConfigMismatch(f"model expects {cfg.input_dim} features, got {x.shape[2]}")
     lengths = mask.sum(axis=-1)
     if np.any(lengths < 1):
         raise EmptyMask("every trajectory needs at least one valid row")
     if np.any(mask[..., :-1] < mask[..., 1:]):
         raise ValueError("mask padding must be a suffix")
-    return lengths.astype(np.int64)
+    return x, mask, lengths.astype(np.int64)
 
 
 def _ln_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray):
@@ -237,8 +253,8 @@ def _gru_backward(params, ctx, dh_seq: np.ndarray, grads) -> np.ndarray | None:
     return d_x @ params["gru.w_x"].T if want_dx else None
 
 
-def _attn_forward(params, cfg: ModelConfig, h_seq: np.ndarray, mask: np.ndarray):
-    """Pre-norm multi-head self-attention and feed-forward, both residual."""
+def _attn_mix(params, cfg: ModelConfig, h_seq: np.ndarray, mask: np.ndarray):
+    """LayerNorm, QKV and masked attention, the only step that mixes positions: o_cat (B, T, H)."""
     b, t, h = h_seq.shape
     nh = cfg.heads
     dk = h // nh
@@ -252,12 +268,24 @@ def _attn_forward(params, cfg: ModelConfig, h_seq: np.ndarray, mask: np.ndarray)
     exps = np.exp(scores)
     attn = exps / exps.sum(axis=-1, keepdims=True)
     o_cat = (attn @ v_h).transpose(0, 2, 1, 3).reshape(b, t, h)
+    return o_cat, (a_norm, ln1, q_h, k_h, v_h, attn, o_cat)
+
+
+def _attn_ffn(params, h_seq: np.ndarray, o_cat: np.ndarray):
+    """Out-projection and pre-norm feed-forward, both residual; position-wise."""
     h1 = h_seq + (o_cat @ params["attn.w_o"] + params["attn.b_o"])
     a2, ln2 = _ln_forward(h1, params["attn.ln2_g"], params["attn.ln2_b"])
     f_pre = a2 @ params["attn.w_f1"] + params["attn.b_f1"]
     f_act = np.maximum(f_pre, 0.0)
     h2 = h1 + (f_act @ params["attn.w_f2"] + params["attn.b_f2"])
-    return h2, (a_norm, ln1, q_h, k_h, v_h, attn, o_cat, a2, ln2, f_pre, f_act)
+    return h2, (a2, ln2, f_pre, f_act)
+
+
+def _attn_forward(params, cfg: ModelConfig, h_seq: np.ndarray, mask: np.ndarray):
+    """Pre-norm multi-head self-attention and feed-forward, both residual."""
+    o_cat, mix_ctx = _attn_mix(params, cfg, h_seq, mask)
+    h2, ffn_ctx = _attn_ffn(params, h_seq, o_cat)
+    return h2, mix_ctx + ffn_ctx
 
 
 def _attn_backward(params, ctx, dh2: np.ndarray, grads) -> np.ndarray:
@@ -337,19 +365,36 @@ def forward(
     valid ``lengths`` (B,) and ``blocks``, each enabled block's backward with
     the context its forward returned.
     """
-    x = np.asarray(x, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    if x.ndim != 3 or mask.shape != x.shape[:2]:
-        raise ValueError("expected x of shape (B, T, D) and mask (B, T)")
-    if x.shape[2] != cfg.input_dim:
-        raise ConfigMismatch(f"model expects {cfg.input_dim} features, got {x.shape[2]}")
-    lengths = _check_mask(mask)
+    x, mask, lengths = _inputs(cfg, x, mask)
     q, blocks = x, []  # each block's output feeds the next; the head's is q
     for block_forward, block_backward in _blocks(cfg):
         q, ctx = block_forward(params, cfg, q, mask)
         blocks.append((block_backward, ctx))
     scores = q[np.arange(len(q)), lengths - 1]
     return q, scores, ({"lengths": lengths, "blocks": blocks} if want_cache else None)
+
+
+def score(
+    params: dict[str, np.ndarray],
+    cfg: ModelConfig,
+    x: np.ndarray,
+    mask: np.ndarray,
+) -> np.ndarray:
+    """forward's scores (B,) up to float rounding, from the same inputs and checks.
+
+    Everything after attention's mixing runs on each row's last valid position only.
+    """
+    x, mask, lengths = _inputs(cfg, x, mask)
+    if cfg.use_feature_gate:
+        x, _ = _gate_forward(params, cfg, x, mask)
+    h_seq, _ = _gru_forward(params, cfg, x, mask)
+    last = np.arange(len(h_seq)), lengths - 1
+    h = h_seq[last]
+    if cfg.use_mhsa:
+        o_cat, _ = _attn_mix(params, cfg, h_seq, mask)
+        h, _ = _attn_ffn(params, h, o_cat[last])
+    q, _ = _head_forward(params, cfg, h, mask[last])
+    return q
 
 
 def backward(

@@ -8,9 +8,11 @@ Each shuffled minibatch is sorted by length and split into SUB_BATCHES
 sub-batches, each padded only to its own longest trajectory; their gradients
 and losses, weighted by each part's share of the batch, sum to the whole
 batch's, and one Adam step follows. Scoring pads SCORE_BATCH chunks of the
-sequences in length order and returns the scores in input order. The model's
-masking makes padding inert, so regrouping rows changes a forward value or a
-summed gradient only up to float rounding.
+sequences in length order, runs the model's forward-only ``score`` on each
+(the position-wise tail at the last sentence only) and returns the scores in
+input order. The model's masking makes padding inert, so regrouping rows, or
+scoring with ``score`` rather than ``forward``, changes a score or a summed
+gradient only up to float rounding.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .errors import EmptyDataset
 from .features import FeatureSequence
 from .jsonl import write_csv, write_json
-from .model import ModelConfig, backward, forward, init_params
+from .model import ModelConfig, backward, forward, init_params, score
 
 _CLIP_LO = 1e-7
 _CLIP_HI = 1.0 - 1e-7
@@ -228,7 +230,7 @@ def score_features(
     for lo in range(0, len(seqs), SCORE_BATCH):
         chunk = order[lo : lo + SCORE_BATCH]
         x, mask = pad_batch([seqs[i] for i in chunk])
-        _, out[chunk], _ = forward(params, cfg, x, mask)
+        out[chunk] = score(params, cfg, x, mask)
     return out
 
 

@@ -677,6 +677,22 @@ def test_report_resamples_below_one_exits_1_writing_no_table(tmp_path, capsys, r
     assert not rep.exists() or list(rep.iterdir()) == []
 
 
+@pytest.mark.parametrize("stage", ["calibrate", "route"])
+def test_features_narrower_than_the_model_exit_2_writing_no_output(routed_run, tmp_path, capsys,
+                                                                    stage):
+    numeric = tmp_path / "numeric"
+    assert run("extract-features", "--in", routed_run / "d", "--out", numeric,
+               "--subset", "numeric") == EXIT_OK
+    argv = [*_stage_argv(stage, routed_run, tmp_path / "unused"), "--features", numeric]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(stage, *argv, "--out", out) == EXIT_DATA
+    assert "model expects 32 features, got 12" in capsys.readouterr().err
+    written = [p.name for p in out.iterdir()] if out.exists() else []
+    assert [n for n in written if n in ("profile.csv", "selection.json")
+            or n.startswith("outcomes.")] == []
+
+
 def test_calibrate_max_rel_drop_outside_zero_one_exits_1(routed_run, tmp_path, capsys):
     argv = _stage_argv("calibrate", routed_run, tmp_path / "unused")
     assert run("calibrate", *argv, "--max-rel-drop", -0.1, "--out", tmp_path / "c") == EXIT_USAGE

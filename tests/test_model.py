@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from cotriage import model
 from cotriage.errors import ConfigMismatch, EmptyMask
+from cotriage.features import FeatureSequence
 from cotriage.model import (
     ModelConfig,
     _gate_forward,
@@ -14,10 +16,16 @@ from cotriage.model import (
     load_checkpoint,
     param_shapes,
     save_checkpoint,
+    score,
 )
-from cotriage.training import batch_loss
+from cotriage.training import batch_loss, pad_batch, score_features
 
 SMALL = dict(input_dim=6, hidden=8, heads=2, head_hidden=4)
+
+# the two entry points that take raw (x, mask): forward's scores and score
+SCORERS = pytest.mark.parametrize(
+    "scores_of", [lambda *args: forward(*args)[1], score], ids=["forward", "score"]
+)
 
 
 def small_cfg(**over):
@@ -70,19 +78,21 @@ def test_gradients_match_with_auxiliary_loss():
     assert finite_difference_check(cfg, variant="final_aux") < 1e-4
 
 
-def test_padding_cannot_change_scores():
+@SCORERS
+def test_padding_cannot_change_scores(scores_of):
     rng = np.random.default_rng(3)
     cfg = small_cfg()
     params = init_params(cfg, seed=5)
     for trial in range(100):
         t = int(rng.integers(1, 12))
         x = rng.normal(size=(1, t, cfg.input_dim))
-        base_q, base_s, _ = forward(params, cfg, x, np.ones((1, t)))
+        base_q, _, _ = forward(params, cfg, x, np.ones((1, t)))
+        base_s = scores_of(params, cfg, x, np.ones((1, t)))
         extra = int(rng.integers(1, 6))
         x_pad = np.concatenate([x, rng.normal(size=(1, extra, cfg.input_dim)) * 100.0], axis=1)
         mask = np.concatenate([np.ones((1, t)), np.zeros((1, extra))], axis=1)
-        got_q, got_s, _ = forward(params, cfg, x_pad, mask)
-        assert abs(got_s[0] - base_s[0]) < 1e-6
+        got_q, _, _ = forward(params, cfg, x_pad, mask)
+        assert abs(scores_of(params, cfg, x_pad, mask)[0] - base_s[0]) < 1e-6
         np.testing.assert_allclose(got_q[:, :t], base_q, atol=1e-12)
 
 
@@ -97,6 +107,48 @@ def test_scores_are_probabilities_and_deterministic():
     assert np.all((q1 > 0) & (q1 < 1))
     np.testing.assert_array_equal(q1, q2)
     np.testing.assert_array_equal(s1, s2)
+
+
+def _feature_seqs(rng, lengths, d):
+    return [FeatureSequence(f"q{i}", rng.normal(size=(t, d)), "test")
+            for i, t in enumerate(lengths)]
+
+
+@pytest.mark.parametrize("gate", [True, False])
+@pytest.mark.parametrize("mhsa", [True, False])
+def test_score_matches_forward(gate, mhsa):
+    """score computes the tail at the last position only; its scores are
+    forward's up to float rounding, and score_features keeps input order."""
+    rng = np.random.default_rng(17)
+    cfg = small_cfg(use_feature_gate=gate, use_mhsa=mhsa)
+    params = init_params(cfg, seed=17)
+    batches = [rng.integers(1, 13, size=b) for b in (1, 2, 3, 257)]
+    batches += [np.arange(1, 13), np.ones(5, dtype=int)]  # every length; every row T = 1
+    for lengths in batches:
+        seqs = _feature_seqs(rng, lengths, cfg.input_dim)
+        x, mask = pad_batch(seqs)
+        _, want, _ = forward(params, cfg, x, mask)
+        got = score(params, cfg, x, mask)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(score_features(params, cfg, seqs), want, rtol=0, atol=1e-12)
+
+
+def test_scoring_runs_the_head_once_per_sequence(monkeypatch):
+    rng = np.random.default_rng(18)
+    cfg = small_cfg()
+    params = init_params(cfg, seed=18)
+    seqs = _feature_seqs(rng, rng.integers(1, 9, size=7), cfg.input_dim)
+    head_forward = model._head_forward
+    leading = []
+
+    def recording_head(params, cfg, h, mask):
+        leading.append(h.shape[:-1])
+        return head_forward(params, cfg, h, mask)
+
+    monkeypatch.setattr(model, "_head_forward", recording_head)
+    score_features(params, cfg, seqs)
+    assert leading == [(len(seqs),)]
 
 
 def test_score_reads_last_valid_position():
@@ -117,18 +169,21 @@ def test_gate_pools_valid_rows_hand_example():
     np.testing.assert_allclose(s, [[2.0, 3.0]])
 
 
-def test_empty_mask_rejected():
+@SCORERS
+def test_empty_mask_rejected(scores_of):
     cfg = small_cfg()
     params = init_params(cfg, seed=4)
     with pytest.raises(EmptyMask):
-        forward(params, cfg, np.zeros((2, 3, cfg.input_dim)), np.array([[1.0, 1.0, 0.0], [0.0] * 3]))
+        scores_of(params, cfg, np.zeros((2, 3, cfg.input_dim)),
+                  np.array([[1.0, 1.0, 0.0], [0.0] * 3]))
 
 
-def test_non_suffix_padding_rejected():
+@SCORERS
+def test_non_suffix_padding_rejected(scores_of):
     cfg = small_cfg()
     params = init_params(cfg, seed=4)
-    with pytest.raises(ValueError):
-        forward(params, cfg, np.zeros((1, 3, cfg.input_dim)), np.array([[1.0, 0.0, 1.0]]))
+    with pytest.raises(ValueError, match="suffix"):
+        scores_of(params, cfg, np.zeros((1, 3, cfg.input_dim)), np.array([[1.0, 0.0, 1.0]]))
 
 
 def test_feature_gate_range():
@@ -239,11 +294,14 @@ def test_checkpoint_rejects_mismatches(tmp_path):
         load_checkpoint(bad)
 
 
-def test_forward_checks_feature_dim():
+@SCORERS
+def test_forward_checks_feature_dim(scores_of):
     cfg = small_cfg()
     params = init_params(cfg, seed=15)
-    with pytest.raises(ConfigMismatch):
-        forward(params, cfg, np.zeros((1, 3, cfg.input_dim + 1)), np.ones((1, 3)))
+    with pytest.raises(ConfigMismatch, match="model expects 6 features, got 7"):
+        scores_of(params, cfg, np.zeros((1, 3, cfg.input_dim + 1)), np.ones((1, 3)))
+    with pytest.raises(ValueError, match="expected x of shape"):
+        scores_of(params, cfg, np.zeros((1, 3, cfg.input_dim)), np.ones((1, 4)))
 
 
 def test_config_validation():
