@@ -2,9 +2,10 @@
 
 Each file starts with a header record {"schema": "<name>/<version>"} followed
 by one JSON object per line. Writers emit keys in sorted order so identical
-payloads produce identical bytes. write_json writes the single indented JSON
-documents (manifests, summaries, checkpoints) and write_csv the tables with
-the same atomic rename.
+payloads produce identical bytes. The reader decodes every line with one
+shared decoder, one raw_decode call per line. write_json writes the single
+indented JSON documents (manifests, summaries, checkpoints) and write_csv the
+tables with the same atomic rename.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ T = TypeVar("T")
 # json.dumps builds a new encoder per call; encode() keeps no state between
 # calls, so one shared encoder is safe from any thread.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# json.loads shares one module-level decoder the same way; raw_decode skips
+# its whitespace matching, which the stripped lines do not need.
+_DECODER = json.JSONDecoder()
 
 
 def dumps_record(record: dict[str, Any]) -> str:
@@ -93,8 +97,10 @@ def read_unique_jsonl(
 
     The first non-blank line must be the header naming schema; a file without
     one is a ParseError. Line numbers are 1-based file lines, blank lines
-    counted. A KeyError, TypeError or ValueError raised by parse becomes a
-    ParseError naming the record's line, and a repeated key a DuplicateId.
+    counted. A line that is not one JSON value, or holds an integer too long
+    to convert, is a ParseError naming it. A KeyError, TypeError or ValueError
+    raised by parse becomes a ParseError naming the record's line, and a
+    repeated key a DuplicateId.
     """
     header_seen = False
     seen: set[Hashable] = set()
@@ -104,9 +110,11 @@ def read_unique_jsonl(
             if not raw:
                 continue
             try:
-                rec = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+                rec, end = _DECODER.raw_decode(raw)
+            except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
+                raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line=lineno) from exc
+            if end != len(raw):
+                raise ParseError("invalid JSON: Extra data", line=lineno)
             if not isinstance(rec, dict):
                 raise ParseError("record is not a JSON object", line=lineno)
             if not header_seen:
@@ -133,14 +141,20 @@ def typed(rec: dict[str, Any], key: str, kind: type[T], default: Any = ...) -> T
 
     A bool is not an int; a float field takes an int and returns a float. With
     a default, an absent or null field returns it. A missing required field is
-    a KeyError and a mismatch a TypeError, which the reader reports as a
+    a KeyError and a mismatch a TypeError. An int outside int64, or an int too
+    large for a float field, is a ValueError. The reader reports each as a
     ParseError naming the line.
     """
     value = rec[key] if default is ... else rec.get(key)
     if value is None and default is not ...:
         return default
     if type(value) is kind:
+        if kind is int and not -(2**63) <= value < 2**63:
+            raise ValueError(f"{key} does not fit in int64")
         return value
     if kind is float and type(value) is int:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{key} is too large for a float") from None
     raise TypeError(f"{key} must be {kind.__name__}, not {value!r}")

@@ -6,8 +6,9 @@ per-choice log-scores (row t scores every answer option against the prefix
 ending at sentence t) and the prefix lengths. The top-choice probability p
 and the entropy of each row are derived from the log-scores once, when the
 trajectory is built, which also checks it, as building a question does. The
-readers check every field's JSON type instead of casting it, and a traj/1
-record whose stored p or entropy is off by more than 1e-9 is rejected.
+readers check every field's JSON type instead of casting it. A traj/1
+record's stored p and entropy are read as typed JSON numbers, and a record
+whose stored value is off the derived one by more than 1e-9 is rejected.
 """
 
 from __future__ import annotations
@@ -257,10 +258,10 @@ def _traj_from_record(rec: dict) -> Trajectory:
         greedy_token_cost=typed(rec, "greedy_token_cost", int),
         label=typed(rec, "label", bool, None),
     )
-    stored_values = [s["p"] for s in sentences] + [s["entropy"] for s in sentences]
-    stored = numeric_array(stored_values, "fiu", np.float64)
-    derived = np.concatenate((traj.p, traj.entropy))
-    if stored.shape != derived.shape or not (np.abs(stored - derived) <= 1e-9).all():
+    stored = [typed(s, "p", float) for s in sentences]
+    stored += [typed(s, "entropy", float) for s in sentences]
+    derived = traj.p.tolist() + traj.entropy.tolist()
+    if not all(abs(a - b) <= 1e-9 for a, b in zip(stored, derived)):
         raise ValueError(f"{traj.question_id}: stored p/entropy disagree with log_scores")
     return traj
 

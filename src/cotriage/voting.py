@@ -10,6 +10,7 @@ set-based voters invariant to path order.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import attrgetter
@@ -41,6 +42,8 @@ class SampledPath:
             raise ValueError("token_cost must be non-negative")
         if not 0.0 < self.confidence <= 1.0:
             raise ValueError("confidence must lie in (0, 1]")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError("temperature must be a non-negative number")
 
 
 @dataclass(frozen=True)

@@ -267,6 +267,29 @@ def _string_label(rec):
     rec["label"] = "false"
 
 
+def _true_p(rec):
+    rec["sentences"][0]["p"] = True
+
+
+def _string_p(rec):
+    rec["sentences"][0]["p"] = str(rec["sentences"][0]["p"])
+
+
+def _null_entropy(rec):
+    rec["sentences"][1]["entropy"] = None
+
+
+def _nan_p(rec):
+    rec["sentences"][2]["p"] = float("nan")
+
+
+def _true_p_where_p_is_one(rec):
+    # The derived p of this row is exactly 1.0, so a bool read as a number would pass.
+    rec["sentences"][0]["log_scores"] = [0.0] + [-1000.0] * 3
+    rec["sentences"][0]["entropy"] = 0.0
+    rec["sentences"][0]["p"] = True
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -278,9 +301,15 @@ def _string_label(rec):
         (_int_text, "text must be str"),
         (_bool_greedy_answer, "greedy_answer must be int"),
         (_string_label, "label must be bool"),
+        (_true_p, "p must be float"),
+        (_string_p, "p must be float"),
+        (_null_entropy, "entropy must be float"),
+        (_nan_p, "p/entropy disagree"),
+        (_true_p_where_p_is_one, "p must be float"),
     ],
     ids=["stale_p", "stale_entropy", "no_sentences", "answer_out_of_range", "ragged_scores",
-         "text_5", "greedy_answer_true", "label_string"],
+         "text_5", "greedy_answer_true", "label_string", "p_true", "p_string", "entropy_null",
+         "p_nan", "p_true_where_p_is_one"],
 )
 def test_read_applies_the_writers_checks(tmp_path, edit, message):
     path = tmp_path / "t.jsonl"

@@ -227,9 +227,16 @@ _PATH_FIELDS = '"question_id": "q0", "sample_idx": 0, "answer": 1, "token_cost":
         (_PATH_FIELDS.replace('"answer": 1', '"answer": 1.0') + ', "confidence": 0.5',
          "answer must be int"),
         (_PATH_FIELDS + ', "confidence": 0.5, "temperature": "1"', "temperature must be float"),
+        (_PATH_FIELDS + ', "confidence": ' + "9" * 400, "confidence is too large for a float"),
+        (_PATH_FIELDS.replace('"token_cost": 12', f'"token_cost": {10**30}') + ', "confidence": 0.5',
+         "token_cost does not fit in int64"),
+        (_PATH_FIELDS + ', "confidence": 0.5, "temperature": NaN', "temperature must be"),
+        (_PATH_FIELDS + ', "confidence": 0.5, "temperature": -1.0', "temperature must be"),
+        (_PATH_FIELDS + ', "confidence": 0.5, "temperature": Infinity', "temperature must be"),
     ],
     ids=["missing_fields", "confidence_string", "sample_idx_true", "answer_float",
-         "temperature_string"],
+         "temperature_string", "confidence_400_digits", "token_cost_1e30", "temperature_nan",
+         "temperature_negative", "temperature_infinity"],
 )
 def test_paths_reject_bad_records(tmp_path, fields, message):
     file = tmp_path / "paths.jsonl"
@@ -251,6 +258,23 @@ def test_paths_read_integer_confidence_and_temperature_and_no_temperature(tmp_pa
     assert (first.confidence, first.temperature) == (1.0, 2.0)
     assert type(first.confidence) is float and type(first.temperature) is float
     assert second.temperature == 1.0
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"a": 1} {"b": 2}', "Extra data"),
+        ('{"a": 1}x', "Extra data"),
+        ('{"a": ' + "1" * 5000 + "}", "Exceeds the limit"),
+    ],
+    ids=["two_values", "trailing_text", "int_over_digit_limit"],
+)
+def test_undecodable_line_is_a_parse_error_naming_it(tmp_path, line, message):
+    file = tmp_path / "paths.jsonl"
+    file.write_text(f'{{"schema": "paths/1"}}\n{{{_PATH_FIELDS}, "confidence": 0.5}}\n\n{line}\n')
+    with pytest.raises(ParseError, match=f"invalid JSON: {message}") as err:
+        read_paths(file)
+    assert err.value.line == 4
 
 
 def test_bad_record_line_counts_blank_lines(tmp_path):
