@@ -350,9 +350,14 @@ def _load_routing_items(opts, run: Run) -> list:
     paths_by_qid = read_paths(run.reads(data / f"{split}.paths.jsonl"))
     features = read_features(run.reads(Path(opts.features) / f"{split}.features.jsonl"))
     by_qid = {s.question_id: s for s in features}
-    missing = [t.question_id for t in trajectories if t.question_id not in by_qid]
-    if missing:
-        raise AlignmentError(f"no features for {missing[0]!r}")
+    for traj in trajectories:
+        seq = by_qid.get(traj.question_id)
+        if seq is None:
+            raise AlignmentError(f"no features for {traj.question_id!r}")
+        layout = LAYOUTS[seq.layout_id]  # a row per sentence, and the trajectory's own p column
+        if len(seq.x) != len(traj.p) or ("p" in layout and (seq.x[:, layout.index("p")] != traj.p).any()):
+            raise AlignmentError(f"features of {traj.question_id!r} do not match its trajectory: "
+                                 f"{len(seq.x)} rows for {len(traj.p)} sentences, or another p column")
     params, mcfg = load_checkpoint(run.reads(opts.model))
     scores = score_features(params, mcfg, [by_qid[t.question_id] for t in trajectories])
     return build_calibration_items(

@@ -37,7 +37,7 @@ class EmptyDataset(CotriageError):
 
 
 class AlignmentError(CotriageError):
-    """Raised when paired outcome vectors cover different question ids."""
+    """Raised when paired records disagree: outcome question ids, or features and trajectory."""
 
 
 class ParseError(CotriageError):

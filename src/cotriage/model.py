@@ -10,12 +10,14 @@ valid position.
 
 Only attention mixes positions; the gate pools once per trajectory, the GRU
 runs left to right, and everything after attention's softmax is
-position-wise. So ``score``, the forward-only scorer, runs the gate, the GRU
-and attention's mixing on every position, and attention's out-projection and
-feed-forward and the head on each row's last valid position only. Its scores
-match ``forward``'s up to float rounding, not bit for bit: the head's final
-(P, 1) product is a BLAS gemv, which rounds a row according to its position in
-the block it is given.
+position-wise. So the tail has one query-position choice ``pos``: every
+position (``...``), or each row's last valid one. The gate, the GRU and
+attention's keys and values cover every position; attention's queries,
+out-projection and feed-forward, and the head, only ``pos``. ``score`` and
+the default ``final`` training loss share the last-position path
+(``forward(..., last_only=True)``); the per-sentence loss needs every
+position. Both give the same scores up to float rounding: BLAS rounds a row
+by its place in the block it is given.
 
 Parallel projections are stacked column-wise in the order [reset | update |
 candidate] for the GRU (``gru.w_x`` (D, 3H), ``gru.w_h`` (H, 3H), ``gru.b_x``
@@ -26,9 +28,10 @@ product) and [query | key | value] for attention (``attn.w_qkv`` (H, 3H),
 Everything is float64 numpy. The backward pass is written by hand and must
 mirror the forward pass exactly; finite-difference tests hold it to that.
 Each block is an adjacent pair ``_<block>_forward``/``_<block>_backward``:
-the forward returns ``(out, ctx)``, and that ``ctx`` tuple is all its backward
-sees. ``_blocks`` picks the pairs the ablation flags enable; ``forward`` runs
-them in order and ``backward`` in reverse.
+the forward takes ``(params, cfg, input, mask, pos)`` and returns ``(out,
+ctx)``, and that ``ctx`` tuple is all its backward sees. ``_blocks`` picks the
+pairs the ablation flags enable; ``forward`` runs them in order and
+``backward`` in reverse.
 Padded rows cannot influence any valid position: pooling is masked, the GRU
 carries its state through padding, attention masks padded keys, and the score
 reads only the last valid index.
@@ -151,8 +154,8 @@ def _ln_backward(dy: np.ndarray, cache):
     xhat, inv, g = cache
     h = xhat.shape[-1]
     dxhat = dy * g
-    dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
-    db = dy.sum(axis=tuple(range(dy.ndim - 1)))
+    dg = _lead_sum(dy * xhat)
+    db = _lead_sum(dy)
     dx = (
         inv
         / h
@@ -176,7 +179,12 @@ def _wgrad(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1]).T @ d.reshape(-1, d.shape[-1])
 
 
-def _gate_forward(params, cfg: ModelConfig, x: np.ndarray, mask: np.ndarray):
+def _lead_sum(d: np.ndarray) -> np.ndarray:
+    """Bias gradient: d summed over every leading axis."""
+    return d.sum(axis=tuple(range(d.ndim - 1)))
+
+
+def _gate_forward(params, cfg: ModelConfig, x: np.ndarray, mask: np.ndarray, pos=...):
     """Masked mean-pool over valid rows, two-layer MLP, sigmoid: one weight per column."""
     denom = mask.sum(axis=1, keepdims=True)
     s = (x * mask[:, :, None]).sum(axis=1) / denom
@@ -199,7 +207,7 @@ def _gate_backward(params, ctx, dxg: np.ndarray, grads) -> None:
     grads["gate.b1"] = dz1.sum(axis=0)
 
 
-def _gru_forward(params, cfg: ModelConfig, xg: np.ndarray, mask: np.ndarray):
+def _gru_forward(params, cfg: ModelConfig, xg: np.ndarray, mask: np.ndarray, pos=...):
     """GRU with mask-carry: a padded step keeps the previous state.
 
     Without the gate the GRU is the first block, so its input needs no gradient.
@@ -253,91 +261,101 @@ def _gru_backward(params, ctx, dh_seq: np.ndarray, grads) -> np.ndarray | None:
     return d_x @ params["gru.w_x"].T if want_dx else None
 
 
-def _attn_mix(params, cfg: ModelConfig, h_seq: np.ndarray, mask: np.ndarray):
-    """LayerNorm, QKV and masked attention, the only step that mixes positions: o_cat (B, T, H)."""
+def _attn_forward(params, cfg: ModelConfig, h_seq: np.ndarray, mask: np.ndarray, pos=...):
+    """Pre-norm multi-head self-attention and feed-forward, both residual.
+
+    Keys and values cover every position; queries, and everything after the
+    softmax, only the query positions pos (see forward): (B, T, H) or (B, H).
+    """
     b, t, h = h_seq.shape
     nh = cfg.heads
     dk = h // nh
+    w, bias = params["attn.w_qkv"], params["attn.b_qkv"]
     a_norm, ln1 = _ln_forward(h_seq, params["attn.ln1_g"], params["attn.ln1_b"])
-    qkv = a_norm @ params["attn.w_qkv"] + params["attn.b_qkv"]
-    # (B, T, 3H) -> three (B, heads, T, dk) views
-    q_h, k_h, v_h = qkv.reshape(b, t, 3, nh, dk).transpose(2, 0, 3, 1, 4)
+    h_q, a_q = h_seq[pos], a_norm[pos]
+    q = a_q @ w[:, :h] + bias[:h]
+    kv = a_norm @ w[:, h:] + bias[h:]
+    # (B, Tq, H) -> (B, heads, Tq, dk) and (B, T, 2H) -> two (B, heads, T, dk) views
+    q_h = q.reshape(b, -1, nh, dk).transpose(0, 2, 1, 3)
+    k_h, v_h = kv.reshape(b, t, 2, nh, dk).transpose(2, 0, 3, 1, 4)
     scores = q_h @ k_h.swapaxes(-1, -2) / np.sqrt(dk)
     scores = np.where(mask[:, None, None, :] > 0.0, scores, _NEG_INF)
     scores -= scores.max(axis=-1, keepdims=True)
     exps = np.exp(scores)
     attn = exps / exps.sum(axis=-1, keepdims=True)
-    o_cat = (attn @ v_h).transpose(0, 2, 1, 3).reshape(b, t, h)
-    return o_cat, (a_norm, ln1, q_h, k_h, v_h, attn, o_cat)
-
-
-def _attn_ffn(params, h_seq: np.ndarray, o_cat: np.ndarray):
-    """Out-projection and pre-norm feed-forward, both residual; position-wise."""
-    h1 = h_seq + (o_cat @ params["attn.w_o"] + params["attn.b_o"])
+    o_cat = (attn @ v_h).transpose(0, 2, 1, 3).reshape(h_q.shape)
+    h1 = h_q + (o_cat @ params["attn.w_o"] + params["attn.b_o"])
     a2, ln2 = _ln_forward(h1, params["attn.ln2_g"], params["attn.ln2_b"])
     f_pre = a2 @ params["attn.w_f1"] + params["attn.b_f1"]
     f_act = np.maximum(f_pre, 0.0)
     h2 = h1 + (f_act @ params["attn.w_f2"] + params["attn.b_f2"])
-    return h2, (a2, ln2, f_pre, f_act)
-
-
-def _attn_forward(params, cfg: ModelConfig, h_seq: np.ndarray, mask: np.ndarray):
-    """Pre-norm multi-head self-attention and feed-forward, both residual."""
-    o_cat, mix_ctx = _attn_mix(params, cfg, h_seq, mask)
-    h2, ffn_ctx = _attn_ffn(params, h_seq, o_cat)
-    return h2, mix_ctx + ffn_ctx
+    return h2, (pos, a_norm, a_q, ln1, q_h, k_h, v_h, attn, o_cat, a2, ln2, f_pre, f_act)
 
 
 def _attn_backward(params, ctx, dh2: np.ndarray, grads) -> np.ndarray:
-    a_norm, ln1, q_h, k_h, v_h, attn, o_cat, a2, ln2, f_pre, f_act = ctx
-    b, nh, t, dk = q_h.shape
+    pos, a_norm, a_q, ln1, q_h, k_h, v_h, attn, o_cat, a2, ln2, f_pre, f_act = ctx
+    b, nh, t, dk = k_h.shape
+    h = nh * dk
+    w = params["attn.w_qkv"]
     grads["attn.w_f2"] = _wgrad(f_act, dh2)
-    grads["attn.b_f2"] = dh2.sum(axis=(0, 1))
+    grads["attn.b_f2"] = _lead_sum(dh2)
     df_pre = (dh2 @ params["attn.w_f2"].T) * (f_pre > 0.0)
     grads["attn.w_f1"] = _wgrad(a2, df_pre)
-    grads["attn.b_f1"] = df_pre.sum(axis=(0, 1))
+    grads["attn.b_f1"] = _lead_sum(df_pre)
     da2 = df_pre @ params["attn.w_f1"].T
     dh1_ln, grads["attn.ln2_g"], grads["attn.ln2_b"] = _ln_backward(da2, ln2)
     dh1 = dh2 + dh1_ln
 
     grads["attn.w_o"] = _wgrad(o_cat, dh1)
-    grads["attn.b_o"] = dh1.sum(axis=(0, 1))
+    grads["attn.b_o"] = _lead_sum(dh1)
     do_cat = dh1 @ params["attn.w_o"].T
-    do_head = do_cat.reshape(b, t, nh, dk).transpose(0, 2, 1, 3)
+    do_head = do_cat.reshape(b, -1, nh, dk).transpose(0, 2, 1, 3)
     dattn = do_head @ v_h.swapaxes(-1, -2)
     dv_h = attn.swapaxes(-1, -2) @ do_head
     dscore = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-    dq_h = dscore @ k_h / np.sqrt(dk)
+    dq = (dscore @ k_h / np.sqrt(dk)).transpose(0, 2, 1, 3).reshape(dh1.shape)
     dk_h = dscore.swapaxes(-1, -2) @ q_h / np.sqrt(dk)
-    # inverse of the forward split: three (B, heads, T, dk) -> (B, T, 3H)
-    dqkv = np.stack([dq_h, dk_h, dv_h]).transpose(1, 3, 0, 2, 4).reshape(b, t, 3 * nh * dk)
-    grads["attn.w_qkv"] = _wgrad(a_norm, dqkv)
-    grads["attn.b_qkv"] = dqkv.sum(axis=(0, 1))
-    da_norm = dqkv @ params["attn.w_qkv"].T
-    dh_ln1, grads["attn.ln1_g"], grads["attn.ln1_b"] = _ln_backward(da_norm, ln1)
-    return dh1 + dh_ln1
+    # inverse of the forward split: two (B, heads, T, dk) -> (B, T, 2H)
+    dkv = np.stack([dk_h, dv_h]).transpose(1, 3, 0, 2, 4).reshape(b, t, 2 * h)
+    grads["attn.w_qkv"] = np.concatenate([_wgrad(a_q, dq), _wgrad(a_norm, dkv)], axis=1)
+    grads["attn.b_qkv"] = np.concatenate([_lead_sum(dq), _lead_sum(dkv)])
+    da_norm = dkv @ w[:, h:].T
+    da_norm[pos] += dq @ w[:, :h].T
+    dh_seq, grads["attn.ln1_g"], grads["attn.ln1_b"] = _ln_backward(da_norm, ln1)
+    dh_seq[pos] += dh1
+    return dh_seq
 
 
-def _head_forward(params, cfg: ModelConfig, h2: np.ndarray, mask: np.ndarray):
-    """Position-wise LayerNorm + two-layer MLP + sigmoid: q_t per position."""
+def _head_forward(params, cfg: ModelConfig, h2: np.ndarray, mask: np.ndarray, pos=...):
+    """Position-wise LayerNorm + two-layer MLP + sigmoid: q at the query positions.
+
+    After attention h2 is already at those positions; without attention the
+    head reads the GRU's states at them.
+    """
+    seq_shape = None if cfg.use_mhsa or pos is ... else h2.shape
+    h2 = h2 if seq_shape is None else h2[pos]
     c_norm, ln3 = _ln_forward(h2, params["head.ln_g"], params["head.ln_b"])
     z1h_pre = c_norm @ params["head.w1"] + params["head.b1"]
     z1h = np.maximum(z1h_pre, 0.0)
     q = _sigmoid((z1h @ params["head.w2"] + params["head.b2"])[..., 0])
-    return q, (c_norm, ln3, z1h_pre, z1h, q)
+    return q, (seq_shape, pos, c_norm, ln3, z1h_pre, z1h, q)
 
 
 def _head_backward(params, ctx, dq: np.ndarray, grads) -> np.ndarray:
-    c_norm, ln3, z1h_pre, z1h, q = ctx
+    seq_shape, pos, c_norm, ln3, z1h_pre, z1h, q = ctx
     dlogit = dq * q * (1.0 - q)
     grads["head.w2"] = _wgrad(z1h, dlogit[..., None])
     grads["head.b2"] = np.array([dlogit.sum()])
-    dz1h_pre = (dlogit[:, :, None] * params["head.w2"][:, 0]) * (z1h_pre > 0.0)
+    dz1h_pre = (dlogit[..., None] * params["head.w2"][:, 0]) * (z1h_pre > 0.0)
     grads["head.w1"] = _wgrad(c_norm, dz1h_pre)
-    grads["head.b1"] = dz1h_pre.sum(axis=(0, 1))
+    grads["head.b1"] = _lead_sum(dz1h_pre)
     dc = dz1h_pre @ params["head.w1"].T
     dh2, grads["head.ln_g"], grads["head.ln_b"] = _ln_backward(dc, ln3)
-    return dh2
+    if seq_shape is None:
+        return dh2
+    dh_seq = np.zeros(seq_shape)
+    dh_seq[pos] = dh2
+    return dh_seq
 
 
 def _blocks(cfg: ModelConfig):
@@ -350,51 +368,33 @@ def _blocks(cfg: ModelConfig):
     return blocks
 
 
-def forward(
-    params: dict[str, np.ndarray],
-    cfg: ModelConfig,
-    x: np.ndarray,
-    mask: np.ndarray,
-    want_cache: bool = False,
-):
+def forward(params: dict[str, np.ndarray], cfg: ModelConfig, x: np.ndarray, mask: np.ndarray,
+            want_cache: bool = False, last_only: bool = False):
     """Batched forward pass.
 
     x: (B, T, D) float64, mask: (B, T) of 0/1 with padding as a suffix.
-    Returns (q, scores, cache): q is (B, T), scores (B,) = q at each row's
-    last valid index. cache is None unless want_cache; then it holds the
-    valid ``lengths`` (B,) and ``blocks``, each enabled block's backward with
-    the context its forward returned.
+    Returns (q, scores, cache): q is (B, T), or (B,) at each row's last valid
+    index when last_only; scores (B,) = q at those indices. cache is None
+    unless want_cache; then it holds the valid ``lengths`` (B,) and
+    ``blocks``, each enabled block's backward with the context its forward
+    returned.
     """
     x, mask, lengths = _inputs(cfg, x, mask)
+    last = np.arange(len(x)), lengths - 1
+    pos = last if last_only else ...
     q, blocks = x, []  # each block's output feeds the next; the head's is q
     for block_forward, block_backward in _blocks(cfg):
-        q, ctx = block_forward(params, cfg, q, mask)
-        blocks.append((block_backward, ctx))
-    scores = q[np.arange(len(q)), lengths - 1]
+        q, ctx = block_forward(params, cfg, q, mask, pos)
+        if want_cache:
+            blocks.append((block_backward, ctx))
+    scores = q if last_only else q[last]
     return q, scores, ({"lengths": lengths, "blocks": blocks} if want_cache else None)
 
 
-def score(
-    params: dict[str, np.ndarray],
-    cfg: ModelConfig,
-    x: np.ndarray,
-    mask: np.ndarray,
-) -> np.ndarray:
-    """forward's scores (B,) up to float rounding, from the same inputs and checks.
-
-    Everything after attention's mixing runs on each row's last valid position only.
-    """
-    x, mask, lengths = _inputs(cfg, x, mask)
-    if cfg.use_feature_gate:
-        x, _ = _gate_forward(params, cfg, x, mask)
-    h_seq, _ = _gru_forward(params, cfg, x, mask)
-    last = np.arange(len(h_seq)), lengths - 1
-    h = h_seq[last]
-    if cfg.use_mhsa:
-        o_cat, _ = _attn_mix(params, cfg, h_seq, mask)
-        h, _ = _attn_ffn(params, h, o_cat[last])
-    q, _ = _head_forward(params, cfg, h, mask[last])
-    return q
+def score(params: dict[str, np.ndarray], cfg: ModelConfig, x: np.ndarray,
+          mask: np.ndarray) -> np.ndarray:
+    """Scores (B,): forward's last-position pass, keeping no contexts."""
+    return forward(params, cfg, x, mask, last_only=True)[1]
 
 
 def backward(
@@ -403,7 +403,7 @@ def backward(
     cache: dict[str, Any],
     dq: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss given dq = dL/dq, shape (B, T).
+    """Gradients of a scalar loss given dq = dL/dq, shaped like forward's q.
 
     Runs the forward's blocks in reverse; a disabled block's parameters keep
     zero gradients. Callers must put zeros at padded positions of dq; the

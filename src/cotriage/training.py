@@ -7,12 +7,12 @@ per-sentence term), Adam updates, early stopping on validation ROC-AUC
 Each shuffled minibatch is sorted by length and split into SUB_BATCHES
 sub-batches, each padded only to its own longest trajectory; their gradients
 and losses, weighted by each part's share of the batch, sum to the whole
-batch's, and one Adam step follows. Scoring pads SCORE_BATCH chunks of the
-sequences in length order, runs the model's forward-only ``score`` on each
-(the position-wise tail at the last sentence only) and returns the scores in
-input order. The model's masking makes padding inert, so regrouping rows, or
-scoring with ``score`` rather than ``forward``, changes a score or a summed
-gradient only up to float rounding.
+batch's, and one Adam step follows. The default ``final`` loss, like
+scoring, runs the model's tail at the last sentence only. Scoring pads
+SCORE_BATCH chunks of the sequences in length order, runs ``score`` on each
+and returns the scores in input order. The model's masking makes padding
+inert, so regrouping rows, or running the tail at the last sentence only,
+changes a score or a summed gradient only up to float rounding.
 """
 
 from __future__ import annotations
@@ -114,15 +114,17 @@ def batch_loss(
 
     The final-score BCE is a weighted mean over examples; the auxiliary
     variant adds aux_weight times the weighted mean of each example's mean
-    per-sentence BCE over its valid positions.
+    per-sentence BCE over its valid positions. ``final`` runs the model's
+    tail at each row's last valid position only, ``final_aux`` at every one.
     """
     if variant not in LOSS_VARIANTS:
         raise ValueError(f"unknown loss variant {variant!r}")
     y = np.asarray(y, dtype=np.float64)
     b = len(y)
-    q, scores, cache = forward(params, cfg, x, mask, want_cache=with_grads)
+    final = variant == "final"
+    q, scores, cache = forward(params, cfg, x, mask, want_cache=with_grads, last_only=final)
     loss = float(np.mean(weights * bce(scores, y)))
-    if variant == "final_aux":
+    if not final:
         lengths = np.asarray(mask, dtype=np.float64).sum(axis=1)
         per_pos = bce(q, y[:, None]) * mask
         aux = per_pos.sum(axis=1) / lengths
@@ -130,10 +132,11 @@ def batch_loss(
     if not with_grads:
         return loss, None
 
-    dq = np.zeros_like(q)
-    dq[np.arange(b), cache["lengths"] - 1] = weights * _bce_dq(scores, y) / b
-    if variant == "final_aux":
-        dq += aux_weight * (weights / (b * lengths))[:, None] * _bce_dq(q, y[:, None]) * mask
+    d_score = weights * _bce_dq(scores, y) / b
+    if final:
+        return loss, backward(params, cfg, cache, d_score)
+    dq = aux_weight * (weights / (b * lengths))[:, None] * _bce_dq(q, y[:, None]) * mask
+    dq[np.arange(b), cache["lengths"] - 1] += d_score
     return loss, backward(params, cfg, cache, dq)
 
 

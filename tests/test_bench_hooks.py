@@ -12,6 +12,11 @@ import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
+
+from cotriage import training
+from cotriage.model import ModelConfig, init_params
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 
@@ -46,3 +51,24 @@ def test_layer_bench_times_every_model_block(monkeypatch):
     cells = ("full", "no_gate", "no_mhsa", "core")
     assert set(got) == {f"model.{kind}_ms.{cell}" for kind in ("fwd", "bwd") for cell in cells}
     assert all(math.isfinite(ms) and ms > 0 for ms in got.values())
+
+
+def test_final_loss_goes_through_the_hooked_forward_and_backward(monkeypatch):
+    """perfbench times training.forward/backward as model.forward_s/backward_s,
+    so one final-loss batch must call each exactly once by those names."""
+    calls = []
+    for name in ("forward", "backward"):
+        real = getattr(training, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(training, name, counting)
+    rng = np.random.default_rng(0)
+    cfg = ModelConfig(input_dim=3, hidden=4, heads=2, head_hidden=2)
+    x = rng.normal(size=(4, 5, 3))
+    mask = (np.arange(5)[None, :] < np.array([5, 3, 1, 4])[:, None]).astype(np.float64)
+    training.batch_loss(init_params(cfg, 0), cfg, x, mask, np.array([1.0, 0.0, 1.0, 0.0]),
+                        np.ones(4), variant="final")
+    assert calls == ["forward", "backward"]

@@ -693,6 +693,49 @@ def test_features_narrower_than_the_model_exit_2_writing_no_output(routed_run, t
             or n.startswith("outcomes.")] == []
 
 
+def _drop_last_row(rec):
+    rec["rows"].pop()
+    rec["mask_len"] -= 1
+
+
+def _nudge_p(rec):
+    rec["rows"][0][0] += 1e-12
+
+
+@pytest.mark.parametrize("stage", ["calibrate", "route"])
+@pytest.mark.parametrize(
+    "subset, edit, message",
+    [("full", None, "features of 'val-"), ("numeric", None, "features of 'val-"),
+     ("linguistic", _drop_last_row, "features of 'val-00001'"),
+     ("full", _nudge_p, "features of 'val-00001'")],
+    ids=["other_corpus_full", "other_corpus_numeric", "dropped_row", "p_off_by_1e-12"],
+)
+def test_features_of_another_trajectory_exit_2_naming_the_question(tmp_path, capsys, stage,
+                                                                   subset, edit, message):
+    a, b, fa, fb = (tmp_path / name for name in ("a", "b", "fa", "fb"))
+    sizes = ["--n-train", 4, "--n-val", 6, "--n-test", 0, "--samples", 2]
+    assert run("synth", "--seed", 1, "--out", a, *sizes) == EXIT_OK
+    assert run("synth", "--seed", 2, "--beta", 0.5, "--out", b, *sizes) == EXIT_OK
+    assert run("extract-features", "--in", a, "--out", fa, "--subset", subset) == EXIT_OK
+    assert run("extract-features", "--in", b, "--out", fb, "--subset", subset) == EXIT_OK
+    features = fb
+    if edit is not None:
+        _edit_record(fa / "val.features.jsonl", 3, edit)
+        features = fa
+    cfg = ModelConfig(input_dim=len(LAYOUTS[subset]), hidden=8, heads=2, head_hidden=4)
+    save_checkpoint(tmp_path / "m.ckpt", init_params(cfg, 0), cfg)
+    argv = ["--data", a, "--features", features, "--model", tmp_path / "m.ckpt", "--split", "val",
+            "--budget", 2]
+    if stage == "route":
+        argv += ["--tau", 0.5]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(stage, *argv, "--out", out) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert message in err and "do not match its trajectory" in err, err
+    assert not out.exists() or [p.name for p in out.iterdir()] == [f"{stage}.manifest.json"]
+
+
 def test_calibrate_max_rel_drop_outside_zero_one_exits_1(routed_run, tmp_path, capsys):
     argv = _stage_argv("calibrate", routed_run, tmp_path / "unused")
     assert run("calibrate", *argv, "--max-rel-drop", -0.1, "--out", tmp_path / "c") == EXIT_USAGE

@@ -142,13 +142,34 @@ def test_scoring_runs_the_head_once_per_sequence(monkeypatch):
     head_forward = model._head_forward
     leading = []
 
-    def recording_head(params, cfg, h, mask):
+    def recording_head(params, cfg, h, mask, pos):
         leading.append(h.shape[:-1])
-        return head_forward(params, cfg, h, mask)
+        return head_forward(params, cfg, h, mask, pos)
 
     monkeypatch.setattr(model, "_head_forward", recording_head)
     score_features(params, cfg, seqs)
     assert leading == [(len(seqs),)]
+
+
+@pytest.mark.parametrize("mhsa", [True, False])
+def test_final_loss_runs_the_head_once_on_last_positions(monkeypatch, mhsa):
+    """With the final loss the tail runs at each row's last position only:
+    one head call that yields (B,) q, after attention on a (B, H) input."""
+    rng = np.random.default_rng(19)
+    cfg = small_cfg(use_mhsa=mhsa)
+    params = init_params(cfg, seed=19)
+    x, mask, y, w = make_batch(rng, b=5, t=7, lengths=(7, 4, 1, 6, 2))
+    head_forward = model._head_forward
+    calls = []
+
+    def recording_head(params, cfg, h, mask, pos):
+        q, ctx = head_forward(params, cfg, h, mask, pos)
+        calls.append((h.shape[:-1], q.shape))
+        return q, ctx
+
+    monkeypatch.setattr(model, "_head_forward", recording_head)
+    batch_loss(params, cfg, x, mask, y, weights=w, variant="final")
+    assert calls == [((5,) if mhsa else (5, 7), (5,))]
 
 
 def test_score_reads_last_valid_position():

@@ -7,7 +7,7 @@ import pytest
 from cotriage import training
 from cotriage.errors import EmptyDataset
 from cotriage.features import FeatureSequence
-from cotriage.model import ModelConfig, init_params
+from cotriage.model import ModelConfig, backward, forward, init_params
 from cotriage.training import (
     SUB_BATCHES,
     AdamState,
@@ -122,6 +122,35 @@ def test_training_learns_planted_signal():
     assert result.best_epoch >= 1
     scores = score_features(result.params, model_cfg, val_seqs)
     assert roc_auc(np.array(val_labels), scores) == pytest.approx(result.best_val_auc)
+
+
+@pytest.mark.parametrize("gate", [True, False])
+@pytest.mark.parametrize("mhsa", [True, False])
+def test_final_loss_matches_the_all_positions_pass(gate, mhsa):
+    """The final loss runs the tail at each row's last position only; its loss
+    and gradients are the all-positions pass's with dq at those positions."""
+    rng = np.random.default_rng(21)
+    cfg = ModelConfig(input_dim=4, hidden=8, heads=2, head_hidden=4,
+                      use_feature_gate=gate, use_mhsa=mhsa)
+    params = init_params(cfg, seed=21)
+    seqs = [FeatureSequence(f"q{i}", rng.normal(size=(int(t), 4)), "numeric")
+            for i, t in enumerate(rng.integers(1, 10, size=33))]
+    labels = rng.random(33) < 0.4
+    y, w = labels.astype(np.float64), class_weight_vector(labels)
+    x, mask = pad_batch(seqs)
+
+    q, scores, cache = forward(params, cfg, x, mask, want_cache=True)
+    want_loss = float(np.mean(w * bce(scores, y)))
+    dq = np.zeros_like(q)
+    dq[np.arange(33), cache["lengths"] - 1] = w * training._bce_dq(scores, y) / 33
+    want = backward(params, cfg, cache, dq)
+
+    got_loss, got = batch_loss(params, cfg, x, mask, y, w, variant="final")
+    assert got_loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+    assert got.keys() == want.keys()
+    for name in want:
+        scale = max(np.abs(want[name]).max(), 1e-300)
+        assert np.abs(got[name] - want[name]).max() <= 1e-10 * scale, name
 
 
 def test_training_is_deterministic():
