@@ -165,13 +165,16 @@ def write_selection_summary(
 
 
 def read_selection_summary(path: str | Path) -> dict:
-    """The selection.json document, selected_tau a float; ParseError unless it is a finite number."""
+    """The selection.json document, selected_tau a float; ParseError unless it is a finite
+    number, baseline_method a string and sunk_greedy a boolean."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
             doc["selected_tau"] = typed(doc, "selected_tau", float)
             if not math.isfinite(doc["selected_tau"]):
                 raise ValueError(f"selected_tau is {doc['selected_tau']}")
+            typed(doc, "baseline_method", str)
+            typed(doc, "sunk_greedy", bool)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad selection summary {path}: {exc!r}") from exc
     return doc

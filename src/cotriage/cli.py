@@ -36,7 +36,9 @@ from .calibration import (
     sweep,
     write_selection_summary,
 )
-from .errors import AlignmentError, CapabilityError, CotriageError, EmptyDataset, HarvestError
+from .errors import (
+    AlignmentError, CapabilityError, ConfigMismatch, CotriageError, EmptyDataset, HarvestError,
+)
 from .evaluation import (
     OUTCOMES_SCHEMA,
     REPORT_SCHEMA,
@@ -61,7 +63,7 @@ from .features import (
 )
 from .harvest import EndpointClient, EndpointConfig, check_harvest_options, harvest_dataset
 from .jsonl import write_json
-from .model import CKPT_SCHEMA, ModelConfig, load_checkpoint, save_checkpoint
+from .model import CKPT_SCHEMA, ModelConfig, check_geometry, load_checkpoint, save_checkpoint
 from .synth import SynthConfig, generate
 from .trajectory import (
     QUESTIONS_SCHEMA,
@@ -120,142 +122,6 @@ def load_config(path: str) -> dict[str, str]:
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text)
-
-
-# --- option table -------------------------------------------------------------
-
-# One row per option: (name, type, default, help). A bool row is a store-true
-# flag and a tuple row lists the allowed choices; a default of ... marks a
-# required option. The flag is the name with dashes, except in_dir is --in.
-_COMMON = (
-    ("config", str, None, "flat key = value option file"),
-    ("seed", int, 0, "master seed for all randomness"),
-)
-
-_ROUTING = (
-    ("data", str, ..., "directory with <split>.{questions,traj,paths}.jsonl"),
-    ("features", str, ..., "directory from extract-features"),
-    ("model", str, ..., "checkpoint file"),
-    ("out", str, ..., "output directory"),
-    ("method", METHODS, "sc", "voting method of the multi-path route"),
-    ("budget", int, 10, "sampled paths consumed per escalation"),
-    ("votes_needed", int, None, "dv early-stop vote count (default budget // 2 + 1)"),
-    ("include_greedy_vote", bool, False, "count the greedy answer as one more sc/cer vote"),
-    ("no_sunk_greedy", bool, False, "escalation does not pay for the greedy pass"),
-)
-
-COMMANDS: dict[str, tuple[str, tuple]] = {
-    "synth": ("generate a planted-signal synthetic dataset in three splits", (
-        ("out", str, ..., "output directory"),
-        ("n_train", int, 500, "questions in the train split"),
-        ("n_val", int, 200, "questions in the val split"),
-        ("n_test", int, 500, "questions in the test split"),
-        ("beta", float, SynthConfig.beta, "planted signal strength in [0, 1]"),
-        ("choices", int, SynthConfig.num_choices, "options per question"),
-        ("base_rate", float, SynthConfig.base_rate, "fraction of questions whose greedy answer is correct"),
-        ("samples", int, SynthConfig.samples_per_question, "sampled paths per question"),
-        ("t_min", int, SynthConfig.t_min, "fewest sentences per trajectory"),
-        ("t_max", int, SynthConfig.t_max, "most sentences per trajectory"),
-    )),
-    "harvest": ("harvest trajectories and sampled paths from an endpoint", (
-        ("questions", str, ..., "questions jsonl file"),
-        ("out", str, ..., "output directory"),
-        ("split", str, "train", "split name used in output file names"),
-        ("base_url", str, ..., "endpoint base url, e.g. http://localhost:8000/v1"),
-        ("model", str, ..., "endpoint model name"),
-        ("n_samples", int, 10, "sampled paths per question"),
-        ("temperature", float, 1.0, "sampling temperature of the sampled paths"),
-        ("max_new_tokens", int, 1024, "generation limit per request"),
-        ("cache_dir", str, EndpointConfig.cache_dir, "response cache directory"),
-        ("api_key_env", str, EndpointConfig.api_key_env, "environment variable holding the API key"),
-        ("timeout", float, EndpointConfig.timeout, "seconds per HTTP request"),
-        ("max_in_flight", int, EndpointConfig.max_in_flight, "concurrent sampled-generation requests per question"),
-        ("max_retries", int, EndpointConfig.max_retries, "retries of a failed request"),
-        ("backoff", float, EndpointConfig.backoff, "first retry delay in seconds, doubled per retry"),
-        ("no_paths", bool, False, "skip sampled paths"),
-    )),
-    "extract-features": ("turn trajectories into padded feature sequences", (
-        ("in_dir", str, ..., "directory with <split>.traj.jsonl files"),
-        ("out", str, ..., "output directory"),
-        ("subset", tuple(LAYOUTS), "full", "feature columns to keep"),
-    )),
-    "train": ("train the escalation detector on extracted features", (
-        ("in_dir", str, ..., "directory from extract-features"),
-        ("out", str, ..., "output directory for checkpoint and log"),
-        ("hidden", int, ModelConfig.hidden, "GRU and attention width"),
-        ("heads", int, ModelConfig.heads, "attention heads"),
-        ("head_hidden", int, ModelConfig.head_hidden, "hidden width of the scoring head"),
-        ("no_feature_gate", bool, False, "drop the channel gate"),
-        ("no_mhsa", bool, False, "drop the self-attention block"),
-        ("lr", float, TrainConfig.lr, "Adam learning rate"),
-        ("batch_size", int, TrainConfig.batch_size, "trajectories per batch"),
-        ("max_epochs", int, TrainConfig.max_epochs, "epoch limit"),
-        ("patience", int, TrainConfig.patience, "epochs without val AUC gain before stopping"),
-        ("loss_variant", LOSS_VARIANTS, TrainConfig.loss_variant, "final_aux adds per-sentence loss"),
-        ("aux_weight", float, TrainConfig.aux_weight, "weight of the per-sentence loss"),
-        ("no_class_weights", bool, False, "do not reweight the classes"),
-    )),
-    "calibrate": ("sweep the acceptance threshold on a validation split", _ROUTING + (
-        ("split", str, "val", "split name"),
-        ("max_rel_drop", float, DEFAULT_MAX_REL_DROP, "allowed relative accuracy drop from the best"),
-    )),
-    "route": ("apply a threshold to a split and write outcome files", _ROUTING + (
-        ("split", str, "test", "split name"),
-        ("tau", float, None, "acceptance threshold (exclusive with --selection)"),
-        ("selection", str, None, "selection.json from calibrate (exclusive with --tau)"),
-    )),
-    "report": ("summary, significance and outcome tables for a routed run", (
-        ("in_dir", str, ..., "directory with outcomes.*.jsonl"),
-        ("out", str, ..., "output directory"),
-        ("resamples", int, 2000, "bootstrap resamples"),
-    )),
-}
-
-DEFAULTS: dict[str, dict] = {
-    name: {opt: None if default is ... else default for opt, _, default, _ in _COMMON + rows}
-    for name, (_, rows) in COMMANDS.items()
-}
-
-
-def _flag(name: str) -> str:
-    return "--in" if name == "in_dir" else "--" + name.replace("_", "-")
-
-
-def _convert(subcommand: str, name: str, kind, raw: str):
-    """A config-file value as its option's type, the way its flag would parse it."""
-    if kind is bool:
-        if raw.lower() in ("true", "false"):
-            return raw.lower() == "true"
-        wanted = "true or false"
-    elif isinstance(kind, tuple):
-        if raw in kind:
-            return raw
-        wanted = "one of " + ", ".join(kind)
-    else:
-        try:
-            return kind(raw)
-        except ValueError:
-            wanted = "an integer" if kind is int else "a number"
-    raise ValueError(f"{subcommand}: {name} must be {wanted}, not {raw!r}")
-
-
-def resolve_options(subcommand: str, explicit: dict) -> argparse.Namespace:
-    rows = _COMMON + COMMANDS[subcommand][1]
-    merged = dict(DEFAULTS[subcommand])
-    config_path = explicit.get("config")
-    if config_path is not None:
-        file_opts = load_config(config_path)
-        unknown = sorted(set(file_opts) - set(merged))
-        if unknown:
-            raise ValueError(f"unknown config keys for {subcommand}: {', '.join(unknown)}")
-        for name, kind, _, _ in rows:
-            if name in file_opts:
-                merged[name] = _convert(subcommand, name, kind, file_opts[name])
-    merged.update(explicit)
-    for name, _, default, _ in rows:
-        if default is ... and merged[name] is None:
-            raise ValueError(f"{subcommand}: {_flag(name)} is required (flag or config file)")
-    return argparse.Namespace(**merged)
 
 
 # --- manifests ---------------------------------------------------------------
@@ -436,6 +302,7 @@ def cmd_extract_features(opts, run: Run) -> None:
 
 def cmd_train(opts, run: Run) -> dict:
     tcfg = _config(TrainConfig, opts, class_weights=not opts.no_class_weights)
+    check_geometry(opts.hidden, opts.heads, opts.head_hidden)
     train_seqs, train_labels = _load_split_features(run, opts.in_dir, "train")
     val_seqs, val_labels = _load_split_features(run, opts.in_dir, "val")
     if not train_seqs:
@@ -474,7 +341,12 @@ def cmd_route(opts, run: Run) -> dict:
         raise ValueError(f"tau must be a finite number, got {opts.tau}")
     tau = opts.tau
     if tau is None:
-        tau = read_selection_summary(run.reads(opts.selection))["selected_tau"]
+        summary = read_selection_summary(run.reads(opts.selection))
+        ours = {"baseline_method": opts.method, "sunk_greedy": not opts.no_sunk_greedy}
+        theirs = {key: summary[key] for key in ours}
+        if theirs != ours:
+            raise ConfigMismatch(f"{opts.selection} was calibrated with {theirs}, not {ours}")
+        tau = summary["selected_tau"]
     items = _load_routing_items(opts, run)
     outcomes = route_outcomes(items, tau, sunk_greedy=not opts.no_sunk_greedy)
     for name, vector in outcomes.items():
@@ -500,20 +372,144 @@ def cmd_report(opts, run: Run) -> None:
     )
 
 
+# --- option table -------------------------------------------------------------
+
+# One row per option: (name, type, default, help). A bool row is a store-true
+# flag and a tuple row lists the allowed choices; a default of ... marks a
+# required option. The flag is the name with dashes, except in_dir is --in.
+_COMMON = (
+    ("config", str, None, "flat key = value option file"),
+    ("seed", int, 0, "master seed for all randomness"),
+)
+
+_ROUTING = (
+    ("data", str, ..., "directory with <split>.{questions,traj,paths}.jsonl"),
+    ("features", str, ..., "directory from extract-features"),
+    ("model", str, ..., "checkpoint file"),
+    ("out", str, ..., "output directory"),
+    ("method", METHODS, "sc", "voting method of the multi-path route"),
+    ("budget", int, 10, "sampled paths consumed per escalation"),
+    ("votes_needed", int, None, "dv early-stop vote count (default budget // 2 + 1)"),
+    ("include_greedy_vote", bool, False, "count the greedy answer as one more sc/cer vote"),
+    ("no_sunk_greedy", bool, False, "escalation does not pay for the greedy pass"),
+)
+
 _SPLIT_SCHEMAS = {"questions": QUESTIONS_SCHEMA, "traj": TRAJ_SCHEMA, "paths": PATHS_SCHEMA}
 
-# subcommand -> (handler, the schemas of the files the stage writes)
-STAGES = {
-    "synth": (cmd_synth, _SPLIT_SCHEMAS),
-    "harvest": (cmd_harvest, _SPLIT_SCHEMAS),
-    "extract-features": (
-        cmd_extract_features, {"features": FEATURES_SCHEMA, "labels": LABELS_SCHEMA}
-    ),
-    "train": (cmd_train, {"checkpoint": CKPT_SCHEMA}),
-    "calibrate": (cmd_calibrate, {"profile": REPORT_SCHEMA}),
-    "route": (cmd_route, {"outcomes": OUTCOMES_SCHEMA}),
-    "report": (cmd_report, {"report": REPORT_SCHEMA}),
+# One row per stage: (help, option rows, handler, the schemas of the files the
+# stage writes).
+COMMANDS: dict[str, tuple] = {
+    "synth": ("generate a planted-signal synthetic dataset in three splits", (
+        ("out", str, ..., "output directory"),
+        ("n_train", int, 500, "questions in the train split"),
+        ("n_val", int, 200, "questions in the val split"),
+        ("n_test", int, 500, "questions in the test split"),
+        ("beta", float, SynthConfig.beta, "planted signal strength in [0, 1]"),
+        ("choices", int, SynthConfig.num_choices, "options per question"),
+        ("base_rate", float, SynthConfig.base_rate, "fraction of questions whose greedy answer is correct"),
+        ("samples", int, SynthConfig.samples_per_question, "sampled paths per question"),
+        ("t_min", int, SynthConfig.t_min, "fewest sentences per trajectory"),
+        ("t_max", int, SynthConfig.t_max, "most sentences per trajectory"),
+    ), cmd_synth, _SPLIT_SCHEMAS),
+    "harvest": ("harvest trajectories and sampled paths from an endpoint", (
+        ("questions", str, ..., "questions jsonl file"),
+        ("out", str, ..., "output directory"),
+        ("split", str, "train", "split name used in output file names"),
+        ("base_url", str, ..., "endpoint base url, e.g. http://localhost:8000/v1"),
+        ("model", str, ..., "endpoint model name"),
+        ("n_samples", int, 10, "sampled paths per question"),
+        ("temperature", float, 1.0, "sampling temperature of the sampled paths"),
+        ("max_new_tokens", int, 1024, "generation limit per request"),
+        ("cache_dir", str, EndpointConfig.cache_dir, "response cache directory"),
+        ("api_key_env", str, EndpointConfig.api_key_env, "environment variable holding the API key"),
+        ("timeout", float, EndpointConfig.timeout, "seconds per HTTP request"),
+        ("max_in_flight", int, EndpointConfig.max_in_flight, "concurrent sampled-generation requests per question"),
+        ("max_retries", int, EndpointConfig.max_retries, "retries of a failed request"),
+        ("backoff", float, EndpointConfig.backoff, "first retry delay in seconds, doubled per retry"),
+        ("no_paths", bool, False, "skip sampled paths"),
+    ), cmd_harvest, _SPLIT_SCHEMAS),
+    "extract-features": ("turn trajectories into padded feature sequences", (
+        ("in_dir", str, ..., "directory with <split>.traj.jsonl files"),
+        ("out", str, ..., "output directory"),
+        ("subset", tuple(LAYOUTS), "full", "feature columns to keep"),
+    ), cmd_extract_features, {"features": FEATURES_SCHEMA, "labels": LABELS_SCHEMA}),
+    "train": ("train the escalation detector on extracted features", (
+        ("in_dir", str, ..., "directory from extract-features"),
+        ("out", str, ..., "output directory for checkpoint and log"),
+        ("hidden", int, ModelConfig.hidden, "GRU and attention width"),
+        ("heads", int, ModelConfig.heads, "attention heads"),
+        ("head_hidden", int, ModelConfig.head_hidden, "hidden width of the scoring head"),
+        ("no_feature_gate", bool, False, "drop the channel gate"),
+        ("no_mhsa", bool, False, "drop the self-attention block"),
+        ("lr", float, TrainConfig.lr, "Adam learning rate"),
+        ("batch_size", int, TrainConfig.batch_size, "trajectories per batch"),
+        ("max_epochs", int, TrainConfig.max_epochs, "epoch limit"),
+        ("patience", int, TrainConfig.patience, "epochs without val AUC gain before stopping"),
+        ("loss_variant", LOSS_VARIANTS, TrainConfig.loss_variant, "final_aux adds per-sentence loss"),
+        ("aux_weight", float, TrainConfig.aux_weight, "weight of the per-sentence loss"),
+        ("no_class_weights", bool, False, "do not reweight the classes"),
+    ), cmd_train, {"checkpoint": CKPT_SCHEMA}),
+    "calibrate": ("sweep the acceptance threshold on a validation split", _ROUTING + (
+        ("split", str, "val", "split name"),
+        ("max_rel_drop", float, DEFAULT_MAX_REL_DROP, "allowed relative accuracy drop from the best"),
+    ), cmd_calibrate, {"profile": REPORT_SCHEMA}),
+    "route": ("apply a threshold to a split and write outcome files", _ROUTING + (
+        ("split", str, "test", "split name"),
+        ("tau", float, None, "acceptance threshold (exclusive with --selection)"),
+        ("selection", str, None, "selection.json from calibrate (exclusive with --tau)"),
+    ), cmd_route, {"outcomes": OUTCOMES_SCHEMA}),
+    "report": ("summary, significance and outcome tables for a routed run", (
+        ("in_dir", str, ..., "directory with outcomes.*.jsonl"),
+        ("out", str, ..., "output directory"),
+        ("resamples", int, 2000, "bootstrap resamples"),
+    ), cmd_report, {"report": REPORT_SCHEMA}),
 }
+
+DEFAULTS: dict[str, dict] = {
+    name: {opt: None if default is ... else default for opt, _, default, _ in _COMMON + rows}
+    for name, (_, rows, _, _) in COMMANDS.items()
+}
+
+
+def _flag(name: str) -> str:
+    return "--in" if name == "in_dir" else "--" + name.replace("_", "-")
+
+
+def _convert(subcommand: str, name: str, kind, raw: str):
+    """A config-file value as its option's type, the way its flag would parse it."""
+    if kind is bool:
+        if raw.lower() in ("true", "false"):
+            return raw.lower() == "true"
+        wanted = "true or false"
+    elif isinstance(kind, tuple):
+        if raw in kind:
+            return raw
+        wanted = "one of " + ", ".join(kind)
+    else:
+        try:
+            return kind(raw)
+        except ValueError:
+            wanted = "an integer" if kind is int else "a number"
+    raise ValueError(f"{subcommand}: {name} must be {wanted}, not {raw!r}")
+
+
+def resolve_options(subcommand: str, explicit: dict) -> argparse.Namespace:
+    rows = _COMMON + COMMANDS[subcommand][1]
+    merged = dict(DEFAULTS[subcommand])
+    config_path = explicit.get("config")
+    if config_path is not None:
+        file_opts = load_config(config_path)
+        unknown = sorted(set(file_opts) - set(merged))
+        if unknown:
+            raise ValueError(f"unknown config keys for {subcommand}: {', '.join(unknown)}")
+        for name, kind, _, _ in rows:
+            if name in file_opts:
+                merged[name] = _convert(subcommand, name, kind, file_opts[name])
+    merged.update(explicit)
+    for name, _, default, _ in rows:
+        if default is ... and merged[name] is None:
+            raise ValueError(f"{subcommand}: {_flag(name)} is required (flag or config file)")
+    return argparse.Namespace(**merged)
 
 
 # --- parser -------------------------------------------------------------------
@@ -527,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, rows) in COMMANDS.items():
+    for name, (help_text, rows, _, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         for opt, kind, _, opt_help in _COMMON + rows:
             if kind is bool:
@@ -549,7 +545,7 @@ def main(argv: list[str] | None = None) -> int:
     explicit = {k: v for k, v in vars(ns).items() if k != "subcommand"}
     try:
         opts = resolve_options(ns.subcommand, explicit)
-        handler, schemas = STAGES[ns.subcommand]
+        _, _, handler, schemas = COMMANDS[ns.subcommand]
         run = Run(opts.out)
         record = handler(opts, run)
         write_manifest(ns.subcommand, opts, run, schemas)

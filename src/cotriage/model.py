@@ -13,8 +13,8 @@ runs left to right, and everything after attention's softmax is
 position-wise. So the tail has one query-position choice ``pos``: every
 position (``...``), or each row's last valid one. The gate, the GRU and
 attention's keys and values cover every position; attention's queries,
-out-projection and feed-forward, and the head, only ``pos``. ``score`` and
-the default ``final`` training loss share the last-position path
+out-projection and feed-forward, and the head, only ``pos``. Scoring and the
+default ``final`` training loss run the last-position path
 (``forward(..., last_only=True)``); the per-sentence loss needs every
 position. Both give the same scores up to float rounding: BLAS rounds a row
 by its place in the block it is given.
@@ -55,6 +55,14 @@ _LN_EPS = 1e-5
 _NEG_INF = -1e30
 
 
+def check_geometry(hidden: int, heads: int, head_hidden: int) -> None:
+    """ValueError unless both widths are positive and heads divides hidden."""
+    if hidden < 1 or head_hidden < 1:
+        raise ValueError("hidden sizes must be positive")
+    if heads < 1 or hidden % heads != 0:
+        raise ValueError("hidden must be divisible by heads")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     input_dim: int
@@ -67,10 +75,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.input_dim < 1:
             raise ValueError("input_dim must be positive")
-        if self.hidden < 1 or self.head_hidden < 1:
-            raise ValueError("hidden sizes must be positive")
-        if self.heads < 1 or self.hidden % self.heads != 0:
-            raise ValueError("hidden must be divisible by heads")
+        check_geometry(self.hidden, self.heads, self.head_hidden)
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -127,7 +132,7 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
 
 
 def _inputs(cfg: ModelConfig, x, mask):
-    """x and mask as float64 and the valid lengths (B,): the input checks of forward and score."""
+    """x and mask as float64 and the valid lengths (B,): forward's input checks."""
     x = np.asarray(x, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
     if x.ndim != 3 or mask.shape != x.shape[:2]:
@@ -389,12 +394,6 @@ def forward(params: dict[str, np.ndarray], cfg: ModelConfig, x: np.ndarray, mask
             blocks.append((block_backward, ctx))
     scores = q if last_only else q[last]
     return q, scores, ({"lengths": lengths, "blocks": blocks} if want_cache else None)
-
-
-def score(params: dict[str, np.ndarray], cfg: ModelConfig, x: np.ndarray,
-          mask: np.ndarray) -> np.ndarray:
-    """Scores (B,): forward's last-position pass, keeping no contexts."""
-    return forward(params, cfg, x, mask, last_only=True)[1]
 
 
 def backward(

@@ -9,10 +9,10 @@ sub-batches, each padded only to its own longest trajectory; their gradients
 and losses, weighted by each part's share of the batch, sum to the whole
 batch's, and one Adam step follows. The default ``final`` loss, like
 scoring, runs the model's tail at the last sentence only. Scoring pads
-SCORE_BATCH chunks of the sequences in length order, runs ``score`` on each
-and returns the scores in input order. The model's masking makes padding
-inert, so regrouping rows, or running the tail at the last sentence only,
-changes a score or a summed gradient only up to float rounding.
+SCORE_BATCH chunks in length order, runs ``forward``'s last-position pass
+on each and returns the scores in input order. The model's masking makes
+padding inert, so regrouping rows, or running the tail at the last sentence
+only, changes a score or a summed gradient only up to float rounding.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import EmptyDataset
 from .features import FeatureSequence
 from .jsonl import write_csv, write_json
-from .model import ModelConfig, backward, forward, init_params, score
+from .model import ModelConfig, backward, forward, init_params
 
 _CLIP_LO = 1e-7
 _CLIP_HI = 1.0 - 1e-7
@@ -233,7 +233,7 @@ def score_features(
     for lo in range(0, len(seqs), SCORE_BATCH):
         chunk = order[lo : lo + SCORE_BATCH]
         x, mask = pad_batch([seqs[i] for i in chunk])
-        out[chunk] = score(params, cfg, x, mask)
+        out[chunk] = forward(params, cfg, x, mask, last_only=True)[1]
     return out
 
 

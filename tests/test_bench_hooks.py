@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from cotriage import training
+from cotriage.features import FeatureSequence
 from cotriage.model import ModelConfig, init_params
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -72,3 +73,23 @@ def test_final_loss_goes_through_the_hooked_forward_and_backward(monkeypatch):
     training.batch_loss(init_params(cfg, 0), cfg, x, mask, np.array([1.0, 0.0, 1.0, 0.0]),
                         np.ones(4), variant="final")
     assert calls == ["forward", "backward"]
+
+
+def test_scoring_goes_through_the_hooked_forward(monkeypatch):
+    """Scoring time counts as model.forward_s only if score_features calls
+    training.forward by that name: once per SCORE_BATCH chunk, last_only."""
+    calls = []
+    real = training.forward
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("last_only"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward", counting)
+    rng = np.random.default_rng(1)
+    cfg = ModelConfig(input_dim=3, hidden=4, heads=2, head_hidden=2)
+    seqs = [FeatureSequence(f"q{i}", rng.normal(size=(t, 3)), "test")
+            for i, t in enumerate(rng.integers(1, 6, size=300))]
+    scores = training.score_features(init_params(cfg, 0), cfg, seqs)
+    assert scores.shape == (300,)
+    assert calls == [True] * math.ceil(300 / training.SCORE_BATCH) == [True, True]

@@ -281,7 +281,9 @@ def test_data_error_exit_codes(tmp_path, capsys):
 
     selection = tmp_path / "selection.json"
     for text in ("{}", "not json", "[0.5]", '{"selected_tau": "0.5"}', '{"selected_tau": true}',
-                 '{"selected_tau": NaN}', '{"selected_tau": -Infinity}'):
+                 '{"selected_tau": NaN}', '{"selected_tau": -Infinity}', '{"selected_tau": 0.5}',
+                 '{"selected_tau": 0.5, "baseline_method": 1, "sunk_greedy": true}',
+                 '{"selected_tau": 0.5, "baseline_method": "sc", "sunk_greedy": "yes"}'):
         selection.write_text(text)
         assert run("route", "--data", tmp_path, "--features", tmp_path,
                    "--model", tmp_path / "m.ckpt", "--out", tmp_path / "r",
@@ -545,6 +547,23 @@ def test_voting_option_the_method_ignores_is_rejected_before_any_file_is_read(
     assert "dynamic voting does not take an extra vote" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, calibrated, routed",
+    [(["--method", "dv"], "'baseline_method': 'sc'", "'baseline_method': 'dv'"),
+     (["--no-sunk-greedy"], "'sunk_greedy': True", "'sunk_greedy': False")],
+    ids=["method", "sunk_greedy"],
+)
+def test_route_refuses_a_selection_calibrated_under_other_options(routed_run, tmp_path, capsys,
+                                                                   flags, calibrated, routed):
+    d, f, m, c = (routed_run / name for name in ("d", "f", "m", "c"))
+    out = tmp_path / "r"
+    assert run("route", "--data", d, "--features", f, "--model", m / "model.ckpt", "--budget", 5,
+               "--selection", c / "selection.json", *flags, "--out", out) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert calibrated in err and routed in err, err
+    assert not out.exists()
+
+
 def test_a_table_whose_rows_fail_leaves_no_file_behind(tmp_path, capsys):
     r = tmp_path / "r"
     write_outcomes(r / "outcomes.policy.jsonl", OutcomeVector([], [], []))
@@ -736,6 +755,51 @@ def test_features_of_another_trajectory_exit_2_naming_the_question(tmp_path, cap
     assert not out.exists() or [p.name for p in out.iterdir()] == [f"{stage}.manifest.json"]
 
 
+def _cut_line(path: Path, lineno: int, replacement: str = "") -> dict:
+    """Replace 1-based line lineno of a JSONL file (by default with nothing); its record."""
+    lines = path.read_text().splitlines(keepends=True)
+    rec = json.loads(lines[lineno - 1])
+    lines[lineno - 1] = replacement
+    path.write_text("".join(lines))
+    return rec
+
+
+@pytest.mark.parametrize("case", ["no_label", "no_features", "no_question", "empty_train",
+                                  "not_an_object"])
+def test_records_that_do_not_line_up_exit_2_naming_the_record(tmp_path, capsys, case):
+    d, f, out = tmp_path / "d", tmp_path / "f", tmp_path / "out"
+    assert run("synth", "--seed", 1, "--out", d, "--n-train", 4, "--n-val", 4, "--n-test", 0,
+               "--samples", 2) == EXIT_OK
+    assert run("extract-features", "--in", d, "--out", f) == EXIT_OK
+    train = ["train", "--in", f, "--out", out, "--hidden", 8, "--heads", 2, "--max-epochs", 1]
+    if case == "no_label":
+        qid = _cut_line(f / "train.labels.jsonl", 3)["question_id"]
+        argv, message = train, f"no label for {qid!r}"
+    elif case == "no_features":
+        qid = _cut_line(f / "val.features.jsonl", 3)["question_id"]
+        cfg = ModelConfig(input_dim=32, hidden=8, heads=2, head_hidden=4)
+        save_checkpoint(tmp_path / "m.ckpt", init_params(cfg, 0), cfg)
+        argv = ["calibrate", "--data", d, "--features", f, "--model", tmp_path / "m.ckpt",
+                "--split", "val", "--budget", 2, "--out", out]
+        message = f"no features for {qid!r}"
+    elif case == "no_question":
+        qid = _cut_line(d / "train.questions.jsonl", 3)["id"]
+        argv = ["extract-features", "--in", d, "--out", out]
+        message = f"no question for trajectory {qid!r}"
+    elif case == "empty_train":
+        for name in ("train.features.jsonl", "train.labels.jsonl"):
+            for _ in range(4):
+                _cut_line(f / name, 2)
+        argv, message = train, "training split is empty"
+    else:
+        _cut_line(d / "train.traj.jsonl", 3, "[1, 2]\n")
+        argv = ["extract-features", "--in", d, "--out", out]
+        message = "line 3: record is not a JSON object"
+    capsys.readouterr()
+    assert run(*argv) == EXIT_DATA
+    assert message in capsys.readouterr().err
+
+
 def test_calibrate_max_rel_drop_outside_zero_one_exits_1(routed_run, tmp_path, capsys):
     argv = _stage_argv("calibrate", routed_run, tmp_path / "unused")
     assert run("calibrate", *argv, "--max-rel-drop", -0.1, "--out", tmp_path / "c") == EXIT_USAGE
@@ -850,8 +914,14 @@ def test_harvest_without_paths_takes_any_n_samples(tmp_path, monkeypatch, capsys
         (["--lr", "inf"], "lr must be a positive number"),
         (["--aux-weight", -1], "aux_weight must be a non-negative number"),
         (["--aux-weight", "nan"], "aux_weight must be a non-negative number"),
+        (["--batch-size", 0], "batch_size, max_epochs and patience must be positive"),
+        (["--hidden", 0], "hidden sizes must be positive"),
+        (["--head-hidden", 0], "hidden sizes must be positive"),
+        (["--hidden", 10, "--heads", 4], "hidden must be divisible by heads"),
+        (["--heads", 3], "hidden must be divisible by heads"),
     ],
-    ids=["lr_0", "lr_nan", "lr_inf", "aux_weight_-1", "aux_weight_nan"],
+    ids=["lr_0", "lr_nan", "lr_inf", "aux_weight_-1", "aux_weight_nan", "batch_size_0",
+         "hidden_0", "head_hidden_0", "hidden_10_heads_4", "heads_3"],
 )
 def test_train_value_that_cannot_work_exits_1_before_any_file(tmp_path, capsys, flags, message):
     out = tmp_path / "m"

@@ -523,6 +523,26 @@ def test_dataset_harvest_survives_blank_generation(tmp_path, caplog):
     assert sorted(read_paths(out_paths)) == ["h001", "h002"]
 
 
+@pytest.mark.parametrize("response", [{"choices": []}, {"choices": [{"text": "no message"}]}],
+                         ids=["no_choice", "no_message"])
+def test_malformed_generation_response_fails_only_its_question(tmp_path, caplog, response):
+    fake = make_fake()
+
+    def malformed_greedy_for_q3(route, payload):
+        if route == "chat/completions" and Q3.question in payload["messages"][1]["content"]:
+            return response
+        return fake(route, payload)
+
+    client, _ = make_client(transport=malformed_greedy_for_q3)
+    out_traj, out_paths = tmp_path / "traj.jsonl", tmp_path / "paths.jsonl"
+    with caplog.at_level("WARNING", logger="cotriage.harvest"):
+        done, failed = harvest_dataset([Q1, Q3, Q2], client, out_traj, out_paths, n_samples=2)
+    assert (done, failed) == (2, 1)
+    assert "malformed generation response for 'h003'" in caplog.text
+    assert [t.question_id for t in read_trajectories(out_traj)] == ["h001", "h002"]
+    assert sorted(read_paths(out_paths)) == ["h001", "h002"]
+
+
 def test_dataset_harvest_resumes_after_torn_line(tmp_path):
     out_traj, out_paths = tmp_path / "traj.jsonl", tmp_path / "paths.jsonl"
     client, _ = make_client()

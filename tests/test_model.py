@@ -16,15 +16,17 @@ from cotriage.model import (
     load_checkpoint,
     param_shapes,
     save_checkpoint,
-    score,
 )
 from cotriage.training import batch_loss, pad_batch, score_features
 
 SMALL = dict(input_dim=6, hidden=8, heads=2, head_hidden=4)
 
-# the two entry points that take raw (x, mask): forward's scores and score
+# the two passes that take raw (x, mask): forward's scores at every position
+# and the scoring pass at the last one only
 SCORERS = pytest.mark.parametrize(
-    "scores_of", [lambda *args: forward(*args)[1], score], ids=["forward", "score"]
+    "scores_of",
+    [lambda *args: forward(*args)[1], lambda *args: forward(*args, last_only=True)[1]],
+    ids=["forward", "score"],
 )
 
 
@@ -117,8 +119,9 @@ def _feature_seqs(rng, lengths, d):
 @pytest.mark.parametrize("gate", [True, False])
 @pytest.mark.parametrize("mhsa", [True, False])
 def test_score_matches_forward(gate, mhsa):
-    """score computes the tail at the last position only; its scores are
-    forward's up to float rounding, and score_features keeps input order."""
+    """The last_only pass computes the tail at the last position only; its
+    scores are forward's up to float rounding, and score_features keeps input
+    order."""
     rng = np.random.default_rng(17)
     cfg = small_cfg(use_feature_gate=gate, use_mhsa=mhsa)
     params = init_params(cfg, seed=17)
@@ -128,7 +131,7 @@ def test_score_matches_forward(gate, mhsa):
         seqs = _feature_seqs(rng, lengths, cfg.input_dim)
         x, mask = pad_batch(seqs)
         _, want, _ = forward(params, cfg, x, mask)
-        got = score(params, cfg, x, mask)
+        got = forward(params, cfg, x, mask, last_only=True)[1]
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(score_features(params, cfg, seqs), want, rtol=0, atol=1e-12)
