@@ -11,10 +11,10 @@ scoring request for all of them.
 
 The HTTP transport is a plain callable so tests substitute a fake endpoint;
 everything above it (caching, retries, concurrency, parsing) is exercised for
-real. Responses are cached on disk keyed by a hash of the model, template and
-full payload; a list of prompts is cached one entry per prompt, under the key
-of that prompt's single-prompt payload. An entry that does not parse is a
-miss: it is logged, sent again and overwritten. Entries are written atomically
+real. Responses are cached on disk, one entry per request, keyed by a hash of
+the model, template and full payload. A response is stored only once the
+caller's parser accepts it; an entry that does not decode or parse is a miss:
+it is logged, sent again and overwritten. Entries are written atomically
 through a temp file unique to the writing thread, so concurrent workers, even
 two sending the same request, cannot corrupt a cache entry or abort on each
 other's rename.
@@ -132,14 +132,14 @@ TEMPLATES: dict[str, PromptTemplate] = {
 
 
 def parse_answer(text: str, marker: str, num_options: int) -> int | None:
-    """Option index from the last 'Answer: <letter>' line, None if absent."""
-    matches = re.findall(re.escape(marker) + r"\s*\(?([A-Za-z])\)?", text)
-    if not matches:
-        return None
-    idx = ord(matches[-1].upper()) - ord("A")
-    if 0 <= idx < num_options:
-        return idx
-    return None
+    """Option index from the last 'Answer: <letter>' line, None if absent.
+
+    The letter may stand in parentheses but must not start a word ("Answer:
+    Based on ..." names no option).
+    """
+    matches = re.findall(re.escape(marker) + r"\s*\(?([A-Za-z])(?![A-Za-z])\)?", text)
+    idx = ord(matches[-1].upper()) - ord("A") if matches else -1
+    return idx if 0 <= idx < num_options else None
 
 
 def _default_transport(cfg: EndpointConfig) -> Callable[[str, dict], dict]:
@@ -171,8 +171,8 @@ class EndpointClient:
     """Caching, retrying front end over a transport callable.
 
     requests_made counts every attempt handed to the transport, retries
-    included, and cache_hits every cache entry read; worker threads may share
-    one client.
+    included, and cache_hits every post answered from the cache, a list of
+    prompts once; worker threads may share one client.
     """
 
     def __init__(
@@ -204,25 +204,19 @@ class EndpointClient:
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
         return Path(self.cfg.cache_dir) / f"{digest}.json"
 
-    def _load(self, cache_path: Path | None):
-        """The cached response, or None when there is none or it does not parse."""
+    def _load(self, cache_path: Path | None, parse: Callable):
+        """parse(the cached response), or None when there is none or it does not decode or parse."""
         if cache_path is None or not cache_path.exists():
             return None
         try:
             with open(cache_path, encoding="utf-8") as fh:
-                response = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-            log.warning("corrupt cache entry %s (%s); sending the request again", cache_path, exc)
+                parsed = parse(json.load(fh))
+        except (ValueError, CotriageError) as exc:  # JSONDecodeError, UnicodeDecodeError, parse's rejection
+            log.warning("unusable cache entry %s (%s); sending the request again", cache_path, exc)
             return None
         with self._lock:
             self.cache_hits += 1
-        return response
-
-    @staticmethod
-    def _store(cache_path: Path | None, response) -> None:
-        if cache_path is not None:
-            with replace_atomically(cache_path) as fh:
-                json.dump(response, fh, sort_keys=True)
+        return parsed
 
     def _send(self, route: str, payload: dict) -> dict:
         """The transport's response, retrying transient failures with backoff."""
@@ -238,7 +232,7 @@ class EndpointClient:
                     ) from exc
                 self._sleep(self.cfg.backoff * (2.0**attempt))
 
-    def _send_list(self, route: str, payload: dict, prompts: list[str]) -> list | None:
+    def _send_list(self, route: str, payload: dict) -> list | None:
         """Each prompt's choice, in prompt order, from one list-valued request.
 
         None when the endpoint rejects the list or answers it with choices
@@ -246,10 +240,10 @@ class EndpointClient:
         prompt per request for the rest of its life.
         """
         try:
-            choices = self._send(route, {**payload, "prompt": prompts})["choices"]
+            choices = self._send(route, payload)["choices"]
             by_index = {choice["index"]: choice for choice in choices}
-            if len(choices) == len(prompts):
-                return [by_index[i] for i in range(len(prompts))]
+            if len(choices) == len(payload["prompt"]):
+                return [by_index[i] for i in range(len(choices))]
             reason = f"{len(choices)} choices"
         except HarvestError as exc:
             if isinstance(exc.__cause__, TransportError):
@@ -262,42 +256,38 @@ class EndpointClient:
         if first:
             log.warning(
                 "%s mishandled a list of %d prompts (%s); sending one prompt per request",
-                route, len(prompts), reason,
+                route, len(payload["prompt"]), reason,
             )
         return None
 
-    def post(self, route: str, payload: dict) -> dict:
-        """The endpoint's response to payload, from the cache when it holds one.
+    def post(self, route: str, payload: dict, parse: Callable):
+        """parse(the endpoint's response to payload), from the cache when it holds one.
 
-        A list-valued payload["prompt"] is answered as {"choices": [...]},
-        choice i being prompt i's. Each prompt is cached on its own, under
-        the key of the payload that holds it alone, so lists and single
-        prompts share entries. The uncached prompts go out as one request,
-        whose choices are matched to them by "index", or one prompt per
-        request once the endpoint has mishandled a list (see _send_list).
+        parse returns anything but None and raises a CotriageError for a
+        response it cannot use, which is then neither stored nor, if cached,
+        used. The cache holds one entry per request, keyed by payload as
+        given. A list-valued payload["prompt"] is answered as {"choices":
+        [...]}, choice i being prompt i's: from one request whose choices are
+        matched to the prompts by "index", or from one request per prompt
+        once the endpoint has mishandled a list (see _send_list).
         """
+        cache_path = self._cache_path(route, payload)
+        parsed = self._load(cache_path, parse)
+        if parsed is not None:
+            return parsed
         prompts = payload.get("prompt")
         if not isinstance(prompts, list):
-            cache_path = self._cache_path(route, payload)
-            response = self._load(cache_path)
-            if response is None:
-                response = self._send(route, payload)
-                self._store(cache_path, response)
-            return response
-        singles = [{**payload, "prompt": prompt} for prompt in prompts]
-        paths = [self._cache_path(route, single) for single in singles]
-        responses = [self._load(path) for path in paths]
-        todo = [i for i, response in enumerate(responses) if response is None]
-        if todo and self._list_prompts:
-            choices = self._send_list(route, payload, [prompts[i] for i in todo])
-            if choices is not None:
-                for i, choice in zip(todo, choices):
-                    responses[i] = {"choices": [{**choice, "index": 0}]}
-                    self._store(paths[i], responses[i])
-                todo = []
-        for i in todo:
-            responses[i] = self.post(route, singles[i])
-        return {"choices": [_first_choice(response) for response in responses]}
+            response = self._send(route, payload)
+        else:
+            choices = self._send_list(route, payload) if self._list_prompts else None
+            if choices is None:
+                choices = [_first_choice(self._send(route, {**payload, "prompt": p})) for p in prompts]
+            response = {"choices": choices}
+        parsed = parse(response)
+        if cache_path is not None:
+            with replace_atomically(cache_path) as fh:
+                json.dump(response, fh, sort_keys=True)
+        return parsed
 
 
 def _first_choice(response):
@@ -305,14 +295,6 @@ def _first_choice(response):
         return response["choices"][0]
     except (KeyError, IndexError, TypeError):
         return None
-
-
-def _completion_tokens(response: dict, text: str) -> int:
-    usage = response.get("usage") or {}
-    tokens = usage.get("completion_tokens")
-    if isinstance(tokens, int) and tokens > 0:
-        return tokens
-    return max(1, len(text.split()))
 
 
 def _generate(client: EndpointClient, q: McQuestion, temperature: float, seed: int, max_new_tokens: int) -> tuple[str, int]:
@@ -323,12 +305,17 @@ def _generate(client: EndpointClient, q: McQuestion, temperature: float, seed: i
         "max_tokens": max_new_tokens,
         "seed": seed,
     }
-    response = client.post("chat/completions", payload)
-    try:
-        text = response["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, TypeError) as exc:
-        raise HarvestError(f"malformed generation response for {q.question_id!r}") from exc
-    return text, _completion_tokens(response, text)
+
+    def parse(response) -> tuple[str, int]:
+        try:
+            text = response["choices"][0]["message"]["content"]
+            words = len(text.split())
+            tokens = (response.get("usage") or {}).get("completion_tokens")
+        except (AttributeError, KeyError, IndexError, TypeError) as exc:
+            raise HarvestError(f"malformed generation response for {q.question_id!r}") from exc
+        return text, tokens if isinstance(tokens, int) and tokens > 0 else max(1, words)
+
+    return client.post("chat/completions", payload, parse)
 
 
 def _scoring_payload(client: EndpointClient, prompt: str | list[str]) -> dict:
@@ -336,7 +323,12 @@ def _scoring_payload(client: EndpointClient, prompt: str | list[str]) -> dict:
 
 
 def _answer_span_logscore(choice, context: str) -> float:
-    """Log-score of the tokens after context in one echoed scoring choice."""
+    """Log-score of the tokens after context in one echoed scoring choice.
+
+    CapabilityError when the choice has no log-probabilities. HarvestError
+    unless token_logprobs and text_offset have one length, each offset is a
+    number and each summed log-prob a JSON number (a bool is not).
+    """
     try:
         lp = choice["logprobs"]
         token_logprobs = lp["token_logprobs"]
@@ -345,18 +337,19 @@ def _answer_span_logscore(choice, context: str) -> float:
         raise CapabilityError(
             "scoring endpoint returned no log-probabilities; it cannot be used for harvesting"
         ) from exc
-    span = [
-        token_logprobs[i]
-        for i in range(len(offsets))
-        if offsets[i] >= len(context) and token_logprobs[i] is not None
-    ]
+    try:
+        span = [v for v, o in zip(token_logprobs, offsets, strict=True) if o >= len(context) and v is not None]
+    except (TypeError, ValueError) as exc:
+        raise HarvestError(f"malformed scoring log-probabilities ({exc})") from exc
+    if any(type(v) not in (int, float) for v in span):
+        raise HarvestError(f"scoring log-probabilities are not all numbers: {span!r:.200}")
     return answer_logscore(span)
 
 
 def probe_scoring_capability(client: EndpointClient) -> None:
     """Fail fast (CapabilityError) if the endpoint cannot score tokens."""
-    response = client.post("completions", _scoring_payload(client, "probe: A"))
-    _answer_span_logscore(_first_choice(response), "probe:")
+    client.post("completions", _scoring_payload(client, "probe: A"),
+                lambda response: _answer_span_logscore(_first_choice(response), "probe:"))
 
 
 def _score_prefixes(
@@ -373,9 +366,15 @@ def _score_prefixes(
     contexts = [client.template.scoring_context(q, prefix) for prefix in prefixes]
     continuations = [client.template.answer_continuation(i) for i in range(k)]
     prompts = [context + continuation for context in contexts for continuation in continuations]
-    choices = client.post("completions", _scoring_payload(client, prompts))["choices"]
-    flat = [_answer_span_logscore(choice, contexts[j // k]) for j, choice in enumerate(choices)]
-    return normalize_choices(np.reshape(flat, (len(prefixes), k)))
+
+    def parse(response) -> ChoiceDistribution:
+        choices = response.get("choices") if isinstance(response, dict) else None
+        if not isinstance(choices, list) or len(choices) != len(prompts):
+            raise HarvestError(f"scoring response for {q.question_id!r} does not hold {len(prompts)} choices")
+        flat = [_answer_span_logscore(choice, contexts[j // k]) for j, choice in enumerate(choices)]
+        return normalize_choices(np.reshape(flat, (len(prefixes), k)))
+
+    return client.post("completions", _scoring_payload(client, prompts), parse)
 
 
 def harvest_greedy(

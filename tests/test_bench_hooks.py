@@ -93,3 +93,20 @@ def test_scoring_goes_through_the_hooked_forward(monkeypatch):
     scores = training.score_features(init_params(cfg, 0), cfg, seqs)
     assert scores.shape == (300,)
     assert calls == [True] * math.ceil(300 / training.SCORE_BATCH) == [True, True]
+
+
+def test_harvest_workload_replays_its_cold_pass(monkeypatch, tmp_path):
+    """One unprobed pass of the harvest benchmark: the cold pass holds what the
+    fake endpoint planted, and the replays send nothing and equal it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads.py imports fake_endpoint.py and speed.py
+    for var in ("NO_PROXY", "no_proxy"):  # the fake endpoint listens on 127.0.0.1
+        monkeypatch.setenv(var, "127.0.0.1,localhost")
+    workloads = importlib.import_module("workloads")
+    with workloads.Harvest(42, tmp_path) as workload:
+        workload.setup()
+        it = workload.iterate(0, probe=False)
+        replay_requests = workload.endpoint.requests
+        quality = workload.check(it)
+    assert it.problems == []
+    assert quality["planted_match"] == 1.0
+    assert replay_requests == 0

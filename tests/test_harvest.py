@@ -9,6 +9,7 @@ distributions can be asserted against the target table exactly.
 import json
 import math
 import os
+import shutil
 import sys
 import threading
 import time
@@ -191,9 +192,9 @@ def test_cache_replays_without_new_requests(tmp_path):
     traj2 = harvest_greedy(Q1, client2)
     assert calls == []
     assert client2.requests_made == 0
-    # one entry per prompt: the generation and each of the T x K scoring prompts
+    # one entry per request: the generation and the list of T x K scoring prompts
     assert client2.cache_hits == len(list((tmp_path / "cache").glob("*.json")))
-    assert client2.cache_hits == 1 + 4 * len(Q1.options)
+    assert client2.cache_hits == 2
     assert traj_record(traj1) == traj_record(traj2)
 
 
@@ -219,7 +220,7 @@ def test_identical_requests_in_flight_share_one_cache_entry(tmp_path, monkeypatc
 
     def post():
         try:
-            results.append(client.post("completions", payload))
+            results.append(client.post("completions", payload, lambda response: response))
         except Exception as exc:
             errors.append(exc)
 
@@ -260,7 +261,7 @@ def test_exhausted_retries_raise_harvest_error():
 
     client, sleeps = make_client(transport=broken, max_retries=2, backoff=0.25)
     with pytest.raises(HarvestError):
-        client.post("chat/completions", {"x": 1})
+        client.post("chat/completions", {"x": 1}, lambda response: response)
     assert len(attempts) == 3
     assert sleeps == [0.25, 0.5]
 
@@ -274,7 +275,7 @@ def test_rejection_is_not_retried():
 
     client, sleeps = make_client(transport=reject, max_retries=3)
     with pytest.raises(HarvestError):
-        client.post("completions", {"x": 1})
+        client.post("completions", {"x": 1}, lambda response: response)
     assert len(attempts) == 1
     assert sleeps == []
 
@@ -333,12 +334,8 @@ def test_dataset_harvest_sends_n_plus_3_requests_per_question(tmp_path):
     _, cache, client = _harvest_all(tmp_path, "lists")
     # the probe, then per question: greedy generation and its scoring, n generations, their scoring
     assert client.requests_made == 1 + 3 * (2 + 2 + 1)
-    # one entry per request or prompt: the probe, 3 generations and T x K + 2 x K prompts per question
-    prompts = sum(
-        (len(segment_sentences(GENERATIONS[(q.question_id, 0.0, 0)])) + 2) * len(q.options)
-        for q in (Q1, Q2, Q3)
-    )
-    assert len(cache) == 1 + 3 * 3 + prompts
+    # one entry per request, retries not counted
+    assert len(cache) == 1 + 3 * (2 + 2 + 1)
 
 
 def test_batch_choices_are_matched_by_index_not_position(tmp_path):
@@ -394,10 +391,10 @@ def test_list_whose_retries_run_out_does_not_switch_to_single_prompts():
     client, _ = make_client(transport=outage, max_retries=1)
     payload = {"model": "fake-model", "prompt": ["probe: A", "probe: B"], "max_tokens": 0, "echo": True, "logprobs": 0}
     with pytest.raises(HarvestError):
-        client.post("completions", payload)
+        client.post("completions", payload, lambda response: response)
     state["down"] = False
     sent.clear()
-    response = client.post("completions", payload)
+    response = client.post("completions", payload, lambda response: response)
     assert sent == [["probe: A", "probe: B"]]
     assert [c["text"] for c in response["choices"]] == ["probe: A", "probe: B"]
 
@@ -432,49 +429,53 @@ def test_client_counters_match_the_transport_at_three_in_flight(tmp_path):
     assert replay.requests_made == 0
     serial_replay, _ = make_client(tmp_path / "warm", transport=_refuse)
     harvest_dataset([Q1, Q2, Q3], serial_replay, tmp_path / "serial.traj.jsonl", tmp_path / "serial.paths.jsonl", n_samples=2)
-    assert replay.cache_hits == serial_replay.cache_hits == len(cache)  # no prompt repeats
+    assert replay.cache_hits == serial_replay.cache_hits == len(cache)  # no request repeats
 
 
-def test_cache_written_one_prompt_at_a_time_replays_a_batched_harvest(tmp_path):
+def test_cache_of_either_harvest_replays_under_either_endpoint(tmp_path):
     inner = make_fake()
     sent = []
 
-    def recording(route, payload):
-        sent.append((route, payload))
+    def lists_taken(route, payload):
+        sent.append(payload)
         return inner(route, payload)
 
-    expected, expected_cache, _ = _harvest_all(tmp_path, "batched", recording)
-    # the same requests with each list split into single-prompt posts, the
-    # layout a client that sends one prompt per request leaves behind
-    writer, _ = make_client(tmp_path / "single")
-    for route, payload in sent:
-        prompts = payload.get("prompt")
-        if isinstance(prompts, list):
-            for prompt in prompts:
-                writer.post(route, {**payload, "prompt": prompt})
-        else:
-            writer.post(route, payload)
-    got, cache, replay = _harvest_all(tmp_path, "single", _refuse)
-    assert replay.requests_made == 0
-    assert got == expected
-    assert sorted(cache) == sorted(expected_cache)
+    def lists_rejected(route, payload):
+        sent.append(payload)
+        if isinstance(payload.get("prompt"), list):
+            raise HarvestError("endpoint rejected request: 400 prompt must be a string")
+        return inner(route, payload)
+
+    expected = _harvest_all(tmp_path, "batched", lists_taken)[0]
+    assert _harvest_all(tmp_path, "fallback", lists_rejected)[0] == expected
+    for source in ("batched", "fallback"):
+        for transport in (lists_taken, lists_rejected):
+            name = f"{source}-{transport.__name__}"
+            shutil.copytree(tmp_path / source / "cache", tmp_path / name / "cache")
+            sent.clear()
+            got, _, replay = _harvest_all(tmp_path, name, transport)
+            assert (sent, replay.requests_made) == ([], 0)
+            assert got == expected
 
 
 def test_corrupt_cache_entry_is_a_miss_that_is_sent_again_and_overwritten(tmp_path, caplog):
     expected, expected_cache, _ = _harvest_all(tmp_path, "first")
     root = tmp_path / "first"
     victim = sorted((root / "cache").iterdir())[0]
-    victim.write_text('{"choices": [')
-    client, _ = make_client(root)
-    out = tmp_path / "second"
-    with caplog.at_level("WARNING", logger="cotriage.harvest"):
-        assert harvest_dataset(
-            [Q1, Q2, Q3], client, out / "traj.jsonl", out / "paths.jsonl", n_samples=2
-        ) == (3, 0)
-    assert [(out / f).read_bytes() for f in ("traj.jsonl", "paths.jsonl")] == expected
-    assert client.requests_made == 1
-    assert victim.read_bytes() == expected_cache[victim.name]
-    assert str(victim) in caplog.text
+    # one entry that does not decode, then one that decodes but no parser accepts
+    for k, entry in enumerate(['{"choices": [', '{"choices": []}']):
+        victim.write_text(entry)
+        client, _ = make_client(root)
+        out = tmp_path / f"second{k}"
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="cotriage.harvest"):
+            assert harvest_dataset(
+                [Q1, Q2, Q3], client, out / "traj.jsonl", out / "paths.jsonl", n_samples=2
+            ) == (3, 0)
+        assert [(out / f).read_bytes() for f in ("traj.jsonl", "paths.jsonl")] == expected
+        assert client.requests_made == 1
+        assert victim.read_bytes() == expected_cache[victim.name]
+        assert caplog.text.count(str(victim)) == 1
 
 
 def test_dataset_harvest_resumes_and_skips_failures(tmp_path, caplog):
@@ -523,8 +524,16 @@ def test_dataset_harvest_survives_blank_generation(tmp_path, caplog):
     assert sorted(read_paths(out_paths)) == ["h001", "h002"]
 
 
-@pytest.mark.parametrize("response", [{"choices": []}, {"choices": [{"text": "no message"}]}],
-                         ids=["no_choice", "no_message"])
+@pytest.mark.parametrize(
+    "response",
+    [
+        {"choices": []},
+        {"choices": [{"text": "no message"}]},
+        {"choices": [{"message": {"content": None}}]},
+        {"choices": [{"message": {"content": "Yes. Answer: B"}}], "usage": ["tokens"]},
+    ],
+    ids=["no_choice", "no_message", "null_content", "list_usage"],
+)
 def test_malformed_generation_response_fails_only_its_question(tmp_path, caplog, response):
     fake = make_fake()
 
@@ -541,6 +550,70 @@ def test_malformed_generation_response_fails_only_its_question(tmp_path, caplog,
     assert "malformed generation response for 'h003'" in caplog.text
     assert [t.question_id for t in read_trajectories(out_traj)] == ["h001", "h002"]
     assert sorted(read_paths(out_paths)) == ["h001", "h002"]
+
+
+def test_responses_the_harvester_rejects_are_not_cached(tmp_path):
+    def no_logprobs(route, payload):
+        return {"choices": [{"text": payload.get("prompt", "")}]}
+
+    client, _ = make_client(tmp_path, transport=no_logprobs)
+    with pytest.raises(CapabilityError):
+        probe_scoring_capability(client)
+    fixed, _ = make_client(tmp_path)
+    probe_scoring_capability(fixed)
+    assert (fixed.requests_made, fixed.cache_hits) == (1, 0)
+
+    fake = make_fake()
+
+    def no_choice_for_h001(route, payload):
+        if route == "chat/completions" and Q1.question in payload["messages"][1]["content"]:
+            return {"choices": []}
+        return fake(route, payload)
+
+    out_traj, out_paths = tmp_path / "traj.jsonl", tmp_path / "paths.jsonl"
+    client, _ = make_client(tmp_path, transport=no_choice_for_h001)
+    assert harvest_dataset([Q1], client, out_traj, out_paths, n_samples=2) == (0, 1)
+    fixed, _ = make_client(tmp_path)
+    assert harvest_dataset([Q1], fixed, out_traj, out_paths, n_samples=2) == (1, 0)
+    assert fixed.requests_made == 5  # all of h001's requests; the probe is a cache hit
+
+
+def _string_logprob(logprobs):
+    logprobs["token_logprobs"][2] = str(logprobs["token_logprobs"][2])
+
+
+def _bool_logprob(logprobs):
+    logprobs["token_logprobs"][2] = True
+
+
+def _extra_offset(logprobs):
+    logprobs["text_offset"].append(logprobs["text_offset"][-1] + 1)
+
+
+def _string_offset(logprobs):
+    logprobs["text_offset"][1] = str(logprobs["text_offset"][1])
+
+
+@pytest.mark.parametrize("corrupt", [_string_logprob, _bool_logprob, _extra_offset, _string_offset])
+def test_malformed_scoring_choice_fails_only_its_question(tmp_path, caplog, corrupt):
+    fake = make_fake()
+
+    def corrupt_h001_scoring(route, payload):
+        response = fake(route, payload)
+        prompt = payload.get("prompt")
+        if isinstance(prompt, list) and Q1.question in prompt[0]:
+            corrupt(response["choices"][0]["logprobs"])
+        return response
+
+    client, _ = make_client(tmp_path, transport=corrupt_h001_scoring)
+    out_traj, out_paths = tmp_path / "traj.jsonl", tmp_path / "paths.jsonl"
+    with caplog.at_level("WARNING", logger="cotriage.harvest"):
+        assert harvest_dataset([Q1, Q2, Q3], client, out_traj, out_paths, n_samples=2) == (2, 1)
+    assert "skipping h001" in caplog.text
+    assert [t.question_id for t in read_trajectories(out_traj)] == ["h002", "h003"]
+    assert sorted(read_paths(out_paths)) == ["h002", "h003"]
+    # the probe, h001's greedy generation and the five requests of h002 and of h003
+    assert len(list((tmp_path / "cache").iterdir())) == 1 + 1 + 2 * 5
 
 
 def test_dataset_harvest_resumes_after_torn_line(tmp_path):
@@ -643,6 +716,12 @@ def test_parse_answer_variants():
     assert parse_answer("Answer: E", "Answer:", 4) is None
     assert parse_answer("no marker here", "Answer:", 4) is None
     assert parse_answer("Answer:B", "Answer:", 4) == 1
+    assert parse_answer("Answer: D.", "Answer:", 4) == 3
+    assert parse_answer("Answer: (b).", "Answer:", 4) == 1
+    # a word after the marker names no option, whatever its first letter
+    assert parse_answer("Answer: After checking, D", "Answer:", 4) is None
+    assert parse_answer("Answer: Based on the table", "Answer:", 4) is None
+    assert parse_answer("Answer: C. Answer: Because", "Answer:", 4) == 2
 
 
 class _DummyResp:
