@@ -9,9 +9,11 @@ exactly the files read and written, the schema versions and a wall-clock
 stamp; reruns with the same seed produce byte-identical outputs, the manifest
 timestamp aside.
 
-Option resolution order: built-in defaults, then the --config file (a flat
-``key = value`` document whose values are converted by their option's type,
-like the flags), then explicit command-line flags.
+Option resolution: each ``key = value`` line of the --config file becomes the
+flag --key=value (a switch: its bare flag for true, nothing for false), placed
+right after the subcommand, and one argparse parser reads the lot. The last
+occurrence wins, so explicit flags beat the file and the file beats the
+defaults, and a bad value gets its flag's own error wherever it came from.
 """
 
 from __future__ import annotations
@@ -174,7 +176,7 @@ def write_manifest(
         "subcommand": subcommand,
         "version": __version__,
         "seed": opts.seed,
-        "config": {k: v for k, v in sorted(vars(opts).items()) if k != "config"},
+        "config": {k: v for k, v in sorted(vars(opts).items()) if k not in ("config", "subcommand")},
         "inputs": sorted(run.inputs),
         "outputs": sorted(run.outputs),
         "schemas": schemas,
@@ -465,51 +467,35 @@ COMMANDS: dict[str, tuple] = {
     ), cmd_report, {"report": REPORT_SCHEMA}),
 }
 
-DEFAULTS: dict[str, dict] = {
-    name: {opt: None if default is ... else default for opt, _, default, _ in _COMMON + rows}
-    for name, (_, rows, _, _) in COMMANDS.items()
-}
-
 
 def _flag(name: str) -> str:
     return "--in" if name == "in_dir" else "--" + name.replace("_", "-")
 
 
-def _convert(subcommand: str, name: str, kind, raw: str):
-    """A config-file value as its option's type, the way its flag would parse it."""
-    if kind is bool:
-        if raw.lower() in ("true", "false"):
-            return raw.lower() == "true"
-        wanted = "true or false"
-    elif isinstance(kind, tuple):
-        if raw in kind:
-            return raw
-        wanted = "one of " + ", ".join(kind)
-    else:
-        try:
-            return kind(raw)
-        except ValueError:
-            wanted = "an integer" if kind is int else "a number"
-    raise ValueError(f"{subcommand}: {name} must be {wanted}, not {raw!r}")
-
-
-def resolve_options(subcommand: str, explicit: dict) -> argparse.Namespace:
-    rows = _COMMON + COMMANDS[subcommand][1]
-    merged = dict(DEFAULTS[subcommand])
-    config_path = explicit.get("config")
-    if config_path is not None:
-        file_opts = load_config(config_path)
-        unknown = sorted(set(file_opts) - set(merged))
+def resolve_options(argv: list[str] | None = None) -> argparse.Namespace:
+    """argv parsed with the --config file's options as flags before it (see the module docstring)."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    opts = parser.parse_args(argv)
+    rows = _COMMON + COMMANDS[opts.subcommand][1]
+    if opts.config is not None:
+        file_opts = load_config(opts.config)
+        kinds = {name: kind for name, kind, _, _ in rows}
+        unknown = sorted(set(file_opts) - set(kinds))
         if unknown:
-            raise ValueError(f"unknown config keys for {subcommand}: {', '.join(unknown)}")
-        for name, kind, _, _ in rows:
-            if name in file_opts:
-                merged[name] = _convert(subcommand, name, kind, file_opts[name])
-    merged.update(explicit)
+            raise ValueError(f"unknown config keys for {opts.subcommand}: {', '.join(unknown)}")
+        flags = []
+        for name, raw in file_opts.items():
+            if kinds[name] is not bool or raw.lower() not in ("true", "false"):
+                flags.append(f"{_flag(name)}={raw}")  # the = form keeps a value starting with - a value
+            elif raw.lower() == "true":
+                flags.append(_flag(name))
+        at = argv.index(opts.subcommand) + 1
+        opts = parser.parse_args(argv[:at] + flags + argv[at:])
     for name, _, default, _ in rows:
-        if default is ... and merged[name] is None:
-            raise ValueError(f"{subcommand}: {_flag(name)} is required (flag or config file)")
-    return argparse.Namespace(**merged)
+        if default is ... and getattr(opts, name) is None:
+            raise ValueError(f"{opts.subcommand}: {_flag(name)} is required (flag or config file)")
+    return opts
 
 
 # --- parser -------------------------------------------------------------------
@@ -524,31 +510,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (help_text, rows, _, _) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-        for opt, kind, _, opt_help in _COMMON + rows:
+        p = sub.add_parser(name, help=help_text)
+        for opt, kind, default, opt_help in _COMMON + rows:
             if kind is bool:
                 kwargs = {"action": "store_true"}
             elif isinstance(kind, tuple):
                 kwargs = {"choices": kind}
             else:
                 kwargs = {"type": kind}
-            p.add_argument(_flag(opt), dest=opt, help=opt_help, **kwargs)
+            p.add_argument(_flag(opt), dest=opt, default=None if default is ... else default,
+                           help=opt_help, **kwargs)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    explicit = {k: v for k, v in vars(ns).items() if k != "subcommand"}
-    try:
-        opts = resolve_options(ns.subcommand, explicit)
-        _, _, handler, schemas = COMMANDS[ns.subcommand]
+        opts = resolve_options(argv)
+        _, _, handler, schemas = COMMANDS[opts.subcommand]
         run = Run(opts.out)
         record = handler(opts, run)
-        write_manifest(ns.subcommand, opts, run, schemas)
+        write_manifest(opts.subcommand, opts, run, schemas)
         if record is not None:
             print(json.dumps(record))
         return EXIT_OK
@@ -561,6 +542,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SystemExit as exc:  # argparse's own error or --help/--version
+        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
 
 
 if __name__ == "__main__":

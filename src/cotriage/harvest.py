@@ -297,7 +297,10 @@ def _first_choice(response):
         return None
 
 
-def _generate(client: EndpointClient, q: McQuestion, temperature: float, seed: int, max_new_tokens: int) -> tuple[str, int]:
+def _generate(
+    client: EndpointClient, q: McQuestion, temperature: float, seed: int, max_new_tokens: int
+) -> tuple[str, list[str], int]:
+    """(text, its sentences, token cost) of one generation; blank text fails the parse, so is never cached."""
     payload = {
         "model": client.cfg.model,
         "messages": client.template.generation_messages(q),
@@ -306,14 +309,15 @@ def _generate(client: EndpointClient, q: McQuestion, temperature: float, seed: i
         "seed": seed,
     }
 
-    def parse(response) -> tuple[str, int]:
+    def parse(response) -> tuple[str, list[str], int]:
         try:
             text = response["choices"][0]["message"]["content"]
             words = len(text.split())
             tokens = (response.get("usage") or {}).get("completion_tokens")
         except (AttributeError, KeyError, IndexError, TypeError) as exc:
             raise HarvestError(f"malformed generation response for {q.question_id!r}") from exc
-        return text, tokens if isinstance(tokens, int) and tokens > 0 else max(1, words)
+        sentences = segment_sentences(text)
+        return text, sentences, tokens if type(tokens) is int and 0 < tokens < 2**63 else max(1, words)
 
     return client.post("chat/completions", payload, parse)
 
@@ -327,7 +331,8 @@ def _answer_span_logscore(choice, context: str) -> float:
 
     CapabilityError when the choice has no log-probabilities. HarvestError
     unless token_logprobs and text_offset have one length, each offset is a
-    number and each summed log-prob a JSON number (a bool is not).
+    number and each summed log-prob a JSON number (a bool is not) whose sum
+    a float can hold.
     """
     try:
         lp = choice["logprobs"]
@@ -343,7 +348,10 @@ def _answer_span_logscore(choice, context: str) -> float:
         raise HarvestError(f"malformed scoring log-probabilities ({exc})") from exc
     if any(type(v) not in (int, float) for v in span):
         raise HarvestError(f"scoring log-probabilities are not all numbers: {span!r:.200}")
-    return answer_logscore(span)
+    try:
+        return answer_logscore(span)
+    except OverflowError as exc:
+        raise HarvestError(f"scoring log-probabilities overflow a float: {span!r:.200}") from exc
 
 
 def probe_scoring_capability(client: EndpointClient) -> None:
@@ -386,8 +394,7 @@ def harvest_greedy(
     the answer marker is missing from the generation, the final sentence's
     argmax choice stands in for the parsed answer.
     """
-    text, token_cost = _generate(client, q, temperature=0.0, seed=0, max_new_tokens=max_new_tokens)
-    sentences = segment_sentences(text)
+    text, sentences, token_cost = _generate(client, q, temperature=0.0, seed=0, max_new_tokens=max_new_tokens)
     dist = _score_prefixes(client, q, [sentences[:s] for s in range(1, len(sentences) + 1)])
     parsed = parse_answer(text, client.template.answer_marker, len(q.options))
     if parsed is None:
@@ -419,7 +426,7 @@ def harvest_samples(
     K x n prompts.
     """
 
-    def generate(j: int) -> tuple[str, int]:
+    def generate(j: int) -> tuple[str, list[str], int]:
         return _generate(client, q, temperature=temperature, seed=j, max_new_tokens=max_new_tokens)
 
     if client.cfg.max_in_flight > 1:
@@ -427,9 +434,9 @@ def harvest_samples(
             generations = list(pool.map(generate, range(n_samples)))
     else:
         generations = [generate(j) for j in range(n_samples)]
-    dist = _score_prefixes(client, q, [segment_sentences(text) for text, _ in generations])
+    dist = _score_prefixes(client, q, [sentences for _, sentences, _ in generations])
     paths = []
-    for j, ((text, token_cost), probs) in enumerate(zip(generations, dist.probs)):
+    for j, ((text, _, token_cost), probs) in enumerate(zip(generations, dist.probs)):
         answer = parse_answer(text, client.template.answer_marker, len(q.options))
         conf = float(probs[answer]) if answer is not None else float(probs.max())
         paths.append(

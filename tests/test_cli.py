@@ -8,6 +8,8 @@ defined in test_harvest.
 import argparse
 import dataclasses
 import json
+import re
+import shlex
 import subprocess
 from pathlib import Path
 
@@ -18,7 +20,6 @@ import cotriage
 import cotriage.cli as cli
 import cotriage.harvest as harvest_mod
 from cotriage.cli import (
-    DEFAULTS,
     EXIT_DATA,
     EXIT_ENDPOINT,
     EXIT_OK,
@@ -40,8 +41,16 @@ from cotriage.trajectory import load_questions, write_questions
 from test_harvest import Q1, Q2, make_fake
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def option_names(stage: str) -> set[str]:
+    """The keys a config file for stage may set: the common options and the stage's rows."""
+    return {"config", "seed"} | {name for name, *_ in cli.COMMANDS[stage][1]}
 
 
 def snapshot(root: Path) -> dict[str, bytes]:
@@ -183,13 +192,13 @@ def test_config_rejects_unknown_keys_and_sections(tmp_path, capsys):
     bad_choice.write_text('subset = "all"\n')
     assert run("extract-features", "--config", bad_choice, "--in", tmp_path,
                "--out", tmp_path / "f") == EXIT_USAGE
-    assert "subset must be one of full, numeric, linguistic" in capsys.readouterr().err
+    assert "argument --subset: invalid choice: 'all'" in capsys.readouterr().err
 
 
 def test_config_values_take_their_option_types(tmp_path):
     cfg = tmp_path / "train.cfg"
     cfg.write_text('no_mhsa = "false"\nno_feature_gate = TRUE\nlr = 1\nhidden = "16"\n')
-    opts = resolve_options("train", {"config": str(cfg), "in_dir": "f", "out": "m"})
+    opts = resolve_options(["train", "--config", str(cfg), "--in", "f", "--out", "m"])
     assert opts.no_mhsa is False
     assert opts.no_feature_gate is True
     assert opts.lr == 1.0 and isinstance(opts.lr, float)
@@ -197,10 +206,10 @@ def test_config_values_take_their_option_types(tmp_path):
 
 
 @pytest.mark.parametrize("subcommand, line, message", [
-    ("calibrate", 'budget = "ten"', "budget must be an integer, not 'ten'"),
-    ("train", "max_epochs = 1.5", "max_epochs must be an integer, not '1.5'"),
-    ("train", "lr = fast", "lr must be a number, not 'fast'"),
-    ("train", "no_mhsa = yes", "no_mhsa must be true or false, not 'yes'"),
+    ("calibrate", 'budget = "ten"', "argument --budget: invalid int value: 'ten'"),
+    ("train", "max_epochs = 1.5", "argument --max-epochs: invalid int value: '1.5'"),
+    ("train", "lr = fast", "argument --lr: invalid float value: 'fast'"),
+    ("train", "no_mhsa = yes", "argument --no-mhsa: ignored explicit argument 'yes'"),
 ])
 def test_config_value_that_does_not_convert_is_a_usage_error(tmp_path, capsys, subcommand,
                                                               line, message):
@@ -213,6 +222,43 @@ def test_config_value_that_does_not_convert_is_a_usage_error(tmp_path, capsys, s
     }[subcommand]
     assert run(subcommand, "--config", cfg, *required) == EXIT_USAGE
     assert message in capsys.readouterr().err
+
+
+def test_bad_value_gets_the_same_error_from_the_file_as_from_the_flag(tmp_path, capsys):
+    stages = {
+        "calibrate": ["--data", tmp_path, "--features", tmp_path, "--model", tmp_path / "m.ckpt",
+                      "--out", tmp_path / "c"],
+        "train": ["--in", tmp_path, "--out", tmp_path / "m"],
+        "extract-features": ["--in", tmp_path, "--out", tmp_path / "f"],
+    }
+    cases = [("calibrate", 'budget = "ten"'), ("train", "max_epochs = 1.5"), ("train", "lr = fast"),
+             ("extract-features", 'subset = "all"')]
+    cfg = tmp_path / "bad.cfg"
+    for stage, line in cases:
+        cfg.write_text(line + "\n")
+        ((name, value),) = parse_config_text(line).items()
+        flag = "--" + name.replace("_", "-")
+        assert run(stage, "--config", cfg, *stages[stage]) == EXIT_USAGE
+        from_file = capsys.readouterr().err.splitlines()[-1]
+        assert run(stage, *stages[stage], flag, value) == EXIT_USAGE
+        from_flag = capsys.readouterr().err.splitlines()[-1]
+        assert from_file == from_flag, line
+        assert f"argument {flag}: invalid" in from_file
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]  # no stage wrote anything
+
+
+def test_every_readme_command_parses():
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+    commands = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("cotriage ")]
+    assert len(commands) >= 7, commands  # the six quick-start stages and harvest
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit as exc:
+            pytest.fail(f"README command does not parse (exit {exc.code}): {command}")
 
 
 def test_parse_config_text_coercion():
@@ -504,7 +550,7 @@ def _stage_argv(stage: str, base: Path, qfile: Path) -> list:
     }[stage]
 
 
-@pytest.mark.parametrize("stage", list(DEFAULTS))
+@pytest.mark.parametrize("stage", list(cli.COMMANDS))
 def test_out_under_a_regular_file_exits_2(routed_run, tmp_path, monkeypatch, capsys, stage):
     monkeypatch.setattr(harvest_mod, "_default_transport", lambda cfg: make_fake())
     qfile = tmp_path / "q.jsonl"
@@ -638,16 +684,16 @@ def test_harvest_cli_with_fake_endpoint(tmp_path, monkeypatch, capsys):
 def test_exemplar_configs_match_option_tables():
     config_dir = Path(__file__).resolve().parent.parent / "configs"
     found = sorted(config_dir.glob("*.cfg"))
-    assert {p.stem for p in found} == set(DEFAULTS)
+    assert {p.stem for p in found} == set(cli.COMMANDS)
     for path in found:
         parsed = parse_config_text(path.read_text())
-        unknown = set(parsed) - set(DEFAULTS[path.stem])
+        unknown = set(parsed) - option_names(path.stem)
         assert not unknown, f"{path.name} has unknown keys: {sorted(unknown)}"
         assert parsed, f"{path.name} documents no options"
-        explicit = {"config": str(path)}
+        argv = [path.stem, "--config", str(path)]
         if path.stem == "synth":  # synth.cfg leaves --out to the command line
-            explicit["out"] = "data/"
-        resolve_options(path.stem, explicit)
+            argv += ["--out", "data/"]
+        resolve_options(argv)
 
 
 def test_exemplar_values_are_clean_and_allowed():

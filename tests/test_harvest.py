@@ -594,7 +594,13 @@ def _string_offset(logprobs):
     logprobs["text_offset"][1] = str(logprobs["text_offset"][1])
 
 
-@pytest.mark.parametrize("corrupt", [_string_logprob, _bool_logprob, _extra_offset, _string_offset])
+def _huge_int_logprob(logprobs):
+    logprobs["token_logprobs"][2] = -10**400
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_string_logprob, _bool_logprob, _extra_offset, _string_offset, _huge_int_logprob]
+)
 def test_malformed_scoring_choice_fails_only_its_question(tmp_path, caplog, corrupt):
     fake = make_fake()
 
@@ -614,6 +620,62 @@ def test_malformed_scoring_choice_fails_only_its_question(tmp_path, caplog, corr
     assert sorted(read_paths(out_paths)) == ["h002", "h003"]
     # the probe, h001's greedy generation and the five requests of h002 and of h003
     assert len(list((tmp_path / "cache").iterdir())) == 1 + 1 + 2 * 5
+
+
+def test_cached_scoring_entry_a_float_cannot_hold_is_a_miss(tmp_path):
+    out_traj, out_paths = tmp_path / "traj.jsonl", tmp_path / "paths.jsonl"
+    client, _ = make_client(tmp_path)
+    assert harvest_dataset([Q1], client, out_traj, out_paths, n_samples=2) == (1, 0)
+    expected = (out_traj.read_bytes(), out_paths.read_bytes())
+    scoring = [p for p in (tmp_path / "cache").iterdir() if "logprobs" in p.read_text()]
+    for entry in scoring:
+        response = json.loads(entry.read_text())
+        response["choices"][0]["logprobs"]["token_logprobs"][2] = -10**400
+        entry.write_text(json.dumps(response))
+    out_traj.unlink()
+    out_paths.unlink()
+    client, _ = make_client(tmp_path)
+    assert harvest_dataset([Q1], client, out_traj, out_paths, n_samples=2) == (1, 0)
+    assert (out_traj.read_bytes(), out_paths.read_bytes()) == expected
+    assert client.requests_made == len(scoring) == 3  # the probe and h001's two scoring lists
+
+
+@pytest.mark.parametrize("greedy", [True, False], ids=["greedy", "sampled"])
+def test_blank_generation_is_not_cached(tmp_path, greedy):
+    fake = make_fake()
+
+    def blank_h003(route, payload):
+        resp = fake(route, payload)
+        if route == "chat/completions" and Q3.question in payload["messages"][1]["content"]:
+            if (payload["temperature"], payload["seed"]) == ((0.0, 0) if greedy else (1.0, 1)):
+                resp["choices"][0]["message"]["content"] = "   " if greedy else ""
+        return resp
+
+    out_traj, out_paths = tmp_path / "traj.jsonl", tmp_path / "paths.jsonl"
+    client, _ = make_client(tmp_path, transport=blank_h003)
+    assert harvest_dataset([Q3], client, out_traj, out_paths, n_samples=2) == (0, 1)
+    fixed, _ = make_client(tmp_path)
+    assert harvest_dataset([Q3], fixed, out_traj, out_paths, n_samples=2) == (1, 0)
+    assert fixed.requests_made == (5 if greedy else 2)  # h003's requests from the blank one on
+
+
+@pytest.mark.parametrize("tokens", [True, 0, 2**63, 2**70])
+def test_usage_count_that_is_no_positive_int64_falls_back_to_the_word_count(tmp_path, tokens):
+    fake = make_fake()
+
+    def odd_usage(route, payload):
+        resp = fake(route, payload)
+        if route == "chat/completions":
+            resp["usage"] = {"completion_tokens": tokens}
+        return resp
+
+    out_traj, out_paths = tmp_path / "traj.jsonl", tmp_path / "paths.jsonl"
+    client, _ = make_client(transport=odd_usage)
+    assert harvest_dataset([Q1], client, out_traj, out_paths, n_samples=2) == (1, 0)
+    words = {seed: len(GENERATIONS[("h001", 1.0, seed)].split()) for seed in (0, 1)}
+    (traj,) = read_trajectories(out_traj)
+    assert traj.greedy_token_cost == len(GENERATIONS[("h001", 0.0, 0)].split())
+    assert {p.sample_idx: p.token_cost for p in read_paths(out_paths)["h001"]} == words
 
 
 def test_dataset_harvest_resumes_after_torn_line(tmp_path):
