@@ -13,12 +13,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import astuple, dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptyDataset, ParseError
+from .errors import CotriageError, ParseError
 from .jsonl import typed, write_csv, write_json
 
 DEFAULT_MAX_REL_DROP = 0.005
@@ -66,7 +67,7 @@ class RoutingArrays(NamedTuple):
     @classmethod
     def of(cls, items: Sequence[CalibrationItem]) -> RoutingArrays:
         if not items:
-            raise EmptyDataset("cannot route zero items")
+            raise CotriageError("cannot route zero items")
         return cls(*(np.array([getattr(it, f) for it in items]) for f in cls._fields))
 
 
@@ -86,14 +87,18 @@ def route_at_tau(
 
 
 def _point(arrays: RoutingArrays, tau: float, sunk_greedy: bool) -> CalibrationPoint:
+    """CotriageError when every multi-path route costs 0 tokens: then no reduction is defined."""
     accepted, correct, tokens = route_at_tau(arrays, tau, sunk_greedy)
     n = len(accepted)
     mean_tokens = int(tokens.sum()) / n
+    baseline = int(arrays.multi_tokens.sum())
+    if baseline == 0:
+        raise CotriageError("every multi-path route costs 0 tokens, so token reduction is undefined")
     return CalibrationPoint(
         tau=tau,
         accuracy=int(correct.sum()) / n,
         mean_tokens=mean_tokens,
-        token_reduction=1.0 - mean_tokens / (int(arrays.multi_tokens.sum()) / n),
+        token_reduction=1.0 - mean_tokens / (baseline / n),
         accept_rate=int(accepted.sum()) / n,
     )
 
@@ -131,16 +136,10 @@ def select_threshold(
     """
     check_max_rel_drop(max_rel_drop)
     if not profile.points:
-        raise EmptyDataset("profile has no grid points")
-    max_acc = max(pt.accuracy for pt in profile.points)
-    floor = (1.0 - max_rel_drop) * max_acc
-    best: CalibrationPoint | None = None
-    for pt in profile.points:
-        if pt.accuracy < floor:
-            continue
-        if best is None or pt.token_reduction > best.token_reduction:
-            best = pt
-    return best.tau
+        raise CotriageError("profile has no grid points")
+    floor = (1.0 - max_rel_drop) * max(pt.accuracy for pt in profile.points)
+    feasible = (pt for pt in profile.points if pt.accuracy >= floor)
+    return max(feasible, key=attrgetter("token_reduction")).tau
 
 
 def profile_to_csv(profile: CalibrationProfile, path: str | Path) -> None:

@@ -38,9 +38,7 @@ from .calibration import (
     sweep,
     write_selection_summary,
 )
-from .errors import (
-    AlignmentError, CapabilityError, ConfigMismatch, CotriageError, EmptyDataset, HarvestError,
-)
+from .errors import CotriageError, HarvestError
 from .evaluation import (
     OUTCOMES_SCHEMA,
     REPORT_SCHEMA,
@@ -205,7 +203,7 @@ def _load_split_features(run: Run, features_dir: str, split: str):
     ordered = []
     for seq in seqs:
         if seq.question_id not in labels:
-            raise AlignmentError(f"no label for {seq.question_id!r}")
+            raise CotriageError(f"no label for {seq.question_id!r}")
         ordered.append(labels[seq.question_id])
     return seqs, ordered
 
@@ -221,10 +219,10 @@ def _load_routing_items(opts, run: Run) -> list:
     for traj in trajectories:
         seq = by_qid.get(traj.question_id)
         if seq is None:
-            raise AlignmentError(f"no features for {traj.question_id!r}")
+            raise CotriageError(f"no features for {traj.question_id!r}")
         layout = LAYOUTS[seq.layout_id]  # a row per sentence, and the trajectory's own p column
         if len(seq.x) != len(traj.p) or ("p" in layout and (seq.x[:, layout.index("p")] != traj.p).any()):
-            raise AlignmentError(f"features of {traj.question_id!r} do not match its trajectory: "
+            raise CotriageError(f"features of {traj.question_id!r} do not match its trajectory: "
                                  f"{len(seq.x)} rows for {len(traj.p)} sentences, or another p column")
     params, mcfg = load_checkpoint(run.reads(opts.model))
     scores = score_features(params, mcfg, [by_qid[t.question_id] for t in trajectories])
@@ -290,7 +288,7 @@ def cmd_extract_features(opts, run: Run) -> None:
         labels = {}
         for traj, block in zip(trajectories, numeric):
             if traj.question_id not in questions:
-                raise AlignmentError(f"no question for trajectory {traj.question_id!r}")
+                raise CotriageError(f"no question for trajectory {traj.question_id!r}")
             seqs.append(assemble(traj, opts.subset, questions[traj.question_id], block))
             if traj.label is not None:
                 labels[traj.question_id] = traj.label
@@ -298,7 +296,7 @@ def cmd_extract_features(opts, run: Run) -> None:
         if labels:
             write_labels(run.writes(f"{split}.labels.jsonl"), labels)
     if not found:
-        raise EmptyDataset(f"no <split>.traj.jsonl files under {in_dir}")
+        raise CotriageError(f"no <split>.traj.jsonl files under {in_dir}")
     run.extra["columns"] = LAYOUTS[opts.subset]
 
 
@@ -308,7 +306,7 @@ def cmd_train(opts, run: Run) -> dict:
     train_seqs, train_labels = _load_split_features(run, opts.in_dir, "train")
     val_seqs, val_labels = _load_split_features(run, opts.in_dir, "val")
     if not train_seqs:
-        raise EmptyDataset("training split is empty")
+        raise CotriageError("training split is empty")
     mcfg = _config(
         ModelConfig, opts, input_dim=train_seqs[0].x.shape[1],
         use_feature_gate=not opts.no_feature_gate, use_mhsa=not opts.no_mhsa,
@@ -347,7 +345,7 @@ def cmd_route(opts, run: Run) -> dict:
         ours = {"baseline_method": opts.method, "sunk_greedy": not opts.no_sunk_greedy}
         theirs = {key: summary[key] for key in ours}
         if theirs != ours:
-            raise ConfigMismatch(f"{opts.selection} was calibrated with {theirs}, not {ours}")
+            raise CotriageError(f"{opts.selection} was calibrated with {theirs}, not {ours}")
         tau = summary["selected_tau"]
     items = _load_routing_items(opts, run)
     outcomes = route_outcomes(items, tau, sunk_greedy=not opts.no_sunk_greedy)
@@ -363,7 +361,7 @@ def cmd_report(opts, run: Run) -> None:
     in_dir = Path(opts.in_dir)
     inputs = sorted(in_dir.glob("outcomes.*.jsonl"))
     if not inputs:
-        raise EmptyDataset(f"no outcomes.*.jsonl files under {in_dir}")
+        raise CotriageError(f"no outcomes.*.jsonl files under {in_dir}")
     methods = {
         path.name.removeprefix("outcomes.").removesuffix(".jsonl"): read_outcomes(run.reads(path))
         for path in inputs
@@ -480,7 +478,7 @@ def resolve_options(argv: list[str] | None = None) -> argparse.Namespace:
     rows = _COMMON + COMMANDS[opts.subcommand][1]
     if opts.config is not None:
         file_opts = load_config(opts.config)
-        kinds = {name: kind for name, kind, _, _ in rows}
+        kinds = {name: kind for name, kind, _, _ in rows if name != "config"}  # no nested files
         unknown = sorted(set(file_opts) - set(kinds))
         if unknown:
             raise ValueError(f"unknown config keys for {opts.subcommand}: {', '.join(unknown)}")
@@ -533,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
         if record is not None:
             print(json.dumps(record))
         return EXIT_OK
-    except (HarvestError, CapabilityError) as exc:
+    except HarvestError as exc:
         print(f"endpoint error: {exc}", file=sys.stderr)
         return EXIT_ENDPOINT
     except (CotriageError, OSError) as exc:

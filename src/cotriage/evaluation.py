@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .calibration import CalibrationItem, RoutingArrays, route_at_tau
-from .errors import AlignmentError, DuplicateId, EmptyDataset
+from .errors import CotriageError
 from .jsonl import read_unique_jsonl, typed, write_csv, write_jsonl
 from .trajectory import McQuestion, Trajectory
 from .voting import ABSTAIN, SampledPath, run_method
@@ -41,7 +41,7 @@ class OutcomeVector:
         if len(self.question_ids) != len(self.correct) or len(self.correct) != len(self.tokens):
             raise ValueError("outcome arrays must align")
         if len(set(self.question_ids)) != len(self.question_ids):
-            raise DuplicateId("outcome vector repeats a question id")
+            raise CotriageError("outcome vector repeats a question id")
         self.correct = np.asarray(self.correct, dtype=bool)
         self.tokens = np.asarray(self.tokens, dtype=np.int64)
 
@@ -60,7 +60,7 @@ class Summary:
 
 def summarize(v: OutcomeVector) -> Summary:
     if len(v) == 0:
-        raise EmptyDataset("cannot summarize an empty outcome vector")
+        raise CotriageError("cannot summarize an empty outcome vector")
     q1, med, q3 = np.percentile(v.tokens, [25, 50, 75], method="linear")
     return Summary(
         accuracy=float(v.correct.mean()),
@@ -82,7 +82,7 @@ class BootstrapResult:
 def _align(a: OutcomeVector, b: OutcomeVector) -> OutcomeVector:
     """Reorder b to a's question order."""
     if set(a.question_ids) != set(b.question_ids):
-        raise AlignmentError("outcome vectors cover different question sets")
+        raise CotriageError("outcome vectors cover different question sets")
     pos = {qid: i for i, qid in enumerate(b.question_ids)}
     idx = np.array([pos[qid] for qid in a.question_ids])
     return OutcomeVector(list(a.question_ids), b.correct[idx], b.tokens[idx])
@@ -104,7 +104,7 @@ def _bootstrap_pairs(
     its sign is the sign of the float mean difference.
     """
     if any(len(a) == 0 for a, _ in pairs):
-        raise EmptyDataset("cannot bootstrap empty outcome vectors")
+        raise CotriageError("cannot bootstrap empty outcome vectors")
     pairs = [(a, _align(a, b)) for a, b in pairs]
     if not pairs:
         return []
@@ -169,17 +169,17 @@ def build_calibration_items(
     method on the archived paths; an abstaining vote is simply incorrect.
     """
     if len(trajectories) != len(scores):
-        raise AlignmentError("need exactly one score per trajectory")
+        raise CotriageError("need exactly one score per trajectory")
     items = []
     for traj, score in zip(trajectories, scores):
         qid = traj.question_id
         if qid not in questions:
-            raise AlignmentError(f"no question for trajectory {qid!r}")
+            raise CotriageError(f"no question for trajectory {qid!r}")
         gold = questions[qid].gold_idx
         if gold is None:
-            raise AlignmentError(f"question {qid!r} has no gold answer")
+            raise CotriageError(f"question {qid!r} has no gold answer")
         if qid not in paths_by_qid:
-            raise AlignmentError(f"no sampled paths for {qid!r}")
+            raise CotriageError(f"no sampled paths for {qid!r}")
         extra = None
         if include_greedy_vote:
             extra = (traj.greedy_answer, float(traj.p[-1]))
@@ -247,12 +247,12 @@ def write_report(
     The significance table holds one row per unordered method pair, marked '*'
     when p < 0.05. Every table starts with a comment line naming the schema
     version and the bootstrap seed. The bootstrap runs before any table is
-    written, so ValueError for resamples < 1 and AlignmentError for outcome
+    written, so ValueError for resamples < 1 and CotriageError for outcome
     files that cover different questions leave no table behind.
     """
     check_resamples(resamples)
     if not methods:
-        raise EmptyDataset("no methods to report")
+        raise CotriageError("no methods to report")
     names = sorted(methods)
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
     results = _bootstrap_pairs([(methods[a], methods[b]) for a, b in pairs], resamples, seed)

@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 import requests
 
-from .errors import CapabilityError, CotriageError, HarvestError
+from .errors import CotriageError, HarvestError
 from .jsonl import dumps_record, replace_atomically
 from .trajectory import (
     TRAJ_SCHEMA,
@@ -329,17 +329,17 @@ def _scoring_payload(client: EndpointClient, prompt: str | list[str]) -> dict:
 def _answer_span_logscore(choice, context: str) -> float:
     """Log-score of the tokens after context in one echoed scoring choice.
 
-    CapabilityError when the choice has no log-probabilities. HarvestError
-    unless token_logprobs and text_offset have one length, each offset is a
-    number and each summed log-prob a JSON number (a bool is not) whose sum
-    a float can hold.
+    HarvestError when the choice has no log-probabilities, or unless
+    token_logprobs and text_offset have one length, each offset is a number
+    and each summed log-prob a JSON number (a bool is not) whose sum a float
+    can hold.
     """
     try:
         lp = choice["logprobs"]
         token_logprobs = lp["token_logprobs"]
         offsets = lp["text_offset"]
     except (KeyError, IndexError, TypeError) as exc:
-        raise CapabilityError(
+        raise HarvestError(
             "scoring endpoint returned no log-probabilities; it cannot be used for harvesting"
         ) from exc
     try:
@@ -355,7 +355,7 @@ def _answer_span_logscore(choice, context: str) -> float:
 
 
 def probe_scoring_capability(client: EndpointClient) -> None:
-    """Fail fast (CapabilityError) if the endpoint cannot score tokens."""
+    """Fail fast (HarvestError) if the endpoint cannot score tokens."""
     client.post("completions", _scoring_payload(client, "probe: A"),
                 lambda response: _answer_span_logscore(_first_choice(response), "probe:"))
 

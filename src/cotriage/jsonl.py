@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
-from .errors import DuplicateId, ParseError
+from .errors import ParseError
 
 T = TypeVar("T")
 
@@ -99,41 +99,56 @@ def read_unique_jsonl(
     one is a ParseError. Line numbers are 1-based file lines, blank lines
     counted. A line that is not one JSON value, or holds an integer too long
     to convert, is a ParseError naming it. A KeyError, TypeError or ValueError
-    raised by parse becomes a ParseError naming the record's line, and a
-    repeated key a DuplicateId.
+    raised by parse becomes a ParseError naming the record's line, and so
+    does a repeated key. A file that is not UTF-8 is a ParseError naming the
+    first line that is not.
     """
     header_seen = False
     seen: set[Hashable] = set()
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                rec, end = _DECODER.raw_decode(raw)
-            except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
-                raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line=lineno) from exc
-            if end != len(raw):
-                raise ParseError("invalid JSON: Extra data", line=lineno)
-            if not isinstance(rec, dict):
-                raise ParseError("record is not a JSON object", line=lineno)
-            if not header_seen:
-                got = rec.get("schema")
-                if got != schema:
-                    raise ParseError(f"expected schema {schema!r}, got {got!r}", line=lineno)
-                header_seen = True
-                continue
-            try:
-                item = parse(rec)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad {schema} record: {exc!r}", line=lineno) from exc
-            k = key(item)
-            if k in seen:
-                raise DuplicateId(f"line {lineno}: duplicate {schema} key {k!r}")
-            seen.add(k)
-            yield item
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                raw = raw.strip()
+                if not raw:
+                    continue
+                try:
+                    rec, end = _DECODER.raw_decode(raw)
+                except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
+                    raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line=lineno) from exc
+                if end != len(raw):
+                    raise ParseError("invalid JSON: Extra data", line=lineno)
+                if not isinstance(rec, dict):
+                    raise ParseError("record is not a JSON object", line=lineno)
+                if not header_seen:
+                    got = rec.get("schema")
+                    if got != schema:
+                        raise ParseError(f"expected schema {schema!r}, got {got!r}", line=lineno)
+                    header_seen = True
+                    continue
+                try:
+                    item = parse(rec)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ParseError(f"bad {schema} record: {exc!r}", line=lineno) from exc
+                k = key(item)
+                if k in seen:
+                    raise ParseError(f"duplicate {schema} key {k!r}", line=lineno)
+                seen.add(k)
+                yield item
+        except UnicodeDecodeError as exc:
+            line = _first_undecodable_line(path)
+            raise ParseError(f"{path} is not UTF-8 text: {exc.reason}", line=line) from exc
     if not header_seen:
         raise ParseError(f"{path} has no {schema!r} header")
+
+
+def _first_undecodable_line(path: str | Path) -> int | None:
+    """The 1-based number of the first line of path holding bytes that are not UTF-8."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")  # an escaped byte is a lone surrogate, which does not encode
+            except UnicodeEncodeError:
+                return lineno
 
 
 def typed(rec: dict[str, Any], key: str, kind: type[T], default: Any = ...) -> T:

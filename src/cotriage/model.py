@@ -43,12 +43,12 @@ import base64
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigMismatch, EmptyMask, ParseError
-from .jsonl import write_json
+from .errors import CotriageError, ParseError
+from .jsonl import typed, write_json
 
 CKPT_SCHEMA = "ckpt/2"
 _LN_EPS = 1e-5
@@ -138,10 +138,10 @@ def _inputs(cfg: ModelConfig, x, mask):
     if x.ndim != 3 or mask.shape != x.shape[:2]:
         raise ValueError("expected x of shape (B, T, D) and mask (B, T)")
     if x.shape[2] != cfg.input_dim:
-        raise ConfigMismatch(f"model expects {cfg.input_dim} features, got {x.shape[2]}")
+        raise CotriageError(f"model expects {cfg.input_dim} features, got {x.shape[2]}")
     lengths = mask.sum(axis=-1)
     if np.any(lengths < 1):
-        raise EmptyMask("every trajectory needs at least one valid row")
+        raise CotriageError("every trajectory needs at least one valid row")
     if np.any(mask[..., :-1] < mask[..., 1:]):
         raise ValueError("mask padding must be a suffix")
     return x, mask, lengths.astype(np.int64)
@@ -421,12 +421,12 @@ def backward(
 def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], cfg: ModelConfig) -> None:
     shapes = param_shapes(cfg)
     if set(params) != set(shapes):
-        raise ConfigMismatch("parameter names do not match the config")
+        raise CotriageError("parameter names do not match the config")
     tensors = {}
     for name in sorted(params):
         arr = np.ascontiguousarray(params[name], dtype="<f8")
         if arr.shape != shapes[name]:
-            raise ConfigMismatch(f"{name}: shape {arr.shape} != expected {shapes[name]}")
+            raise CotriageError(f"{name}: shape {arr.shape} != expected {shapes[name]}")
         tensors[name] = {
             "shape": list(arr.shape),
             "data": base64.b64encode(arr.tobytes()).decode("ascii"),
@@ -437,25 +437,28 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], cfg: ModelC
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfig]:
     """Parameters and config of a checkpoint.
 
-    ConfigMismatch when the schema, tensor names or shapes disagree with the
-    stored config; ParseError when the file cannot be decoded at all.
+    CotriageError when the schema, tensor names or shapes disagree with the
+    stored config; ParseError when the file is not UTF-8 JSON or a config
+    field is unknown or not of its field's JSON type.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        doc = json.loads(text)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
         if doc["schema"] != CKPT_SCHEMA:
-            raise ConfigMismatch(f"expected schema {CKPT_SCHEMA!r}, got {doc['schema']!r}")
-        cfg = ModelConfig(**doc["config"])
+            raise CotriageError(f"expected schema {CKPT_SCHEMA!r}, got {doc['schema']!r}")
+        conf, kinds = doc["config"], get_type_hints(ModelConfig)
+        if set(conf) - set(kinds):
+            raise ValueError(f"unknown config fields {sorted(set(conf) - set(kinds))}")
+        cfg = ModelConfig(**{key: typed(conf, key, kinds[key]) for key in conf})
         shapes = param_shapes(cfg)
         tensors = doc["tensors"]
         if set(tensors) != set(shapes):
-            raise ConfigMismatch("checkpoint tensors do not match the config")
+            raise CotriageError("checkpoint tensors do not match the config")
         params = {}
         for name, entry in tensors.items():
             shape = tuple(entry["shape"])
             if shape != shapes[name]:
-                raise ConfigMismatch(f"{name}: shape {shape} != expected {shapes[name]}")
+                raise CotriageError(f"{name}: shape {shape} != expected {shapes[name]}")
             raw = base64.b64decode(entry["data"], validate=True)
             params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     except (KeyError, TypeError, ValueError) as exc:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyDataset
+from .errors import CotriageError
 from .features import FeatureSequence
 from .jsonl import write_csv, write_json
 from .model import ModelConfig, backward, forward, init_params
@@ -87,7 +87,7 @@ def _bce_dq(q: np.ndarray, y: np.ndarray) -> np.ndarray:
 def pad_batch(seqs: Sequence[FeatureSequence]) -> tuple[np.ndarray, np.ndarray]:
     """Stack sequences into (B, Tmax, D) features and a (B, Tmax) mask."""
     if not seqs:
-        raise EmptyDataset("cannot pad an empty batch")
+        raise CotriageError("cannot pad an empty batch")
     t_max = max(s.x.shape[0] for s in seqs)
     d = seqs[0].x.shape[1]
     x = np.zeros((len(seqs), t_max, d))
@@ -246,7 +246,7 @@ def train(
     train_cfg: TrainConfig,
 ) -> TrainResult:
     if not train_seqs or not val_seqs:
-        raise EmptyDataset("training and validation sets must be non-empty")
+        raise CotriageError("training and validation sets must be non-empty")
     if len(train_seqs) != len(train_labels) or len(val_seqs) != len(val_labels):
         raise ValueError("labels must align with sequences")
 

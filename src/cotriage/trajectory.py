@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyTrajectory, InvalidAnswerTokens, NonFiniteScore
+from .errors import CotriageError
 from .jsonl import read_unique_jsonl, typed, write_jsonl
 
 TRAJ_SCHEMA = "traj/1"
@@ -169,14 +169,14 @@ def segment_sentences(cot_text: str) -> list[str]:
     flush()
 
     if not sentences:
-        raise EmptyTrajectory("no sentences in reasoning text")
+        raise CotriageError("no sentences in reasoning text")
     return sentences
 
 
 def answer_logscore(token_logprobs: Sequence[float]) -> float:
     """Sum the log-probabilities of an answer's tokens."""
     if len(token_logprobs) == 0:
-        raise InvalidAnswerTokens("answer span has no tokens")
+        raise CotriageError("answer span has no tokens")
     return float(sum(token_logprobs))
 
 
@@ -190,7 +190,7 @@ def normalize_choices(log_scores: Sequence[float] | np.ndarray) -> ChoiceDistrib
     if arr.ndim not in (1, 2) or arr.shape[-1] < 2:
         raise ValueError("need (K,) or (T, K) log-scores with K >= 2")
     if not np.isfinite(arr).all():
-        raise NonFiniteScore("log-scores contain NaN or infinity")
+        raise CotriageError("log-scores contain NaN or infinity")
     return ChoiceDistribution(probs=_softmax(arr), log_scores=arr)
 
 

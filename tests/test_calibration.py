@@ -18,7 +18,7 @@ from cotriage.calibration import (
     sweep,
     write_selection_summary,
 )
-from cotriage.errors import EmptyDataset
+from cotriage.errors import CotriageError
 
 
 def oracle_point(items, tau, sunk_greedy=True):
@@ -104,8 +104,15 @@ def test_accept_rate_monotone_in_tau():
 
 
 def test_empty_items_rejected():
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(CotriageError, match="cannot route zero items"):
         simulate_at_tau([], 0.5)
+
+
+def test_multi_path_route_costing_nothing_is_rejected():
+    items = [CalibrationItem(f"q{i}", 0.5, True, 10, True, 0) for i in range(3)]
+    for profile_of in (sweep, lambda items: simulate_at_tau(items, 0.5)):
+        with pytest.raises(CotriageError, match="every multi-path route costs 0 tokens"):
+            profile_of(items)
 
 
 def _profile(points):

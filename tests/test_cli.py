@@ -10,6 +10,7 @@ import dataclasses
 import json
 import re
 import shlex
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import requests
 
 import cotriage
 import cotriage.cli as cli
+import cotriage.errors as errors
 import cotriage.harvest as harvest_mod
 from cotriage.cli import (
     EXIT_DATA,
@@ -188,6 +190,12 @@ def test_config_rejects_unknown_keys_and_sections(tmp_path, capsys):
     malformed.write_text("just a line\n")
     assert run("synth", "--config", malformed, "--out", tmp_path / "x") == EXIT_USAGE
 
+    nested = tmp_path / "nested.cfg"
+    nested.write_text(f"config = {bad}\n")
+    assert run("synth", "--config", nested, "--out", tmp_path / "x", "--n-train", 2,
+               "--n-val", 0, "--n-test", 0) == EXIT_USAGE
+    assert "unknown config keys for synth: config" in capsys.readouterr().err
+
     bad_choice = tmp_path / "choice.cfg"
     bad_choice.write_text('subset = "all"\n')
     assert run("extract-features", "--config", bad_choice, "--in", tmp_path,
@@ -347,9 +355,11 @@ def test_data_error_exit_codes(tmp_path, capsys):
     unknown_key = dict(good, config=dict(good["config"], dropout=0.1))
     short_tensor = json.loads(json.dumps(good))
     short_tensor["tensors"]["gru.b_hn"]["data"] = "AAAAAAAAAAA="
+    float_width = dict(good, config=dict(good["config"], hidden=8.0))
+    string_flag = dict(good, config=dict(good["config"], use_mhsa="false"))
     capsys.readouterr()
     for text in ("not json", json.dumps({"schema": CKPT_SCHEMA}), json.dumps(unknown_key),
-                 json.dumps(short_tensor)):
+                 json.dumps(short_tensor), json.dumps(float_width), json.dumps(string_flag)):
         ckpt.write_text(text)
         assert run("calibrate", "--data", run_dir / "d", "--features", run_dir / "f",
                    "--model", ckpt, "--out", tmp_path / "c", "--budget", 2) == EXIT_DATA, text
@@ -358,6 +368,60 @@ def test_data_error_exit_codes(tmp_path, capsys):
     assert run("calibrate", "--data", run_dir / "d", "--features", run_dir / "f",
                "--model", ckpt, "--out", tmp_path / "c", "--budget", 2) == EXIT_DATA
     assert f"expected schema {CKPT_SCHEMA!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "stage, name, message",
+    [("route", "d/test.traj.jsonl", "test.traj.jsonl is not UTF-8 text: invalid start byte"),
+     ("route", "f/test.features.jsonl", "test.features.jsonl is not UTF-8 text: invalid start byte"),
+     ("calibrate", "m/model.ckpt", "bad checkpoint")],
+    ids=["traj", "features", "checkpoint"],
+)
+def test_file_that_is_not_utf8_exits_2_naming_it(routed_run, tmp_path, capsys, stage, name,
+                                                  message):
+    base = tmp_path / "run"
+    for sub in ("d", "f", "m"):
+        shutil.copytree(routed_run / sub, base / sub)
+    path = base / name
+    last_line = len(path.read_bytes().splitlines())
+    with open(path, "ab") as fh:
+        fh.write(b"\xff")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(stage, *_stage_argv(stage, base, tmp_path / "unused"), "--out", out) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert message in err, err
+    assert (f"line {last_line + 1}: " if name.endswith(".jsonl") else "UnicodeDecodeError") in err
+    assert not out.exists()
+
+
+def test_multi_path_route_costing_nothing_exits_2_writing_no_output(routed_run, tmp_path, capsys):
+    base = tmp_path / "run"
+    shutil.copytree(routed_run / "d", base / "d")
+    paths = base / "d" / "val.paths.jsonl"
+    lines = paths.read_text().splitlines(keepends=True)
+    paths.write_text(lines[0] + "".join(re.sub(r'"token_cost":\d+', '"token_cost":0', line)
+                                        for line in lines[1:]))
+    argv = [*_stage_argv("calibrate", routed_run, tmp_path / "unused"), "--data", base / "d"]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run("calibrate", *argv, "--out", out) == EXIT_DATA
+    assert "every multi-path route costs 0 tokens" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_each_error_class_has_one_exit_code(tmp_path, monkeypatch, capsys):
+    assert sorted(n for n, v in vars(errors).items()
+                  if isinstance(v, type) and v.__module__ == errors.__name__) == [
+        "CotriageError", "HarvestError", "ParseError"]
+    for cls, code in ((errors.CotriageError, EXIT_DATA), (errors.ParseError, EXIT_DATA),
+                      (errors.HarvestError, EXIT_ENDPOINT)):
+        def handler(*_, cls=cls):
+            raise cls("boom")
+        monkeypatch.setitem(cli.COMMANDS, "report", (*cli.COMMANDS["report"][:2], handler,
+                                                     cli.COMMANDS["report"][3]))
+        assert run("report", "--in", tmp_path, "--out", tmp_path / "rep") == code, cls
+        assert "error: boom" in capsys.readouterr().err
 
 
 def _edit_record(path: Path, lineno: int, edit) -> None:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cotriage.calibration import CalibrationItem
-from cotriage.errors import AlignmentError, DuplicateId, EmptyDataset
+from cotriage.errors import CotriageError, ParseError
 from cotriage.evaluation import (
     BootstrapResult,
     OutcomeVector,
@@ -29,17 +29,17 @@ def test_summarize_quartiles():
     assert s.accuracy == 0.75
     assert s.mean_tokens == 2.5
     assert (s.tokens_q1, s.tokens_median, s.tokens_q3) == (1.75, 2.5, 3.25)
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(CotriageError, match="cannot summarize an empty outcome vector"):
         summarize(vec([], [], []))
 
 
 def test_outcome_vector_rejects_duplicates(tmp_path):
-    with pytest.raises(DuplicateId):
+    with pytest.raises(CotriageError, match="outcome vector repeats a question id"):
         vec(["a", "a"], [1, 0], [1, 2])
     path = tmp_path / "outcomes.x.jsonl"
     rec = '{"question_id": "a", "correct": true, "tokens": 3}\n'
     path.write_text('{"schema": "outcomes/1"}\n' + rec + rec)
-    with pytest.raises(DuplicateId, match="line 3: duplicate outcomes/1 key 'a'"):
+    with pytest.raises(ParseError, match="line 3: duplicate outcomes/1 key 'a'"):
         read_outcomes(path)
 
 
@@ -94,7 +94,7 @@ def test_order_of_b_does_not_matter():
 def test_mismatched_question_sets_rejected():
     a = vec(["a", "b"], [1, 0], [1, 2])
     b = vec(["a", "c"], [1, 0], [1, 2])
-    with pytest.raises(AlignmentError):
+    with pytest.raises(CotriageError, match="outcome vectors cover different question sets"):
         paired_bootstrap(a, b)
 
 
@@ -268,14 +268,14 @@ def test_build_calibration_items_alignment_errors():
     questions = {"q0": McQuestion("q0", "?", ["a", "b"], gold_idx=None)}
     trajs = [_tiny_traj("q0", answer=0, k=2)]
     paths = {"q0": [SampledPath("q0", 0, 0, 50, 0.5)]}
-    with pytest.raises(AlignmentError):  # no gold answer
+    with pytest.raises(CotriageError, match="question 'q0' has no gold answer"):
         build_calibration_items(trajs, [0.5], paths, questions)
-    with pytest.raises(AlignmentError):  # score count mismatch
+    with pytest.raises(CotriageError, match="need exactly one score per trajectory"):
         build_calibration_items(trajs, [], paths, questions)
-    with pytest.raises(AlignmentError):  # unknown question
+    with pytest.raises(CotriageError, match="no question for trajectory 'q0'"):
         build_calibration_items(trajs, [0.5], paths, {})
     q_ok = {"q0": McQuestion("q0", "?", ["a", "b"], gold_idx=0)}
-    with pytest.raises(AlignmentError):  # missing paths
+    with pytest.raises(CotriageError, match="no sampled paths for 'q0'"):
         build_calibration_items(trajs, [0.5], {}, q_ok)
 
 

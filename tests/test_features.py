@@ -21,7 +21,7 @@ from cotriage.features import (
     write_features,
     write_labels,
 )
-from cotriage.errors import DuplicateId, ParseError
+from cotriage.errors import ParseError
 from cotriage.jsonl import dumps_record
 from cotriage.trajectory import McQuestion, Trajectory, prefix_lengths
 
@@ -235,14 +235,14 @@ def test_features_read_applies_the_writers_checks(tmp_path):
 def test_keyed_readers_reject_a_repeated_id_naming_its_line(tmp_path):
     path = tmp_path / "feat.jsonl"
     write_features(path, [assemble(make_traj([0.5, 0.7], qid=q), "numeric") for q in "aba"])
-    with pytest.raises(DuplicateId, match="line 4: duplicate features/1 key 'a'"):
+    with pytest.raises(ParseError, match="line 4: duplicate features/1 key 'a'"):
         read_features(path)
     path = tmp_path / "labels.jsonl"
     path.write_text(
         '{"schema": "labels/1"}\n\n'
         '{"question_id": "a", "label": true}\n{"question_id": "a", "label": false}\n'
     )
-    with pytest.raises(DuplicateId, match="line 4: duplicate labels/1 key 'a'"):
+    with pytest.raises(ParseError, match="line 4: duplicate labels/1 key 'a'"):
         read_labels(path)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import cotriage.harvest as harvest_mod
-from cotriage.errors import CapabilityError, HarvestError, ParseError
+from cotriage.errors import HarvestError, ParseError
 from cotriage.harvest import (
     TEMPLATES,
     EndpointClient,
@@ -285,7 +285,7 @@ def test_missing_logprobs_fails_capability_probe():
         return {"choices": [{"text": payload.get("prompt", "")}]}
 
     client, _ = make_client(transport=no_logprobs)
-    with pytest.raises(CapabilityError):
+    with pytest.raises(HarvestError, match="scoring endpoint returned no log-probabilities"):
         probe_scoring_capability(client)
 
 
@@ -557,7 +557,7 @@ def test_responses_the_harvester_rejects_are_not_cached(tmp_path):
         return {"choices": [{"text": payload.get("prompt", "")}]}
 
     client, _ = make_client(tmp_path, transport=no_logprobs)
-    with pytest.raises(CapabilityError):
+    with pytest.raises(HarvestError, match="scoring endpoint returned no log-probabilities"):
         probe_scoring_capability(client)
     fixed, _ = make_client(tmp_path)
     probe_scoring_capability(fixed)
@@ -767,7 +767,7 @@ def test_dataset_harvest_requires_scoring_capability(tmp_path):
         return {"choices": [{"text": payload.get("prompt", ""), "message": {"content": "x."}}]}
 
     client, _ = make_client(transport=no_logprobs)
-    with pytest.raises(CapabilityError):
+    with pytest.raises(HarvestError, match="scoring endpoint returned no log-probabilities"):
         harvest_dataset([Q1], client, tmp_path / "t.jsonl")
 
 

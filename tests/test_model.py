@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cotriage import model
-from cotriage.errors import ConfigMismatch, EmptyMask
+from cotriage.errors import CotriageError, ParseError
 from cotriage.features import FeatureSequence
 from cotriage.model import (
     ModelConfig,
@@ -197,7 +197,7 @@ def test_gate_pools_valid_rows_hand_example():
 def test_empty_mask_rejected(scores_of):
     cfg = small_cfg()
     params = init_params(cfg, seed=4)
-    with pytest.raises(EmptyMask):
+    with pytest.raises(CotriageError, match="every trajectory needs at least one valid row"):
         scores_of(params, cfg, np.zeros((2, 3, cfg.input_dim)),
                   np.array([[1.0, 1.0, 0.0], [0.0] * 3]))
 
@@ -302,27 +302,36 @@ def test_checkpoint_rejects_mismatches(tmp_path):
     doc["config"]["hidden"] = 16
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    with pytest.raises(ConfigMismatch):
+    with pytest.raises(CotriageError, match="shape .* != expected"):
         load_checkpoint(bad)
 
     doc = json.loads(path.read_text())
     del doc["tensors"]["gru.w_x"]
     bad.write_text(json.dumps(doc))
-    with pytest.raises(ConfigMismatch):
+    with pytest.raises(CotriageError, match="checkpoint tensors do not match the config"):
         load_checkpoint(bad)
 
     doc = json.loads(path.read_text())
     doc["schema"] = "ckpt/0"
     bad.write_text(json.dumps(doc))
-    with pytest.raises(ConfigMismatch):
+    with pytest.raises(CotriageError, match="expected schema 'ckpt/2', got 'ckpt/0'"):
         load_checkpoint(bad)
+
+    for field, value, message in (("hidden", 8.0, "hidden must be int, not 8.0"),
+                                  ("use_mhsa", "false", "use_mhsa must be bool, not 'false'"),
+                                  ("dropout", 0.1, "unknown config fields \\['dropout'\\]")):
+        doc = json.loads(path.read_text())
+        doc["config"][field] = value
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=message):
+            load_checkpoint(bad)
 
 
 @SCORERS
 def test_forward_checks_feature_dim(scores_of):
     cfg = small_cfg()
     params = init_params(cfg, seed=15)
-    with pytest.raises(ConfigMismatch, match="model expects 6 features, got 7"):
+    with pytest.raises(CotriageError, match="model expects 6 features, got 7"):
         scores_of(params, cfg, np.zeros((1, 3, cfg.input_dim + 1)), np.ones((1, 3)))
     with pytest.raises(ValueError, match="expected x of shape"):
         scores_of(params, cfg, np.zeros((1, 3, cfg.input_dim)), np.ones((1, 4)))

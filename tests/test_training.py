@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cotriage import training
-from cotriage.errors import EmptyDataset
+from cotriage.errors import CotriageError
 from cotriage.features import FeatureSequence
 from cotriage.model import ModelConfig, backward, forward, init_params
 from cotriage.training import (
@@ -87,7 +87,7 @@ def test_pad_batch_layout():
     assert x.shape == (2, 5, 2)
     np.testing.assert_array_equal(mask, [[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]])
     assert np.all(x[0, 3:] == 0)
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(CotriageError, match="cannot pad an empty batch"):
         pad_batch([])
 
 
@@ -201,9 +201,9 @@ def test_training_stops_at_perfect_val_auc():
 def test_empty_datasets_rejected():
     model_cfg = ModelConfig(input_dim=4, hidden=8, heads=2, head_hidden=4)
     seqs, labels = _planted_dataset(np.random.default_rng(0), 4)
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(CotriageError, match="training and validation sets must be non-empty"):
         train([], [], seqs, labels, model_cfg, TrainConfig())
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(CotriageError, match="training and validation sets must be non-empty"):
         train(seqs, labels, [], [], model_cfg, TrainConfig())
 
 

@@ -8,13 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotriage.errors import (
-    DuplicateId,
-    EmptyTrajectory,
-    InvalidAnswerTokens,
-    NonFiniteScore,
-    ParseError,
-)
+from cotriage.errors import CotriageError, ParseError
 from cotriage.trajectory import (
     McQuestion,
     Trajectory,
@@ -44,7 +38,7 @@ def test_segmentation_regression_corpus(case):
 
 @pytest.mark.parametrize("text", ["", "   ", "\n\n", " \t \n "])
 def test_segmentation_rejects_empty_text(text):
-    with pytest.raises(EmptyTrajectory):
+    with pytest.raises(CotriageError, match="no sentences in reasoning text"):
         segment_sentences(text)
 
 
@@ -57,7 +51,7 @@ _texts = st.text(alphabet=_text_alphabet, min_size=1, max_size=120)
 def test_segmentation_idempotent(text):
     try:
         sentences = segment_sentences(text)
-    except EmptyTrajectory:
+    except CotriageError:
         return
     for s in sentences:
         assert segment_sentences(s) == [s]
@@ -68,7 +62,7 @@ def test_segmentation_idempotent(text):
 def test_segmentation_preserves_non_whitespace(text):
     try:
         sentences = segment_sentences(text)
-    except EmptyTrajectory:
+    except CotriageError:
         assert not text.strip()
         return
     assert all(s == s.strip() and s for s in sentences)
@@ -83,7 +77,7 @@ def test_normalize_choices_worked_example():
 
 def test_normalize_choices_rejects_non_finite():
     for bad in ([0.0, float("nan")], [float("inf"), 0.0], [0.0, -float("inf")]):
-        with pytest.raises(NonFiniteScore):
+        with pytest.raises(CotriageError, match="log-scores contain NaN or infinity"):
             normalize_choices(bad)
 
 
@@ -144,7 +138,7 @@ def test_answer_logscore_sums():
 
 
 def test_answer_logscore_rejects_empty():
-    with pytest.raises(InvalidAnswerTokens):
+    with pytest.raises(CotriageError, match="answer span has no tokens"):
         answer_logscore([])
 
 
@@ -207,7 +201,7 @@ def test_trajectory_roundtrip(tmp_path):
 def test_trajectory_read_rejects_duplicates(tmp_path):
     path = tmp_path / "dup.jsonl"
     write_trajectories(path, [_make_trajectory("q0"), _make_trajectory("q0", seed=1)])
-    with pytest.raises(DuplicateId, match="line 3: duplicate traj/1 key 'q0'"):
+    with pytest.raises(ParseError, match="line 3: duplicate traj/1 key 'q0'"):
         read_trajectories(path)
 
 
@@ -225,6 +219,20 @@ def test_trajectory_read_reports_bad_line(tmp_path):
     with pytest.raises(ParseError) as err:
         read_trajectories(path)
     assert err.value.line == 2
+
+
+def test_trajectory_read_names_the_first_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "traj.jsonl"
+    write_trajectories(path, [_make_trajectory(f"q{i}", seed=i) for i in range(60)])
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert sum(map(len, lines[:40])) > 8192  # well past the first block the reader decodes
+    lines[40] = lines[40].replace(b'"q39"', b'"q\xff9"')
+    lines[50] = lines[50].replace(b'"q49"', b'"q\xfe9"')
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ParseError) as err:
+        read_trajectories(path)
+    assert err.value.line == 41
+    assert str(err.value) == f"line 41: {path} is not UTF-8 text: invalid start byte"
 
 
 def _rewrite_second_record(path, edit):
@@ -396,5 +404,5 @@ def test_questions_reject_duplicate_ids(tmp_path):
     path = tmp_path / "qs.jsonl"
     rec = '{"id": "a", "question": "?", "options": ["x", "y"]}\n'
     path.write_text('{"schema": "questions/1"}\n' + rec + rec)
-    with pytest.raises(DuplicateId, match="line 3:"):
+    with pytest.raises(ParseError, match="line 3: duplicate questions/1 key 'a'"):
         load_questions(path)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotriage.errors import DuplicateId, ParseError
+from cotriage.errors import ParseError
 from cotriage.voting import (
     ABSTAIN,
     SampledPath,
@@ -210,7 +210,7 @@ def test_paths_roundtrip(tmp_path):
 def test_paths_reject_duplicates(tmp_path):
     file = tmp_path / "paths.jsonl"
     write_paths(file, [mk_path(0, 1), mk_path(0, 2)])
-    with pytest.raises(DuplicateId):
+    with pytest.raises(ParseError, match="line 3: duplicate paths/1 key"):
         read_paths(file)
 
 
