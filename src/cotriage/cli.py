@@ -62,7 +62,7 @@ from .features import (
     write_labels,
 )
 from .harvest import EndpointClient, EndpointConfig, check_harvest_options, harvest_dataset
-from .jsonl import write_json
+from .jsonl import first_undecodable_line, write_json
 from .model import CKPT_SCHEMA, ModelConfig, check_geometry, load_checkpoint, save_checkpoint
 from .synth import SynthConfig, generate
 from .trajectory import (
@@ -73,7 +73,7 @@ from .trajectory import (
     write_questions,
     write_trajectories,
 )
-from .training import LOSS_VARIANTS, TrainConfig, score_features, train, write_training_log
+from .training import TrainConfig, score_features, train, write_training_log
 from .voting import METHODS, PATHS_SCHEMA, check_method_options, read_paths, write_paths
 
 EXIT_OK = 0
@@ -121,6 +121,9 @@ def load_config(path: str) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        line = first_undecodable_line(path)
+        raise ValueError(f"cannot read config file {path}: line {line} is not UTF-8: {exc.reason}") from exc
     return parse_config_text(text)
 
 
@@ -301,7 +304,7 @@ def cmd_extract_features(opts, run: Run) -> None:
 
 
 def cmd_train(opts, run: Run) -> dict:
-    tcfg = _config(TrainConfig, opts, class_weights=not opts.no_class_weights)
+    tcfg = _config(TrainConfig, opts)
     check_geometry(opts.hidden, opts.heads, opts.head_hidden)
     train_seqs, train_labels = _load_split_features(run, opts.in_dir, "train")
     val_seqs, val_labels = _load_split_features(run, opts.in_dir, "val")
@@ -445,9 +448,6 @@ COMMANDS: dict[str, tuple] = {
         ("batch_size", int, TrainConfig.batch_size, "trajectories per batch"),
         ("max_epochs", int, TrainConfig.max_epochs, "epoch limit"),
         ("patience", int, TrainConfig.patience, "epochs without val AUC gain before stopping"),
-        ("loss_variant", LOSS_VARIANTS, TrainConfig.loss_variant, "final_aux adds per-sentence loss"),
-        ("aux_weight", float, TrainConfig.aux_weight, "weight of the per-sentence loss"),
-        ("no_class_weights", bool, False, "do not reweight the classes"),
     ), cmd_train, {"checkpoint": CKPT_SCHEMA}),
     "calibrate": ("sweep the acceptance threshold on a validation split", _ROUTING + (
         ("split", str, "val", "split name"),

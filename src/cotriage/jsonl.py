@@ -135,13 +135,13 @@ def read_unique_jsonl(
                 seen.add(k)
                 yield item
         except UnicodeDecodeError as exc:
-            line = _first_undecodable_line(path)
+            line = first_undecodable_line(path)
             raise ParseError(f"{path} is not UTF-8 text: {exc.reason}", line=line) from exc
     if not header_seen:
         raise ParseError(f"{path} has no {schema!r} header")
 
 
-def _first_undecodable_line(path: str | Path) -> int | None:
+def first_undecodable_line(path: str | Path) -> int | None:
     """The 1-based number of the first line of path holding bytes that are not UTF-8."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):

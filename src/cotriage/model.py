@@ -14,10 +14,9 @@ position-wise. So the tail has one query-position choice ``pos``: every
 position (``...``), or each row's last valid one. The gate, the GRU and
 attention's keys and values cover every position; attention's queries,
 out-projection and feed-forward, and the head, only ``pos``. Scoring and the
-default ``final`` training loss run the last-position path
-(``forward(..., last_only=True)``); the per-sentence loss needs every
-position. Both give the same scores up to float rounding: BLAS rounds a row
-by its place in the block it is given.
+training loss run the last-position path (``forward(..., last_only=True)``).
+Both paths give the same scores up to float rounding: BLAS rounds a row by
+its place in the block it is given.
 
 Parallel projections are stacked column-wise in the order [reset | update |
 candidate] for the GRU (``gru.w_x`` (D, 3H), ``gru.w_h`` (H, 3H), ``gru.b_x``
@@ -32,9 +31,9 @@ the forward takes ``(params, cfg, input, mask, pos)`` and returns ``(out,
 ctx)``, and that ``ctx`` tuple is all its backward sees. ``_blocks`` picks the
 pairs the ablation flags enable; ``forward`` runs them in order and
 ``backward`` in reverse.
-Padded rows cannot influence any valid position: pooling is masked, the GRU
-carries its state through padding, attention masks padded keys, and the score
-reads only the last valid index.
+Padded rows cannot influence any valid position: pooling is masked, the
+packed GRU skips padded steps and carries its state through them, attention
+masks padded keys, and the score reads only the last valid index.
 """
 
 from __future__ import annotations
@@ -213,57 +212,63 @@ def _gate_backward(params, ctx, dxg: np.ndarray, grads) -> None:
 
 
 def _gru_forward(params, cfg: ModelConfig, xg: np.ndarray, mask: np.ndarray, pos=...):
-    """GRU with mask-carry: a padded step keeps the previous state.
+    """Packed GRU, as PyTorch's pack_padded_sequence runs it.
 
+    The rows are stable-sorted longest first, so step i runs only the first
+    active[i] rows, the ones still valid; a finished row keeps its state.
     Without the gate the GRU is the first block, so its input needs no gradient.
     """
     b, t, _ = xg.shape
     h = cfg.hidden
-    x_pre = xg @ params["gru.w_x"] + params["gru.b_x"]  # every timestep at once
+    order = np.argsort(-mask.sum(axis=1), kind="stable")
+    active = mask.sum(axis=0).astype(np.int64)
+    xs = xg[order]
+    x_pre = xs @ params["gru.w_x"] + params["gru.b_x"]  # every timestep at once
     h_prev = np.zeros((b, h))
-    h_seq = np.empty((b, t, h))
-    gates = np.empty((b, t, 3 * h))  # [r | z | n] activations
+    h_seq = np.empty((b, t, h))  # in sorted row order, like gates and hnlin
+    gates = np.empty((b, t, 3 * h))  # [r | z | n] activations; unset where padded
     hnlin = np.empty((b, t, h))
-    for i in range(t):
-        h_pre = h_prev @ params["gru.w_h"]
-        gates[:, i, : 2 * h] = _sigmoid(x_pre[:, i, : 2 * h] + h_pre[:, : 2 * h])
-        r, z = gates[:, i, :h], gates[:, i, h : 2 * h]
-        hnlin[:, i] = h_pre[:, 2 * h :] + params["gru.b_hn"]
-        n = np.tanh(x_pre[:, i, 2 * h :] + r * hnlin[:, i])
-        gates[:, i, 2 * h :] = n
-        h_new = (1.0 - z) * n + z * h_prev
-        m = mask[:, i, None]
-        h_prev = m * h_new + (1.0 - m) * h_prev
+    for i, n_i in enumerate(active):
+        hp = h_prev[:n_i]
+        h_pre = hp @ params["gru.w_h"]
+        gates[:n_i, i, : 2 * h] = _sigmoid(x_pre[:n_i, i, : 2 * h] + h_pre[:, : 2 * h])
+        r, z = gates[:n_i, i, :h], gates[:n_i, i, h : 2 * h]
+        hnlin[:n_i, i] = h_pre[:, 2 * h :] + params["gru.b_hn"]
+        n = np.tanh(x_pre[:n_i, i, 2 * h :] + r * hnlin[:n_i, i])
+        gates[:n_i, i, 2 * h :] = n
+        h_prev[:n_i] = (1.0 - z) * n + z * hp
         h_seq[:, i, :] = h_prev
-    return h_seq, (xg, mask, h_seq, gates, hnlin, cfg.use_feature_gate)
+    return h_seq[np.argsort(order)], (xs, order, h_seq, gates, hnlin, active, cfg.use_feature_gate)
 
 
 def _gru_backward(params, ctx, dh_seq: np.ndarray, grads) -> np.ndarray | None:
-    """Backprop through time: the loop carries only dh_prev; the weight
-    gradients come from the stored pre-activation gradients afterwards."""
-    xg, mask, h_seq, gates, hnlin, want_dx = ctx
+    """Backprop through time over the packed rows: the loop carries only
+    dh_prev, and a finished row's carry gathers its padded steps' gradients;
+    the weight gradients come from the stored pre-activation gradients afterwards."""
+    xs, order, h_seq, gates, hnlin, active, want_dx = ctx
     b, t, h = h_seq.shape
+    dh_seq = dh_seq[order]
     hprev = np.concatenate([np.zeros((b, 1, h)), h_seq[:, :-1]], axis=1)
-    d_x = np.empty((b, t, 3 * h))  # d(input-side pre-activation), [r | z | n]
-    d_h = np.empty((b, t, 3 * h))  # d(recurrent pre-activation), [r | z | hnlin]
+    d_x = np.zeros((b, t, 3 * h))  # d(input-side pre-activation), [r | z | n]
+    d_h = np.zeros((b, t, 3 * h))  # d(recurrent pre-activation), [r | z | hnlin]
     carry = np.zeros((b, h))
     for i in range(t - 1, -1, -1):
-        dh = dh_seq[:, i, :] + carry
-        m = mask[:, i, None]
-        dh_new = m * dh
-        r, z, n = gates[:, i, :h], gates[:, i, h : 2 * h], gates[:, i, 2 * h :]
-        da_n = dh_new * (1.0 - z) * (1.0 - n * n)
-        d_x[:, i, :h] = da_n * hnlin[:, i] * r * (1.0 - r)
-        d_x[:, i, h : 2 * h] = dh_new * (hprev[:, i] - n) * z * (1.0 - z)
-        d_x[:, i, 2 * h :] = da_n
-        d_h[:, i, : 2 * h] = d_x[:, i, : 2 * h]
-        d_h[:, i, 2 * h :] = da_n * r
-        carry = (1.0 - m) * dh + dh_new * z + d_h[:, i] @ params["gru.w_h"].T
-    grads["gru.w_x"] = _wgrad(xg, d_x)
+        n_i = active[i]
+        carry[n_i:] += dh_seq[n_i:, i]
+        dh = dh_seq[:n_i, i] + carry[:n_i]
+        r, z, n = gates[:n_i, i, :h], gates[:n_i, i, h : 2 * h], gates[:n_i, i, 2 * h :]
+        da_n = dh * (1.0 - z) * (1.0 - n * n)
+        d_x[:n_i, i, :h] = da_n * hnlin[:n_i, i] * r * (1.0 - r)
+        d_x[:n_i, i, h : 2 * h] = dh * (hprev[:n_i, i] - n) * z * (1.0 - z)
+        d_x[:n_i, i, 2 * h :] = da_n
+        d_h[:n_i, i, : 2 * h] = d_x[:n_i, i, : 2 * h]
+        d_h[:n_i, i, 2 * h :] = da_n * r
+        carry[:n_i] = dh * z + d_h[:n_i, i] @ params["gru.w_h"].T
+    grads["gru.w_x"] = _wgrad(xs, d_x)
     grads["gru.b_x"] = d_x.sum(axis=(0, 1))
     grads["gru.w_h"] = _wgrad(hprev, d_h)
     grads["gru.b_hn"] = d_h[:, :, 2 * h :].sum(axis=(0, 1))
-    return d_x @ params["gru.w_x"].T if want_dx else None
+    return (d_x @ params["gru.w_x"].T)[np.argsort(order)] if want_dx else None
 
 
 def _attn_forward(params, cfg: ModelConfig, h_seq: np.ndarray, mask: np.ndarray, pos=...):

@@ -1,18 +1,15 @@
 """Training loop for the decision model.
 
-Binary cross-entropy on the trajectory score (optionally plus an auxiliary
-per-sentence term), Adam updates, early stopping on validation ROC-AUC
-(after `patience` epochs without a new best, or at once when it reaches 1.0).
+Class-weighted binary cross-entropy on the trajectory score, Adam updates,
+early stopping on validation ROC-AUC (after `patience` epochs without a new
+best, or at once when it reaches 1.0).
 
-Each shuffled minibatch is sorted by length and split into SUB_BATCHES
-sub-batches, each padded only to its own longest trajectory; their gradients
-and losses, weighted by each part's share of the batch, sum to the whole
-batch's, and one Adam step follows. The default ``final`` loss, like
-scoring, runs the model's tail at the last sentence only. Scoring pads
-SCORE_BATCH chunks in length order, runs ``forward``'s last-position pass
-on each and returns the scores in input order. The model's masking makes
-padding inert, so regrouping rows, or running the tail at the last sentence
-only, changes a score or a summed gradient only up to float rounding.
+Each shuffled minibatch is padded once and takes one Adam step. The loss,
+like scoring, runs the model's tail at each row's last sentence only, and
+the model's packed GRU skips the padded steps. Scoring pads SCORE_BATCH
+chunks in length order, runs ``forward``'s last-position pass on each and
+returns the scores in input order. The model's masking makes padding inert,
+so regrouping rows changes a score or a gradient only up to float rounding.
 """
 
 from __future__ import annotations
@@ -32,13 +29,10 @@ from .model import ModelConfig, backward, forward, init_params
 _CLIP_LO = 1e-7
 _CLIP_HI = 1.0 - 1e-7
 
-LOSS_VARIANTS = ("final", "final_aux")
-
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 SCORE_BATCH = 256
-SUB_BATCHES = 3
 
 
 @dataclass(frozen=True)
@@ -48,19 +42,12 @@ class TrainConfig:
     max_epochs: int = 100
     patience: int = 10
     seed: int = 0
-    loss_variant: str = "final"
-    aux_weight: float = 0.5
-    class_weights: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError("lr must be a positive number")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ValueError("batch_size, max_epochs and patience must be positive")
-        if self.loss_variant not in LOSS_VARIANTS:
-            raise ValueError(f"loss_variant must be one of {LOSS_VARIANTS}")
-        if not (math.isfinite(self.aux_weight) and self.aux_weight >= 0):
-            raise ValueError("aux_weight must be a non-negative number")
 
 
 @dataclass
@@ -106,66 +93,18 @@ def batch_loss(
     mask: np.ndarray,
     y: np.ndarray,
     weights: np.ndarray,
-    variant: str = "final",
-    aux_weight: float = 0.5,
     with_grads: bool = True,
 ):
-    """Scalar training loss over a padded batch, optionally with gradients.
+    """Weighted mean BCE of the trajectory scores of a padded batch, optionally with gradients.
 
-    The final-score BCE is a weighted mean over examples; the auxiliary
-    variant adds aux_weight times the weighted mean of each example's mean
-    per-sentence BCE over its valid positions. ``final`` runs the model's
-    tail at each row's last valid position only, ``final_aux`` at every one.
+    The model's tail runs at each row's last valid position only.
     """
-    if variant not in LOSS_VARIANTS:
-        raise ValueError(f"unknown loss variant {variant!r}")
     y = np.asarray(y, dtype=np.float64)
-    b = len(y)
-    final = variant == "final"
-    q, scores, cache = forward(params, cfg, x, mask, want_cache=with_grads, last_only=final)
+    _, scores, cache = forward(params, cfg, x, mask, want_cache=with_grads, last_only=True)
     loss = float(np.mean(weights * bce(scores, y)))
-    if not final:
-        lengths = np.asarray(mask, dtype=np.float64).sum(axis=1)
-        per_pos = bce(q, y[:, None]) * mask
-        aux = per_pos.sum(axis=1) / lengths
-        loss += aux_weight * float(np.mean(weights * aux))
     if not with_grads:
         return loss, None
-
-    d_score = weights * _bce_dq(scores, y) / b
-    if final:
-        return loss, backward(params, cfg, cache, d_score)
-    dq = aux_weight * (weights / (b * lengths))[:, None] * _bce_dq(q, y[:, None]) * mask
-    dq[np.arange(b), cache["lengths"] - 1] += d_score
-    return loss, backward(params, cfg, cache, dq)
-
-
-def _sub_batched_loss(
-    params: dict[str, np.ndarray],
-    cfg: ModelConfig,
-    seqs: Sequence[FeatureSequence],
-    y: np.ndarray,
-    weights: np.ndarray,
-    variant: str,
-    aux_weight: float,
-):
-    """batch_loss of the padded seqs, from SUB_BATCHES length-sorted parts.
-
-    Each part's loss and gradients count by its share of the batch, so the
-    sums equal one padded batch's up to float rounding.
-    """
-    order = np.argsort([s.x.shape[0] for s in seqs], kind="stable")
-    loss, grads = 0.0, {}
-    for part in np.array_split(order, min(SUB_BATCHES, len(seqs))):
-        x, mask = pad_batch([seqs[i] for i in part])
-        part_loss, part_grads = batch_loss(
-            params, cfg, x, mask, y[part], weights[part], variant=variant, aux_weight=aux_weight,
-        )
-        share = len(part) / len(seqs)
-        loss += share * part_loss
-        for name, g in part_grads.items():
-            grads[name] = grads.get(name, 0.0) + share * g
-    return loss, grads
+    return loss, backward(params, cfg, cache, weights * _bce_dq(scores, y) / len(y))
 
 
 @dataclass
@@ -253,7 +192,7 @@ def train(
     n = len(train_seqs)
     y_train = np.asarray(train_labels, dtype=np.float64)
     y_val = np.asarray(val_labels, dtype=bool)
-    weights = class_weight_vector(y_train.astype(bool)) if train_cfg.class_weights else np.ones(n)
+    weights = class_weight_vector(y_train.astype(bool))
 
     rng = np.random.default_rng(train_cfg.seed)
     params = init_params(model_cfg, train_cfg.seed)
@@ -270,10 +209,8 @@ def train(
         total = 0.0
         for lo in range(0, n, train_cfg.batch_size):
             idx = perm[lo : lo + train_cfg.batch_size]
-            loss, grads = _sub_batched_loss(
-                params, model_cfg, [train_seqs[i] for i in idx], y_train[idx], weights[idx],
-                variant=train_cfg.loss_variant, aux_weight=train_cfg.aux_weight,
-            )
+            x, mask = pad_batch([train_seqs[i] for i in idx])
+            loss, grads = batch_loss(params, model_cfg, x, mask, y_train[idx], weights[idx])
             adam_step(params, grads, state, train_cfg.lr)
             total += loss * len(idx)
 

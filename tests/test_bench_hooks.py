@@ -71,7 +71,7 @@ def test_final_loss_goes_through_the_hooked_forward_and_backward(monkeypatch):
     x = rng.normal(size=(4, 5, 3))
     mask = (np.arange(5)[None, :] < np.array([5, 3, 1, 4])[:, None]).astype(np.float64)
     training.batch_loss(init_params(cfg, 0), cfg, x, mask, np.array([1.0, 0.0, 1.0, 0.0]),
-                        np.ones(4), variant="final")
+                        np.ones(4))
     assert calls == ["forward", "backward"]
 
 

@@ -202,6 +202,20 @@ def test_config_rejects_unknown_keys_and_sections(tmp_path, capsys):
                "--out", tmp_path / "f") == EXIT_USAGE
     assert "argument --subset: invalid choice: 'all'" in capsys.readouterr().err
 
+    deleted = tmp_path / "deleted.cfg"
+    deleted.write_text('loss_variant = "final"\n')
+    assert run("train", "--config", deleted, "--in", tmp_path, "--out", tmp_path / "m") == EXIT_USAGE
+    assert "unknown config keys for train: loss_variant" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_names_the_file_and_line(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"n_train = 3\n\xff\n")
+    out = tmp_path / "x"
+    assert run("synth", "--config", bad, "--out", out) == EXIT_USAGE
+    assert f"cannot read config file {bad}: line 2 is not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+
 
 def test_config_values_take_their_option_types(tmp_path):
     cfg = tmp_path / "train.cfg"
@@ -763,15 +777,18 @@ def test_exemplar_configs_match_option_tables():
 def test_exemplar_values_are_clean_and_allowed():
     subparsers = next(a for a in build_parser()._actions if a.dest == "subcommand")
     config_dir = Path(__file__).resolve().parent.parent / "configs"
-    checked = []
+    checked, choice_options = [], []
     for path in sorted(config_dir.glob("*.cfg")):
         parsed = parse_config_text(path.read_text())
         assert not [v for v in parsed.values() if isinstance(v, str) and "#" in v], path.name
         for action in subparsers.choices[path.stem]._actions:
+            if action.choices is not None:
+                choice_options.append((path.stem, action.dest))
             if action.choices is not None and action.dest in parsed:
                 assert parsed[action.dest] in action.choices, (path.name, action.dest)
                 checked.append((path.stem, action.dest))
-    assert len(checked) >= 4, checked
+    # every option with choices is set in its stage's exemplar
+    assert checked == choice_options and len(checked) >= 3, checked
 
 
 def test_train_rejects_bad_geometry(tmp_path, capsys):
@@ -947,7 +964,7 @@ def test_routing_value_that_cannot_work_exits_1_before_any_file_is_read(
 # config field of each option whose name differs from the field's; a no_* flag negates it
 _RENAMED_FIELDS = {
     "choices": "num_choices", "samples": "samples_per_question",
-    "no_feature_gate": "use_feature_gate", "no_mhsa": "use_mhsa", "no_class_weights": "class_weights",
+    "no_feature_gate": "use_feature_gate", "no_mhsa": "use_mhsa",
 }
 
 
@@ -969,7 +986,7 @@ def test_every_config_fed_option_defaults_to_its_fields_default():
         "base_url", "model", "cache_dir", "api_key_env", "timeout", "max_in_flight",
         "max_retries", "backoff",
         "hidden", "heads", "head_hidden", "no_feature_gate", "no_mhsa", "lr", "batch_size",
-        "max_epochs", "patience", "loss_variant", "aux_weight", "no_class_weights",
+        "max_epochs", "patience",
     ])
 
 
@@ -1022,15 +1039,13 @@ def test_harvest_without_paths_takes_any_n_samples(tmp_path, monkeypatch, capsys
         (["--lr", 0], "lr must be a positive number"),
         (["--lr", "nan"], "lr must be a positive number"),
         (["--lr", "inf"], "lr must be a positive number"),
-        (["--aux-weight", -1], "aux_weight must be a non-negative number"),
-        (["--aux-weight", "nan"], "aux_weight must be a non-negative number"),
         (["--batch-size", 0], "batch_size, max_epochs and patience must be positive"),
         (["--hidden", 0], "hidden sizes must be positive"),
         (["--head-hidden", 0], "hidden sizes must be positive"),
         (["--hidden", 10, "--heads", 4], "hidden must be divisible by heads"),
         (["--heads", 3], "hidden must be divisible by heads"),
     ],
-    ids=["lr_0", "lr_nan", "lr_inf", "aux_weight_-1", "aux_weight_nan", "batch_size_0",
+    ids=["lr_0", "lr_nan", "lr_inf", "batch_size_0",
          "hidden_0", "head_hidden_0", "hidden_10_heads_4", "heads_3"],
 )
 def test_train_value_that_cannot_work_exits_1_before_any_file(tmp_path, capsys, flags, message):
@@ -1097,11 +1112,9 @@ def test_every_train_option_reaches_its_config_field(tmp_path, monkeypatch):
     with pytest.raises(Captured):
         run("train", "--in", f, "--out", tmp_path / "m", "--seed", 9, "--hidden", 8, "--heads", 2,
             "--head-hidden", 4, "--no-feature-gate", "--no-mhsa", "--lr", 0.01,
-            "--batch-size", 7, "--max-epochs", 3, "--patience", 2, "--loss-variant", "final_aux",
-            "--aux-weight", 0.25, "--no-class-weights")
+            "--batch-size", 7, "--max-epochs", 3, "--patience", 2)
     assert seen == [
         ModelConfig(input_dim=len(LAYOUTS["full"]), hidden=8, heads=2, head_hidden=4,
                     use_feature_gate=False, use_mhsa=False),
-        TrainConfig(lr=0.01, batch_size=7, max_epochs=3, patience=2, seed=9,
-                    loss_variant="final_aux", aux_weight=0.25, class_weights=False),
+        TrainConfig(lr=0.01, batch_size=7, max_epochs=3, patience=2, seed=9),
     ]

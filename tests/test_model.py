@@ -44,12 +44,12 @@ def make_batch(rng, b=2, t=5, d=6, lengths=(5, 3)):
     return x, mask, y, w
 
 
-def finite_difference_check(cfg, variant="final", step=1e-5, seed=0):
+def finite_difference_check(cfg, step=1e-5, seed=0):
     """Max relative error between analytic and central-difference gradients."""
     rng = np.random.default_rng(seed)
     params = init_params(cfg, seed=seed + 1)
     x, mask, y, w = make_batch(rng, d=cfg.input_dim)
-    _, grads = batch_loss(params, cfg, x, mask, y, weights=w, variant=variant)
+    _, grads = batch_loss(params, cfg, x, mask, y, weights=w)
 
     worst = 0.0
     for name in sorted(params):
@@ -57,9 +57,9 @@ def finite_difference_check(cfg, variant="final", step=1e-5, seed=0):
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + step
-            lp, _ = batch_loss(params, cfg, x, mask, y, weights=w, variant=variant, with_grads=False)
+            lp, _ = batch_loss(params, cfg, x, mask, y, weights=w, with_grads=False)
             flat[idx] = orig - step
-            lm, _ = batch_loss(params, cfg, x, mask, y, weights=w, variant=variant, with_grads=False)
+            lm, _ = batch_loss(params, cfg, x, mask, y, weights=w, with_grads=False)
             flat[idx] = orig
             fd = (lp - lm) / (2.0 * step)
             an = grads[name].reshape(-1)[idx]
@@ -73,11 +73,6 @@ def finite_difference_check(cfg, variant="final", step=1e-5, seed=0):
 def test_gradients_match_finite_differences(gate, mhsa):
     cfg = small_cfg(use_feature_gate=gate, use_mhsa=mhsa)
     assert finite_difference_check(cfg) < 1e-4
-
-
-def test_gradients_match_with_auxiliary_loss():
-    cfg = small_cfg()
-    assert finite_difference_check(cfg, variant="final_aux") < 1e-4
 
 
 @SCORERS
@@ -171,7 +166,7 @@ def test_final_loss_runs_the_head_once_on_last_positions(monkeypatch, mhsa):
         return q, ctx
 
     monkeypatch.setattr(model, "_head_forward", recording_head)
-    batch_loss(params, cfg, x, mask, y, weights=w, variant="final")
+    batch_loss(params, cfg, x, mask, y, weights=w)
     assert calls == [((5,) if mhsa else (5, 7), (5,))]
 
 
@@ -231,6 +226,27 @@ def test_gru_state_carries_through_padding():
     h = h_seq[0]
     np.testing.assert_array_equal(h[3], h[2])
     np.testing.assert_array_equal(h[5], h[2])
+
+
+def test_gru_gradient_at_padded_steps_reaches_the_last_valid_state():
+    """A padded step's output is the carried last valid state, so its gradient
+    counts as that state's: moving it there leaves every gradient unchanged."""
+    rng = np.random.default_rng(7)
+    cfg = small_cfg(use_feature_gate=False)
+    params = init_params(cfg, seed=7)
+    x, mask, _, _ = make_batch(rng, b=4, t=7, lengths=(2, 7, 5, 1))
+    h_seq, ctx = _gru_forward(params, cfg, x, mask)
+    dh = rng.normal(size=h_seq.shape)
+    moved = dh * mask[:, :, None]
+    for row, length in enumerate(mask.sum(axis=1).astype(int)):
+        moved[row, length - 1] += dh[row, length:].sum(axis=0)
+    ctx = ctx[:-1] + (True,)
+    got, want = {}, {}
+    dx_got = _gru_backward(params, ctx, dh, got)
+    dx_want = _gru_backward(params, ctx, moved, want)
+    np.testing.assert_allclose(dx_got, dx_want, rtol=1e-12, atol=1e-14)
+    for name in want:
+        np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=1e-14, err_msg=name)
 
 
 @pytest.mark.parametrize("mhsa", [True, False])

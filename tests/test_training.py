@@ -4,15 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from cotriage import training
+from cotriage import model, training
 from cotriage.errors import CotriageError
 from cotriage.features import FeatureSequence
 from cotriage.model import ModelConfig, backward, forward, init_params
 from cotriage.training import (
-    SUB_BATCHES,
     AdamState,
     TrainConfig,
-    _sub_batched_loss,
     adam_step,
     batch_loss,
     bce,
@@ -145,7 +143,7 @@ def test_final_loss_matches_the_all_positions_pass(gate, mhsa):
     dq[np.arange(33), cache["lengths"] - 1] = w * training._bce_dq(scores, y) / 33
     want = backward(params, cfg, cache, dq)
 
-    got_loss, got = batch_loss(params, cfg, x, mask, y, w, variant="final")
+    got_loss, got = batch_loss(params, cfg, x, mask, y, w)
     assert got_loss == pytest.approx(want_loss, rel=1e-12, abs=0)
     assert got.keys() == want.keys()
     for name in want:
@@ -207,16 +205,6 @@ def test_empty_datasets_rejected():
         train(seqs, labels, [], [], model_cfg, TrainConfig())
 
 
-def test_loss_variants_validated():
-    with pytest.raises(ValueError):
-        TrainConfig(loss_variant="other")
-    with pytest.raises(ValueError):
-        batch_loss(
-            {}, ModelConfig(input_dim=2, hidden=4, heads=2), None, None, np.array([1.0]), np.ones(1),
-            variant="nope",
-        )
-
-
 def test_training_log_files(tmp_path):
     rng = np.random.default_rng(3)
     train_seqs, train_labels = _planted_dataset(rng, 20)
@@ -258,30 +246,57 @@ def _mixed_length_batch(rng, b, d=4):
     return seqs, labels.astype(np.float64), class_weight_vector(labels)
 
 
-@pytest.mark.parametrize("variant", ["final", "final_aux"])
-@pytest.mark.parametrize("b", [1, 2, SUB_BATCHES + 1, 64])
-def test_sub_batches_sum_to_one_padded_batch(monkeypatch, variant, b):
-    rng = np.random.default_rng(b)
-    cfg = ModelConfig(input_dim=4, hidden=8, heads=2, head_hidden=4)
-    params = init_params(cfg, seed=b)
-    seqs, y, w = _mixed_length_batch(rng, b)
-    x, mask = pad_batch(seqs)
-    want_loss, want = batch_loss(params, cfg, x, mask, y, w, variant=variant, aux_weight=0.5)
-    masks = _record_pad_shapes(monkeypatch)
-    got_loss, got = _sub_batched_loss(params, cfg, seqs, y, w, variant=variant, aux_weight=0.5)
+def _unsorted_seqs(rng, lengths=(2, 7, 5, 1), d=4):
+    return [FeatureSequence(f"q{i}", rng.normal(size=(t, d)), "numeric") for i, t in enumerate(lengths)]
 
-    assert got_loss == pytest.approx(want_loss, rel=1e-12)
+
+def test_packed_gru_steps_only_the_rows_still_valid():
+    rng = np.random.default_rng(30)
+    cfg = ModelConfig(input_dim=4, hidden=8, heads=2, head_hidden=4)
+    params = init_params(cfg, seed=30)
+    seqs = _unsorted_seqs(rng)
+    x, mask = pad_batch(seqs)
+    rows = []
+
+    class RecordingWeight(np.ndarray):
+        """gru.w_h, recording the row count of each recurrent product it takes part in."""
+
+        def __rmatmul__(self, other):
+            rows.append(len(other))
+            return other @ self.view(np.ndarray)
+
+    recording = {**params, "gru.w_h": params["gru.w_h"].view(RecordingWeight)}
+    h_seq, ctx = model._gru_forward(recording, cfg, x, mask)
+    assert rows == [4, 3, 2, 2, 2, 1, 1]  # the rows still valid at steps 0..6
+    rows.clear()
+    model._gru_backward(recording, ctx, np.ones_like(h_seq), {})
+    assert rows == [1, 1, 2, 2, 2, 3, 4]
+
+
+@pytest.mark.parametrize("gate", [True, False])
+@pytest.mark.parametrize("mhsa", [True, False])
+def test_packed_batch_equals_its_rows_run_alone(gate, mhsa):
+    """An unsorted padded batch's loss and gradients are the weighted sum of
+    each row's own, up to float rounding."""
+    rng = np.random.default_rng(31)
+    cfg = ModelConfig(input_dim=4, hidden=8, heads=2, head_hidden=4,
+                      use_feature_gate=gate, use_mhsa=mhsa)
+    params = init_params(cfg, seed=31)
+    seqs = _unsorted_seqs(rng)
+    y, w = np.array([1.0, 0.0, 1.0, 1.0]), np.array([0.7, 2.1, 0.7, 0.7])
+    got_loss, got = batch_loss(params, cfg, *pad_batch(seqs), y, w)
+
+    want_loss, want = 0.0, {}
+    for i, seq in enumerate(seqs):
+        loss_i, grads_i = batch_loss(params, cfg, *pad_batch([seq]), y[i : i + 1], w[i : i + 1])
+        want_loss += loss_i / len(seqs)
+        for name, g in grads_i.items():
+            want[name] = want.get(name, 0.0) + g / len(seqs)
+    assert got_loss == pytest.approx(want_loss, rel=1e-12, abs=0)
     assert got.keys() == want.keys()
     for name in want:
         scale = max(np.abs(want[name]).max(), 1e-300)
         assert np.abs(got[name] - want[name]).max() <= 1e-12 * scale, name
-    # min(SUB_BATCHES, b) non-empty parts, in length order, together the whole batch
-    assert len(masks) == min(SUB_BATCHES, b)
-    part_lengths = np.concatenate([m.sum(axis=1) for m in masks])
-    assert np.all(np.diff(part_lengths) >= 0)
-    assert sorted(part_lengths) == sorted(s.x.shape[0] for s in seqs)
-    if b == 64:
-        assert sum(m.size for m in masks) < mask.size
 
 
 def test_train_with_a_one_row_last_batch(monkeypatch):
@@ -295,9 +310,9 @@ def test_train_with_a_one_row_last_batch(monkeypatch):
         TrainConfig(batch_size=8, max_epochs=1, patience=1, seed=5),
     )
     assert len(result.log) == 1 and np.isfinite(result.log[0]["train_loss"])
-    # two 8-row batches in SUB_BATCHES parts, the 1-row batch whole, then one val chunk
-    assert [len(m) for m in masks[:-1]].count(1) == 1
-    assert len(masks) == 2 * SUB_BATCHES + 1 + 1
+    # two 8-row batches and the 1-row batch, each padded once, then one val chunk
+    assert [len(m) for m in masks] == [8, 8, 1, 6]
+    assert len(masks) == 2 + 1 + 1
 
 
 def test_score_features_returns_input_order(monkeypatch):
