@@ -3,9 +3,7 @@
 Simulates routing on held-out items across a grid of thresholds and picks the
 most token-frugal threshold whose accuracy stays within a relative drop of
 the best grid accuracy. An item routed to multi-path reasoning still pays for
-its greedy pass by default: that cost is sunk by the time the decision is
-made. The exclusive accounting (escalation discards the greedy cost) stays
-available behind sunk_greedy=False.
+its greedy pass: that cost is sunk by the time the decision is made.
 """
 
 from __future__ import annotations
@@ -71,24 +69,22 @@ class RoutingArrays(NamedTuple):
         return cls(*(np.array([getattr(it, f) for it in items]) for f in cls._fields))
 
 
-def route_at_tau(
-    arrays: RoutingArrays, tau: float, sunk_greedy: bool = True
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def route_at_tau(arrays: RoutingArrays, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The accept-or-escalate rule: per-item (accepted, correct, tokens).
 
     An item whose score is >= tau keeps its greedy answer and cost; any other
-    item takes the multi-path answer and pays the multi-path tokens, plus the
-    greedy tokens when sunk_greedy.
+    item takes the multi-path answer and pays the multi-path tokens on top of
+    the greedy ones.
     """
     accepted = arrays.score >= tau
-    escalated = arrays.multi_tokens + arrays.greedy_tokens if sunk_greedy else arrays.multi_tokens
+    escalated = arrays.multi_tokens + arrays.greedy_tokens
     correct = np.where(accepted, arrays.greedy_correct, arrays.multi_correct)
     return accepted, correct, np.where(accepted, arrays.greedy_tokens, escalated)
 
 
-def _point(arrays: RoutingArrays, tau: float, sunk_greedy: bool) -> CalibrationPoint:
+def _point(arrays: RoutingArrays, tau: float) -> CalibrationPoint:
     """CotriageError when every multi-path route costs 0 tokens: then no reduction is defined."""
-    accepted, correct, tokens = route_at_tau(arrays, tau, sunk_greedy)
+    accepted, correct, tokens = route_at_tau(arrays, tau)
     n = len(accepted)
     mean_tokens = int(tokens.sum()) / n
     baseline = int(arrays.multi_tokens.sum())
@@ -103,20 +99,18 @@ def _point(arrays: RoutingArrays, tau: float, sunk_greedy: bool) -> CalibrationP
     )
 
 
-def simulate_at_tau(
-    items: Sequence[CalibrationItem], tau: float, sunk_greedy: bool = True
-) -> CalibrationPoint:
+def simulate_at_tau(items: Sequence[CalibrationItem], tau: float) -> CalibrationPoint:
     """Route every item at threshold tau and aggregate accuracy and cost.
 
     token_reduction is relative to always running the multi-path baseline.
     """
-    return _point(RoutingArrays.of(items), tau, sunk_greedy)
+    return _point(RoutingArrays.of(items), tau)
 
 
-def sweep(items: Sequence[CalibrationItem], sunk_greedy: bool = True) -> CalibrationProfile:
+def sweep(items: Sequence[CalibrationItem]) -> CalibrationProfile:
     """Route the items at every threshold of default_grid()."""
     arrays = RoutingArrays.of(items)
-    return CalibrationProfile([_point(arrays, tau, sunk_greedy) for tau in default_grid()])
+    return CalibrationProfile([_point(arrays, tau) for tau in default_grid()])
 
 
 def check_max_rel_drop(max_rel_drop: float) -> None:
@@ -149,23 +143,23 @@ def profile_to_csv(profile: CalibrationProfile, path: str | Path) -> None:
 
 def write_selection_summary(
     profile: CalibrationProfile, tau: float, path: str | Path, max_rel_drop: float,
-    baseline_method: str, sunk_greedy: bool,
+    baseline_method: str, budget: int,
 ) -> None:
     """selection.json: the tau that select_threshold(profile, max_rel_drop) chose, in context:
-    the profile's voting method and greedy-cost accounting."""
+    the profile's voting method and path budget."""
     doc = {
         "selected_tau": tau,
         "max_accuracy": max(pt.accuracy for pt in profile.points),
         "max_rel_drop": max_rel_drop,
         "baseline_method": baseline_method,
-        "sunk_greedy": sunk_greedy,
+        "budget": budget,
     }
     write_json(path, doc)
 
 
 def read_selection_summary(path: str | Path) -> dict:
     """The selection.json document, selected_tau a float; ParseError unless it is a finite
-    number, baseline_method a string and sunk_greedy a boolean."""
+    number, baseline_method a string and budget an int."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -173,7 +167,7 @@ def read_selection_summary(path: str | Path) -> dict:
             if not math.isfinite(doc["selected_tau"]):
                 raise ValueError(f"selected_tau is {doc['selected_tau']}")
             typed(doc, "baseline_method", str)
-            typed(doc, "sunk_greedy", bool)
+            typed(doc, "budget", int)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad selection summary {path}: {exc!r}") from exc
     return doc

@@ -74,7 +74,7 @@ from .trajectory import (
     write_trajectories,
 )
 from .training import TrainConfig, score_features, train, write_training_log
-from .voting import METHODS, PATHS_SCHEMA, check_method_options, read_paths, write_paths
+from .voting import METHODS, PATHS_SCHEMA, check_budget, read_paths, write_paths
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -230,8 +230,7 @@ def _load_routing_items(opts, run: Run) -> list:
     params, mcfg = load_checkpoint(run.reads(opts.model))
     scores = score_features(params, mcfg, [by_qid[t.question_id] for t in trajectories])
     return build_calibration_items(
-        trajectories, scores, paths_by_qid, questions, method=opts.method, budget=opts.budget,
-        votes_needed=opts.votes_needed, include_greedy_vote=opts.include_greedy_vote,
+        trajectories, scores, paths_by_qid, questions, method=opts.method, budget=opts.budget
     )
 
 
@@ -323,21 +322,20 @@ def cmd_train(opts, run: Run) -> dict:
 
 
 def cmd_calibrate(opts, run: Run) -> dict:
-    check_method_options(opts.method, opts.budget, opts.votes_needed, opts.include_greedy_vote)
+    check_budget(opts.budget)
     check_max_rel_drop(opts.max_rel_drop)
     items = _load_routing_items(opts, run)
-    sunk_greedy = not opts.no_sunk_greedy
-    profile = sweep(items, sunk_greedy=sunk_greedy)
+    profile = sweep(items)
     tau = select_threshold(profile, max_rel_drop=opts.max_rel_drop)
     profile_to_csv(profile, run.writes("profile.csv"))
     write_selection_summary(
-        profile, tau, run.writes("selection.json"), opts.max_rel_drop, opts.method, sunk_greedy
+        profile, tau, run.writes("selection.json"), opts.max_rel_drop, opts.method, opts.budget
     )
     return {"selected_tau": tau}
 
 
 def cmd_route(opts, run: Run) -> dict:
-    check_method_options(opts.method, opts.budget, opts.votes_needed, opts.include_greedy_vote)
+    check_budget(opts.budget)
     if (opts.tau is None) == (opts.selection is None):
         raise ValueError("route: pass exactly one of --tau and --selection selection.json")
     if opts.tau is not None and not math.isfinite(opts.tau):
@@ -345,13 +343,13 @@ def cmd_route(opts, run: Run) -> dict:
     tau = opts.tau
     if tau is None:
         summary = read_selection_summary(run.reads(opts.selection))
-        ours = {"baseline_method": opts.method, "sunk_greedy": not opts.no_sunk_greedy}
+        ours = {"baseline_method": opts.method, "budget": opts.budget}
         theirs = {key: summary[key] for key in ours}
         if theirs != ours:
             raise CotriageError(f"{opts.selection} was calibrated with {theirs}, not {ours}")
         tau = summary["selected_tau"]
     items = _load_routing_items(opts, run)
-    outcomes = route_outcomes(items, tau, sunk_greedy=not opts.no_sunk_greedy)
+    outcomes = route_outcomes(items, tau)
     for name, vector in outcomes.items():
         write_outcomes(run.writes(f"outcomes.{name}.jsonl"), vector)
     policy = summarize(outcomes["policy"])
@@ -392,9 +390,6 @@ _ROUTING = (
     ("out", str, ..., "output directory"),
     ("method", METHODS, "sc", "voting method of the multi-path route"),
     ("budget", int, 10, "sampled paths consumed per escalation"),
-    ("votes_needed", int, None, "dv early-stop vote count (default budget // 2 + 1)"),
-    ("include_greedy_vote", bool, False, "count the greedy answer as one more sc/cer vote"),
-    ("no_sunk_greedy", bool, False, "escalation does not pay for the greedy pass"),
 )
 
 _SPLIT_SCHEMAS = {"questions": QUESTIONS_SCHEMA, "traj": TRAJ_SCHEMA, "paths": PATHS_SCHEMA}

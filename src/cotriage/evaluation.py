@@ -160,13 +160,12 @@ def build_calibration_items(
     questions: Mapping[str, McQuestion],
     method: str = "sc",
     budget: int = 10,
-    votes_needed: int | None = None,
-    include_greedy_vote: bool = False,
 ) -> list[CalibrationItem]:
     """Join trajectories, detector scores, sampled paths and gold answers.
 
     Correctness of the multi-path route comes from replaying the voting
     method on the archived paths; an abstaining vote is simply incorrect.
+    CotriageError for a question with fewer than budget sampled paths.
     """
     if len(trajectories) != len(scores):
         raise CotriageError("need exactly one score per trajectory")
@@ -180,12 +179,11 @@ def build_calibration_items(
             raise CotriageError(f"question {qid!r} has no gold answer")
         if qid not in paths_by_qid:
             raise CotriageError(f"no sampled paths for {qid!r}")
-        extra = None
-        if include_greedy_vote:
-            extra = (traj.greedy_answer, float(traj.p[-1]))
-        vote = run_method(
-            paths_by_qid[qid], method, budget=budget, votes_needed=votes_needed, extra_vote=extra
-        )
+        paths = paths_by_qid[qid]
+        if len(paths) < budget:
+            raise CotriageError(f"question {qid!r} has {len(paths)} sampled paths, "
+                                f"fewer than the budget of {budget}")
+        vote = run_method(paths, method, budget=budget)
         items.append(
             CalibrationItem(
                 question_id=qid,
@@ -199,14 +197,12 @@ def build_calibration_items(
     return items
 
 
-def route_outcomes(
-    items: Sequence[CalibrationItem], tau: float, sunk_greedy: bool = True
-) -> dict[str, OutcomeVector]:
+def route_outcomes(items: Sequence[CalibrationItem], tau: float) -> dict[str, OutcomeVector]:
     """Outcome vectors for the greedy route, the multi-path route, and the
     threshold policy that accepts the greedy answer when score >= tau."""
     arrays = RoutingArrays.of(items)
     ids = [it.question_id for it in items]
-    _, correct, tokens = route_at_tau(arrays, tau, sunk_greedy)
+    _, correct, tokens = route_at_tau(arrays, tau)
     return {
         "greedy": OutcomeVector(ids, arrays.greedy_correct, arrays.greedy_tokens),
         "multi": OutcomeVector(ids, arrays.multi_correct, arrays.multi_tokens),

@@ -82,20 +82,15 @@ def confidence_weighted_vote(answers: Sequence[int], confidences: Sequence[float
     return min(conf, key=lambda a: (-conf[a], a))
 
 
-def dynamic_vote(
-    paths: Sequence[SampledPath],
-    budget: int = 10,
-    votes_needed: int | None = None,
-) -> VoteResult:
-    """Consume paths in order, stopping once an answer has votes_needed votes.
+def dynamic_vote(paths: Sequence[SampledPath], budget: int = 10) -> VoteResult:
+    """Consume paths in order, stopping once an answer has budget // 2 + 1 votes.
 
     Without early consensus the drawn paths fall back to confidence-weighted
     voting. Tokens are counted for every consumed path, abstains included.
-    ValueError for a budget or votes_needed below 1.
+    ValueError for a budget below 1.
     """
-    check_method_options("dv", budget, votes_needed, False)
-    if votes_needed is None:
-        votes_needed = budget // 2 + 1
+    check_budget(budget)
+    majority = budget // 2 + 1
     window = paths[:budget]
     counts: dict[int, int] = defaultdict(int)
     tokens = 0
@@ -103,49 +98,26 @@ def dynamic_vote(
         tokens += path.token_cost
         if path.answer != ABSTAIN:
             counts[path.answer] += 1
-            if counts[path.answer] >= votes_needed:
+            if counts[path.answer] >= majority:
                 return VoteResult(path.answer, tokens)
     answer = confidence_weighted_vote([p.answer for p in window], [p.confidence for p in window])
     return VoteResult(answer, tokens)
 
 
-def check_method_options(
-    method: str, budget: int, votes_needed: int | None, extra_vote: bool
-) -> None:
-    """ValueError for a budget or votes_needed below 1, or an option the
-    method ignores: an extra vote with dv, votes_needed without."""
+def check_budget(budget: int) -> None:
+    """ValueError for a budget below 1."""
     if budget < 1:
         raise ValueError("budget must be positive")
-    if votes_needed is not None and votes_needed < 1:
-        raise ValueError("votes_needed must be positive")
-    if method == "dv" and extra_vote:
-        raise ValueError("dynamic voting does not take an extra vote")
-    if method != "dv" and votes_needed is not None:
-        raise ValueError(f"{method} voting does not take votes_needed, only dv does")
 
 
-def run_method(
-    paths: Sequence[SampledPath],
-    method: str,
-    budget: int = 10,
-    votes_needed: int | None = None,
-    extra_vote: tuple[int, float] | None = None,
-) -> VoteResult:
-    """Answer one question with a voting method over its sampled paths.
-
-    extra_vote injects an already-paid-for answer (the greedy one) into the
-    tallies of the set-based methods at zero token cost; dv rejects it.
-    votes_needed is dv's early-stop count; sc and cer reject it.
-    """
-    check_method_options(method, budget, votes_needed, extra_vote is not None)
+def run_method(paths: Sequence[SampledPath], method: str, budget: int = 10) -> VoteResult:
+    """Answer one question with a voting method over its first budget sampled paths."""
+    check_budget(budget)
     if method == "dv":
-        return dynamic_vote(paths, budget=budget, votes_needed=votes_needed)
-    window = list(paths[:budget])
+        return dynamic_vote(paths, budget=budget)
+    window = paths[:budget]
     answers = [p.answer for p in window]
     confidences = [p.confidence for p in window]
-    if extra_vote is not None:
-        answers.append(extra_vote[0])
-        confidences.append(extra_vote[1])
     if method == "sc":
         answer = majority_vote(answers, confidences)
     elif method == "cer":

@@ -21,7 +21,7 @@ from cotriage.calibration import (
 from cotriage.errors import CotriageError
 
 
-def oracle_point(items, tau, sunk_greedy=True):
+def oracle_point(items, tau):
     """Independent re-derivation of the routing simulation."""
     acc = []
     toks = []
@@ -30,12 +30,7 @@ def oracle_point(items, tau, sunk_greedy=True):
         take_greedy = it.score >= tau
         accepted.append(take_greedy)
         acc.append(it.greedy_correct if take_greedy else it.multi_correct)
-        if take_greedy:
-            toks.append(it.greedy_tokens)
-        elif sunk_greedy:
-            toks.append(it.greedy_tokens + it.multi_tokens)
-        else:
-            toks.append(it.multi_tokens)
+        toks.append(it.greedy_tokens if take_greedy else it.greedy_tokens + it.multi_tokens)
     baseline = sum(it.multi_tokens for it in items) / len(items)
     mean_tokens = sum(toks) / len(items)
     return (
@@ -68,13 +63,12 @@ def test_default_grid():
     assert all(b > a for a, b in zip(grid, grid[1:]))
 
 
-@pytest.mark.parametrize("sunk", [True, False])
-def test_simulation_matches_oracle(sunk):
+def test_simulation_matches_oracle():
     rng = np.random.default_rng(0)
     items = random_items(rng, 200)
     for tau in default_grid():
-        pt = simulate_at_tau(items, tau, sunk_greedy=sunk)
-        acc, toks, red, rate = oracle_point(items, tau, sunk_greedy=sunk)
+        pt = simulate_at_tau(items, tau)
+        acc, toks, red, rate = oracle_point(items, tau)
         assert abs(pt.accuracy - acc) < 1e-12
         assert abs(pt.mean_tokens - toks) < 1e-12
         assert abs(pt.token_reduction - red) < 1e-12
@@ -169,9 +163,9 @@ def test_profile_csv_and_summary(tmp_path):
     assert float(rows[0]["tau"]) == 0.0
 
     summary_path = tmp_path / "selection.json"
-    write_selection_summary(profile, tau, summary_path, 0.005, "cer", False)
+    write_selection_summary(profile, tau, summary_path, 0.005, "cer", 7)
     doc = read_selection_summary(summary_path)
     assert doc["selected_tau"] == tau
     assert doc["baseline_method"] == "cer" and doc["max_rel_drop"] == 0.005
-    assert json.loads(summary_path.read_text())["sunk_greedy"] is False
+    assert json.loads(summary_path.read_text())["budget"] == 7
 

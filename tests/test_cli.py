@@ -350,8 +350,10 @@ def test_data_error_exit_codes(tmp_path, capsys):
     selection = tmp_path / "selection.json"
     for text in ("{}", "not json", "[0.5]", '{"selected_tau": "0.5"}', '{"selected_tau": true}',
                  '{"selected_tau": NaN}', '{"selected_tau": -Infinity}', '{"selected_tau": 0.5}',
-                 '{"selected_tau": 0.5, "baseline_method": 1, "sunk_greedy": true}',
-                 '{"selected_tau": 0.5, "baseline_method": "sc", "sunk_greedy": "yes"}'):
+                 '{"selected_tau": 0.5, "baseline_method": 1, "budget": 10}',
+                 '{"selected_tau": 0.5, "baseline_method": "sc", "budget": "10"}',
+                 '{"selected_tau": 0.5, "baseline_method": "sc", "budget": true}',
+                 '{"selected_tau": 0.5, "baseline_method": "sc", "sunk_greedy": true}'):
         selection.write_text(text)
         assert run("route", "--data", tmp_path, "--features", tmp_path,
                    "--model", tmp_path / "m.ckpt", "--out", tmp_path / "r",
@@ -641,41 +643,22 @@ def test_out_under_a_regular_file_exits_2(routed_run, tmp_path, monkeypatch, cap
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "q.jsonl"]
 
 
-@pytest.mark.parametrize(
-    "flags, message",
-    [
-        (["--method", "dv", "--include-greedy-vote"], "dynamic voting does not take an extra vote"),
-        (["--method", "sc", "--votes-needed", 3], "sc voting does not take votes_needed"),
-        (["--method", "cer", "--votes-needed", 3], "cer voting does not take votes_needed"),
-    ],
-    ids=["dv_greedy_vote", "sc_votes_needed", "cer_votes_needed"],
-)
-def test_voting_option_the_method_ignores_is_a_usage_error(routed_run, tmp_path, capsys, flags,
-                                                           message):
-    argv = _stage_argv("calibrate", routed_run, tmp_path / "unused")
-    assert run("calibrate", *argv, *flags, "--out", tmp_path / "c") == EXIT_USAGE
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "c").exists()
-
-
 @pytest.mark.parametrize("stage", ["calibrate", "route"])
-def test_voting_option_the_method_ignores_is_rejected_before_any_file_is_read(
-    tmp_path, capsys, stage
-):
-    missing = tmp_path / "missing"
-    argv = ["--data", missing, "--features", missing, "--model", missing / "model.ckpt",
-            "--method", "dv", "--include-greedy-vote", "--out", tmp_path / "c"]
-    if stage == "route":
-        argv += ["--selection", missing / "selection.json"]
-    assert run(stage, *argv) == EXIT_USAGE
-    assert "dynamic voting does not take an extra vote" in capsys.readouterr().err
+def test_budget_above_a_questions_sampled_paths_is_a_data_error(routed_run, tmp_path, capsys,
+                                                                stage):
+    argv = _stage_argv(stage, routed_run, tmp_path / "unused")
+    assert run(stage, *argv, "--budget", 6, "--out", tmp_path / "c") == EXIT_DATA
+    err = capsys.readouterr().err
+    split = {"calibrate": "val", "route": "test"}[stage]
+    assert f"question '{split}-00000' has 5 sampled paths, fewer than the budget of 6" in err
+    assert not (tmp_path / "c").exists()
 
 
 @pytest.mark.parametrize(
     "flags, calibrated, routed",
     [(["--method", "dv"], "'baseline_method': 'sc'", "'baseline_method': 'dv'"),
-     (["--no-sunk-greedy"], "'sunk_greedy': True", "'sunk_greedy': False")],
-    ids=["method", "sunk_greedy"],
+     (["--budget", 3], "'budget': 5", "'budget': 3")],
+    ids=["method", "budget"],
 )
 def test_route_refuses_a_selection_calibrated_under_other_options(routed_run, tmp_path, capsys,
                                                                    flags, calibrated, routed):
@@ -940,14 +923,10 @@ def test_calibrate_max_rel_drop_outside_zero_one_exits_1(routed_run, tmp_path, c
         ("calibrate", ["--max-rel-drop", 2], "max_rel_drop must be in [0, 1]"),
         ("calibrate", ["--max-rel-drop", "nan"], "max_rel_drop must be in [0, 1]"),
         ("report", ["--resamples", 0], "resamples must be positive"),
-        ("calibrate", ["--method", "dv", "--votes-needed", 0], "votes_needed must be positive"),
-        ("route", ["--method", "dv", "--votes-needed", -1, "--tau", 0.5],
-         "votes_needed must be positive"),
         ("route", ["--tau", "nan"], "tau must be a finite number"),
         ("route", ["--tau", "inf"], "tau must be a finite number"),
     ],
-    ids=["max_rel_drop_2", "max_rel_drop_nan", "resamples_0", "calibrate_votes_needed_0",
-         "route_votes_needed_-1", "tau_nan", "tau_inf"],
+    ids=["max_rel_drop_2", "max_rel_drop_nan", "resamples_0", "tau_nan", "tau_inf"],
 )
 def test_routing_value_that_cannot_work_exits_1_before_any_file_is_read(
     tmp_path, capsys, stage, flags, message

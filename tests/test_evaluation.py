@@ -217,9 +217,6 @@ def test_route_outcomes_boundaries():
         outs["policy"].tokens, outs["multi"].tokens + outs["greedy"].tokens
     )
 
-    outs = route_outcomes(items, above, sunk_greedy=False)
-    np.testing.assert_array_equal(outs["policy"].tokens, outs["multi"].tokens)
-
 
 def _tiny_traj(qid, answer, final_p=0.8, k=4):
     probs = np.full((1, k), (1.0 - final_p) / (k - 1))
@@ -247,21 +244,6 @@ def test_build_calibration_items_joins_everything():
     assert items[0].multi_tokens == 150
     assert items[1].multi_tokens == 180
     assert items[0].score == 0.9
-
-
-def test_build_calibration_items_greedy_vote_flag():
-    questions = {"q0": McQuestion("q0", "?", ["a", "b"], gold_idx=0)}
-    trajs = [_tiny_traj("q0", answer=0, k=2, final_p=0.99)]
-    # one sampled vote for answer 1; greedy's extra vote for 0 wins the tie
-    # on confidence (0.99 vs 0.5)
-    paths = {"q0": [SampledPath("q0", 0, 1, 50, 0.5)]}
-    plain = build_calibration_items(trajs, [0.5], paths, questions, budget=1)
-    boosted = build_calibration_items(
-        trajs, [0.5], paths, questions, budget=1, include_greedy_vote=True
-    )
-    assert not plain[0].multi_correct
-    assert boosted[0].multi_correct
-    assert boosted[0].multi_tokens == plain[0].multi_tokens
 
 
 def test_build_calibration_items_alignment_errors():
