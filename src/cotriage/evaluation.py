@@ -219,7 +219,9 @@ def write_outcomes(path: str | Path, v: OutcomeVector) -> None:
 
 
 def _outcome_from_record(rec: dict) -> tuple[str, bool, int]:
-    return typed(rec, "question_id", str), typed(rec, "correct", bool), typed(rec, "tokens", int)
+    if typed(rec, "tokens", int) < 0:
+        raise ValueError(f"tokens must be >= 0, not {rec['tokens']}")
+    return typed(rec, "question_id", str), typed(rec, "correct", bool), rec["tokens"]
 
 
 def read_outcomes(path: str | Path) -> OutcomeVector:

@@ -9,6 +9,7 @@ order a feature dump was written with under "columns".
 
 from __future__ import annotations
 
+import base64
 import string
 from collections import defaultdict
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from . import lexicons
 from .jsonl import read_unique_jsonl, typed, write_jsonl
 from .trajectory import McQuestion, Trajectory, numeric_array, read_only
 
-FEATURES_SCHEMA = "features/1"
+FEATURES_SCHEMA = "features/2"
 LABELS_SCHEMA = "labels/1"
 
 NUMERIC_LAYOUT = [
@@ -273,18 +274,19 @@ def write_features(path: str | Path, seqs: Iterable[FeatureSequence]) -> None:
         for seq in seqs:
             yield {
                 "question_id": seq.question_id,
-                "mask_len": seq.x.shape[0],
                 "layout_id": seq.layout_id,
-                "rows": seq.x.tolist(),
+                "shape": list(seq.x.shape),
+                "rows": base64.b64encode(seq.x.astype("<f8", copy=False).tobytes()).decode("ascii"),
             }
 
     write_jsonl(path, FEATURES_SCHEMA, records())
 
 
 def read_features(path: str | Path) -> list[FeatureSequence]:
-    """Read a features/1 file, applying the writer's checks; question ids must be unique.
+    """Read a features/2 file, applying the writer's checks; question ids must be unique.
 
-    Every record has the first record's layout, and a column per layout column.
+    Every record has the first record's layout; its "rows" is the base64 of
+    "shape" = [rows, layout columns] little-endian float64 values, row-major.
     """
     first_layout = None
 
@@ -296,13 +298,16 @@ def read_features(path: str | Path) -> list[FeatureSequence]:
             raise ValueError(f"unknown layout_id {layout_id!r}")
         if layout_id != first_layout:
             raise ValueError(f"layout {layout_id!r} differs from the file's {first_layout!r}")
-        seq = FeatureSequence(typed(rec, "question_id", str), rec["rows"], layout_id)
-        if typed(rec, "mask_len", int) != len(seq.x):
-            raise ValueError("mask_len disagrees with row count")
-        n_cols = len(LAYOUTS[layout_id])
-        if seq.x.shape[1] != n_cols:
-            raise ValueError(f"rows have {seq.x.shape[1]} columns, layout {layout_id!r} has {n_cols}")
-        return seq
+        shape, n_cols = typed(rec, "shape", list), len(LAYOUTS[layout_id])
+        if len(shape) != 2 or any(type(n) is not int for n in shape):
+            raise ValueError(f"shape must be two ints, not {shape!r}")
+        if shape[1] != n_cols:
+            raise ValueError(f"rows have {shape[1]} columns, layout {layout_id!r} has {n_cols}")
+        raw = base64.b64decode(typed(rec, "rows", str), validate=True)
+        if len(raw) != shape[0] * n_cols * 8:
+            raise ValueError(f"rows hold {len(raw)} bytes, not the {shape[0] * n_cols * 8} of shape {shape}")
+        x = np.frombuffer(raw, "<f8").reshape(shape)
+        return FeatureSequence(typed(rec, "question_id", str), x, layout_id)
 
     return list(read_unique_jsonl(path, FEATURES_SCHEMA, parse, attrgetter("question_id")))
 

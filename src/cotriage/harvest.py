@@ -36,7 +36,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import requests
 
 from .errors import CotriageError, HarvestError
 from .jsonl import dumps_record, replace_atomically
@@ -143,6 +142,8 @@ def parse_answer(text: str, marker: str, num_options: int) -> int | None:
 
 
 def _default_transport(cfg: EndpointConfig) -> Callable[[str, dict], dict]:
+    import requests  # only a harvest that sends pays for importing it
+
     session = requests.Session()
 
     def call(route: str, payload: dict) -> dict:

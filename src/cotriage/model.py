@@ -444,7 +444,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfi
 
     CotriageError when the schema, tensor names or shapes disagree with the
     stored config; ParseError when the file is not UTF-8 JSON or a config
-    field is unknown or not of its field's JSON type.
+    field is missing, unknown or not of its field's JSON type.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -454,7 +454,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfi
         conf, kinds = doc["config"], get_type_hints(ModelConfig)
         if set(conf) - set(kinds):
             raise ValueError(f"unknown config fields {sorted(set(conf) - set(kinds))}")
-        cfg = ModelConfig(**{key: typed(conf, key, kinds[key]) for key in conf})
+        cfg = ModelConfig(**{key: typed(conf, key, kinds[key]) for key in kinds})
         shapes = param_shapes(cfg)
         tensors = doc["tensors"]
         if set(tensors) != set(shapes):

@@ -6,14 +6,17 @@ defined in test_harvest.
 """
 
 import argparse
+import base64
 import dataclasses
 import json
 import re
 import shlex
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import requests
 
@@ -449,6 +452,16 @@ def _edit_record(path: Path, lineno: int, edit) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _rows(rec) -> np.ndarray:
+    """A writable copy of a features/2 record's (T, D) matrix."""
+    return np.frombuffer(base64.b64decode(rec["rows"]), "<f8").reshape(rec["shape"]).copy()
+
+
+def _set_rows(rec, x: np.ndarray) -> None:
+    """Store x in a features/2 record as the writer would."""
+    rec["shape"], rec["rows"] = list(x.shape), base64.b64encode(x.tobytes()).decode("ascii")
+
+
 def _drop_sentences(rec):
     rec["sentences"] = []
 
@@ -462,7 +475,9 @@ def _stale_p(rec):
 
 
 def _nan_row(rec):
-    rec["rows"][0][0] = float("nan")
+    x = _rows(rec)
+    x[0, 0] = np.nan
+    _set_rows(rec, x)
 
 
 def _string_log_scores(rec):
@@ -487,16 +502,16 @@ def _string_label(rec):
 
 def _bogus_layout(rec):
     rec["layout_id"] = "bogus"
-    rec["rows"] = [row[:5] for row in rec["rows"]]
+    _set_rows(rec, _rows(rec)[:, :5])
 
 
 def _numeric_layout(rec):
     rec["layout_id"] = "numeric"
-    rec["rows"] = [row[:12] for row in rec["rows"]]
+    _set_rows(rec, _rows(rec)[:, :12])
 
 
 def _narrow_rows(rec):
-    rec["rows"] = [row[:5] for row in rec["rows"]]
+    _set_rows(rec, _rows(rec)[:, :5])
 
 
 def _true_prefix_len(rec):
@@ -508,7 +523,7 @@ def _true_log_score(rec):
 
 
 def _true_feature(rec):
-    rec["rows"][0][3] = True
+    rec["rows"] = True
 
 
 @pytest.mark.parametrize(
@@ -518,7 +533,7 @@ def _true_feature(rec):
         ("extract-features", "train.traj.jsonl", _answer_nine, "greedy_answer out of range"),
         ("extract-features", "train.traj.jsonl", _stale_p, "p/entropy disagree"),
         ("train", "train.features.jsonl", _nan_row, "NaN or infinity"),
-        ("train", "train.features.jsonl", None, "duplicate features/1 key"),
+        ("train", "train.features.jsonl", None, "duplicate features/2 key"),
         ("extract-features", "train.traj.jsonl", _string_log_scores, "need float64 values"),
         ("extract-features", "train.traj.jsonl", _fractional_prefix_len, "need int64 values"),
         ("extract-features", "train.questions.jsonl", _string_options, "options must be list"),
@@ -529,7 +544,7 @@ def _true_feature(rec):
         ("train", "train.features.jsonl", _narrow_rows, "5 columns, layout 'full' has 32"),
         ("extract-features", "train.traj.jsonl", _true_prefix_len, "need int64 values, got a boolean"),
         ("extract-features", "train.traj.jsonl", _true_log_score, "need float64 values, got a boolean"),
-        ("train", "train.features.jsonl", _true_feature, "need float64 values, got a boolean"),
+        ("train", "train.features.jsonl", _true_feature, "rows must be str, not True"),
     ],
     ids=["traj_no_sentences", "traj_answer_9_of_4", "traj_stale_p", "features_nan",
          "features_duplicate", "traj_string_log_scores", "traj_prefix_len_3_7",
@@ -564,8 +579,9 @@ def test_record_failing_the_writers_checks_exits_2_naming_its_line(
 
 @pytest.mark.parametrize(
     "field, value, message",
-    [("correct", "no", "correct must be bool"), ("tokens", 12.9, "tokens must be int")],
-    ids=["correct_no", "tokens_12_9"],
+    [("correct", "no", "correct must be bool"), ("tokens", 12.9, "tokens must be int"),
+     ("tokens", -5, "tokens must be >= 0, not -5")],
+    ids=["correct_no", "tokens_12_9", "tokens_-5"],
 )
 def test_outcomes_field_of_the_wrong_type_exits_2_naming_its_line(
     tmp_path, capsys, field, value, message
@@ -580,6 +596,23 @@ def test_outcomes_field_of_the_wrong_type_exits_2_naming_its_line(
     assert "line 3:" in err and message in err, err
 
 
+def test_features_1_file_exits_2_naming_the_expected_schema(tmp_path, capsys):
+    d, f = tmp_path / "d", tmp_path / "f"
+    assert run("synth", "--seed", 2, "--out", d, "--n-train", 4, "--n-val", 4,
+               "--n-test", 0, "--samples", 2) == EXIT_OK
+    assert run("extract-features", "--in", d, "--out", f) == EXIT_OK
+    path = f / "train.features.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+    old = [{"question_id": rec["question_id"], "mask_len": rec["shape"][0],
+            "layout_id": rec["layout_id"], "rows": _rows(rec).tolist()} for rec in records]
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in [{"schema": "features/1"}, *old]))
+    capsys.readouterr()
+    assert run("train", "--in", f, "--out", tmp_path / "m", "--max-epochs", 1) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "line 1: expected schema 'features/2', got 'features/1'" in err, err
+    assert not (tmp_path / "m" / "model.ckpt").exists()
+
+
 def test_extract_features_manifest_records_the_layout_columns(tmp_path):
     d, f = tmp_path / "d", tmp_path / "f"
     assert run("synth", "--seed", 1, "--out", d, "--n-train", 3, "--n-val", 0,
@@ -589,7 +622,7 @@ def test_extract_features_manifest_records_the_layout_columns(tmp_path):
                    "--subset", subset) == EXIT_OK
         doc = json.loads((f / subset / "extract-features.manifest.json").read_text())
         assert doc["columns"] == columns
-        assert doc["schemas"] == {"features": "features/1", "labels": "labels/1"}
+        assert doc["schemas"] == {"features": "features/2", "labels": "labels/1"}
         assert sorted(p.name for p in (f / subset).iterdir()) == [
             "extract-features.manifest.json", "train.features.jsonl", "train.labels.jsonl"
         ]
@@ -742,6 +775,14 @@ def test_harvest_cli_with_fake_endpoint(tmp_path, monkeypatch, capsys):
     assert counts == {"harvested": 0, "failed": 0, "skipped_existing": 2}
 
 
+def test_importing_the_cli_does_not_import_requests():
+    # "-c" puts the working directory first on sys.path, so this is the package under test
+    code = "import sys, cotriage.cli; print('requests' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=Path(cotriage.__file__).parents[1],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
+
+
 def test_exemplar_configs_match_option_tables():
     config_dir = Path(__file__).resolve().parent.parent / "configs"
     found = sorted(config_dir.glob("*.cfg"))
@@ -823,12 +864,13 @@ def test_features_narrower_than_the_model_exit_2_writing_no_output(routed_run, t
 
 
 def _drop_last_row(rec):
-    rec["rows"].pop()
-    rec["mask_len"] -= 1
+    _set_rows(rec, _rows(rec)[:-1])
 
 
 def _nudge_p(rec):
-    rec["rows"][0][0] += 1e-12
+    x = _rows(rec)
+    x[0, 0] += 1e-12
+    _set_rows(rec, x)
 
 
 @pytest.mark.parametrize("stage", ["calibrate", "route"])

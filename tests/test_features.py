@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import string
@@ -221,13 +222,62 @@ def test_feature_matrix_is_a_read_only_view_of_the_callers_array():
     assert np.shares_memory(seq.x, x) and x.flags.writeable
 
 
+def _features_file(path, rec):
+    """A features/2 file holding rec after its header."""
+    path.write_text(dumps_record({"schema": "features/2"}) + "\n" + json.dumps(rec) + "\n")
+
+
+def _encoded(x):
+    return base64.b64encode(np.asarray(x, dtype="<f8").tobytes()).decode("ascii")
+
+
 def test_features_read_applies_the_writers_checks(tmp_path):
     path = tmp_path / "feat.jsonl"
-    path.write_text(
-        '{"schema": "features/1"}\n'
-        '{"question_id": "a", "mask_len": 1, "layout_id": "numeric", "rows": [[NaN, 1.0]]}\n'
-    )
+    row = [np.nan] + [1.0] * 11
+    _features_file(path, {"question_id": "a", "layout_id": "numeric", "shape": [1, 12],
+                          "rows": _encoded([row])})
     with pytest.raises(ParseError, match="NaN") as err:
+        read_features(path)
+    assert err.value.line == 2
+
+
+def test_feature_rows_round_trip_bit_for_bit(tmp_path):
+    x = np.full((3, 12), 0.1)
+    x[0, :4] = [-0.0, 5e-324, 1e308, -1e308]  # negative zero, the smallest subnormal, near max
+    x[1] = np.arange(12) / 3
+    path = tmp_path / "feat.jsonl"
+    write_features(path, [FeatureSequence("a", x, "numeric")])
+    (back,) = read_features(path)
+    assert back.x.tobytes() == x.tobytes() and back.x.shape == (3, 12)
+    rec = json.loads(path.read_text().splitlines()[1])
+    assert sorted(rec) == ["layout_id", "question_id", "rows", "shape"] and rec["shape"] == [3, 12]
+    decoded = np.frombuffer(base64.b64decode(rec["rows"]), "<f8").reshape(rec["shape"])
+    assert decoded.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("rows", _encoded(np.ones((2, 12)))[:-4], "rows hold 189 bytes, not the 192 of shape"),
+     ("rows", "not base64!", "Only base64 data is allowed"),
+     ("rows", _encoded(np.ones((2, 12))).replace("A", "-"), "Only base64 data is allowed"),
+     ("shape", [2, 11], "rows have 11 columns, layout 'numeric' has 12"),
+     ("shape", [2, 12.0], "shape must be two ints, not \\[2, 12.0\\]"),
+     ("shape", [2, True], "shape must be two ints"),
+     ("shape", [2, 12, 1], "shape must be two ints"),
+     ("shape", [3, 12], "rows hold 192 bytes, not the 288 of shape"),
+     ("shape", [-2, 12], "rows hold 192 bytes, not the -192 of shape"),
+     ("shape", "2x12", "shape must be list")],
+    ids=["truncated_rows", "rows_not_base64", "rows_url_safe_alphabet", "shape_11_columns",
+         "shape_float_columns", "shape_bool_columns", "shape_three_dims", "shape_extra_row",
+         "shape_negative_rows", "shape_string"],
+)
+def test_malformed_feature_record_is_a_parse_error_naming_its_line(tmp_path, field, value,
+                                                                   message):
+    rec = {"question_id": "a", "layout_id": "numeric", "shape": [2, 12],
+           "rows": _encoded(np.ones((2, 12)))}
+    path = tmp_path / "feat.jsonl"
+    _features_file(path, {**rec, field: value})
+    with pytest.raises(ParseError, match=message) as err:
         read_features(path)
     assert err.value.line == 2
 
@@ -235,7 +285,7 @@ def test_features_read_applies_the_writers_checks(tmp_path):
 def test_keyed_readers_reject_a_repeated_id_naming_its_line(tmp_path):
     path = tmp_path / "feat.jsonl"
     write_features(path, [assemble(make_traj([0.5, 0.7], qid=q), "numeric") for q in "aba"])
-    with pytest.raises(ParseError, match="line 4: duplicate features/1 key 'a'"):
+    with pytest.raises(ParseError, match="line 4: duplicate features/2 key 'a'"):
         read_features(path)
     path = tmp_path / "labels.jsonl"
     path.write_text(

@@ -343,6 +343,20 @@ def test_checkpoint_rejects_mismatches(tmp_path):
             load_checkpoint(bad)
 
 
+
+@pytest.mark.parametrize("field", ["hidden", "heads", "head_hidden", "use_feature_gate", "use_mhsa"])
+def test_checkpoint_config_missing_a_field_is_a_parse_error(tmp_path, field):
+    import json
+
+    cfg = small_cfg(use_feature_gate=False, use_mhsa=False)
+    path = tmp_path / "model.json"
+    save_checkpoint(path, init_params(cfg, seed=14), cfg)
+    doc = json.loads(path.read_text())
+    del doc["config"][field]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=f"KeyError\\('{field}'\\)"):
+        load_checkpoint(path)
+
 @SCORERS
 def test_forward_checks_feature_dim(scores_of):
     cfg = small_cfg()
