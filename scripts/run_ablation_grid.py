@@ -13,7 +13,7 @@ import numpy as np
 
 from cotriage.calibration import select_threshold, simulate_at_tau, sweep
 from cotriage.evaluation import build_calibration_items
-from cotriage.features import assemble, numeric_features
+from cotriage.features import assemble, linguistic_features, numeric_features
 from cotriage.jsonl import write_csv
 from cotriage.model import ModelConfig
 from cotriage.synth import SynthConfig, generate
@@ -48,9 +48,10 @@ def main() -> None:
     feats = {}
     for split, (questions, trajectories, _) in data.items():
         qmap = {q.question_id: q for q in questions}
-        numeric = numeric_features(trajectories)
-        seqs = [assemble(t, "full", qmap[t.question_id], block)
-                for t, block in zip(trajectories, numeric)]
+        ordered = [qmap[t.question_id] for t in trajectories]
+        linguistic = linguistic_features([t.texts for t in trajectories], ordered)
+        blocks = zip(numeric_features(trajectories), linguistic)
+        seqs = [assemble(t, "full", q, *b) for t, q, b in zip(trajectories, ordered, blocks)]
         feats[split] = (seqs, [bool(t.label) for t in trajectories])
 
     rows = []

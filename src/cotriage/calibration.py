@@ -9,7 +9,6 @@ its greedy pass: that cost is sunk by the time the decision is made.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import astuple, dataclass, fields
 from operator import attrgetter
 from pathlib import Path
@@ -158,14 +157,14 @@ def write_selection_summary(
 
 
 def read_selection_summary(path: str | Path) -> dict:
-    """The selection.json document, selected_tau a float; ParseError unless it is a finite
-    number, baseline_method a string and budget an int."""
+    """The selection.json document, selected_tau a float; ParseError unless it is a number
+    in [0, 1] (calibrate writes only grid values), baseline_method a string and budget an int."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
             doc["selected_tau"] = typed(doc, "selected_tau", float)
-            if not math.isfinite(doc["selected_tau"]):
-                raise ValueError(f"selected_tau is {doc['selected_tau']}")
+            if not 0.0 <= doc["selected_tau"] <= 1.0:
+                raise ValueError(f"selected_tau is {doc['selected_tau']}, outside [0, 1]")
             typed(doc, "baseline_method", str)
             typed(doc, "budget", int)
         except (KeyError, TypeError, ValueError) as exc:

@@ -55,6 +55,7 @@ from .features import (
     LABELS_SCHEMA,
     LAYOUTS,
     assemble,
+    linguistic_features,
     numeric_features,
     read_features,
     read_labels,
@@ -283,17 +284,22 @@ def cmd_extract_features(opts, run: Run) -> None:
         trajectories = read_trajectories(run.reads(traj_path))
         qfile = run.reads(in_dir / f"{split}.questions.jsonl")
         questions = {q.question_id: q for q in load_questions(qfile)}
-        numeric = [None] * len(trajectories)
-        if opts.subset != "linguistic":
-            numeric = numeric_features(trajectories)
-        seqs = []
-        labels = {}
-        for traj, block in zip(trajectories, numeric):
+        for traj in trajectories:
             if traj.question_id not in questions:
                 raise CotriageError(f"no question for trajectory {traj.question_id!r}")
-            seqs.append(assemble(traj, opts.subset, questions[traj.question_id], block))
-            if traj.label is not None:
-                labels[traj.question_id] = traj.label
+            gold = questions[traj.question_id].gold_idx
+            if None not in (traj.label, gold) and traj.label != (traj.greedy_answer == gold):
+                raise CotriageError(f"{traj_path}: label of {traj.question_id!r} contradicts its "
+                                    f"greedy answer {traj.greedy_answer} and gold answer {gold}")
+        ordered = [questions[t.question_id] for t in trajectories]
+        numeric = linguistic = [None] * len(trajectories)
+        if opts.subset != "linguistic":
+            numeric = numeric_features(trajectories)
+        if opts.subset != "numeric":
+            linguistic = linguistic_features([t.texts for t in trajectories], ordered)
+        seqs = [assemble(traj, opts.subset, q, *blocks)
+                for traj, q, *blocks in zip(trajectories, ordered, numeric, linguistic)]
+        labels = {t.question_id: t.label for t in trajectories if t.label is not None}
         write_features(run.writes(f"{split}.features.jsonl"), seqs)
         if labels:
             write_labels(run.writes(f"{split}.labels.jsonl"), labels)

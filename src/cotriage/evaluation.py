@@ -165,10 +165,13 @@ def build_calibration_items(
 
     Correctness of the multi-path route comes from replaying the voting
     method on the archived paths; an abstaining vote is simply incorrect.
-    CotriageError for a question with fewer than budget sampled paths.
+    CotriageError for a question with fewer than budget sampled paths, and for
+    sampled paths of a question that has no trajectory in the split.
     """
     if len(trajectories) != len(scores):
         raise CotriageError("need exactly one score per trajectory")
+    if stray := set(paths_by_qid).difference(t.question_id for t in trajectories):
+        raise CotriageError(f"sampled paths for {min(stray)!r}, which has no trajectory in the split")
     items = []
     for traj, score in zip(trajectories, scores):
         qid = traj.question_id

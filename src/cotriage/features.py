@@ -2,7 +2,8 @@
 
 Turns a scored trajectory into a T x D float64 matrix: 12 numeric columns
 derived from the per-sentence answer distributions, and 20 linguistic columns
-derived from the sentence text and the question it answers. Column order is
+derived from the sentence text and the question it answers, each kind computed
+for a whole split in array passes; assemble joins a trajectory's blocks. Column order is
 frozen by the layout lists below; the extract-features manifest records the
 order a feature dump was written with under "columns".
 """
@@ -13,7 +14,7 @@ import base64
 import string
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -164,74 +165,86 @@ def numeric_features(trajectories: Sequence[Trajectory]) -> list[np.ndarray]:
     return [blocks[i] for i in range(len(trajectories))]
 
 
-def _norm_tokens(text: str) -> list[str]:
-    out = []
-    for tok in text.split():
-        t = tok.lower().strip(string.punctuation)
-        if t:
-            out.append(t)
-    return out
+# Trajectories per array pass. One pass over a whole split holds every token string
+# and per-character array of the split at once (19 MB traced for 2,000 synth
+# trajectories); a chunk of 128 needs 1 MB and is no slower.
+LINGUISTIC_CHUNK = 128
 
 
-def linguistic_features(texts: Sequence[str], question: McQuestion) -> np.ndarray:
-    """Shape (T, 20), one row per sentence; column order is LINGUISTIC_LAYOUT.
+def _segment_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Int32 sums of values over consecutive segments of the given sizes; an empty one sums to 0."""
+    sums = np.zeros(len(sizes), np.int32)
+    full = sizes > 0  # reduceat gives an empty segment the next value, and rejects a start at the end
+    sums[full] = np.add.reduceat(values, (np.cumsum(sizes) - sizes)[full], dtype=np.int32)
+    return sums
 
-    The question and its options are tokenised once; each sentence's tokens
-    are normalised and counted against the six word sets in one pass.
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    return np.divide(num, den, out=np.zeros(len(den)), where=den > 0)
+
+
+def _linguistic_blocks(texts: Sequence[Sequence[str]], questions: Sequence[McQuestion]) -> list:
+    """The blocks of one chunk of trajectories; see linguistic_features."""
+    sents = list(chain.from_iterable(texts))
+    per_traj = np.fromiter(map(len, texts), np.int64, len(texts))
+    n_char = np.fromiter(map(len, sents), np.int64, len(sents))
+    cps = np.frombuffer("".join(sents).encode("utf-32-le", "surrogatepass"), np.uint32)
+    classes = np.zeros(int(cps.max(initial=0)) + 1, np.uint8)
+    classes[cps] = 1
+    uniq = np.flatnonzero(classes).tolist()  # bits: punctuation, digit, upper case, whitespace
+    classes[uniq] = [(c in _PUNCT) | c.isdigit() << 1 | c.isupper() << 2 | c.isspace() << 3
+                     for c in map(chr, uniq)]
+    char_bits = classes[cps]
+    n_punct, n_digit, n_upper, n_space = (_segment_sums(char_bits & 1 << k > 0, n_char) for k in range(4))
+    marks = [_segment_sums(cps == ord(m), n_char) for m in ",.?!"]
+
+    split = list(map(str.split, sents))
+    refs = ([q.question.split() for q in questions],
+            [list(chain.from_iterable(map(str.split, q.options))) for q in questions])
+    vocab = dict(zip(dict.fromkeys(chain.from_iterable(chain(split, *refs))), count()))
+    norms = [t.lower().strip(string.punctuation) for t in vocab]  # each distinct raw token once
+    norm_ids = dict(zip(dict.fromkeys(norms), count()))
+    norm_of = np.fromiter(map(norm_ids.__getitem__, norms), np.int32, len(norms))
+    word_bits = np.array([(n in lexicons.STOPWORDS) | (n in lexicons.HEDGES) << 1
+                          | (n in lexicons.CERTAINTY) << 2 | (n in lexicons.CONNECTORS) << 3
+                          for n in norm_ids], np.uint8)[norm_of]
+
+    def coded(token_lists, owners):  # per token: its vocab id, and (owner, normal form) as one code
+        ids = np.fromiter(map(vocab.__getitem__, chain.from_iterable(token_lists)), np.int32)
+        return ids, np.repeat(owners, list(map(len, token_lists))) * len(norm_ids) + norm_of[ids]
+
+    n_tok = np.fromiter(map(len, split), np.int64, len(split))
+    tok, tok_code = coded(split, np.repeat(np.arange(len(texts)), per_traj))
+    n_stop, n_hedge, n_certain, n_connect = (_segment_sums(word_bits[tok] & 1 << k > 0, n_tok)
+                                             for k in range(4))
+    q_overlap, opt_overlap = (  # an empty normal form is no token of the question or options
+        _segment_sums(np.isin(tok_code, code[norm_of[ids] != norm_ids.get("", -1)]), n_tok)
+        for ids, code in (coded(ref, np.arange(len(texts))) for ref in refs))
+    t_total = np.repeat(per_traj, per_traj)
+    t_index = np.arange(1, len(sents) + 1) - np.repeat(np.cumsum(per_traj) - per_traj, per_traj)
+    rows = np.column_stack([
+        n_tok, n_char, _ratio(n_char - n_space, n_tok), _ratio(n_stop, n_tok), *marks,
+        _ratio(n_punct, n_char), _ratio(n_digit, n_char), _ratio(n_upper, n_char),
+        q_overlap, _ratio(q_overlap, n_tok), opt_overlap, _ratio(opt_overlap, n_tok),
+        n_hedge, n_certain, n_connect, t_index / t_total, t_index == t_total,
+    ])
+    return np.split(rows, np.cumsum(per_traj)[:-1])
+
+
+def linguistic_features(texts: Sequence[Sequence[str]],
+                        questions: Sequence[McQuestion]) -> list[np.ndarray]:
+    """One (T, 20) block per trajectory, in order, from its T sentences and its question;
+    column order is LINGUISTIC_LAYOUT.
+
+    Trajectories are counted LINGUISTIC_CHUNK at a time in array passes: a chunk's
+    distinct code points are classed once, and its distinct raw tokens normalised
+    and looked up in the word sets once. Counts are exact integers and each ratio
+    is one float64 division of two of them, the value Python's int / int gives.
     """
-    q_ref = set(_norm_tokens(question.question))
-    opt_ref = set(chain.from_iterable(map(_norm_tokens, question.options)))
-    stop, hedges, certain, connect = (
-        lexicons.STOPWORDS, lexicons.HEDGES, lexicons.CERTAINTY, lexicons.CONNECTORS
-    )
-    t_total = len(texts)
-    rows = []
-    for t_index, sentence in enumerate(texts, start=1):
-        raw_tokens = sentence.split()
-        n_tok = len(raw_tokens)
-        n_char = len(sentence)
-        n_stop = q_overlap = opt_overlap = n_hedge = n_certain = n_connect = 0
-        for t in _norm_tokens(sentence):
-            if t in stop:
-                n_stop += 1
-            if t in q_ref:
-                q_overlap += 1
-            if t in opt_ref:
-                opt_overlap += 1
-            if t in hedges:
-                n_hedge += 1
-            if t in certain:
-                n_certain += 1
-            if t in connect:
-                n_connect += 1
-        n_punct = sum(map(_PUNCT.__contains__, sentence))
-        n_digit = sum(map(str.isdigit, sentence))
-        n_upper = sum(map(str.isupper, sentence))
-        rows.append(
-            [
-                n_tok,
-                n_char,
-                sum(map(len, raw_tokens)) / n_tok if n_tok else 0.0,
-                n_stop / n_tok if n_tok else 0.0,
-                sentence.count(","),
-                sentence.count("."),
-                sentence.count("?"),
-                sentence.count("!"),
-                n_punct / n_char if n_char else 0.0,
-                n_digit / n_char if n_char else 0.0,
-                n_upper / n_char if n_char else 0.0,
-                q_overlap,
-                q_overlap / n_tok if n_tok else 0.0,
-                opt_overlap,
-                opt_overlap / n_tok if n_tok else 0.0,
-                n_hedge,
-                n_certain,
-                n_connect,
-                t_index / t_total,
-                1.0 if t_index == t_total else 0.0,
-            ]
-        )
-    return np.array(rows, dtype=np.float64)
+    if len(texts) != len(questions):
+        raise ValueError("need one question per trajectory")
+    return [block for lo in range(0, len(texts), LINGUISTIC_CHUNK) for block in
+            _linguistic_blocks(texts[lo : lo + LINGUISTIC_CHUNK], questions[lo : lo + LINGUISTIC_CHUNK])]
 
 
 def assemble(
@@ -239,11 +252,13 @@ def assemble(
     subset: str,
     question: McQuestion | None = None,
     numeric: np.ndarray | None = None,
+    linguistic: np.ndarray | None = None,
 ) -> FeatureSequence:
     """Build the feature matrix of one trajectory with the columns of LAYOUTS[subset].
 
-    numeric is the trajectory's block from numeric_features, which computes a
-    whole split at once; without it the block is computed here. The question
+    numeric and linguistic are the trajectory's blocks from numeric_features and
+    linguistic_features, which compute a whole split at once; a block not given
+    is computed here. The question
     is required whenever the subset includes linguistic columns, because the
     overlap features compare sentence tokens against the question and its
     answer options.
@@ -261,7 +276,8 @@ def assemble(
                 f"question {question.question_id!r} does not match trajectory "
                 f"{traj.question_id!r}"
             )
-        blocks.append(linguistic_features(traj.texts, question))
+        blocks.append(linguistic_features([traj.texts], [question])[0] if linguistic is None
+                      else linguistic)
     x = np.concatenate(blocks, axis=1) if len(blocks) > 1 else blocks[0]
     return FeatureSequence(question_id=traj.question_id, x=x, layout_id=subset)
 

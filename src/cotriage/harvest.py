@@ -287,7 +287,7 @@ class EndpointClient:
         parsed = parse(response)
         if cache_path is not None:
             with replace_atomically(cache_path) as fh:
-                json.dump(response, fh, sort_keys=True)
+                fh.write(json.dumps(response, sort_keys=True))  # json.dump would not use the C encoder
         return parsed
 
 

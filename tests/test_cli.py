@@ -917,7 +917,7 @@ def _cut_line(path: Path, lineno: int, replacement: str = "") -> dict:
 
 
 @pytest.mark.parametrize("case", ["no_label", "no_features", "no_question", "empty_train",
-                                  "not_an_object"])
+                                  "not_an_object", "stray_paths", "label_off_the_answers"])
 def test_records_that_do_not_line_up_exit_2_naming_the_record(tmp_path, capsys, case):
     d, f, out = tmp_path / "d", tmp_path / "f", tmp_path / "out"
     assert run("synth", "--seed", 1, "--out", d, "--n-train", 4, "--n-val", 4, "--n-test", 0,
@@ -943,13 +943,43 @@ def test_records_that_do_not_line_up_exit_2_naming_the_record(tmp_path, capsys, 
             for _ in range(4):
                 _cut_line(f / name, 2)
         argv, message = train, "training split is empty"
-    else:
+    elif case == "not_an_object":
         _cut_line(d / "train.traj.jsonl", 3, "[1, 2]\n")
         argv = ["extract-features", "--in", d, "--out", out]
         message = "line 3: record is not a JSON object"
+    elif case == "stray_paths":
+        paths = d / "val.paths.jsonl"
+        line = paths.read_text().splitlines()[1].replace('"val-00000"', '"val-00099"')
+        paths.write_text(paths.read_text() + line + "\n")
+        cfg = ModelConfig(input_dim=32, hidden=8, heads=2, head_hidden=4)
+        save_checkpoint(tmp_path / "m.ckpt", init_params(cfg, 0), cfg)
+        argv = ["calibrate", "--data", d, "--features", f, "--model", tmp_path / "m.ckpt",
+                "--split", "val", "--budget", 2, "--out", out]
+        message = "sampled paths for 'val-00099', which has no trajectory in the split"
+    else:
+        for lineno in (3, 4):
+            _edit_record(d / "train.traj.jsonl", lineno,
+                         lambda rec: rec.update(label=not rec["label"]))
+        # the first flip is on a question without a gold answer, so nothing contradicts it
+        _edit_record(d / "train.questions.jsonl", 3, lambda rec: rec.pop("answer_idx"))
+        qid = json.loads((d / "train.traj.jsonl").read_text().splitlines()[3])["question_id"]
+        argv = ["extract-features", "--in", d, "--out", out]
+        message = f"train.traj.jsonl: label of {qid!r} contradicts its greedy answer"
     capsys.readouterr()
     assert run(*argv) == EXIT_DATA
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tau", [-1, 1.5, 1e308])
+def test_selection_tau_outside_zero_one_is_a_data_error(routed_run, tmp_path, capsys, tau):
+    selection = tmp_path / "selection.json"
+    doc = json.loads((routed_run / "c" / "selection.json").read_text())
+    selection.write_text(json.dumps(dict(doc, selected_tau=tau)))
+    argv = _stage_argv("route", routed_run, tmp_path / "unused")[:-2]  # without --tau
+    capsys.readouterr()
+    assert run("route", *argv, "--selection", selection, "--out", tmp_path / "r") == EXIT_DATA
+    assert f"selected_tau is {float(tau)}, outside [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_calibrate_max_rel_drop_outside_zero_one_exits_1(routed_run, tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cotriage import lexicons
 from cotriage.features import (
+    LINGUISTIC_CHUNK,
     LINGUISTIC_LAYOUT,
     FeatureSequence,
     NUMERIC_LAYOUT,
@@ -128,7 +129,7 @@ def test_zscore_columns_centered(p_series):
 
 
 def test_linguistic_worked_example():
-    row = linguistic_features(["Hello."], QUESTION)[0]
+    row = linguistic_features([["Hello."]], [QUESTION])[0][0]
     get = lambda n: row[LINGUISTIC_LAYOUT.index(n)]
     assert get("tok_count") == 1
     assert get("char_count") == 6
@@ -142,7 +143,7 @@ def test_linguistic_worked_example():
 
 
 def test_overlap_features():
-    row = linguistic_features(["the dose is low", "Next."], QUESTION)[0]
+    row = linguistic_features([["the dose is low", "Next."]], [QUESTION])[0][0]
     get = lambda n: row[LINGUISTIC_LAYOUT.index(n)]
     assert get("q_overlap_count") == 4
     assert get("q_overlap_ratio") == 1.0
@@ -155,8 +156,8 @@ def test_overlap_features():
 
 def test_lexicon_counts():
     row = linguistic_features(
-        ["Maybe it could be right, but this is definitely unclear."], QUESTION
-    )[0]
+        [["Maybe it could be right, but this is definitely unclear."]], [QUESTION]
+    )[0][0]
     get = lambda n: row[LINGUISTIC_LAYOUT.index(n)]
     assert get("hedge_count") == 3  # maybe, could, unclear
     assert get("certainty_count") == 1  # definitely
@@ -165,7 +166,7 @@ def test_lexicon_counts():
 
 
 def test_punctuation_only_sentence_is_finite():
-    row = linguistic_features(["..."], QUESTION)[0]
+    row = linguistic_features([["..."]], [QUESTION])[0][0]
     assert np.all(np.isfinite(row))
     assert row[LINGUISTIC_LAYOUT.index("tok_count")] == 1
     assert row[LINGUISTIC_LAYOUT.index("punct_density")] == 1.0
@@ -449,13 +450,29 @@ def test_numeric_columns_equal_the_per_trajectory_reference_bit_for_bit():
             assert block.tobytes() == ref.tobytes(), traj.question_id
 
 
+# Sentences no Trajectory holds but the columns must still count as str does:
+# a lone surrogate, code points above U+FFFF, a digit run longer than 255, tab,
+# newline and no-break-space whitespace, a punctuation-only and a blank sentence.
+_EDGE_TEXTS = [
+    ["a\ud800b \U0001F600 Ⅻ² É.", "1" * 300 + " x", "tab\tand\nnew\xa0line?!", "...", ""],
+    ["", "   "],
+    ["\U0010FFFF\udfff"],
+]
+
+
 def test_linguistic_columns_equal_the_per_sentence_reference_bit_for_bit():
     for seed in (2, 3):
-        trajs, questions = _mixed_split(seed, n_per_length=1)
-        for traj, q in zip(trajs, questions):
-            ref = np.stack([_ref_linguistic(s, i + 1, len(traj.texts), q)
-                            for i, s in enumerate(traj.texts)])
-            assert linguistic_features(traj.texts, q).tobytes() == ref.tobytes()
+        trajs, questions = _mixed_split(seed, n_per_length=9)  # 144 trajectories, two chunks
+        texts = [traj.texts for traj in trajs] + _EDGE_TEXTS
+        questions += [questions[0]] * len(_EDGE_TEXTS)
+        assert len(texts) > LINGUISTIC_CHUNK
+        blocks = linguistic_features(texts, questions)
+        assert len(blocks) == len(texts)
+        for sents, q, block in zip(texts, questions, blocks):
+            ref = np.stack([_ref_linguistic(s, i + 1, len(sents), q) for i, s in enumerate(sents)])
+            assert block.tobytes() == ref.tobytes()
+    blank = linguistic_features([[""]], [QUESTION])[0][0]
+    assert blank.tolist() == [0.0] * 18 + [1.0, 1.0]
 
 
 def test_assembled_split_equals_the_reference_bytes():
