@@ -143,17 +143,22 @@ def profile_to_csv(profile: CalibrationProfile, path: str | Path) -> None:
 def write_selection_summary(
     profile: CalibrationProfile, tau: float, path: str | Path, max_rel_drop: float,
     baseline_method: str, budget: int,
-) -> None:
+) -> CalibrationPoint:
     """selection.json: the tau that select_threshold(profile, max_rel_drop) chose, in context:
-    the profile's voting method and path budget."""
+    the profile's voting method and path budget, and the token reduction and accept rate the
+    profile gives at tau. Returns tau's profile point."""
+    point = next(pt for pt in profile.points if pt.tau == tau)
     doc = {
         "selected_tau": tau,
         "max_accuracy": max(pt.accuracy for pt in profile.points),
         "max_rel_drop": max_rel_drop,
         "baseline_method": baseline_method,
         "budget": budget,
+        "token_reduction": point.token_reduction,
+        "accept_rate": point.accept_rate,
     }
     write_json(path, doc)
+    return point
 
 
 def read_selection_summary(path: str | Path) -> dict:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import logging
 import math
 import re
 import subprocess
@@ -81,6 +82,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_ENDPOINT = 3
+
+log = logging.getLogger(__name__)
 
 SPLITS = ("train", "val", "test")
 
@@ -334,10 +337,13 @@ def cmd_calibrate(opts, run: Run) -> dict:
     profile = sweep(items)
     tau = select_threshold(profile, max_rel_drop=opts.max_rel_drop)
     profile_to_csv(profile, run.writes("profile.csv"))
-    write_selection_summary(
+    point = write_selection_summary(
         profile, tau, run.writes("selection.json"), opts.max_rel_drop, opts.method, opts.budget
     )
-    return {"selected_tau": tau}
+    if point.token_reduction <= 0:
+        log.warning("the policy at tau %s spends at least always-multi's tokens (token reduction %.4f)",
+                    tau, point.token_reduction)
+    return {"selected_tau": tau, "token_reduction": point.token_reduction}
 
 
 def cmd_route(opts, run: Run) -> dict:

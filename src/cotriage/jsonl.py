@@ -92,6 +92,8 @@ def read_unique_jsonl(
     schema: str,
     parse: Callable[[dict[str, Any]], T],
     key: Callable[[T], Hashable],
+    settle: Callable[[list[T]], tuple[int, Exception] | None] | None = None,
+    chunk: int | None = None,
 ) -> Iterator[T]:
     """Yield parse(record) for each record after the header; keys must be unique.
 
@@ -102,11 +104,26 @@ def read_unique_jsonl(
     raised by parse becomes a ParseError naming the record's line, and so
     does a repeated key. A file that is not UTF-8 is a ParseError naming the
     first line that is not.
+
+    With settle, items are checked together, chunk at a time, before any is
+    yielded: settle(items) gives None or the (position, error) of the first bad
+    one, a ParseError naming its line. A later line's own error waits for the
+    items before it, so the first bad line is named.
     """
     header_seen = False
     seen: set[Hashable] = set()
-    with open(path, encoding="utf-8") as fh:
-        try:
+    pending: list[tuple[int, T]] = []  # (line, item) not yet settled
+
+    def settled() -> list[T]:
+        lines, batch = zip(*pending) if pending else ((), ())
+        del pending[:]
+        bad = settle(list(batch)) if batch else None
+        if bad is not None:
+            raise ParseError(f"bad {schema} record: {bad[1]!r}", line=lines[bad[0]]) from bad[1]
+        return list(batch)
+
+    try:
+        with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 raw = raw.strip()
                 if not raw:
@@ -129,14 +146,24 @@ def read_unique_jsonl(
                     item = parse(rec)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ParseError(f"bad {schema} record: {exc!r}", line=lineno) from exc
+                if settle is not None:
+                    pending.append((lineno, item))
                 k = key(item)
                 if k in seen:
                     raise ParseError(f"duplicate {schema} key {k!r}", line=lineno)
                 seen.add(k)
-                yield item
-        except UnicodeDecodeError as exc:
-            line = first_undecodable_line(path)
-            raise ParseError(f"{path} is not UTF-8 text: {exc.reason}", line=line) from exc
+                if settle is None:
+                    yield item
+                elif len(pending) == chunk:
+                    yield from settled()
+    except UnicodeDecodeError as exc:
+        settled()
+        line = first_undecodable_line(path)
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}", line=line) from exc
+    except ParseError:
+        settled()  # an earlier bad item outranks this line
+        raise
+    yield from settled()
     if not header_seen:
         raise ParseError(f"{path} has no {schema!r} header")
 

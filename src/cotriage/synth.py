@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trajectory import McQuestion, Trajectory, prefix_lengths
+from .trajectory import McQuestion, Trajectory, check_trajectories, prefix_lengths, unchecked
 from .voting import SampledPath
 
 _MID_TEMPLATES = [
@@ -156,7 +156,8 @@ def generate(
         probs = np.repeat(((1.0 - p_series) / (k - 1))[:, None], k, axis=1)
         probs[np.arange(t), tops] = p_series
         log_scores = np.log(probs) + np.array(shifts)[:, None]
-        traj = Trajectory(
+        traj = unchecked(
+            Trajectory,
             question_id=qid,
             texts=texts,
             log_scores=log_scores,
@@ -190,4 +191,7 @@ def generate(
         trajectories.append(traj)
         paths_by_qid[qid] = paths
 
+    bad = check_trajectories(trajectories)  # the whole split in one pass
+    if bad is not None:
+        raise bad[1]
     return questions, trajectories, paths_by_qid

@@ -5,10 +5,15 @@ into sentences and held as columns: the sentence texts, a (T, K) array of
 per-choice log-scores (row t scores every answer option against the prefix
 ending at sentence t) and the prefix lengths. The top-choice probability p
 and the entropy of each row are derived from the log-scores once, when the
-trajectory is built, which also checks it, as building a question does. The
-readers check every field's JSON type instead of casting it. A traj/1
-record's stored p and entropy are read as typed JSON numbers, and a record
-whose stored value is off the derived one by more than 1e-9 is rejected.
+trajectory is checked, as building a question checks it. One function,
+check_trajectories, checks many trajectories in one pass over all their rows
+and derives p and entropy once per option count K: building one trajectory
+runs it on a split of one, synth on a whole split and read_trajectories on a
+file, a chunk of records at a time, so a bad file is reported at its first
+bad line. The readers check every field's JSON type instead of casting it. A
+traj/1 record's stored p and entropy are read as typed JSON numbers, and a
+record whose stored value is off the derived one by more than 1e-9 is
+rejected.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -27,6 +32,12 @@ from .jsonl import read_unique_jsonl, typed, write_jsonl
 
 TRAJ_SCHEMA = "traj/1"
 QUESTIONS_SCHEMA = "questions/1"
+
+# Records a reader checks per pass: about 60 KB of float64 rows (a synth trajectory has
+# 7.5 x 4 log-scores, a features record 8 times as many values), small enough to come
+# from memory the process already holds. One features buffer per file raised the peak
+# RSS of the triage workload's route stage by 1.2-2.0 MB.
+RECORDS_PER_PASS = 256
 
 _BY_ID = attrgetter("question_id")
 _TERMINALS = ".?!"
@@ -107,30 +118,94 @@ class Trajectory:
     entropy: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        log_scores = read_only(numeric_array(self.log_scores, "fiu", np.float64))
-        object.__setattr__(self, "log_scores", log_scores)
-        object.__setattr__(self, "prefix_len", read_only(numeric_array(self.prefix_len, "iu", np.int64)))
-        qid, t = self.question_id, len(self.texts)
-        plen = self.prefix_len
-        if t == 0:
-            raise ValueError(f"{qid}: trajectory has no sentences")
-        if self.log_scores.ndim != 2 or len(self.log_scores) != t or self.log_scores.shape[1] < 2:
-            raise ValueError(f"{qid}: log_scores must be (T, K) with T={t} and K >= 2")
-        if plen.shape != (t,):
-            raise ValueError(f"{qid}: need one prefix_len per sentence")
-        if not all(map(str.strip, self.texts)):
-            raise ValueError(f"{qid}: sentence text is empty")
-        if not np.isfinite(self.log_scores).all():
-            raise ValueError(f"{qid}: log-scores contain NaN or infinity")
-        if plen[0] < 1 or (plen[1:] <= plen[:-1]).any():
-            raise ValueError(f"{qid}: prefix_len must be positive and strictly increasing")
-        if not 0 <= self.greedy_answer < self.log_scores.shape[1]:
-            raise ValueError(f"{qid}: greedy_answer out of range")
-        if self.greedy_token_cost <= 0:
-            raise ValueError(f"{qid}: greedy_token_cost must be positive")
-        p, entropy = sentence_signals(ChoiceDistribution(_softmax(log_scores), log_scores))
-        object.__setattr__(self, "p", read_only(p))
-        object.__setattr__(self, "entropy", read_only(entropy))
+        bad = check_trajectories([self])
+        if bad is not None:
+            raise bad[1]
+
+
+def unchecked(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields, its checks not run: for code
+    that checks many records in one pass (check_trajectories) before handing any out."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def check_trajectories(
+    trajs: Sequence[Trajectory], stored: Sequence | None = None
+) -> tuple[int, Exception] | None:
+    """Run Trajectory's checks on many trajectories in one pass; None, or the first failure.
+
+    Each trajectory's arrays are converted alone (numeric_array); every other
+    check runs once over all rows, and p and entropy are derived once per
+    option count K. stored, from a file, holds each trajectory's stored (2, T)
+    p and entropy rows, or the error reading them, checked after the rest:
+    they must match the derived values to within 1e-9. A failure is
+    (position, the error that trajectory gives checked alone). If none fails,
+    each gets read-only arrays, p and entropy views of one array over all rows.
+    """
+    arrays, bad = [], None
+    for i, traj in enumerate(trajs):
+        qid, t = traj.question_id, len(traj.texts)
+        try:
+            scores = numeric_array(traj.log_scores, "fiu", np.float64)
+            plen = numeric_array(traj.prefix_len, "iu", np.int64)
+            if t == 0:
+                raise ValueError(f"{qid}: trajectory has no sentences")
+            if scores.ndim != 2 or len(scores) != t or scores.shape[1] < 2:
+                raise ValueError(f"{qid}: log_scores must be (T, K) with T={t} and K >= 2")
+            if plen.shape != (t,):
+                raise ValueError(f"{qid}: need one prefix_len per sentence")
+        except (TypeError, ValueError) as exc:
+            bad = i, exc
+            break
+        arrays.append((scores, plen))
+    if not arrays:
+        return bad
+    n, sizes, ks = len(arrays), [len(plen) for _, plen in arrays], [a.shape[1] for a, _ in arrays]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    p, entropy, finite = np.empty(ends[-1]), np.empty(ends[-1]), np.empty(ends[-1], bool)
+    with np.errstate(all="ignore"):  # a row that fails a check below may hold NaN or infinity
+        for k in dict.fromkeys(ks):
+            rows = np.repeat(np.equal(ks, k), sizes)
+            scores = np.concatenate([a for a, _ in arrays if a.shape[1] == k])
+            finite[rows] = np.isfinite(scores).all(axis=1)
+            p[rows], entropy[rows] = sentence_signals(ChoiceDistribution(_softmax(scores), scores))
+    plens = np.concatenate([plen for _, plen in arrays])
+    plen_bad = np.empty(len(plens), bool)
+    plen_bad[1:] = plens[1:] <= plens[:-1]
+    plen_bad[starts] = plens[starts] < 1
+    texts = chain.from_iterable(traj.texts for traj in trajs[:n])
+
+    def first(row_bad: np.ndarray) -> int:  # the trajectory holding the first bad row, or n
+        bad_rows = np.flatnonzero(row_bad)
+        return int(np.searchsorted(ends, bad_rows[0], "right")) if len(bad_rows) else n
+
+    checks = [  # in the order one trajectory's checks run
+        (first(~np.fromiter(map(bool, map(str.strip, texts)), bool, len(plens))), "sentence text is empty"),
+        (first(~finite), "log-scores contain NaN or infinity"),
+        (first(plen_bad), "prefix_len must be positive and strictly increasing"),
+        (next((j for j, k in enumerate(ks) if not 0 <= trajs[j].greedy_answer < k), n),
+         "greedy_answer out of range"),
+        (next((j for j in range(n) if trajs[j].greedy_token_cost <= 0), n),
+         "greedy_token_cost must be positive"),
+    ]
+    if stored is not None:
+        read = next((j for j in range(n) if isinstance(stored[j], Exception)), n)
+        given = np.hstack([np.empty((2, 0)), *stored[:read]])  # the rows of trajectories before read
+        off = ~(np.abs(given - np.stack([p, entropy])[:, : given.shape[1]]) <= 1e-9).all(axis=0)
+        checks += [(read, stored[read] if read < n else None),
+                   (first(off), "stored p/entropy disagree with log_scores")]
+    i, what = min(checks, key=itemgetter(0))  # on a tie, the check that runs first
+    if i < n:
+        return i, what if isinstance(what, Exception) else ValueError(f"{trajs[i].question_id}: {what}")
+    if bad is None:
+        p, entropy = read_only(p), read_only(entropy)
+        for traj, (scores, plen), lo, hi in zip(trajs, arrays, starts.tolist(), ends.tolist()):
+            traj.__dict__.update(log_scores=read_only(scores), prefix_len=read_only(plen),
+                                 p=p[lo:hi], entropy=entropy[lo:hi])
+    return bad
 
 
 def segment_sentences(cot_text: str) -> list[str]:
@@ -247,9 +322,16 @@ def traj_record(traj: Trajectory) -> dict:
     return rec
 
 
-def _traj_from_record(rec: dict) -> Trajectory:
+def _traj_from_record(rec: dict) -> tuple[Trajectory, np.ndarray | Exception]:
+    """A record's trajectory, unchecked, and its stored (2, T) p and entropy rows, or the error reading them.
+
+    The JSON lists become arrays here, at the point where building the trajectory alone would
+    convert them, so a chunk of records waiting for check_trajectories holds no per-sentence
+    lists: held, they made the garbage collector run about twice as often.
+    """
     sentences = typed(rec, "sentences", list)
-    traj = Trajectory(
+    traj = unchecked(
+        Trajectory,
         question_id=typed(rec, "question_id", str),
         texts=[typed(s, "text", str) for s in sentences],
         log_scores=[s["log_scores"] for s in sentences],
@@ -258,12 +340,12 @@ def _traj_from_record(rec: dict) -> Trajectory:
         greedy_token_cost=typed(rec, "greedy_token_cost", int),
         label=typed(rec, "label", bool, None),
     )
-    stored = [typed(s, "p", float) for s in sentences]
-    stored += [typed(s, "entropy", float) for s in sentences]
-    derived = traj.p.tolist() + traj.entropy.tolist()
-    if not all(abs(a - b) <= 1e-9 for a, b in zip(stored, derived)):
-        raise ValueError(f"{traj.question_id}: stored p/entropy disagree with log_scores")
-    return traj
+    traj.__dict__["log_scores"] = numeric_array(traj.log_scores, "fiu", np.float64)
+    traj.__dict__["prefix_len"] = numeric_array(traj.prefix_len, "iu", np.int64)
+    try:  # an error here counts after the trajectory's own checks, as it did when built alone
+        return traj, np.array([[typed(s, key, float) for s in sentences] for key in ("p", "entropy")])
+    except (KeyError, TypeError, ValueError) as exc:
+        return traj, exc
 
 
 def write_trajectories(path: str | Path, trajectories: Iterable[Trajectory]) -> None:
@@ -275,9 +357,13 @@ def read_trajectories(path: str | Path) -> list[Trajectory]:
     """Read a traj/1 file, applying the writer's checks to every record.
 
     Every field must hold its JSON type, and a record's stored p and entropy
-    must match the values derived from its log_scores to within 1e-9.
+    must match the values derived from its log_scores to within 1e-9. The
+    records are checked together, a chunk at a time (check_trajectories); a
+    bad file is a ParseError naming its first bad line.
     """
-    return list(read_unique_jsonl(path, TRAJ_SCHEMA, _traj_from_record, _BY_ID))
+    items = read_unique_jsonl(path, TRAJ_SCHEMA, _traj_from_record, lambda item: item[0].question_id,
+                              settle=lambda items: check_trajectories(*zip(*items)), chunk=RECORDS_PER_PASS)
+    return [traj for traj, _ in items]
 
 
 def write_questions(path: str | Path, questions: Iterable[McQuestion]) -> None:

@@ -163,8 +163,10 @@ def test_profile_csv_and_summary(tmp_path):
     assert float(rows[0]["tau"]) == 0.0
 
     summary_path = tmp_path / "selection.json"
-    write_selection_summary(profile, tau, summary_path, 0.005, "cer", 7)
+    point = write_selection_summary(profile, tau, summary_path, 0.005, "cer", 7)
     doc = read_selection_summary(summary_path)
+    assert point.tau == tau and point in profile.points
+    assert (doc["token_reduction"], doc["accept_rate"]) == (point.token_reduction, point.accept_rate)
     assert doc["selected_tau"] == tau
     assert doc["baseline_method"] == "cer" and doc["max_rel_drop"] == 0.005
     assert json.loads(summary_path.read_text())["budget"] == 7

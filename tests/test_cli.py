@@ -982,6 +982,32 @@ def test_selection_tau_outside_zero_one_is_a_data_error(routed_run, tmp_path, ca
     assert not (tmp_path / "r").exists()
 
 
+def test_calibrate_warns_when_its_policy_spends_more_than_always_multi(tmp_path, capsys, caplog):
+    """At beta=0 the detector carries no signal; with greedy right on 3 questions in 10 the
+    0.5% rule escalates every question, which also pays its greedy tokens."""
+    d, f, c = tmp_path / "d", tmp_path / "f", tmp_path / "c"
+    assert run("synth", "--seed", 4, "--out", d, "--n-train", 0, "--n-val", 60, "--n-test", 20,
+               "--beta", 0, "--base-rate", 0.3, "--samples", 5) == EXIT_OK
+    assert run("extract-features", "--in", d, "--out", f) == EXIT_OK
+    cfg = ModelConfig(input_dim=32, hidden=4, heads=1, head_hidden=4)
+    save_checkpoint(tmp_path / "model.ckpt", init_params(cfg, 0), cfg)
+    routing = ["--data", d, "--features", f, "--model", tmp_path / "model.ckpt", "--budget", 5]
+    capsys.readouterr()
+    with caplog.at_level("WARNING", logger="cotriage.cli"):
+        assert run("calibrate", *routing, "--out", c) == EXIT_OK
+    printed = json.loads(capsys.readouterr().out)
+    doc = json.loads((c / "selection.json").read_text())
+    assert doc["token_reduction"] == printed["token_reduction"] <= 0
+    assert doc["accept_rate"] == 0.0 and printed["selected_tau"] == doc["selected_tau"]
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert "spends at least always-multi's tokens" in caplog.text
+
+    older = tmp_path / "older.json"  # written before selection.json held the selected point's figures
+    older.write_text(json.dumps({k: v for k, v in doc.items() if k not in ("token_reduction", "accept_rate")}))
+    for selection in (c / "selection.json", older):
+        assert run("route", *routing, "--selection", selection, "--out", tmp_path / "r") == EXIT_OK
+
+
 def test_calibrate_max_rel_drop_outside_zero_one_exits_1(routed_run, tmp_path, capsys):
     argv = _stage_argv("calibrate", routed_run, tmp_path / "unused")
     assert run("calibrate", *argv, "--max-rel-drop", -0.1, "--out", tmp_path / "c") == EXIT_USAGE

@@ -283,6 +283,33 @@ def test_malformed_feature_record_is_a_parse_error_naming_its_line(tmp_path, fie
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "edits, line, message",
+    [({40: np.full((2, 12), np.nan), 45: "{not json"}, 40, "NaN or infinity"),
+     ({60: np.ones((0, 12)), 65: np.full((2, 12), np.inf)}, 60, "feature matrix has no rows")],
+    ids=["nan_then_invalid_json", "no_rows_then_inf"],
+)
+def test_a_features_file_is_checked_in_passes_naming_its_first_bad_line(tmp_path, edits, line,
+                                                                         message):
+    """70 records span three of read_features' passes; the first bad line is named even when a
+    later line's own error is found before the pass holding the earlier one is checked."""
+    seqs = [FeatureSequence(f"q{i}", np.full((2, 12), i / 7), "numeric") for i in range(70)]
+    path = tmp_path / "feat.jsonl"
+    write_features(path, seqs)
+    back = read_features(path)
+    assert [b.x.tobytes() for b in back] == [s.x.tobytes() for s in seqs]
+    assert not any(b.x.flags.writeable for b in back)
+    lines = path.read_text().splitlines()
+    for lineno, edit in edits.items():
+        rec = json.loads(lines[lineno - 1])
+        lines[lineno - 1] = edit if isinstance(edit, str) else json.dumps(
+            {**rec, "shape": list(edit.shape), "rows": _encoded(edit)})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=message) as err:
+        read_features(path)
+    assert err.value.line == line
+
+
 def test_keyed_readers_reject_a_repeated_id_naming_its_line(tmp_path):
     path = tmp_path / "feat.jsonl"
     write_features(path, [assemble(make_traj([0.5, 0.7], qid=q), "numeric") for q in "aba"])

@@ -13,12 +13,14 @@ from cotriage.trajectory import (
     McQuestion,
     Trajectory,
     answer_logscore,
+    check_trajectories,
     load_questions,
     normalize_choices,
     prefix_lengths,
     read_trajectories,
     segment_sentences,
     sentence_signals,
+    unchecked,
     write_questions,
     write_trajectories,
 )
@@ -326,6 +328,80 @@ def test_read_applies_the_writers_checks(tmp_path, edit, message):
     with pytest.raises(ParseError, match=message) as err:
         read_trajectories(path)
     assert err.value.line == 3
+
+
+def _split(n=160, seed=0):
+    """The fields of n trajectories: T 1..16 by K 2..5, some rows with p = 1.0 or log-scores of +-700."""
+    rng = np.random.default_rng(seed)
+    fields = []
+    for i in range(n):
+        t, k = 1 + i % 16, 2 + i // 16 % 4
+        scores = rng.normal(scale=3.0, size=(t, k))
+        if i % 3 == 0:
+            scores[rng.integers(t)] = [0.0] + [-1000.0] * (k - 1)  # p is exactly 1.0
+        if i % 5 == 0:
+            scores[rng.integers(t)] = rng.choice([-700.0, 700.0], size=k)
+        texts = [f"Sentence {j} of item {i}." for j in range(t)]
+        fields.append(dict(question_id=f"q{i}", texts=texts, log_scores=scores,
+                           prefix_len=prefix_lengths(texts), greedy_answer=i % k,
+                           greedy_token_cost=10 + i, label=None if i % 7 == 0 else i % 2 == 0))
+    return fields
+
+
+def _same_bytes(got, alone):
+    for name in ("log_scores", "prefix_len", "p", "entropy"):
+        a, b = getattr(got, name), getattr(alone, name)
+        assert a.tobytes() == b.tobytes() and a.dtype == b.dtype and a.shape == b.shape, name
+        assert not a.flags.writeable, name
+
+
+def test_a_split_checked_in_one_call_equals_each_trajectory_built_alone(tmp_path):
+    fields = _split()
+    alone = [Trajectory(**f) for f in fields]
+    assert any((t.p == 1.0).any() for t in alone) and any((abs(t.log_scores) == 700).any() for t in alone)
+    together = [unchecked(Trajectory, **f) for f in fields]
+    assert check_trajectories(together) is None
+    path = tmp_path / "split.jsonl"
+    write_trajectories(path, alone)
+    for got, back, one in zip(together, read_trajectories(path), alone):
+        _same_bytes(got, one)
+        _same_bytes(back, one)
+        assert (back.texts, back.greedy_answer, back.greedy_token_cost, back.label) == (
+            one.texts, one.greedy_answer, one.greedy_token_cost, one.label)
+
+
+def test_a_file_mixing_three_and_five_options_reads(tmp_path):
+    trajs = [_make_trajectory(f"q{i}", k=(3, 5)[i % 2], t=1 + i, seed=i) for i in range(6)]
+    path = tmp_path / "mixed.jsonl"
+    write_trajectories(path, trajs)
+    back = read_trajectories(path)
+    assert [t.log_scores.shape for t in back] == [(1 + i, (3, 5)[i % 2]) for i in range(6)]
+    for got, one in zip(back, trajs):
+        _same_bytes(got, one)
+
+
+@pytest.mark.parametrize(
+    "line, first, fifth, message",
+    [(3, _stale_p, _no_sentences, "q1: stored p/entropy disagree"),
+     (3, _answer_out_of_range, _ragged_scores, "q1: greedy_answer out of range"),
+     (3, _null_entropy, _no_sentences, "entropy must be float"),
+     (3, _nan_p, _int_text, "q1: stored p/entropy disagree"),
+     (2, _null_entropy, _stale_p, "entropy must be float")],
+    ids=["stale_p_then_no_sentences", "answer_9_then_ragged", "entropy_null_then_no_sentences",
+         "p_nan_then_text_5", "entropy_null_on_the_first_record_then_stale_p"],
+)
+def test_the_first_of_two_bad_records_names_the_error(tmp_path, line, first, fifth, message):
+    path = tmp_path / "t.jsonl"
+    write_trajectories(path, [_make_trajectory(f"q{i}", seed=i) for i in range(5)])
+    lines = path.read_text().splitlines()
+    for lineno, edit in ((line, first), (5, fifth)):
+        rec = json.loads(lines[lineno - 1])
+        edit(rec)
+        lines[lineno - 1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=message) as err:
+        read_trajectories(path)
+    assert err.value.line == line
 
 
 def test_validate_catches_non_increasing_prefix():
