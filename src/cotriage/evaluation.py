@@ -81,8 +81,10 @@ class BootstrapResult:
 
 def _align(a: OutcomeVector, b: OutcomeVector) -> OutcomeVector:
     """Reorder b to a's question order."""
-    if set(a.question_ids) != set(b.question_ids):
-        raise CotriageError("outcome vectors cover different question sets")
+    only = set(a.question_ids) ^ set(b.question_ids)
+    if only:
+        qid = next(q for q in [*a.question_ids, *b.question_ids] if q in only)
+        raise CotriageError(f"outcome vectors cover different question sets: {qid!r} is in only one")
     pos = {qid: i for i, qid in enumerate(b.question_ids)}
     idx = np.array([pos[qid] for qid in a.question_ids])
     return OutcomeVector(list(a.question_ids), b.correct[idx], b.tokens[idx])

@@ -89,7 +89,7 @@ class FeatureSequence:
     layout_id: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", read_only(numeric_array(self.x, "fiu", np.float64)))
+        object.__setattr__(self, "x", read_only(numeric_array(self.x)))
         if self.x.ndim != 2:
             raise ValueError("feature matrix must be 2-D")
         bad = _first_bad_block(self.x, [len(self.x)])

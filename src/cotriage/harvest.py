@@ -46,7 +46,6 @@ from .trajectory import (
     Trajectory,
     answer_logscore,
     normalize_choices,
-    prefix_lengths,
     read_trajectories,
     segment_sentences,
     traj_record,
@@ -404,7 +403,6 @@ def harvest_greedy(
         question_id=q.question_id,
         texts=sentences,
         log_scores=dist.log_scores,
-        prefix_len=prefix_lengths(sentences),
         greedy_answer=parsed,
         greedy_token_cost=token_cost,
         label=None if q.gold_idx is None else parsed == q.gold_idx,

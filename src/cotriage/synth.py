@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trajectory import McQuestion, Trajectory, check_trajectories, prefix_lengths, unchecked
+from .trajectory import McQuestion, Trajectory, check_trajectories, unchecked
 from .voting import SampledPath
 
 _MID_TEMPLATES = [
@@ -161,7 +161,6 @@ def generate(
             question_id=qid,
             texts=texts,
             log_scores=log_scores,
-            prefix_len=prefix_lengths(texts),
             greedy_answer=greedy,
             greedy_token_cost=_token_cost(rng),
             label=correct,

@@ -1,19 +1,19 @@
 """Core data types for scored chain-of-thought trajectories.
 
 A trajectory is the greedy reasoning for one multiple-choice question, split
-into sentences and held as columns: the sentence texts, a (T, K) array of
+into sentences and held as columns: the sentence texts and a (T, K) array of
 per-choice log-scores (row t scores every answer option against the prefix
-ending at sentence t) and the prefix lengths. The top-choice probability p
-and the entropy of each row are derived from the log-scores once, when the
-trajectory is checked, as building a question checks it. One function,
-check_trajectories, checks many trajectories in one pass over all their rows
-and derives p and entropy once per option count K: building one trajectory
+ending at sentence t), the two things a traj/2 record stores per sentence.
+The prefix lengths (cumulative whitespace-token counts), the top-choice
+probability p and the entropy of each row are derived when the trajectory is
+checked, as building one checks it. One function, check_trajectories, checks
+many trajectories in one pass over all their rows: building one trajectory
 runs it on a split of one, synth on a whole split and read_trajectories on a
 file, a chunk of records at a time, so a bad file is reported at its first
 bad line. The readers check every field's JSON type instead of casting it. A
-traj/1 record's stored p and entropy are read as typed JSON numbers, and a
-record whose stored value is off the derived one by more than 1e-9 is
-rejected.
+traj/1 file, which also stored prefix_len, p and entropy, fails the schema
+check: synthesise it again, or delete it and harvest again (with the same
+cache directory, a harvest sends no request).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .errors import CotriageError
 from .jsonl import read_unique_jsonl, typed, write_jsonl
 
-TRAJ_SCHEMA = "traj/1"
+TRAJ_SCHEMA = "traj/2"
 QUESTIONS_SCHEMA = "questions/1"
 
 # Records a reader checks per pass: about 60 KB of float64 rows (a synth trajectory has
@@ -45,21 +45,21 @@ _TERMINALS = ".?!"
 _LIST_MARKER = re.compile(r"^(?:\d+|[A-Za-z])\.$")
 
 
-def numeric_array(values, kinds: str, dtype) -> np.ndarray:
-    """values as a dtype array; TypeError unless np.asarray infers a kind in kinds.
+def numeric_array(values) -> np.ndarray:
+    """values as a float64 array; TypeError unless np.asarray infers an int or float dtype.
 
     numpy reads a bool among numbers as 0 or 1, so a 1-D or 2-D list that
     holds a bool anywhere is a TypeError too. An empty array passes, so that
     "no sentences" keeps its own message.
     """
     arr = np.asarray(values)
-    if arr.size and arr.dtype.kind not in kinds:
-        raise TypeError(f"need {np.dtype(dtype).name} values, got dtype {arr.dtype}")
+    if arr.size and arr.dtype.kind not in "fiu":
+        raise TypeError(f"need float64 values, got dtype {arr.dtype}")
     if not isinstance(values, np.ndarray) and 1 <= arr.ndim <= 2:
         items = chain.from_iterable(values) if arr.ndim == 2 else values
         if bool in map(type, items):
-            raise TypeError(f"need {np.dtype(dtype).name} values, got a boolean")
-    return arr.astype(dtype, copy=False)
+            raise TypeError("need float64 values, got a boolean")
+    return arr.astype(np.float64, copy=False)
 
 
 def read_only(arr: np.ndarray) -> np.ndarray:
@@ -99,21 +99,21 @@ class ChoiceDistribution:
 class Trajectory:
     """Greedy reasoning for one question, held as per-sentence columns.
 
-    Row t of log_scores (T, K) scores the K options after sentence t, and
-    prefix_len[t] is the whitespace-token length of the reasoning up to it.
-    p (top-choice probability) and entropy are derived from log_scores at
-    construction, which also validates the whole record. The fields cannot
-    be reassigned afterwards, and the arrays are read-only views, so the
-    record cannot be written through them either.
+    Row t of log_scores (T, K) scores the K options after sentence t.
+    prefix_len[t] (the whitespace-token length of the reasoning up to
+    sentence t, from texts), p (top-choice probability) and entropy (from
+    log_scores) are derived at construction, which also validates the whole
+    record. The fields cannot be reassigned afterwards, and the arrays are
+    read-only views, so the record cannot be written through them either.
     """
 
     question_id: str
     texts: list[str]
     log_scores: np.ndarray
-    prefix_len: np.ndarray
     greedy_answer: int
     greedy_token_cost: int
     label: bool | None = None
+    prefix_len: np.ndarray = field(init=False, repr=False)
     p: np.ndarray = field(init=False, repr=False)
     entropy: np.ndarray = field(init=False, repr=False)
 
@@ -131,79 +131,66 @@ def unchecked(cls, **fields):
     return obj
 
 
-def check_trajectories(
-    trajs: Sequence[Trajectory], stored: Sequence | None = None
-) -> tuple[int, Exception] | None:
+def check_trajectories(trajs: Sequence[Trajectory]) -> tuple[int, Exception] | None:
     """Run Trajectory's checks on many trajectories in one pass; None, or the first failure.
 
-    Each trajectory's arrays are converted alone (numeric_array); every other
-    check runs once over all rows, and p and entropy are derived once per
-    option count K. stored, from a file, holds each trajectory's stored (2, T)
-    p and entropy rows, or the error reading them, checked after the rest:
-    they must match the derived values to within 1e-9. A failure is
-    (position, the error that trajectory gives checked alone). If none fails,
-    each gets read-only arrays, p and entropy views of one array over all rows.
+    Each trajectory's log-scores are converted alone (numeric_array); every
+    other check runs once over all rows. Each sentence's whitespace-token
+    count is taken once (len(s.split())): a count of 0 is an empty text, and
+    the per-trajectory cumulative sums are prefix_len. p and entropy are
+    derived once per option count K. A failure is (position, the error that
+    trajectory gives checked alone). If none fails, each gets read-only
+    arrays, prefix_len, p and entropy views of one array over all rows.
     """
     arrays, bad = [], None
     for i, traj in enumerate(trajs):
         qid, t = traj.question_id, len(traj.texts)
         try:
-            scores = numeric_array(traj.log_scores, "fiu", np.float64)
-            plen = numeric_array(traj.prefix_len, "iu", np.int64)
+            scores = numeric_array(traj.log_scores)
             if t == 0:
                 raise ValueError(f"{qid}: trajectory has no sentences")
             if scores.ndim != 2 or len(scores) != t or scores.shape[1] < 2:
                 raise ValueError(f"{qid}: log_scores must be (T, K) with T={t} and K >= 2")
-            if plen.shape != (t,):
-                raise ValueError(f"{qid}: need one prefix_len per sentence")
         except (TypeError, ValueError) as exc:
             bad = i, exc
             break
-        arrays.append((scores, plen))
+        arrays.append(scores)
     if not arrays:
         return bad
-    n, sizes, ks = len(arrays), [len(plen) for _, plen in arrays], [a.shape[1] for a, _ in arrays]
+    n, sizes, ks = len(arrays), [len(a) for a in arrays], [a.shape[1] for a in arrays]
     ends = np.cumsum(sizes)
     starts = ends - sizes
     p, entropy, finite = np.empty(ends[-1]), np.empty(ends[-1]), np.empty(ends[-1], bool)
     with np.errstate(all="ignore"):  # a row that fails a check below may hold NaN or infinity
         for k in dict.fromkeys(ks):
             rows = np.repeat(np.equal(ks, k), sizes)
-            scores = np.concatenate([a for a, _ in arrays if a.shape[1] == k])
+            scores = np.concatenate([a for a in arrays if a.shape[1] == k])
             finite[rows] = np.isfinite(scores).all(axis=1)
             p[rows], entropy[rows] = sentence_signals(ChoiceDistribution(_softmax(scores), scores))
-    plens = np.concatenate([plen for _, plen in arrays])
-    plen_bad = np.empty(len(plens), bool)
-    plen_bad[1:] = plens[1:] <= plens[:-1]
-    plen_bad[starts] = plens[starts] < 1
     texts = chain.from_iterable(traj.texts for traj in trajs[:n])
+    tokens = np.fromiter(map(len, map(str.split, texts)), np.int64, ends[-1])
+    prefix_len = np.cumsum(tokens)
+    prefix_len -= np.repeat(prefix_len[starts] - tokens[starts], sizes)
 
     def first(row_bad: np.ndarray) -> int:  # the trajectory holding the first bad row, or n
         bad_rows = np.flatnonzero(row_bad)
         return int(np.searchsorted(ends, bad_rows[0], "right")) if len(bad_rows) else n
 
     checks = [  # in the order one trajectory's checks run
-        (first(~np.fromiter(map(bool, map(str.strip, texts)), bool, len(plens))), "sentence text is empty"),
+        (first(tokens == 0), "sentence text is empty"),
         (first(~finite), "log-scores contain NaN or infinity"),
-        (first(plen_bad), "prefix_len must be positive and strictly increasing"),
         (next((j for j, k in enumerate(ks) if not 0 <= trajs[j].greedy_answer < k), n),
          "greedy_answer out of range"),
         (next((j for j in range(n) if trajs[j].greedy_token_cost <= 0), n),
          "greedy_token_cost must be positive"),
     ]
-    if stored is not None:
-        read = next((j for j in range(n) if isinstance(stored[j], Exception)), n)
-        given = np.hstack([np.empty((2, 0)), *stored[:read]])  # the rows of trajectories before read
-        off = ~(np.abs(given - np.stack([p, entropy])[:, : given.shape[1]]) <= 1e-9).all(axis=0)
-        checks += [(read, stored[read] if read < n else None),
-                   (first(off), "stored p/entropy disagree with log_scores")]
     i, what = min(checks, key=itemgetter(0))  # on a tie, the check that runs first
     if i < n:
-        return i, what if isinstance(what, Exception) else ValueError(f"{trajs[i].question_id}: {what}")
+        return i, ValueError(f"{trajs[i].question_id}: {what}")
     if bad is None:
-        p, entropy = read_only(p), read_only(entropy)
-        for traj, (scores, plen), lo, hi in zip(trajs, arrays, starts.tolist(), ends.tolist()):
-            traj.__dict__.update(log_scores=read_only(scores), prefix_len=read_only(plen),
+        prefix_len, p, entropy = read_only(prefix_len), read_only(p), read_only(entropy)
+        for traj, scores, lo, hi in zip(trajs, arrays, starts.tolist(), ends.tolist()):
+            traj.__dict__.update(log_scores=read_only(scores), prefix_len=prefix_len[lo:hi],
                                  p=p[lo:hi], entropy=entropy[lo:hi])
     return bad
 
@@ -286,34 +273,14 @@ def sentence_signals(dist: ChoiceDistribution) -> tuple[float | np.ndarray, floa
     return probs.max(axis=-1), entropy
 
 
-def prefix_lengths(sentences: Sequence[str]) -> list[int]:
-    """Cumulative whitespace-token counts of the reasoning prefix."""
-    total = 0
-    out = []
-    for s in sentences:
-        total += len(s.split())
-        out.append(total)
-    return out
-
-
 # --- serialization ---------------------------------------------------------
 
 
 def traj_record(traj: Trajectory) -> dict:
-    """The traj/1 record of one trajectory."""
-    columns = zip(
-        traj.texts,
-        traj.log_scores.tolist(),
-        traj.p.tolist(),
-        traj.entropy.tolist(),
-        traj.prefix_len.tolist(),
-    )
+    """The traj/2 record of one trajectory: its texts and log-scores, not what derives from them."""
     rec = {
         "question_id": traj.question_id,
-        "sentences": [
-            {"text": text, "log_scores": row, "p": p, "entropy": h, "prefix_len": plen}
-            for text, row, p, h, plen in columns
-        ],
+        "sentences": [{"text": t, "log_scores": row} for t, row in zip(traj.texts, traj.log_scores.tolist())],
         "greedy_answer": traj.greedy_answer,
         "greedy_token_cost": traj.greedy_token_cost,
     }
@@ -322,48 +289,40 @@ def traj_record(traj: Trajectory) -> dict:
     return rec
 
 
-def _traj_from_record(rec: dict) -> tuple[Trajectory, np.ndarray | Exception]:
-    """A record's trajectory, unchecked, and its stored (2, T) p and entropy rows, or the error reading them.
+def _traj_from_record(rec: dict) -> Trajectory:
+    """A record's trajectory, unchecked, its log-scores already an array.
 
-    The JSON lists become arrays here, at the point where building the trajectory alone would
-    convert them, so a chunk of records waiting for check_trajectories holds no per-sentence
-    lists: held, they made the garbage collector run about twice as often.
+    They become one here, where building the trajectory alone would convert them, so a chunk
+    of records waiting for check_trajectories holds no per-sentence lists: held, they made the
+    garbage collector run about twice as often.
     """
     sentences = typed(rec, "sentences", list)
-    traj = unchecked(
+    return unchecked(
         Trajectory,
         question_id=typed(rec, "question_id", str),
         texts=[typed(s, "text", str) for s in sentences],
-        log_scores=[s["log_scores"] for s in sentences],
-        prefix_len=[s["prefix_len"] for s in sentences],
         greedy_answer=typed(rec, "greedy_answer", int),
         greedy_token_cost=typed(rec, "greedy_token_cost", int),
         label=typed(rec, "label", bool, None),
+        log_scores=numeric_array([s["log_scores"] for s in sentences]),
     )
-    traj.__dict__["log_scores"] = numeric_array(traj.log_scores, "fiu", np.float64)
-    traj.__dict__["prefix_len"] = numeric_array(traj.prefix_len, "iu", np.int64)
-    try:  # an error here counts after the trajectory's own checks, as it did when built alone
-        return traj, np.array([[typed(s, key, float) for s in sentences] for key in ("p", "entropy")])
-    except (KeyError, TypeError, ValueError) as exc:
-        return traj, exc
 
 
 def write_trajectories(path: str | Path, trajectories: Iterable[Trajectory]) -> None:
-    """Write a traj/1 file; a Trajectory was validated when it was built."""
+    """Write a traj/2 file; a Trajectory was validated when it was built."""
     write_jsonl(path, TRAJ_SCHEMA, map(traj_record, trajectories))
 
 
 def read_trajectories(path: str | Path) -> list[Trajectory]:
-    """Read a traj/1 file, applying the writer's checks to every record.
+    """Read a traj/2 file, applying the writer's checks to every record.
 
-    Every field must hold its JSON type, and a record's stored p and entropy
-    must match the values derived from its log_scores to within 1e-9. The
-    records are checked together, a chunk at a time (check_trajectories); a
-    bad file is a ParseError naming its first bad line.
+    Every field must hold its JSON type. The records are checked together, a
+    chunk at a time (check_trajectories), which derives each one's
+    prefix_len, p and entropy; a bad file is a ParseError naming its first
+    bad line.
     """
-    items = read_unique_jsonl(path, TRAJ_SCHEMA, _traj_from_record, lambda item: item[0].question_id,
-                              settle=lambda items: check_trajectories(*zip(*items)), chunk=RECORDS_PER_PASS)
-    return [traj for traj, _ in items]
+    return list(read_unique_jsonl(path, TRAJ_SCHEMA, _traj_from_record, _BY_ID,
+                                  settle=check_trajectories, chunk=RECORDS_PER_PASS))
 
 
 def write_questions(path: str | Path, questions: Iterable[McQuestion]) -> None:

@@ -42,7 +42,7 @@ from cotriage.harvest import EndpointConfig
 from cotriage.model import CKPT_SCHEMA, ModelConfig, init_params, save_checkpoint
 from cotriage.synth import SynthConfig
 from cotriage.training import TrainConfig
-from cotriage.trajectory import load_questions, write_questions
+from cotriage.trajectory import load_questions, read_trajectories, traj_record, write_questions
 from test_harvest import Q1, Q2, make_fake
 
 
@@ -125,7 +125,7 @@ def test_manifest_records_resolved_run(tmp_path):
     assert doc["subcommand"] == "synth"
     assert doc["seed"] == 5
     assert doc["config"]["n_train"] == 10
-    assert doc["schemas"] == {"paths": "paths/1", "questions": "questions/1", "traj": "traj/1"}
+    assert doc["schemas"] == {"paths": "paths/1", "questions": "questions/1", "traj": "traj/2"}
     assert "created_at" in doc and "git_revision" in doc
     for path in doc["outputs"]:
         assert Path(path).is_file()
@@ -388,6 +388,19 @@ def test_data_error_exit_codes(tmp_path, capsys):
                "--model", ckpt, "--out", tmp_path / "c", "--budget", 2) == EXIT_DATA
     assert f"expected schema {CKPT_SCHEMA!r}" in capsys.readouterr().err
 
+    # a traj/1 file, which stored each sentence's prefix_len, p and entropy, is not read
+    traj_path = run_dir / "d" / "train.traj.jsonl"
+    records = [{"schema": "traj/1"}]
+    for traj in read_trajectories(traj_path):
+        rec = traj_record(traj)
+        for sent, plen, p, h in zip(rec["sentences"], traj.prefix_len.tolist(), traj.p.tolist(),
+                                    traj.entropy.tolist()):
+            sent.update(prefix_len=plen, p=p, entropy=h)
+        records.append(rec)
+    traj_path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    assert run("extract-features", "--in", run_dir / "d", "--out", tmp_path / "f1") == EXIT_DATA
+    assert "expected schema 'traj/2', got 'traj/1'" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "stage, name, message",
@@ -470,10 +483,6 @@ def _answer_nine(rec):
     rec["greedy_answer"] = 9
 
 
-def _stale_p(rec):
-    rec["sentences"][1]["p"] += 0.1
-
-
 def _nan_row(rec):
     x = _rows(rec)
     x[0, 0] = np.nan
@@ -482,10 +491,6 @@ def _nan_row(rec):
 
 def _string_log_scores(rec):
     rec["sentences"][0]["log_scores"] = [str(v) for v in rec["sentences"][0]["log_scores"]]
-
-
-def _fractional_prefix_len(rec):
-    rec["sentences"][0]["prefix_len"] = 3.7
 
 
 def _string_options(rec):
@@ -514,10 +519,6 @@ def _narrow_rows(rec):
     _set_rows(rec, _rows(rec)[:, :5])
 
 
-def _true_prefix_len(rec):
-    rec["sentences"][0]["prefix_len"] = True
-
-
 def _true_log_score(rec):
     rec["sentences"][1]["log_scores"][0] = True
 
@@ -531,26 +532,22 @@ def _true_feature(rec):
     [
         ("extract-features", "train.traj.jsonl", _drop_sentences, "no sentences"),
         ("extract-features", "train.traj.jsonl", _answer_nine, "greedy_answer out of range"),
-        ("extract-features", "train.traj.jsonl", _stale_p, "p/entropy disagree"),
         ("train", "train.features.jsonl", _nan_row, "NaN or infinity"),
         ("train", "train.features.jsonl", None, "duplicate features/2 key"),
         ("extract-features", "train.traj.jsonl", _string_log_scores, "need float64 values"),
-        ("extract-features", "train.traj.jsonl", _fractional_prefix_len, "need int64 values"),
         ("extract-features", "train.questions.jsonl", _string_options, "options must be list"),
         ("extract-features", "train.questions.jsonl", _int_option, "options must be strings"),
         ("train", "train.labels.jsonl", _string_label, "label must be bool"),
         ("train", "train.features.jsonl", _bogus_layout, "unknown layout_id 'bogus'"),
         ("train", "train.features.jsonl", _numeric_layout, "differs from the file's 'full'"),
         ("train", "train.features.jsonl", _narrow_rows, "5 columns, layout 'full' has 32"),
-        ("extract-features", "train.traj.jsonl", _true_prefix_len, "need int64 values, got a boolean"),
         ("extract-features", "train.traj.jsonl", _true_log_score, "need float64 values, got a boolean"),
         ("train", "train.features.jsonl", _true_feature, "rows must be str, not True"),
     ],
-    ids=["traj_no_sentences", "traj_answer_9_of_4", "traj_stale_p", "features_nan",
-         "features_duplicate", "traj_string_log_scores", "traj_prefix_len_3_7",
-         "questions_options_string", "questions_option_2", "labels_string_false",
-         "features_bogus_layout", "features_numeric_in_full", "features_5_of_32_columns",
-         "traj_prefix_len_true", "traj_log_score_true", "features_row_true"],
+    ids=["traj_no_sentences", "traj_answer_9_of_4", "features_nan", "features_duplicate",
+         "traj_string_log_scores", "questions_options_string", "questions_option_2",
+         "labels_string_false", "features_bogus_layout", "features_numeric_in_full",
+         "features_5_of_32_columns", "traj_log_score_true", "features_row_true"],
 )
 def test_record_failing_the_writers_checks_exits_2_naming_its_line(
     tmp_path, capsys, stage, name, edit, message
@@ -714,7 +711,7 @@ def test_a_table_whose_rows_fail_leaves_no_file_behind(tmp_path, capsys):
     write_outcomes(r / "outcomes.policy.jsonl", OutcomeVector(["a", "b"], [True, False], [1, 2]))
     write_outcomes(r / "outcomes.multi.jsonl", OutcomeVector(["a", "c"], [True, True], [3, 4]))
     assert run("report", "--in", r, "--out", tmp_path / "rep", "--resamples", 20) == EXIT_DATA
-    assert "cover different question sets" in capsys.readouterr().err
+    assert "cover different question sets: 'c' is in only one" in capsys.readouterr().err
     assert list((tmp_path / "rep").iterdir()) == []
 
 

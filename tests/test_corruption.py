@@ -1,11 +1,16 @@
 """Corruption sweep: every field of one record, set to each odd JSON value, is a data error.
 
-One record of a traj/1, features/2 and paths/1 file has one field deleted or
-replaced; the stage that reads the file runs in-process and must exit 2 with
-a message naming the record's line, writing nothing. ALLOWED lists the
-mutations the schemas permit, which must exit 0 instead, and MISMATCHED the
-ones that only disagree with another file, which name the question instead
-of the line: the two lists are the contract, written down.
+One record of a questions/1, traj/2, features/2, paths/1 and outcomes/1 file
+has one field deleted or replaced; the stage that reads the file runs
+in-process and must exit 2 with a message naming the record's line, writing
+nothing. A questions file goes through extract-features and, as the
+questions_route case, through route; an outcomes file through report.
+ALLOWED lists the mutations the schemas permit, which must exit 0 instead,
+and MISMATCHED the ones that only disagree with another file, which name the
+question instead of the line: the two lists are the contract, written down.
+A traj/2 record stores only each sentence's text and log-scores, so any
+finite log-score is a valid trajectory; prefix_len, p and entropy are
+derived from them and cannot disagree with them.
 """
 
 import json
@@ -26,14 +31,25 @@ VALUES = {
     "-inf": -math.inf, "[]": [], "{}": {}, "true": True, "[1]": [1],
 }
 
-# (file kind, field path, value name): mutations the schema permits.
+# (case, field path, value name): mutations the schema permits. The case is the file kind,
+# or questions_route for a questions file read by route.
 ALLOWED = {
     # label is optional; a missing or null one leaves the question unlabelled
     ("traj", "label", "deleted"), ("traj", "label", "null"),
-    # the first sentence may go: the rest still carry their own p, entropy and prefix_len
+    # the first sentence may go: the rest are a trajectory of their own
     ("traj", "sentences.0", "deleted"),
     # any non-blank text is a sentence, and any option a greedy answer
     ("traj", "sentences.0.text", "x"), ("traj", "greedy_answer", "0"),
+    # any finite log-score scores an option
+    *(("traj", "sentences.0.log_scores.0", v) for v in ("-1", "0", "1.5", "2**63", "1e308")),
+    # a question needs a gold answer only where answers are scored, which route does
+    ("questions", "answer_idx", "deleted"), ("questions", "answer_idx", "null"),
+    # any option may be the gold one, and any string a question or an option
+    *((case, field, v) for case in ("questions", "questions_route")
+      for field, v in [("answer_idx", "0"), ("options.0", "empty_str"), ("options.0", "x"),
+                       ("question", "empty_str"), ("question", "x")]),
+    # an outcome may be correct or not, and cost nothing
+    ("outcomes", "correct", "true"), ("outcomes", "tokens", "0"),
     # a sampled path's answer may be ABSTAIN (-1) or any option, and its cost any count
     ("paths", "answer", "-1"), ("paths", "answer", "0"), ("paths", "token_cost", "0"),
     # temperature is optional (1.0) and any finite non-negative number
@@ -43,6 +59,12 @@ ALLOWED = {
 # Mutations that leave a record well formed on its own but at odds with another file:
 # each must exit 2 with the message given, which names the question instead of a line.
 MISMATCHED = {
+    ("questions", "id", "empty_str"): "no question for trajectory 'test-00001'",
+    ("questions", "id", "x"): "no question for trajectory 'test-00001'",
+    ("questions_route", "id", "empty_str"): "no question for trajectory 'test-00001'",
+    ("questions_route", "id", "x"): "no question for trajectory 'test-00001'",
+    ("questions_route", "answer_idx", "deleted"): "question 'test-00001' has no gold answer",
+    ("questions_route", "answer_idx", "null"): "question 'test-00001' has no gold answer",
     ("traj", "question_id", "empty_str"): "no question for trajectory ''",
     ("traj", "question_id", "x"): "no question for trajectory 'x'",
     ("traj", "label", "true"): "label of 'test-00001' contradicts its greedy answer",
@@ -50,6 +72,8 @@ MISMATCHED = {
     ("features", "question_id", "x"): "no features for 'test-00001'",
     ("paths", "question_id", "empty_str"): "sampled paths for '', which has no trajectory",
     ("paths", "question_id", "x"): "sampled paths for 'x', which has no trajectory",
+    ("outcomes", "question_id", "empty_str"): "different question sets: 'test-00001' is in only one",
+    ("outcomes", "question_id", "x"): "different question sets: 'test-00001' is in only one",
 }
 
 MAX_SECONDS = 5.0
@@ -92,10 +116,11 @@ def corpus(tmp_path_factory):
     assert run("extract-features", "--in", d, "--out", f) == EXIT_OK
     cfg = ModelConfig(input_dim=32, hidden=4, heads=1, head_hidden=4)
     save_checkpoint(base / "model.ckpt", init_params(cfg, seed=0), cfg)
+    assert run(*_route(base), "--out", base / "r") == EXIT_OK
     return base
 
 
-def sweep(corpus: Path, tmp_path: Path, kind: str, name: str, argv, capsys) -> list[str]:
+def sweep(corpus: Path, tmp_path: Path, case: str, name: str, argv, capsys) -> list[str]:
     """Run every mutation of the record on line 3 of name; the list of broken contracts."""
     work = tmp_path / "work"
     shutil.copytree(corpus, work)
@@ -105,7 +130,7 @@ def sweep(corpus: Path, tmp_path: Path, kind: str, name: str, argv, capsys) -> l
     problems = []
     for path in field_paths(rec):
         for value_name, value in VALUES.items():
-            case = (kind, ".".join(map(str, path)), value_name)
+            key = (case, ".".join(map(str, path)), value_name)
             target.write_text("\n".join([*lines[:2], json.dumps(mutated(rec, path, value)),
                                          *lines[3:]]) + "\n")
             out = tmp_path / "out"
@@ -113,11 +138,11 @@ def sweep(corpus: Path, tmp_path: Path, kind: str, name: str, argv, capsys) -> l
             capsys.readouterr()
             code = run(*argv(work), "--out", out)
             err = capsys.readouterr().err
-            if case in ALLOWED:
+            if key in ALLOWED:
                 if code != EXIT_OK:
-                    problems.append(f"{case}: allowed, but exit {code}: {err.strip()}")
-            elif code != EXIT_DATA or MISMATCHED.get(case, "line 3:") not in err or out.exists():
-                problems.append(f"{case}: exit {code}, out written {out.exists()}: {err.strip()}")
+                    problems.append(f"{key}: allowed, but exit {code}: {err.strip()}")
+            elif code != EXIT_DATA or MISMATCHED.get(key, "line 3:") not in err or out.exists():
+                problems.append(f"{key}: exit {code}, out written {out.exists()}: {err.strip()}")
     target.write_text("\n".join(lines) + "\n")
     return problems
 
@@ -131,14 +156,21 @@ def _route(work: Path) -> list:
             work / "model.ckpt", "--budget", 2, "--tau", 0.5]
 
 
+def _report(work: Path) -> list:
+    return ["report", "--in", work / "r", "--resamples", 20]
+
+
 @pytest.mark.parametrize(
-    "kind, name, argv",
+    "case, name, argv",
     [("traj", "test.traj.jsonl", _extract), ("features", "test.features.jsonl", _route),
-     ("paths", "test.paths.jsonl", _route)],
-    ids=["traj_extract_features", "features_route", "paths_route"],
+     ("paths", "test.paths.jsonl", _route), ("questions", "test.questions.jsonl", _extract),
+     ("questions_route", "test.questions.jsonl", _route),
+     ("outcomes", "outcomes.policy.jsonl", _report)],
+    ids=["traj_extract_features", "features_route", "paths_route", "questions_extract_features",
+         "questions_route", "outcomes_report"],
 )
-def test_every_corrupted_field_exits_2_naming_its_line(corpus, tmp_path, capsys, kind, name, argv):
+def test_every_corrupted_field_exits_2_naming_its_line(corpus, tmp_path, capsys, case, name, argv):
     start = time.perf_counter()
-    problems = sweep(corpus, tmp_path, kind, name, argv, capsys)
+    problems = sweep(corpus, tmp_path, case, name, argv, capsys)
     assert not problems, "\n".join(problems)
     assert time.perf_counter() - start < MAX_SECONDS

@@ -94,8 +94,10 @@ def test_order_of_b_does_not_matter():
 def test_mismatched_question_sets_rejected():
     a = vec(["a", "b"], [1, 0], [1, 2])
     b = vec(["a", "c"], [1, 0], [1, 2])
-    with pytest.raises(CotriageError, match="outcome vectors cover different question sets"):
+    with pytest.raises(CotriageError, match="outcome vectors cover different question sets: 'b' is"):
         paired_bootstrap(a, b)
+    with pytest.raises(CotriageError, match="different question sets: 'c' is in only one"):
+        paired_bootstrap(vec(["a"], [1], [1]), vec(["c", "a"], [1, 0], [1, 2]))
 
 
 @pytest.mark.parametrize("resamples", [0, -5])
@@ -222,8 +224,8 @@ def _tiny_traj(qid, answer, final_p=0.8, k=4):
     probs = np.full((1, k), (1.0 - final_p) / (k - 1))
     probs[0, answer] = final_p
     return Trajectory(
-        qid, ["Only one step here."], np.log(probs), [4], greedy_answer=answer,
-        greedy_token_cost=100, label=None,
+        qid, ["Only one step here."], np.log(probs), greedy_answer=answer, greedy_token_cost=100,
+        label=None,
     )
 
 

@@ -25,7 +25,7 @@ from cotriage.features import (
 )
 from cotriage.errors import ParseError
 from cotriage.jsonl import dumps_record
-from cotriage.trajectory import McQuestion, Trajectory, prefix_lengths
+from cotriage.trajectory import McQuestion, Trajectory
 
 def col(name, subset="full"):
     return LAYOUTS[subset].index(name)
@@ -42,8 +42,7 @@ def make_traj(p_series, texts=None, k=None, qid="q0"):
     probs = np.full((t, k), (1.0 - np.asarray(p_series)[:, None]) / (k - 1))
     probs[:, 0] = p_series
     return Trajectory(
-        qid, texts, np.log(probs), prefix_lengths(texts), greedy_answer=0, greedy_token_cost=100,
-        label=True,
+        qid, texts, np.log(probs), greedy_answer=0, greedy_token_cost=100, label=True
     )
 
 
@@ -457,8 +456,7 @@ def _mixed_split(seed, n_per_length=3):
         k = int(rng.integers(2, 7))
         texts = [" ".join(rng.choice(_WORDS, size=int(rng.integers(1, 12)))) for _ in range(t)]
         qid = f"q{i}"
-        trajs.append(Trajectory(qid, texts, rng.normal(scale=3.0, size=(t, k)),
-                                prefix_lengths(texts), 0, 100, label=bool(i % 2)))
+        trajs.append(Trajectory(qid, texts, rng.normal(scale=3.0, size=(t, k)), 0, 100, label=bool(i % 2)))
         words = rng.choice(_WORDS, size=8)
         questions.append(McQuestion(qid, " ".join(words), [" ".join(rng.choice(_WORDS, size=2))
                                                           for _ in range(k)]))

@@ -502,7 +502,7 @@ def test_dataset_harvest_resumes_and_skips_failures(tmp_path, caplog):
 
     with open(out_traj, encoding="utf-8") as fh:
         first = json.loads(fh.readline())
-    assert first == {"schema": "traj/1"}
+    assert first == {"schema": "traj/2"}
 
 
 def test_dataset_harvest_survives_blank_generation(tmp_path, caplog):

@@ -16,7 +16,6 @@ from cotriage.trajectory import (
     check_trajectories,
     load_questions,
     normalize_choices,
-    prefix_lengths,
     read_trajectories,
     segment_sentences,
     sentence_signals,
@@ -144,8 +143,32 @@ def test_answer_logscore_rejects_empty():
         answer_logscore([])
 
 
-def test_prefix_lengths_cumulative():
-    assert prefix_lengths(["a b", "c", "d e f"]) == [2, 3, 6]
+_SPACES = [" ", "\t", "\n", "\xa0", "\u3000", " \t\xa0\u3000\n"]
+
+
+def test_prefix_len_counts_whitespace_tokens():
+    """The cumulative len(text.split()), in a split checked in one call and in each trajectory alone."""
+    traj = Trajectory("q", ["a\tb", "c\nd\xa0e", "\u3000f  "], np.zeros((3, 2)), 0, 1)
+    assert traj.prefix_len.tolist() == [2, 5, 6] and traj.prefix_len.dtype == np.int64
+    rng = np.random.default_rng(0)
+    fields, counts = [], []
+    for i in range(50):
+        words = [[f"w{j}." for j in range(1, 1 + rng.integers(1, 6))] for _ in range(1 + i % 7)]
+        texts = ["".join(str(rng.choice(_SPACES)) + w for w in ws) + str(rng.choice(_SPACES))
+                 for ws in words]
+        fields.append(dict(question_id=f"q{i}", texts=texts, log_scores=rng.normal(size=(len(texts), 3)),
+                           greedy_answer=0, greedy_token_cost=1))
+        counts.append(np.cumsum([len(ws) for ws in words]).tolist())
+    together = [unchecked(Trajectory, **f) for f in fields]
+    assert check_trajectories(together) is None
+    for got, f, expected in zip(together, fields, counts):
+        assert got.prefix_len.tolist() == Trajectory(**f).prefix_len.tolist() == expected
+    # a text made only of such whitespace has no token, and is no sentence
+    fields[17]["texts"] = [*fields[17]["texts"][:-1], "".join(_SPACES)]
+    with pytest.raises(ValueError, match="q17: sentence text is empty"):
+        Trajectory(**fields[17])
+    pos, err = check_trajectories([unchecked(Trajectory, **f) for f in fields])
+    assert (pos, str(err)) == (17, "q17: sentence text is empty")
 
 
 def _make_trajectory(qid="q0", k=4, t=3, label=True, seed=0):
@@ -155,7 +178,6 @@ def _make_trajectory(qid="q0", k=4, t=3, label=True, seed=0):
         question_id=qid,
         texts=texts,
         log_scores=rng.normal(size=(t, k)),
-        prefix_len=prefix_lengths(texts),
         greedy_answer=1,
         greedy_token_cost=120,
         label=label,
@@ -172,7 +194,7 @@ def test_columns_equal_the_per_row_results(k):
         one = normalize_choices(row)
         assert np.array_equal(dist.probs[t], one.probs)
         assert (p[t], entropy[t]) == sentence_signals(one)
-    traj = Trajectory("q", ["x."] * 12, scores, range(1, 13), 0, 10)
+    traj = Trajectory("q", ["x."] * 12, scores, 0, 10)
     assert np.array_equal(traj.p, p) and np.array_equal(traj.entropy, entropy)
 
 
@@ -184,8 +206,9 @@ def test_trajectory_roundtrip(tmp_path):
     write_trajectories(path, trajs)
 
     with open(path) as fh:
-        header = json.loads(fh.readline())
-    assert header == {"schema": "traj/1"}
+        header, first = map(json.loads, fh.readlines()[:2])
+    assert header == {"schema": "traj/2"}
+    assert all(set(sent) == {"text", "log_scores"} for sent in first["sentences"])
 
     loaded = read_trajectories(path)
     assert len(loaded) == len(trajs)
@@ -203,7 +226,7 @@ def test_trajectory_roundtrip(tmp_path):
 def test_trajectory_read_rejects_duplicates(tmp_path):
     path = tmp_path / "dup.jsonl"
     write_trajectories(path, [_make_trajectory("q0"), _make_trajectory("q0", seed=1)])
-    with pytest.raises(ParseError, match="line 3: duplicate traj/1 key 'q0'"):
+    with pytest.raises(ParseError, match="line 3: duplicate traj/2 key 'q0'"):
         read_trajectories(path)
 
 
@@ -217,7 +240,7 @@ def test_trajectory_read_rejects_wrong_schema(tmp_path):
 
 def test_trajectory_read_reports_bad_line(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"schema": "traj/1"}\nnot json\n')
+    path.write_text('{"schema": "traj/2"}\nnot json\n')
     with pytest.raises(ParseError) as err:
         read_trajectories(path)
     assert err.value.line == 2
@@ -245,14 +268,6 @@ def _rewrite_second_record(path, edit):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _stale_p(rec):
-    rec["sentences"][1]["p"] += 0.1
-
-
-def _stale_entropy(rec):
-    rec["sentences"][0]["entropy"] -= 1e-8
-
-
 def _no_sentences(rec):
     rec["sentences"] = []
 
@@ -277,49 +292,28 @@ def _string_label(rec):
     rec["label"] = "false"
 
 
-def _true_p(rec):
-    rec["sentences"][0]["p"] = True
+def _blank_text(rec):
+    rec["sentences"][1]["text"] = "\xa0\u3000\t"
 
 
-def _string_p(rec):
-    rec["sentences"][0]["p"] = str(rec["sentences"][0]["p"])
-
-
-def _null_entropy(rec):
-    rec["sentences"][1]["entropy"] = None
-
-
-def _nan_p(rec):
-    rec["sentences"][2]["p"] = float("nan")
-
-
-def _true_p_where_p_is_one(rec):
-    # The derived p of this row is exactly 1.0, so a bool read as a number would pass.
-    rec["sentences"][0]["log_scores"] = [0.0] + [-1000.0] * 3
-    rec["sentences"][0]["entropy"] = 0.0
-    rec["sentences"][0]["p"] = True
+def _nan_score(rec):
+    rec["sentences"][2]["log_scores"][0] = float("nan")
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (_stale_p, "p/entropy disagree"),
-        (_stale_entropy, "p/entropy disagree"),
         (_no_sentences, "no sentences"),
         (_answer_out_of_range, "greedy_answer out of range"),
-        (_ragged_scores, "bad traj/1 record"),
+        (_ragged_scores, "bad traj/2 record"),
         (_int_text, "text must be str"),
         (_bool_greedy_answer, "greedy_answer must be int"),
         (_string_label, "label must be bool"),
-        (_true_p, "p must be float"),
-        (_string_p, "p must be float"),
-        (_null_entropy, "entropy must be float"),
-        (_nan_p, "p/entropy disagree"),
-        (_true_p_where_p_is_one, "p must be float"),
+        (_blank_text, "q1: sentence text is empty"),
+        (_nan_score, "q1: log-scores contain NaN or infinity"),
     ],
-    ids=["stale_p", "stale_entropy", "no_sentences", "answer_out_of_range", "ragged_scores",
-         "text_5", "greedy_answer_true", "label_string", "p_true", "p_string", "entropy_null",
-         "p_nan", "p_true_where_p_is_one"],
+    ids=["no_sentences", "answer_out_of_range", "ragged_scores", "text_5", "greedy_answer_true",
+         "label_string", "text_blank", "log_score_nan"],
 )
 def test_read_applies_the_writers_checks(tmp_path, edit, message):
     path = tmp_path / "t.jsonl"
@@ -342,8 +336,7 @@ def _split(n=160, seed=0):
         if i % 5 == 0:
             scores[rng.integers(t)] = rng.choice([-700.0, 700.0], size=k)
         texts = [f"Sentence {j} of item {i}." for j in range(t)]
-        fields.append(dict(question_id=f"q{i}", texts=texts, log_scores=scores,
-                           prefix_len=prefix_lengths(texts), greedy_answer=i % k,
+        fields.append(dict(question_id=f"q{i}", texts=texts, log_scores=scores, greedy_answer=i % k,
                            greedy_token_cost=10 + i, label=None if i % 7 == 0 else i % 2 == 0))
     return fields
 
@@ -382,13 +375,13 @@ def test_a_file_mixing_three_and_five_options_reads(tmp_path):
 
 @pytest.mark.parametrize(
     "line, first, fifth, message",
-    [(3, _stale_p, _no_sentences, "q1: stored p/entropy disagree"),
+    [(3, _blank_text, _no_sentences, "q1: sentence text is empty"),
      (3, _answer_out_of_range, _ragged_scores, "q1: greedy_answer out of range"),
-     (3, _null_entropy, _no_sentences, "entropy must be float"),
-     (3, _nan_p, _int_text, "q1: stored p/entropy disagree"),
-     (2, _null_entropy, _stale_p, "entropy must be float")],
-    ids=["stale_p_then_no_sentences", "answer_9_then_ragged", "entropy_null_then_no_sentences",
-         "p_nan_then_text_5", "entropy_null_on_the_first_record_then_stale_p"],
+     (3, _nan_score, _no_sentences, "q1: log-scores contain NaN"),
+     (3, _blank_text, _int_text, "q1: sentence text is empty"),
+     (2, _nan_score, _blank_text, "q0: log-scores contain NaN")],
+    ids=["blank_then_no_sentences", "answer_9_then_ragged", "nan_then_no_sentences",
+         "blank_then_text_5", "nan_on_line_2_then_blank"],
 )
 def test_the_first_of_two_bad_records_names_the_error(tmp_path, line, first, fifth, message):
     path = tmp_path / "t.jsonl"
@@ -410,28 +403,27 @@ def test_validate_catches_non_increasing_prefix():
         traj.prefix_len[2] = traj.prefix_len[1]
     plen = traj.prefix_len.copy()
     plen[2] = plen[1]
-    with pytest.raises(ValueError, match="strictly increasing"):
+    with pytest.raises(ValueError, match="prefix_len is declared with init=False"):
         replace(traj, prefix_len=plen)
 
 
 def test_array_fields_are_read_only_views_of_the_callers_arrays():
     scores = np.random.default_rng(1).normal(size=(3, 4))
-    plen = np.array([3, 7, 9])
-    traj = Trajectory("q", ["a b c.", "d e f g.", "h i."], scores, plen, 1, 10)
+    traj = Trajectory("q", ["a b c.", "d e f g.", "h i."], scores, 1, 10)
     for name in ("log_scores", "prefix_len", "p", "entropy"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(traj, name)[0] = 1
-    assert np.shares_memory(traj.log_scores, scores) and np.shares_memory(traj.prefix_len, plen)
-    assert scores.flags.writeable and plen.flags.writeable
+    assert np.shares_memory(traj.log_scores, scores) and scores.flags.writeable
+    assert traj.prefix_len.tolist() == [3, 7, 9]
 
 
 def test_construction_validates():
     with pytest.raises(ValueError, match="no sentences"):
-        Trajectory("q", [], np.zeros((0, 3)), [], 0, 10)
+        Trajectory("q", [], np.zeros((0, 3)), 0, 10)
     with pytest.raises(ValueError, match="greedy_answer"):
-        Trajectory("q", ["a b."], np.zeros((1, 3)), [2], 3, 10)
+        Trajectory("q", ["a b."], np.zeros((1, 3)), 3, 10)
     with pytest.raises(ValueError, match="NaN"):
-        Trajectory("q", ["a b."], [[0.0, float("nan")]], [2], 0, 10)
+        Trajectory("q", ["a b."], [[0.0, float("nan")]], 0, 10)
 
 
 def test_validate_catches_bad_answer_index():
