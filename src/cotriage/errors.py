@@ -8,17 +8,26 @@ says what broke.
 
 from __future__ import annotations
 
+from os import PathLike
+
 
 class CotriageError(Exception):
     """A data error: inputs that are empty, disagree with each other or with a config."""
 
 
 class ParseError(CotriageError):
-    """Raised on malformed input files; carries the offending line number."""
+    """Raised on malformed input files; carries the offending line number.
 
-    def __init__(self, message: str, line: int | None = None):
+    The message starts with the path and the line when they are given:
+    "<path>: line N: <message>".
+    """
+
+    def __init__(self, message: str, line: int | None = None,
+                 path: str | PathLike | None = None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
 

@@ -5,9 +5,9 @@ derived from the per-sentence answer distributions, and 20 linguistic columns
 derived from the sentence text and the question it answers, each kind computed
 for a whole split in array passes; assemble joins a trajectory's blocks. Column order is
 frozen by the layout lists below; the extract-features manifest records the
-order a feature dump was written with under "columns". read_features decodes
-a chunk of records' rows into one float64 buffer and checks it in one pass; a
-bad file is reported at its first bad line.
+order a feature dump was written with under "columns". read_features checks
+each record's rows as it parses its line, so a bad file is reported at its
+first bad line.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import lexicons
 from .jsonl import read_unique_jsonl, typed, write_jsonl
-from .trajectory import RECORDS_PER_PASS, McQuestion, Trajectory, numeric_array, read_only, unchecked
+from .trajectory import McQuestion, Trajectory, numeric_array, read_only
 
 FEATURES_SCHEMA = "features/2"
 LABELS_SCHEMA = "labels/1"
@@ -92,19 +92,10 @@ class FeatureSequence:
         object.__setattr__(self, "x", read_only(numeric_array(self.x)))
         if self.x.ndim != 2:
             raise ValueError("feature matrix must be 2-D")
-        bad = _first_bad_block(self.x, [len(self.x)])
-        if bad is not None:
-            raise bad[1]
-
-
-def _first_bad_block(x: np.ndarray, sizes: Sequence[int]) -> tuple[int, ValueError] | None:
-    """The first block of consecutive rows of x, of the given sizes, that is empty or not finite."""
-    empty = next((i for i, n in enumerate(sizes) if n < 1), len(sizes))
-    finite = np.isfinite(x).all(axis=1)
-    i = len(sizes) if finite.all() else int(np.searchsorted(np.cumsum(sizes), finite.argmin(), "right"))
-    if empty < min(i, len(sizes)):
-        return empty, ValueError("feature matrix has no rows")
-    return None if i == len(sizes) else (i, ValueError("feature matrix contains NaN or infinity"))
+        if not len(self.x):
+            raise ValueError("feature matrix has no rows")
+        if not np.isfinite(self.x).all():
+            raise ValueError("feature matrix contains NaN or infinity")
 
 
 def _rolling(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,9 +305,9 @@ def read_features(path: str | Path) -> list[FeatureSequence]:
 
     Every record has the first record's layout; its "rows" is the base64 of
     "shape" = [rows, layout columns] little-endian float64 values, row-major.
-    The rows of a chunk of records are decoded into one float64 buffer and
-    checked in one pass, and each FeatureSequence holds a read-only view of
-    it; a bad file is a ParseError naming its first bad line.
+    Each record is checked on its own line, so a bad file is a ParseError
+    naming its first bad line, and each FeatureSequence holds a read-only view
+    of its record's decoded bytes.
     """
     first_layout = None
 
@@ -336,20 +327,10 @@ def read_features(path: str | Path) -> list[FeatureSequence]:
         raw = base64.b64decode(typed(rec, "rows", str), validate=True)
         if len(raw) != shape[0] * n_cols * 8:
             raise ValueError(f"rows hold {len(raw)} bytes, not the {shape[0] * n_cols * 8} of shape {shape}")
-        return unchecked(FeatureSequence, question_id=typed(rec, "question_id", str), x=raw, layout_id=layout_id)
+        x = np.frombuffer(raw, "<f8").reshape(shape)
+        return FeatureSequence(question_id=typed(rec, "question_id", str), x=x, layout_id=layout_id)
 
-    def settle(seqs: list[FeatureSequence]) -> tuple[int, ValueError] | None:
-        x = np.frombuffer(b"".join(seq.x for seq in seqs), "<f8").astype(np.float64, copy=False)
-        x = read_only(x.reshape(-1, len(LAYOUTS[first_layout])))
-        sizes = [len(seq.x) // x.itemsize // x.shape[1] for seq in seqs]
-        bad = _first_bad_block(x, sizes)
-        if bad is None:
-            for seq, hi, n in zip(seqs, np.cumsum(sizes).tolist(), sizes):
-                seq.__dict__["x"] = x[hi - n : hi]
-        return bad
-
-    return list(read_unique_jsonl(path, FEATURES_SCHEMA, parse, attrgetter("question_id"), settle,
-                                  chunk=RECORDS_PER_PASS // 8))  # rows are 8 times wider than log-scores
+    return list(read_unique_jsonl(path, FEATURES_SCHEMA, parse, attrgetter("question_id")))
 
 
 def write_labels(path: str | Path, labels: dict[str, bool]) -> None:

@@ -3,7 +3,10 @@
 Each file starts with a header record {"schema": "<name>/<version>"} followed
 by one JSON object per line. Writers emit keys in sorted order so identical
 payloads produce identical bytes. The reader decodes every line with one
-shared decoder, one raw_decode call per line. write_json writes the single
+shared decoder, one raw_decode call per line, and hands each record to a parse
+function that checks it there, so a bad file is reported at its first bad
+line, as "<path>: line N: ...". A caller that derives values for a whole file
+does so after the last line is read. write_json writes the single
 indented JSON documents (manifests, summaries, checkpoints) and write_csv the
 tables with the same atomic rename.
 """
@@ -92,36 +95,21 @@ def read_unique_jsonl(
     schema: str,
     parse: Callable[[dict[str, Any]], T],
     key: Callable[[T], Hashable],
-    settle: Callable[[list[T]], tuple[int, Exception] | None] | None = None,
-    chunk: int | None = None,
 ) -> Iterator[T]:
     """Yield parse(record) for each record after the header; keys must be unique.
 
-    The first non-blank line must be the header naming schema; a file without
-    one is a ParseError. Line numbers are 1-based file lines, blank lines
-    counted. A line that is not one JSON value, or holds an integer too long
-    to convert, is a ParseError naming it. A KeyError, TypeError or ValueError
-    raised by parse becomes a ParseError naming the record's line, and so
-    does a repeated key. A file that is not UTF-8 is a ParseError naming the
-    first line that is not.
-
-    With settle, items are checked together, chunk at a time, before any is
-    yielded: settle(items) gives None or the (position, error) of the first bad
-    one, a ParseError naming its line. A later line's own error waits for the
-    items before it, so the first bad line is named.
+    Every ParseError starts with the path, and names a line as "<path>: line
+    N: ..." (1-based file lines, blank lines counted). The first non-blank line
+    must be the header naming schema; a file without one is a ParseError. A
+    line that is not one JSON value, or holds an integer too long to convert,
+    is a ParseError naming it. A KeyError, TypeError or ValueError raised by
+    parse becomes a ParseError naming the record's line, and so does a
+    repeated key; parse checks the record, so the first bad line is the one
+    named. A file that is not UTF-8 is a ParseError naming the first line that
+    is not.
     """
     header_seen = False
     seen: set[Hashable] = set()
-    pending: list[tuple[int, T]] = []  # (line, item) not yet settled
-
-    def settled() -> list[T]:
-        lines, batch = zip(*pending) if pending else ((), ())
-        del pending[:]
-        bad = settle(list(batch)) if batch else None
-        if bad is not None:
-            raise ParseError(f"bad {schema} record: {bad[1]!r}", line=lines[bad[0]]) from bad[1]
-        return list(batch)
-
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -131,41 +119,30 @@ def read_unique_jsonl(
                 try:
                     rec, end = _DECODER.raw_decode(raw)
                 except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
-                    raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line=lineno) from exc
+                    raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", lineno, path) from exc
                 if end != len(raw):
-                    raise ParseError("invalid JSON: Extra data", line=lineno)
+                    raise ParseError("invalid JSON: Extra data", lineno, path)
                 if not isinstance(rec, dict):
-                    raise ParseError("record is not a JSON object", line=lineno)
+                    raise ParseError("record is not a JSON object", lineno, path)
                 if not header_seen:
                     got = rec.get("schema")
                     if got != schema:
-                        raise ParseError(f"expected schema {schema!r}, got {got!r}", line=lineno)
+                        raise ParseError(f"expected schema {schema!r}, got {got!r}", lineno, path)
                     header_seen = True
                     continue
                 try:
                     item = parse(rec)
                 except (KeyError, TypeError, ValueError) as exc:
-                    raise ParseError(f"bad {schema} record: {exc!r}", line=lineno) from exc
-                if settle is not None:
-                    pending.append((lineno, item))
+                    raise ParseError(f"bad {schema} record: {exc!r}", lineno, path) from exc
                 k = key(item)
                 if k in seen:
-                    raise ParseError(f"duplicate {schema} key {k!r}", line=lineno)
+                    raise ParseError(f"duplicate {schema} key {k!r}", lineno, path)
                 seen.add(k)
-                if settle is None:
-                    yield item
-                elif len(pending) == chunk:
-                    yield from settled()
+                yield item
     except UnicodeDecodeError as exc:
-        settled()
-        line = first_undecodable_line(path)
-        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}", line=line) from exc
-    except ParseError:
-        settled()  # an earlier bad item outranks this line
-        raise
-    yield from settled()
+        raise ParseError(f"not UTF-8 text: {exc.reason}", first_undecodable_line(path), path) from exc
     if not header_seen:
-        raise ParseError(f"{path} has no {schema!r} header")
+        raise ParseError(f"no {schema!r} header", path=path)
 
 
 def first_undecodable_line(path: str | Path) -> int | None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trajectory import McQuestion, Trajectory, check_trajectories, unchecked
+from .trajectory import McQuestion, Trajectory, check_trajectory, derive_signals, unchecked
 from .voting import SampledPath
 
 _MID_TEMPLATES = [
@@ -165,6 +165,7 @@ def generate(
             greedy_token_cost=_token_cost(rng),
             label=correct,
         )
+        check_trajectory(traj)
 
         agree_p = 0.5 + 0.45 * cfg.beta if correct else 0.25 + 0.1 * cfg.beta
         paths = []
@@ -190,7 +191,5 @@ def generate(
         trajectories.append(traj)
         paths_by_qid[qid] = paths
 
-    bad = check_trajectories(trajectories)  # the whole split in one pass
-    if bad is not None:
-        raise bad[1]
+    derive_signals(trajectories)  # the whole split in one pass
     return questions, trajectories, paths_by_qid

@@ -5,15 +5,14 @@ into sentences and held as columns: the sentence texts and a (T, K) array of
 per-choice log-scores (row t scores every answer option against the prefix
 ending at sentence t), the two things a traj/2 record stores per sentence.
 The prefix lengths (cumulative whitespace-token counts), the top-choice
-probability p and the entropy of each row are derived when the trajectory is
-checked, as building one checks it. One function, check_trajectories, checks
-many trajectories in one pass over all their rows: building one trajectory
-runs it on a split of one, synth on a whole split and read_trajectories on a
-file, a chunk of records at a time, so a bad file is reported at its first
-bad line. The readers check every field's JSON type instead of casting it. A
-traj/1 file, which also stored prefix_len, p and entropy, fails the schema
-check: synthesise it again, or delete it and harvest again (with the same
-cache directory, a harvest sends no request).
+probability p and the entropy of each row are derived from them. Building a
+trajectory runs check_trajectory and then derive_signals on a split of one.
+read_trajectories checks each record as it parses its line, so a bad file is
+reported at its first bad line, and derives the whole file in one pass; synth
+does the same for each split it makes. The readers check every field's JSON
+type instead of casting it. A traj/1 file, which also stored prefix_len, p and
+entropy, fails the schema check: synthesise it again, or delete it and harvest
+again (with the same cache directory, a harvest sends no request).
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -32,12 +31,6 @@ from .jsonl import read_unique_jsonl, typed, write_jsonl
 
 TRAJ_SCHEMA = "traj/2"
 QUESTIONS_SCHEMA = "questions/1"
-
-# Records a reader checks per pass: about 60 KB of float64 rows (a synth trajectory has
-# 7.5 x 4 log-scores, a features record 8 times as many values), small enough to come
-# from memory the process already holds. One features buffer per file raised the peak
-# RSS of the triage workload's route stage by 1.2-2.0 MB.
-RECORDS_PER_PASS = 256
 
 _BY_ID = attrgetter("question_id")
 _TERMINALS = ".?!"
@@ -102,9 +95,11 @@ class Trajectory:
     Row t of log_scores (T, K) scores the K options after sentence t.
     prefix_len[t] (the whitespace-token length of the reasoning up to
     sentence t, from texts), p (top-choice probability) and entropy (from
-    log_scores) are derived at construction, which also validates the whole
-    record. The fields cannot be reassigned afterwards, and the arrays are
-    read-only views, so the record cannot be written through them either.
+    log_scores) are derived at construction, after the whole record is
+    checked. A reader or synth checks each record as it makes it and derives
+    a whole file or split in one pass instead. The fields cannot be reassigned
+    afterwards, and the arrays are read-only views, so the record cannot be
+    written through them either.
     """
 
     question_id: str
@@ -118,81 +113,68 @@ class Trajectory:
     entropy: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        bad = check_trajectories([self])
-        if bad is not None:
-            raise bad[1]
+        check_trajectory(self)
+        derive_signals([self])
 
 
 def unchecked(cls, **fields):
-    """An instance of the frozen dataclass cls holding fields, its checks not run: for code
-    that checks many records in one pass (check_trajectories) before handing any out."""
+    """An instance of the frozen dataclass cls holding fields, its __post_init__ not run: for
+    code that checks each record itself and derives a whole file's signals in one pass."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
 
 
-def check_trajectories(trajs: Sequence[Trajectory]) -> tuple[int, Exception] | None:
-    """Run Trajectory's checks on many trajectories in one pass; None, or the first failure.
+def check_trajectory(traj: Trajectory) -> None:
+    """Run Trajectory's checks on traj, raising the first failure; its log_scores become a
+    read-only float64 array.
 
-    Each trajectory's log-scores are converted alone (numeric_array); every
-    other check runs once over all rows. Each sentence's whitespace-token
-    count is taken once (len(s.split())): a count of 0 is an empty text, and
-    the per-trajectory cumulative sums are prefix_len. p and entropy are
-    derived once per option count K. A failure is (position, the error that
-    trajectory gives checked alone). If none fails, each gets read-only
-    arrays, prefix_len, p and entropy views of one array over all rows.
+    A text is empty when it holds no whitespace-separated token, which is when
+    s.split() would be [].
     """
-    arrays, bad = [], None
-    for i, traj in enumerate(trajs):
-        qid, t = traj.question_id, len(traj.texts)
-        try:
-            scores = numeric_array(traj.log_scores)
-            if t == 0:
-                raise ValueError(f"{qid}: trajectory has no sentences")
-            if scores.ndim != 2 or len(scores) != t or scores.shape[1] < 2:
-                raise ValueError(f"{qid}: log_scores must be (T, K) with T={t} and K >= 2")
-        except (TypeError, ValueError) as exc:
-            bad = i, exc
-            break
-        arrays.append(scores)
-    if not arrays:
-        return bad
-    n, sizes, ks = len(arrays), [len(a) for a in arrays], [a.shape[1] for a in arrays]
+    qid, t = traj.question_id, len(traj.texts)
+    scores = numeric_array(traj.log_scores)
+    if t == 0:
+        raise ValueError(f"{qid}: trajectory has no sentences")
+    if scores.ndim != 2 or len(scores) != t or scores.shape[1] < 2:
+        raise ValueError(f"{qid}: log_scores must be (T, K) with T={t} and K >= 2")
+    if "" in traj.texts or any(map(str.isspace, traj.texts)):
+        raise ValueError(f"{qid}: sentence text is empty")
+    if not np.isfinite(scores).all():
+        raise ValueError(f"{qid}: log-scores contain NaN or infinity")
+    if not 0 <= traj.greedy_answer < scores.shape[1]:
+        raise ValueError(f"{qid}: greedy_answer out of range")
+    if traj.greedy_token_cost <= 0:
+        raise ValueError(f"{qid}: greedy_token_cost must be positive")
+    traj.__dict__["log_scores"] = read_only(scores)
+
+
+def derive_signals(trajs: Sequence[Trajectory]) -> None:
+    """Give checked trajectories their prefix_len, p and entropy in one pass over all their rows.
+
+    Each sentence's whitespace-token count is taken once (len(s.split())), and
+    the per-trajectory cumulative sums are prefix_len. p and entropy are
+    derived once per option count K. Each trajectory gets read-only views of
+    one array over all rows.
+    """
+    if not trajs:
+        return
+    sizes, ks = [len(traj.texts) for traj in trajs], [traj.log_scores.shape[1] for traj in trajs]
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    p, entropy, finite = np.empty(ends[-1]), np.empty(ends[-1]), np.empty(ends[-1], bool)
-    with np.errstate(all="ignore"):  # a row that fails a check below may hold NaN or infinity
+    p, entropy = np.empty(ends[-1]), np.empty(ends[-1])
+    with np.errstate(over="ignore"):  # a finite row may still span more than the float range
         for k in dict.fromkeys(ks):
             rows = np.repeat(np.equal(ks, k), sizes)
-            scores = np.concatenate([a for a in arrays if a.shape[1] == k])
-            finite[rows] = np.isfinite(scores).all(axis=1)
+            scores = np.concatenate([traj.log_scores for traj in trajs if traj.log_scores.shape[1] == k])
             p[rows], entropy[rows] = sentence_signals(ChoiceDistribution(_softmax(scores), scores))
-    texts = chain.from_iterable(traj.texts for traj in trajs[:n])
+    texts = chain.from_iterable(traj.texts for traj in trajs)
     tokens = np.fromiter(map(len, map(str.split, texts)), np.int64, ends[-1])
     prefix_len = np.cumsum(tokens)
     prefix_len -= np.repeat(prefix_len[starts] - tokens[starts], sizes)
-
-    def first(row_bad: np.ndarray) -> int:  # the trajectory holding the first bad row, or n
-        bad_rows = np.flatnonzero(row_bad)
-        return int(np.searchsorted(ends, bad_rows[0], "right")) if len(bad_rows) else n
-
-    checks = [  # in the order one trajectory's checks run
-        (first(tokens == 0), "sentence text is empty"),
-        (first(~finite), "log-scores contain NaN or infinity"),
-        (next((j for j, k in enumerate(ks) if not 0 <= trajs[j].greedy_answer < k), n),
-         "greedy_answer out of range"),
-        (next((j for j in range(n) if trajs[j].greedy_token_cost <= 0), n),
-         "greedy_token_cost must be positive"),
-    ]
-    i, what = min(checks, key=itemgetter(0))  # on a tie, the check that runs first
-    if i < n:
-        return i, ValueError(f"{trajs[i].question_id}: {what}")
-    if bad is None:
-        prefix_len, p, entropy = read_only(prefix_len), read_only(p), read_only(entropy)
-        for traj, scores, lo, hi in zip(trajs, arrays, starts.tolist(), ends.tolist()):
-            traj.__dict__.update(log_scores=read_only(scores), prefix_len=prefix_len[lo:hi],
-                                 p=p[lo:hi], entropy=entropy[lo:hi])
-    return bad
+    prefix_len, p, entropy = read_only(prefix_len), read_only(p), read_only(entropy)
+    for traj, lo, hi in zip(trajs, starts.tolist(), ends.tolist()):
+        traj.__dict__.update(prefix_len=prefix_len[lo:hi], p=p[lo:hi], entropy=entropy[lo:hi])
 
 
 def segment_sentences(cot_text: str) -> list[str]:
@@ -290,22 +272,19 @@ def traj_record(traj: Trajectory) -> dict:
 
 
 def _traj_from_record(rec: dict) -> Trajectory:
-    """A record's trajectory, unchecked, its log-scores already an array.
-
-    They become one here, where building the trajectory alone would convert them, so a chunk
-    of records waiting for check_trajectories holds no per-sentence lists: held, they made the
-    garbage collector run about twice as often.
-    """
+    """A record's trajectory, checked (check_trajectory) but without its derived signals."""
     sentences = typed(rec, "sentences", list)
-    return unchecked(
+    traj = unchecked(
         Trajectory,
         question_id=typed(rec, "question_id", str),
         texts=[typed(s, "text", str) for s in sentences],
         greedy_answer=typed(rec, "greedy_answer", int),
         greedy_token_cost=typed(rec, "greedy_token_cost", int),
         label=typed(rec, "label", bool, None),
-        log_scores=numeric_array([s["log_scores"] for s in sentences]),
+        log_scores=[s["log_scores"] for s in sentences],
     )
+    check_trajectory(traj)
+    return traj
 
 
 def write_trajectories(path: str | Path, trajectories: Iterable[Trajectory]) -> None:
@@ -316,13 +295,13 @@ def write_trajectories(path: str | Path, trajectories: Iterable[Trajectory]) -> 
 def read_trajectories(path: str | Path) -> list[Trajectory]:
     """Read a traj/2 file, applying the writer's checks to every record.
 
-    Every field must hold its JSON type. The records are checked together, a
-    chunk at a time (check_trajectories), which derives each one's
-    prefix_len, p and entropy; a bad file is a ParseError naming its first
-    bad line.
+    Every field must hold its JSON type, and each record is checked on its own
+    line, so a bad file is a ParseError naming its first bad line. The whole
+    file's prefix_len, p and entropy are then derived in one pass.
     """
-    return list(read_unique_jsonl(path, TRAJ_SCHEMA, _traj_from_record, _BY_ID,
-                                  settle=check_trajectories, chunk=RECORDS_PER_PASS))
+    trajs = list(read_unique_jsonl(path, TRAJ_SCHEMA, _traj_from_record, _BY_ID))
+    derive_signals(trajs)
+    return trajs
 
 
 def write_questions(path: str | Path, questions: Iterable[McQuestion]) -> None:

@@ -399,13 +399,13 @@ def test_data_error_exit_codes(tmp_path, capsys):
         records.append(rec)
     traj_path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
     assert run("extract-features", "--in", run_dir / "d", "--out", tmp_path / "f1") == EXIT_DATA
-    assert "expected schema 'traj/2', got 'traj/1'" in capsys.readouterr().err
+    assert f"{traj_path}: line 1: expected schema 'traj/2', got 'traj/1'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "stage, name, message",
-    [("route", "d/test.traj.jsonl", "test.traj.jsonl is not UTF-8 text: invalid start byte"),
-     ("route", "f/test.features.jsonl", "test.features.jsonl is not UTF-8 text: invalid start byte"),
+    [("route", "d/test.traj.jsonl", "not UTF-8 text: invalid start byte"),
+     ("route", "f/test.features.jsonl", "not UTF-8 text: invalid start byte"),
      ("calibrate", "m/model.ckpt", "bad checkpoint")],
     ids=["traj", "features", "checkpoint"],
 )
@@ -423,7 +423,7 @@ def test_file_that_is_not_utf8_exits_2_naming_it(routed_run, tmp_path, capsys, s
     assert run(stage, *_stage_argv(stage, base, tmp_path / "unused"), "--out", out) == EXIT_DATA
     err = capsys.readouterr().err
     assert message in err, err
-    assert (f"line {last_line + 1}: " if name.endswith(".jsonl") else "UnicodeDecodeError") in err
+    assert (f"{path}: line {last_line + 1}: " if name.endswith(".jsonl") else "UnicodeDecodeError") in err
     assert not out.exists()
 
 

@@ -1,10 +1,11 @@
 """Corruption sweep: every field of one record, set to each odd JSON value, is a data error.
 
-One record of a questions/1, traj/2, features/2, paths/1 and outcomes/1 file
-has one field deleted or replaced; the stage that reads the file runs
-in-process and must exit 2 with a message naming the record's line, writing
-nothing. A questions file goes through extract-features and, as the
-questions_route case, through route; an outcomes file through report.
+One record of a questions/1, traj/2, features/2, paths/1, labels/1 and
+outcomes/1 file has one field deleted or replaced; the stage that reads the
+file runs in-process and must exit 2 with a message naming the file and the
+record's line, writing nothing. A questions file goes through
+extract-features and, as the questions_route case, through route; a labels
+file through train; an outcomes file through report.
 ALLOWED lists the mutations the schemas permit, which must exit 0 instead,
 and MISMATCHED the ones that only disagree with another file, which name the
 question instead of the line: the two lists are the contract, written down.
@@ -48,6 +49,8 @@ ALLOWED = {
     *((case, field, v) for case in ("questions", "questions_route")
       for field, v in [("answer_idx", "0"), ("options.0", "empty_str"), ("options.0", "x"),
                        ("question", "empty_str"), ("question", "x")]),
+    # train takes any label it is given: only extract-features compares labels with answers
+    ("labels", "label", "true"),
     # an outcome may be correct or not, and cost nothing
     ("outcomes", "correct", "true"), ("outcomes", "tokens", "0"),
     # a sampled path's answer may be ABSTAIN (-1) or any option, and its cost any count
@@ -72,6 +75,8 @@ MISMATCHED = {
     ("features", "question_id", "x"): "no features for 'test-00001'",
     ("paths", "question_id", "empty_str"): "sampled paths for '', which has no trajectory",
     ("paths", "question_id", "x"): "sampled paths for 'x', which has no trajectory",
+    ("labels", "question_id", "empty_str"): "no label for 'train-00001'",
+    ("labels", "question_id", "x"): "no label for 'train-00001'",
     ("outcomes", "question_id", "empty_str"): "different question sets: 'test-00001' is in only one",
     ("outcomes", "question_id", "x"): "different question sets: 'test-00001' is in only one",
 }
@@ -114,6 +119,10 @@ def corpus(tmp_path_factory):
     assert run("synth", "--seed", 3, "--out", d, "--n-train", 0, "--n-val", 0, "--n-test", 3,
                "--samples", 2, "--t-min", 2, "--t-max", 3) == EXIT_OK
     assert run("extract-features", "--in", d, "--out", f) == EXIT_OK
+    # train and val splits of their own, for train
+    assert run("synth", "--seed", 3, "--out", base / "dt", "--n-train", 3, "--n-val", 3,
+               "--n-test", 0, "--samples", 2, "--t-min", 2, "--t-max", 3) == EXIT_OK
+    assert run("extract-features", "--in", base / "dt", "--out", base / "ft") == EXIT_OK
     cfg = ModelConfig(input_dim=32, hidden=4, heads=1, head_hidden=4)
     save_checkpoint(base / "model.ckpt", init_params(cfg, seed=0), cfg)
     assert run(*_route(base), "--out", base / "r") == EXIT_OK
@@ -141,7 +150,7 @@ def sweep(corpus: Path, tmp_path: Path, case: str, name: str, argv, capsys) -> l
             if key in ALLOWED:
                 if code != EXIT_OK:
                     problems.append(f"{key}: allowed, but exit {code}: {err.strip()}")
-            elif code != EXIT_DATA or MISMATCHED.get(key, "line 3:") not in err or out.exists():
+            elif code != EXIT_DATA or MISMATCHED.get(key, f"{target}: line 3:") not in err or out.exists():
                 problems.append(f"{key}: exit {code}, out written {out.exists()}: {err.strip()}")
     target.write_text("\n".join(lines) + "\n")
     return problems
@@ -156,6 +165,11 @@ def _route(work: Path) -> list:
             work / "model.ckpt", "--budget", 2, "--tau", 0.5]
 
 
+def _train(work: Path) -> list:
+    return ["train", "--in", work / "ft", "--max-epochs", 1, "--hidden", 4, "--heads", 1,
+            "--head-hidden", 4]
+
+
 def _report(work: Path) -> list:
     return ["report", "--in", work / "r", "--resamples", 20]
 
@@ -165,9 +179,9 @@ def _report(work: Path) -> list:
     [("traj", "test.traj.jsonl", _extract), ("features", "test.features.jsonl", _route),
      ("paths", "test.paths.jsonl", _route), ("questions", "test.questions.jsonl", _extract),
      ("questions_route", "test.questions.jsonl", _route),
-     ("outcomes", "outcomes.policy.jsonl", _report)],
+     ("labels", "train.labels.jsonl", _train), ("outcomes", "outcomes.policy.jsonl", _report)],
     ids=["traj_extract_features", "features_route", "paths_route", "questions_extract_features",
-         "questions_route", "outcomes_report"],
+         "questions_route", "labels_train", "outcomes_report"],
 )
 def test_every_corrupted_field_exits_2_naming_its_line(corpus, tmp_path, capsys, case, name, argv):
     start = time.perf_counter()

@@ -288,10 +288,9 @@ def test_malformed_feature_record_is_a_parse_error_naming_its_line(tmp_path, fie
      ({60: np.ones((0, 12)), 65: np.full((2, 12), np.inf)}, 60, "feature matrix has no rows")],
     ids=["nan_then_invalid_json", "no_rows_then_inf"],
 )
-def test_a_features_file_is_checked_in_passes_naming_its_first_bad_line(tmp_path, edits, line,
-                                                                         message):
-    """70 records span three of read_features' passes; the first bad line is named even when a
-    later line's own error is found before the pass holding the earlier one is checked."""
+def test_a_features_file_names_its_first_bad_line(tmp_path, edits, line, message):
+    """Of 70 records, the first bad one is named even when a later line holds another error;
+    a good file reads back bit for bit as read-only views."""
     seqs = [FeatureSequence(f"q{i}", np.full((2, 12), i / 7), "numeric") for i in range(70)]
     path = tmp_path / "feat.jsonl"
     write_features(path, seqs)

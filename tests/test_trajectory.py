@@ -13,7 +13,8 @@ from cotriage.trajectory import (
     McQuestion,
     Trajectory,
     answer_logscore,
-    check_trajectories,
+    check_trajectory,
+    derive_signals,
     load_questions,
     normalize_choices,
     read_trajectories,
@@ -146,8 +147,16 @@ def test_answer_logscore_rejects_empty():
 _SPACES = [" ", "\t", "\n", "\xa0", "\u3000", " \t\xa0\u3000\n"]
 
 
+def _checked(fields):
+    """Trajectories checked one at a time, as a reader checks them, their signals not yet derived."""
+    trajs = [unchecked(Trajectory, **f) for f in fields]
+    for traj in trajs:
+        check_trajectory(traj)
+    return trajs
+
+
 def test_prefix_len_counts_whitespace_tokens():
-    """The cumulative len(text.split()), in a split checked in one call and in each trajectory alone."""
+    """The cumulative len(text.split()), in a split derived in one call and in each trajectory alone."""
     traj = Trajectory("q", ["a\tb", "c\nd\xa0e", "\u3000f  "], np.zeros((3, 2)), 0, 1)
     assert traj.prefix_len.tolist() == [2, 5, 6] and traj.prefix_len.dtype == np.int64
     rng = np.random.default_rng(0)
@@ -159,16 +168,18 @@ def test_prefix_len_counts_whitespace_tokens():
         fields.append(dict(question_id=f"q{i}", texts=texts, log_scores=rng.normal(size=(len(texts), 3)),
                            greedy_answer=0, greedy_token_cost=1))
         counts.append(np.cumsum([len(ws) for ws in words]).tolist())
-    together = [unchecked(Trajectory, **f) for f in fields]
-    assert check_trajectories(together) is None
+    together = _checked(fields)
+    derive_signals(together)
     for got, f, expected in zip(together, fields, counts):
         assert got.prefix_len.tolist() == Trajectory(**f).prefix_len.tolist() == expected
-    # a text made only of such whitespace has no token, and is no sentence
-    fields[17]["texts"] = [*fields[17]["texts"][:-1], "".join(_SPACES)]
-    with pytest.raises(ValueError, match="q17: sentence text is empty"):
-        Trajectory(**fields[17])
-    pos, err = check_trajectories([unchecked(Trajectory, **f) for f in fields])
-    assert (pos, str(err)) == (17, "q17: sentence text is empty")
+    # a text made only of such whitespace, or of nothing, has no token and is no sentence
+    for blank in ["", *_SPACES, "".join(_SPACES)]:
+        assert blank.split() == []
+        fields[17]["texts"] = [*fields[17]["texts"][:-1], blank]
+        with pytest.raises(ValueError, match="q17: sentence text is empty"):
+            Trajectory(**fields[17])
+        with pytest.raises(ValueError, match="q17: sentence text is empty"):
+            _checked(fields)
 
 
 def _make_trajectory(qid="q0", k=4, t=3, label=True, seed=0):
@@ -257,7 +268,7 @@ def test_trajectory_read_names_the_first_line_that_is_not_utf8(tmp_path):
     with pytest.raises(ParseError) as err:
         read_trajectories(path)
     assert err.value.line == 41
-    assert str(err.value) == f"line 41: {path} is not UTF-8 text: invalid start byte"
+    assert str(err.value) == f"{path}: line 41: not UTF-8 text: invalid start byte"
 
 
 def _rewrite_second_record(path, edit):
@@ -348,12 +359,12 @@ def _same_bytes(got, alone):
         assert not a.flags.writeable, name
 
 
-def test_a_split_checked_in_one_call_equals_each_trajectory_built_alone(tmp_path):
+def test_a_split_derived_in_one_call_equals_each_trajectory_built_alone(tmp_path):
     fields = _split()
     alone = [Trajectory(**f) for f in fields]
     assert any((t.p == 1.0).any() for t in alone) and any((abs(t.log_scores) == 700).any() for t in alone)
-    together = [unchecked(Trajectory, **f) for f in fields]
-    assert check_trajectories(together) is None
+    together = _checked(fields)
+    derive_signals(together)
     path = tmp_path / "split.jsonl"
     write_trajectories(path, alone)
     for got, back, one in zip(together, read_trajectories(path), alone):
