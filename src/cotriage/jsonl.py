@@ -2,13 +2,21 @@
 
 Each file starts with a header record {"schema": "<name>/<version>"} followed
 by one JSON object per line. Writers emit keys in sorted order so identical
-payloads produce identical bytes. The reader decodes every line with one
-shared decoder, one raw_decode call per line, and hands each record to a parse
-function that checks it there, so a bad file is reported at its first bad
-line, as "<path>: line N: ...". A caller that derives values for a whole file
-does so after the last line is read. write_json writes the single
-indented JSON documents (manifests, summaries, checkpoints) and write_csv the
-tables with the same atomic rename.
+payloads produce identical bytes. The reader decodes each line with
+orjson.loads, which is strict: NaN and Infinity tokens, trailing content and
+numbers beyond a double's range are invalid JSON, and an integer outside
+[-2**63, 2**64) arrives as a float. It hands each record to a parse function
+that checks it there, so a bad file is reported at its first bad line, as
+"<path>: line N: ...". A caller that derives values for a whole file does so
+after the last line is read. write_json writes the single indented JSON
+documents (manifests, summaries, checkpoints) and write_csv the tables with
+the same atomic rename.
+
+Writers and single-document loads (checkpoint, selection.json, harvest cache
+entries) stay on the stdlib json module. orjson writes floats in [1e-5, 1e-4)
+as 0.0000427... (json: 4.27...e-05) and non-ASCII text unescaped, which would
+change output bytes and harvest cache keys (dumps_record bytes); and it
+decodes a checkpoint's long base64 strings slower.
 """
 
 from __future__ import annotations
@@ -21,6 +29,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
+import orjson
+
 from .errors import ParseError
 
 T = TypeVar("T")
@@ -29,9 +39,6 @@ T = TypeVar("T")
 # json.dumps builds a new encoder per call; encode() keeps no state between
 # calls, so one shared encoder is safe from any thread.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-# json.loads shares one module-level decoder the same way; raw_decode skips
-# its whitespace matching, which the stripped lines do not need.
-_DECODER = json.JSONDecoder()
 
 
 def dumps_record(record: dict[str, Any]) -> str:
@@ -101,12 +108,13 @@ def read_unique_jsonl(
     Every ParseError starts with the path, and names a line as "<path>: line
     N: ..." (1-based file lines, blank lines counted). The first non-blank line
     must be the header naming schema; a file without one is a ParseError. A
-    line that is not one JSON value, or holds an integer too long to convert,
-    is a ParseError naming it. A KeyError, TypeError or ValueError raised by
-    parse becomes a ParseError naming the record's line, and so does a
-    repeated key; parse checks the record, so the first bad line is the one
-    named. A file that is not UTF-8 is a ParseError naming the first line that
-    is not.
+    line that is not one JSON value (NaN, Infinity, trailing content and
+    numbers beyond a double's range are not) is a ParseError naming it; an
+    integer outside [-2**63, 2**64) arrives as a float. A KeyError, TypeError
+    or ValueError raised by parse becomes a ParseError naming the record's
+    line, and so does a repeated key; parse checks the record, so the first
+    bad line is the one named. A file that is not UTF-8 is a ParseError naming
+    the first line that is not.
     """
     header_seen = False
     seen: set[Hashable] = set()
@@ -117,11 +125,9 @@ def read_unique_jsonl(
                 if not raw:
                     continue
                 try:
-                    rec, end = _DECODER.raw_decode(raw)
-                except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
-                    raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", lineno, path) from exc
-                if end != len(raw):
-                    raise ParseError("invalid JSON: Extra data", lineno, path)
+                    rec = orjson.loads(raw)
+                except orjson.JSONDecodeError as exc:
+                    raise ParseError(f"invalid JSON: {exc.msg}", lineno, path) from exc
                 if not isinstance(rec, dict):
                     raise ParseError("record is not a JSON object", lineno, path)
                 if not header_seen:

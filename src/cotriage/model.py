@@ -57,7 +57,8 @@ _NEG_INF = -1e30
 def check_geometry(hidden: int, heads: int, head_hidden: int) -> None:
     """ValueError unless both widths are positive and heads divides hidden."""
     if hidden < 1 or head_hidden < 1:
-        raise ValueError("hidden sizes must be positive")
+        raise ValueError(f"hidden sizes must be positive: hidden {hidden}, "
+                         f"head_hidden {head_hidden}")
     if heads < 1 or hidden % heads != 0:
         raise ValueError("hidden must be divisible by heads")
 
@@ -442,30 +443,35 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], cfg: ModelC
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfig]:
     """Parameters and config of a checkpoint.
 
-    CotriageError when the schema, tensor names or shapes disagree with the
-    stored config; ParseError when the file is not UTF-8 JSON or a config
-    field is missing, unknown or not of its field's JSON type.
+    ParseError, naming the path and the field read, when the file is not
+    UTF-8 JSON, a field is missing, unknown or not of its JSON type, or the
+    schema, tensor names, shapes or data disagree with the stored config.
     """
+    field = "document"
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        field = "schema"
         if doc["schema"] != CKPT_SCHEMA:
-            raise CotriageError(f"expected schema {CKPT_SCHEMA!r}, got {doc['schema']!r}")
-        conf, kinds = doc["config"], get_type_hints(ModelConfig)
+            raise ValueError(f"expected schema {CKPT_SCHEMA!r}, got {doc['schema']!r}")
+        field = "config"
+        conf, kinds = typed(doc, "config", dict), get_type_hints(ModelConfig)
         if set(conf) - set(kinds):
             raise ValueError(f"unknown config fields {sorted(set(conf) - set(kinds))}")
         cfg = ModelConfig(**{key: typed(conf, key, kinds[key]) for key in kinds})
-        shapes = param_shapes(cfg)
-        tensors = doc["tensors"]
+        field, shapes, tensors = "tensors", param_shapes(cfg), typed(doc, "tensors", dict)
         if set(tensors) != set(shapes):
-            raise CotriageError("checkpoint tensors do not match the config")
+            odd = sorted(set(tensors) ^ set(shapes))
+            raise ValueError(f"checkpoint tensors do not match the config: {odd}")
         params = {}
-        for name, entry in tensors.items():
-            shape = tuple(entry["shape"])
-            if shape != shapes[name]:
-                raise CotriageError(f"{name}: shape {shape} != expected {shapes[name]}")
-            raw = base64.b64decode(entry["data"], validate=True)
+        for name in tensors:
+            field, shape, entry = f"tensors.{name}", shapes[name], typed(tensors, name, dict)
+            dims = typed(entry, "shape", list)
+            if tuple(dims) != shape or bool in map(type, dims):
+                raise ValueError(f"shape {tuple(dims)} != expected {shape}")
+            field = f"tensors.{name}.data"
+            raw = base64.b64decode(typed(entry, "data", str), validate=True)
             params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad checkpoint {path}: {exc!r}") from exc
+        raise ParseError(f"bad checkpoint {path}: {field}: {exc!r}") from exc
     return params, cfg

@@ -5,7 +5,13 @@ outcomes/1 file has one field deleted or replaced; the stage that reads the
 file runs in-process and must exit 2 with a message naming the file and the
 record's line, writing nothing. A questions file goes through
 extract-features and, as the questions_route case, through route; a labels
-file through train; an outcomes file through report.
+file through train; an outcomes file through report. A checkpoint (read by
+calibrate) and a selection.json (read by route --selection) are single JSON
+documents, read whole with the json module, so they have no record line to
+name: there the message must name the file and, after it, the corrupted key
+(the last key of the field's path, not a list index). A checkpoint's
+tensors map holds 26 alike {shape, data} objects; like a list, only its first
+is swept, which keeps that case within MAX_SECONDS.
 ALLOWED lists the mutations the schemas permit, which must exit 0 instead,
 and MISMATCHED the ones that only disagree with another file, which name the
 question instead of the line: the two lists are the contract, written down.
@@ -57,6 +63,14 @@ ALLOWED = {
     ("paths", "answer", "-1"), ("paths", "answer", "0"), ("paths", "token_cost", "0"),
     # temperature is optional (1.0) and any finite non-negative number
     *(("paths", "temperature", v) for v in ("deleted", "null", "0", "1.5", "2**63", "1e308")),
+    # true is what the checkpoint stores for both blocks
+    ("checkpoint", "config.use_feature_gate", "true"), ("checkpoint", "config.use_mhsa", "true"),
+    # tau 0 is a grid point calibrate may select (it accepts every greedy answer)
+    ("selection", "selected_tau", "0"),
+    # route reads only selected_tau, baseline_method and budget; the other fields report
+    # calibrate's choice to a reader and may hold anything
+    *(("selection", field, v) for field in ("max_accuracy", "max_rel_drop", "token_reduction",
+                                            "accept_rate") for v in VALUES),
 }
 
 # Mutations that leave a record well formed on its own but at odds with another file:
@@ -126,33 +140,46 @@ def corpus(tmp_path_factory):
     cfg = ModelConfig(input_dim=32, hidden=4, heads=1, head_hidden=4)
     save_checkpoint(base / "model.ckpt", init_params(cfg, seed=0), cfg)
     assert run(*_route(base), "--out", base / "r") == EXIT_OK
+    assert run(*_calibrate(base), "--out", base / "c") == EXIT_OK
     return base
 
 
 def sweep(corpus: Path, tmp_path: Path, case: str, name: str, argv, capsys) -> list[str]:
-    """Run every mutation of the record on line 3 of name; the list of broken contracts."""
+    """Run every mutation of the record on line 3 of name, or of the whole document when name
+    is a single JSON document; the list of broken contracts."""
     work = tmp_path / "work"
     shutil.copytree(corpus, work)
     target = next(work.rglob(name))
-    lines = target.read_text().splitlines()
-    rec = json.loads(lines[2])
+    original = target.read_text()
+    lines = original.splitlines()
+    document = not name.endswith(".jsonl")
+    rec = json.loads(original if document else lines[2])
+    paths = list(field_paths(rec))
+    if case == "checkpoint":
+        first = next(iter(rec["tensors"]))
+        paths = [p for p in paths if p[0] != "tensors" or len(p) == 1 or p[1] == first]
     problems = []
-    for path in field_paths(rec):
+    for path in paths:
         for value_name, value in VALUES.items():
             key = (case, ".".join(map(str, path)), value_name)
-            target.write_text("\n".join([*lines[:2], json.dumps(mutated(rec, path, value)),
-                                         *lines[3:]]) + "\n")
+            text = json.dumps(mutated(rec, path, value))
+            target.write_text("\n".join([text] if document else [*lines[:2], text, *lines[3:]]) + "\n")
             out = tmp_path / "out"
             shutil.rmtree(out, ignore_errors=True)
             capsys.readouterr()
             code = run(*argv(work), "--out", out)
             err = capsys.readouterr().err
+            if document:
+                field = next(str(k) for k in reversed(path) if isinstance(k, str))
+                named = field in err.partition(str(target))[2]
+            else:
+                named = MISMATCHED.get(key, f"{target}: line 3:") in err
             if key in ALLOWED:
                 if code != EXIT_OK:
                     problems.append(f"{key}: allowed, but exit {code}: {err.strip()}")
-            elif code != EXIT_DATA or MISMATCHED.get(key, f"{target}: line 3:") not in err or out.exists():
+            elif code != EXIT_DATA or not named or out.exists():
                 problems.append(f"{key}: exit {code}, out written {out.exists()}: {err.strip()}")
-    target.write_text("\n".join(lines) + "\n")
+    target.write_text(original)
     return problems
 
 
@@ -174,14 +201,26 @@ def _report(work: Path) -> list:
     return ["report", "--in", work / "r", "--resamples", 20]
 
 
+def _calibrate(work: Path) -> list:
+    return ["calibrate", "--data", work / "d", "--features", work / "f", "--model",
+            work / "model.ckpt", "--budget", 2, "--split", "test"]
+
+
+def _route_selection(work: Path) -> list:
+    return ["route", "--data", work / "d", "--features", work / "f", "--model",
+            work / "model.ckpt", "--budget", 2, "--selection", work / "c" / "selection.json"]
+
+
 @pytest.mark.parametrize(
     "case, name, argv",
     [("traj", "test.traj.jsonl", _extract), ("features", "test.features.jsonl", _route),
      ("paths", "test.paths.jsonl", _route), ("questions", "test.questions.jsonl", _extract),
      ("questions_route", "test.questions.jsonl", _route),
-     ("labels", "train.labels.jsonl", _train), ("outcomes", "outcomes.policy.jsonl", _report)],
+     ("labels", "train.labels.jsonl", _train), ("outcomes", "outcomes.policy.jsonl", _report),
+     ("checkpoint", "model.ckpt", _calibrate), ("selection", "selection.json", _route_selection)],
     ids=["traj_extract_features", "features_route", "paths_route", "questions_extract_features",
-         "questions_route", "labels_train", "outcomes_report"],
+         "questions_route", "labels_train", "outcomes_report", "checkpoint_calibrate",
+         "selection_route"],
 )
 def test_every_corrupted_field_exits_2_naming_its_line(corpus, tmp_path, capsys, case, name, argv):
     start = time.perf_counter()

@@ -1,15 +1,20 @@
 """Static checks on the package source, with the stdlib ast module only.
 
-Every import a module makes is used in it, and no module imports another
-module's underscore name: a name shared between modules is public.
+Every import a module makes is used in it, no module imports another
+module's underscore name (a name shared between modules is public), and every
+package outside the stdlib that the source imports is declared in
+pyproject.toml.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cotriage"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cotriage"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -48,3 +53,18 @@ def test_no_module_imports_a_private_name_of_another(path):
         and not name.startswith("__")
     ]
     assert private == []
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    """Imports inside functions count too; a requirement's name must be its import name."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.split(r"[\s<>=!~;\[]", req, maxsplit=1)[0].lower().replace("-", "_")
+                for req in requirements}
+    imported = set()
+    for path in MODULES:
+        for _, name, module in _imports(ast.parse(path.read_text(encoding="utf-8"))):
+            imported.add((name if module is None else module).split(".")[0])  # "" if relative
+    assert imported - {""} - set(sys.stdlib_module_names) - declared == set()
+    assert {"numpy", "orjson", "requests"} <= imported

@@ -1,8 +1,11 @@
+import json
 from dataclasses import replace
 
 import numpy as np
+import orjson
 import pytest
 
+from cotriage.cli import main
 from cotriage.synth import SynthConfig, generate
 from cotriage.trajectory import read_trajectories, write_questions, write_trajectories
 from cotriage.training import roc_auc
@@ -121,3 +124,28 @@ def test_outputs_roundtrip_through_files(tmp_path):
     assert [t.question_id for t in back] == [t.question_id for t in trajs]
     grouped = read_paths(tmp_path / "paths.jsonl")
     assert set(grouped) == set(paths)
+
+
+def _same_values(a, b) -> bool:
+    """a == b, with the same type at every leaf (1 and 1.0 differ)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_values(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_values, a, b))
+    return a == b
+
+
+def test_orjson_and_json_decode_every_line_of_a_corpus_alike(tmp_path):
+    """The readers decode with orjson and the writers encode with json: equal values both ways."""
+    d, f = tmp_path / "d", tmp_path / "f"
+    assert main(["synth", "--seed", "5", "--out", str(d), "--n-train", "30", "--n-val", "10",
+                 "--n-test", "10"]) == 0
+    assert main(["extract-features", "--in", str(d), "--out", str(f)]) == 0
+    files = sorted([*d.glob("*.jsonl"), *f.glob("*.jsonl")])
+    kinds = {p.name.split(".")[1] for p in files}
+    assert kinds == {"questions", "traj", "paths", "features", "labels"}
+    for path in files:
+        for line in path.read_bytes().splitlines():
+            assert _same_values(orjson.loads(line), json.loads(line)), (path.name, line[:80])

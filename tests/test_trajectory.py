@@ -311,6 +311,14 @@ def _nan_score(rec):
     rec["sentences"][2]["log_scores"][0] = float("nan")
 
 
+def _token_cost_2_64(rec):
+    rec["greedy_token_cost"] = 2**64  # decoded as a float, which is not an int
+
+
+def _lone_surrogate(rec):
+    rec["sentences"][1]["text"] = "\ud800"  # written as the escape \ud800, which is not JSON text
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -321,10 +329,13 @@ def _nan_score(rec):
         (_bool_greedy_answer, "greedy_answer must be int"),
         (_string_label, "label must be bool"),
         (_blank_text, "q1: sentence text is empty"),
-        (_nan_score, "q1: log-scores contain NaN or infinity"),
+        (_nan_score, "invalid JSON: unexpected character"),
+        (_token_cost_2_64, "greedy_token_cost must be int"),
+        (_lone_surrogate, "invalid JSON: "),
     ],
     ids=["no_sentences", "answer_out_of_range", "ragged_scores", "text_5", "greedy_answer_true",
-         "label_string", "text_blank", "log_score_nan"],
+         "label_string", "text_blank", "log_score_nan", "greedy_token_cost_2_64",
+         "text_lone_surrogate"],
 )
 def test_read_applies_the_writers_checks(tmp_path, edit, message):
     path = tmp_path / "t.jsonl"
@@ -388,9 +399,9 @@ def test_a_file_mixing_three_and_five_options_reads(tmp_path):
     "line, first, fifth, message",
     [(3, _blank_text, _no_sentences, "q1: sentence text is empty"),
      (3, _answer_out_of_range, _ragged_scores, "q1: greedy_answer out of range"),
-     (3, _nan_score, _no_sentences, "q1: log-scores contain NaN"),
+     (3, _nan_score, _no_sentences, "invalid JSON: unexpected character"),
      (3, _blank_text, _int_text, "q1: sentence text is empty"),
-     (2, _nan_score, _blank_text, "q0: log-scores contain NaN")],
+     (2, _nan_score, _blank_text, "invalid JSON: unexpected character")],
     ids=["blank_then_no_sentences", "answer_9_then_ragged", "nan_then_no_sentences",
          "blank_then_text_5", "nan_on_line_2_then_blank"],
 )
@@ -406,6 +417,20 @@ def test_the_first_of_two_bad_records_names_the_error(tmp_path, line, first, fif
     with pytest.raises(ParseError, match=message) as err:
         read_trajectories(path)
     assert err.value.line == line
+
+
+def test_an_integer_log_score_beyond_uint64_reads_as_a_float(tmp_path):
+    """An integer outside [-2**63, 2**64) is read as a float64, like any finite log-score."""
+    path = tmp_path / "t.jsonl"
+    write_trajectories(path, [_make_trajectory("q0"), _make_trajectory("q1", seed=1)])
+
+    def big_score(rec):
+        rec["sentences"][0]["log_scores"][0] = 10**20
+
+    _rewrite_second_record(path, big_score)
+    assert '"log_scores": [100000000000000000000,' in path.read_text().splitlines()[2]
+    traj = read_trajectories(path)[1]
+    assert traj.log_scores.dtype == np.float64 and traj.log_scores[0, 0] == 1e20
 
 
 def test_validate_catches_non_increasing_prefix():
