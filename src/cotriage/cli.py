@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import logging
 import math
@@ -158,6 +159,7 @@ class Run:
         return path
 
 
+@functools.cache  # the code a process runs does not change under it
 def _git_revision() -> str:
     """HEAD of the checkout this package is loaded from, whatever the working directory."""
     try:
@@ -506,6 +508,7 @@ def resolve_options(argv: list[str] | None = None) -> argparse.Namespace:
 # --- parser -------------------------------------------------------------------
 
 
+@functools.cache  # parse_args keeps no state; handlers are looked up in COMMANDS per call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cotriage",

@@ -13,8 +13,9 @@ The HTTP transport is a plain callable so tests substitute a fake endpoint;
 everything above it (caching, retries, concurrency, parsing) is exercised for
 real. Responses are cached on disk, one entry per request, keyed by a hash of
 the model, template and full payload. A response is stored only once the
-caller's parser accepts it; an entry that does not decode or parse is a miss:
-it is logged, sent again and overwritten. Entries are written atomically
+caller's parser accepts it; an entry that does not decode (orjson is strict,
+so an entry holding NaN or Infinity does not) or parse is a miss: it is
+logged, sent again and overwritten. Entries are written atomically
 through a temp file unique to the writing thread, so concurrent workers, even
 two sending the same request, cannot corrupt a cache entry or abort on each
 other's rename.
@@ -36,6 +37,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+import orjson
 
 from .errors import CotriageError, HarvestError
 from .jsonl import dumps_record, replace_atomically
@@ -206,12 +208,13 @@ class EndpointClient:
 
     def _load(self, cache_path: Path | None, parse: Callable):
         """parse(the cached response), or None when there is none or it does not decode or parse."""
-        if cache_path is None or not cache_path.exists():
+        if cache_path is None:
             return None
         try:
-            with open(cache_path, encoding="utf-8") as fh:
-                parsed = parse(json.load(fh))
-        except (ValueError, CotriageError) as exc:  # JSONDecodeError, UnicodeDecodeError, parse's rejection
+            parsed = parse(orjson.loads(cache_path.read_bytes()))
+        except FileNotFoundError:
+            return None
+        except (ValueError, CotriageError) as exc:  # orjson.JSONDecodeError (NaN too), parse's rejection
             log.warning("unusable cache entry %s (%s); sending the request again", cache_path, exc)
             return None
         with self._lock:
@@ -343,7 +346,8 @@ def _answer_span_logscore(choice, context: str) -> float:
             "scoring endpoint returned no log-probabilities; it cannot be used for harvesting"
         ) from exc
     try:
-        span = [v for v, o in zip(token_logprobs, offsets, strict=True) if o >= len(context) and v is not None]
+        start = len(context)
+        span = [v for v, o in zip(token_logprobs, offsets, strict=True) if o >= start and v is not None]
     except (TypeError, ValueError) as exc:
         raise HarvestError(f"malformed scoring log-probabilities ({exc})") from exc
     if any(type(v) not in (int, float) for v in span):

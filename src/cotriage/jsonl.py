@@ -12,11 +12,13 @@ after the last line is read. write_json writes the single indented JSON
 documents (manifests, summaries, checkpoints) and write_csv the tables with
 the same atomic rename.
 
-Writers and single-document loads (checkpoint, selection.json, harvest cache
-entries) stay on the stdlib json module. orjson writes floats in [1e-5, 1e-4)
+Writers stay on the stdlib json module: orjson writes floats in [1e-5, 1e-4)
 as 0.0000427... (json: 4.27...e-05) and non-ASCII text unescaped, which would
-change output bytes and harvest cache keys (dumps_record bytes); and it
-decodes a checkpoint's long base64 strings slower.
+change output bytes and harvest cache keys (dumps_record bytes). Harvest
+cache entries, mostly numbers, are decoded by orjson too (harvest.py). The
+checkpoint and selection.json stay on json.load: orjson decodes a
+checkpoint's long base64 strings slower, and selection.json is one small
+document.
 """
 
 from __future__ import annotations
@@ -36,14 +38,17 @@ from .errors import ParseError
 T = TypeVar("T")
 
 
-# json.dumps builds a new encoder per call; encode() keeps no state between
-# calls, so one shared encoder is safe from any thread.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# The C encoder json.dumps(sort_keys=True, separators=(",", ":")) builds on
+# every call, built once; markers is None (no cycle check) as records are
+# trees. It keeps no state between calls, so it is safe from any thread.
+_ENCODE = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None, ":", ",", True, False, True
+)
 
 
 def dumps_record(record: dict[str, Any]) -> str:
     """The bytes json.dumps(record, sort_keys=True, separators=(",", ":")) gives."""
-    return _ENCODER.encode(record)
+    return "".join(_ENCODE(record, 0))
 
 
 @contextmanager

@@ -147,6 +147,29 @@ def test_manifest_git_revision_is_the_package_checkout(tmp_path, monkeypatch):
     assert json.loads(path.read_text())["git_revision"] == head.stdout.strip()
 
 
+def test_git_revision_is_read_once_per_process(tmp_path, monkeypatch):
+    calls = []
+    real_run = subprocess.run
+    monkeypatch.setattr(cli.subprocess, "run", lambda *a, **kw: calls.append(a) or real_run(*a, **kw))
+    cli._git_revision.cache_clear()
+    first = write_manifest("synth", argparse.Namespace(seed=0), Run(tmp_path / "a"), {})
+    second = write_manifest("synth", argparse.Namespace(seed=1), Run(tmp_path / "b"), {})
+    assert len(calls) == 1
+    assert json.loads(first.read_text())["git_revision"] == json.loads(second.read_text())["git_revision"]
+
+
+def test_parser_is_built_once_and_main_calls_share_no_values(tmp_path):
+    assert build_parser() is build_parser()
+    assert run("synth", "--seed", 3, "--out", tmp_path / "a", "--n-train", 4, "--n-val", 3,
+               "--n-test", 2, "--samples", 2, "--beta", 0.5) == EXIT_OK
+    assert run("synth", "--out", tmp_path / "b", "--n-train", 3, "--n-val", 2, "--n-test", 2) == EXIT_OK
+    first, second = (json.loads((tmp_path / d / "synth.manifest.json").read_text()) for d in "ab")
+    assert (first["seed"], first["config"]["samples"], first["config"]["beta"]) == (3, 2, 0.5)
+    assert (second["seed"], second["config"]["samples"], second["config"]["beta"]) == (
+        0, SynthConfig.samples_per_question, SynthConfig.beta)
+    assert (second["config"]["out"], second["config"]["n_train"]) == (str(tmp_path / "b"), 3)
+
+
 def test_route_at_tau_zero_equals_greedy(tmp_path):
     base = tmp_path / "run"
     pipeline(base, seed=4)

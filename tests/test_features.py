@@ -516,6 +516,16 @@ def test_dumps_record_is_the_bytes_of_json_dumps():
         {"z": 1, "a": [0.1, -0.0, 1e-300, 2.5e16, 1 / 3], "m": {"y": True, "b": None}},
         {"question_id": "é \"q\"\\", "rows": [[0.5, 1.0], [float("inf"), -1.5]],
          "label": False, "nested": [{"k": "ünï", "j": [True, 3, "x"]}]},
+        {"small": [1e-5, 4.27e-5, 9.99e-5], "big": [1e16, 2.5e17, 1.7976931348623157e308]},
+        {"beyond_int64": [2**63, -(2**64) - 1, 10**30]},
+        {"\x00\x1f": "tab\t nul\x00 del\x7f sep\u2028 face\U0001f600"},
+        {"np": np.float64(0.1), "rows": [np.float64(-2.5e-5), np.float64(3e16)]},
     ]
     for rec in records:
         assert dumps_record(rec) == json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    for rec in ({"n": np.int64(3)}, {"s": {1, 2}}, {"deep": [{"x": np.int64(1)}]}):
+        with pytest.raises(TypeError) as want:
+            json.dumps(rec, sort_keys=True, separators=(",", ":"))
+        with pytest.raises(TypeError) as got:
+            dumps_record(rec)
+        assert str(got.value) == str(want.value)

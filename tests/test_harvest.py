@@ -461,9 +461,17 @@ def test_cache_of_either_harvest_replays_under_either_endpoint(tmp_path):
 def test_corrupt_cache_entry_is_a_miss_that_is_sent_again_and_overwritten(tmp_path, caplog):
     expected, expected_cache, _ = _harvest_all(tmp_path, "first")
     root = tmp_path / "first"
-    victim = sorted((root / "cache").iterdir())[0]
-    # one entry that does not decode, then one that decodes but no parser accepts
-    for k, entry in enumerate(['{"choices": [', '{"choices": []}']):
+    responses = {p: json.loads(p.read_text()) for p in sorted((root / "cache").iterdir())}
+    victim, response = next((p, r) for p, r in responses.items()
+                            if len(r["choices"]) > 1 and "logprobs" in r["choices"][0])
+    # log-probs of context tokens, outside the answer span, that a lenient
+    # endpoint sent and stdlib json writes: not strict JSON, so a miss too
+    response["choices"][0]["logprobs"]["token_logprobs"][0] = float("nan")
+    response["choices"][1]["logprobs"]["token_logprobs"][0] = float("-inf")
+    lenient = json.dumps(response, sort_keys=True)
+    assert "NaN" in lenient and "-Infinity" in lenient
+    # one entry that does not decode, one that decodes but no parser accepts, one with NaN and -Infinity
+    for k, entry in enumerate(['{"choices": [', '{"choices": []}', lenient]):
         victim.write_text(entry)
         client, _ = make_client(root)
         out = tmp_path / f"second{k}"
