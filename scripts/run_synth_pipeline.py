@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from cotriage.cli import main as cli
+from cotriage.voting import METHODS
 
 
 def run(argv) -> None:
@@ -29,7 +30,7 @@ def main() -> None:
     ap.add_argument("--n-val", type=int, default=500)
     ap.add_argument("--n-test", type=int, default=1000)
     ap.add_argument("--samples", type=int, default=10)
-    ap.add_argument("--method", default="sc", choices=("sc", "cer", "dv"))
+    ap.add_argument("--method", default="sc", choices=METHODS)
     args = ap.parse_args()
 
     root = Path(args.root)

@@ -280,12 +280,11 @@ def cmd_harvest(opts, run: Run) -> dict:
 
 def cmd_extract_features(opts, run: Run) -> None:
     in_dir = Path(opts.in_dir)
-    found = False
+    derived = []  # every split is read and checked before any file is written
     for split in SPLITS:
         traj_path = in_dir / f"{split}.traj.jsonl"
         if not traj_path.exists():
             continue
-        found = True
         trajectories = read_trajectories(run.reads(traj_path))
         qfile = run.reads(in_dir / f"{split}.questions.jsonl")
         questions = {q.question_id: q for q in load_questions(qfile)}
@@ -305,11 +304,13 @@ def cmd_extract_features(opts, run: Run) -> None:
         seqs = [assemble(traj, opts.subset, q, *blocks)
                 for traj, q, *blocks in zip(trajectories, ordered, numeric, linguistic)]
         labels = {t.question_id: t.label for t in trajectories if t.label is not None}
+        derived.append((split, seqs, labels))
+    if not derived:
+        raise CotriageError(f"no <split>.traj.jsonl files under {in_dir}")
+    for split, seqs, labels in derived:
         write_features(run.writes(f"{split}.features.jsonl"), seqs)
         if labels:
             write_labels(run.writes(f"{split}.labels.jsonl"), labels)
-    if not found:
-        raise CotriageError(f"no <split>.traj.jsonl files under {in_dir}")
     run.extra["columns"] = LAYOUTS[opts.subset]
 
 

@@ -648,6 +648,22 @@ def test_extract_features_manifest_records_the_layout_columns(tmp_path):
         ]
 
 
+def test_a_bad_later_split_leaves_the_last_extract_features_output_as_it_was(tmp_path, capsys):
+    d, f = tmp_path / "d", tmp_path / "f"
+    assert run("synth", "--seed", 3, "--out", d, "--n-train", 3, "--n-val", 3, "--n-test", 3,
+               "--samples", 2) == EXIT_OK
+    assert run("extract-features", "--in", d, "--out", f, "--subset", "full") == EXIT_OK
+    before = snapshot(f)
+    traj_path = d / "test.traj.jsonl"
+    lines = traj_path.read_text().splitlines()
+    lines[2] = json.dumps(dict(json.loads(lines[2]), greedy_token_cost=-1))
+    traj_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("extract-features", "--in", d, "--out", f, "--subset", "numeric") == EXIT_DATA
+    assert f"{traj_path}: line 3:" in capsys.readouterr().err
+    assert snapshot(f) == before
+
+
 def test_report_names_each_method_by_its_whole_file_stem(tmp_path):
     r = tmp_path / "r"
     for method, tokens in (("policy", 10), ("policy.v2", 20)):

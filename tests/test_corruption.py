@@ -130,13 +130,10 @@ def mutated(rec: dict, path: tuple, value) -> dict:
 def corpus(tmp_path_factory):
     base = tmp_path_factory.mktemp("sweep")
     d, f = base / "d", base / "f"
-    assert run("synth", "--seed", 3, "--out", d, "--n-train", 0, "--n-val", 0, "--n-test", 3,
+    # three splits, so that extract-features must leave the good ones unwritten too
+    assert run("synth", "--seed", 3, "--out", d, "--n-train", 3, "--n-val", 3, "--n-test", 3,
                "--samples", 2, "--t-min", 2, "--t-max", 3) == EXIT_OK
     assert run("extract-features", "--in", d, "--out", f) == EXIT_OK
-    # train and val splits of their own, for train
-    assert run("synth", "--seed", 3, "--out", base / "dt", "--n-train", 3, "--n-val", 3,
-               "--n-test", 0, "--samples", 2, "--t-min", 2, "--t-max", 3) == EXIT_OK
-    assert run("extract-features", "--in", base / "dt", "--out", base / "ft") == EXIT_OK
     cfg = ModelConfig(input_dim=32, hidden=4, heads=1, head_hidden=4)
     save_checkpoint(base / "model.ckpt", init_params(cfg, seed=0), cfg)
     assert run(*_route(base), "--out", base / "r") == EXIT_OK
@@ -193,7 +190,7 @@ def _route(work: Path) -> list:
 
 
 def _train(work: Path) -> list:
-    return ["train", "--in", work / "ft", "--max-epochs", 1, "--hidden", 4, "--heads", 1,
+    return ["train", "--in", work / "f", "--max-epochs", 1, "--hidden", 4, "--heads", 1,
             "--head-hidden", 4]
 
 

@@ -1,5 +1,5 @@
 """The scripts under scripts/ import cleanly against the current package,
-and the ablation grid runs end to end on a tiny corpus.
+and the ablation grid runs end to end on a tiny corpus through the CLI stages.
 
 The rest of the suite does not run them, so a name they import that the
 package no longer has would otherwise go unnoticed until someone runs them.
@@ -7,6 +7,7 @@ package no longer has would otherwise go unnoticed until someone runs them.
 
 import csv
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -44,3 +45,10 @@ def test_ablation_grid_writes_one_row_per_cell(tmp_path, monkeypatch, capsys):
         assert 0.0 <= float(row["test_auc"]) <= 1.0
         assert 0.0 <= float(row["test_accuracy"]) <= 1.0
     assert "wrote" in capsys.readouterr().out
+    for name, _, _ in grid.CELLS:
+        for manifest in ("train.manifest.json", "val/calibrate.manifest.json",
+                         "test/calibrate.manifest.json"):
+            assert (tmp_path / name / manifest).is_file(), f"{name}/{manifest}"
+    # the size flags are not the script's own: they reach synth
+    synth = json.loads((tmp_path / "data" / "synth.manifest.json").read_text())
+    assert synth["config"]["n_train"] == 60
