@@ -71,6 +71,7 @@ from .synth import SynthConfig, generate
 from .trajectory import (
     QUESTIONS_SCHEMA,
     TRAJ_SCHEMA,
+    derive_signals,
     load_questions,
     read_trajectories,
     write_questions,
@@ -208,11 +209,12 @@ def _config(cls, opts: argparse.Namespace, **given):
 def _load_split_features(run: Run, features_dir: str, split: str):
     fdir = Path(features_dir)
     seqs = read_features(run.reads(fdir / f"{split}.features.jsonl"))
-    labels = read_labels(run.reads(fdir / f"{split}.labels.jsonl"))
+    labels_path = run.reads(fdir / f"{split}.labels.jsonl")
+    labels = read_labels(labels_path)
     ordered = []
     for seq in seqs:
         if seq.question_id not in labels:
-            raise CotriageError(f"no label for {seq.question_id!r}")
+            raise CotriageError(f"{labels_path}: no label for {seq.question_id!r}")
         ordered.append(labels[seq.question_id])
     return seqs, ordered
 
@@ -223,16 +225,17 @@ def _load_routing_items(opts, run: Run) -> list:
     qfile = run.reads(data / f"{split}.questions.jsonl")
     questions = {q.question_id: q for q in load_questions(qfile)}
     paths_by_qid = read_paths(run.reads(data / f"{split}.paths.jsonl"))
-    features = read_features(run.reads(Path(opts.features) / f"{split}.features.jsonl"))
-    by_qid = {s.question_id: s for s in features}
-    for traj in trajectories:
+    features_path = run.reads(Path(opts.features) / f"{split}.features.jsonl")
+    by_qid = {s.question_id: s for s in read_features(features_path)}
+    _, p, _ = derive_signals(trajectories)
+    for traj, traj_p in zip(trajectories, p):
         seq = by_qid.get(traj.question_id)
         if seq is None:
-            raise CotriageError(f"no features for {traj.question_id!r}")
+            raise CotriageError(f"{features_path}: no features for {traj.question_id!r}")
         layout = LAYOUTS[seq.layout_id]  # a row per sentence, and the trajectory's own p column
-        if len(seq.x) != len(traj.p) or ("p" in layout and (seq.x[:, layout.index("p")] != traj.p).any()):
+        if len(seq.x) != len(traj_p) or ("p" in layout and (seq.x[:, layout.index("p")] != traj_p).any()):
             raise CotriageError(f"features of {traj.question_id!r} do not match its trajectory: "
-                                 f"{len(seq.x)} rows for {len(traj.p)} sentences, or another p column")
+                                 f"{len(seq.x)} rows for {len(traj_p)} sentences, or another p column")
     params, mcfg = load_checkpoint(run.reads(opts.model))
     scores = score_features(params, mcfg, [by_qid[t.question_id] for t in trajectories])
     return build_calibration_items(
@@ -290,7 +293,7 @@ def cmd_extract_features(opts, run: Run) -> None:
         questions = {q.question_id: q for q in load_questions(qfile)}
         for traj in trajectories:
             if traj.question_id not in questions:
-                raise CotriageError(f"no question for trajectory {traj.question_id!r}")
+                raise CotriageError(f"{qfile}: no question for trajectory {traj.question_id!r}")
             gold = questions[traj.question_id].gold_idx
             if None not in (traj.label, gold) and traj.label != (traj.greedy_answer == gold):
                 raise CotriageError(f"{traj_path}: label of {traj.question_id!r} contradicts its "
@@ -344,8 +347,8 @@ def cmd_calibrate(opts, run: Run) -> dict:
         profile, tau, run.writes("selection.json"), opts.max_rel_drop, opts.method, opts.budget
     )
     if point.token_reduction <= 0:
-        log.warning("the policy at tau %s spends at least always-multi's tokens (token reduction %.4f)",
-                    tau, point.token_reduction)
+        log.warning("%s split, --out %s: the policy at tau %s spends at least always-multi's tokens "
+                    "(token reduction %.4f)", opts.split, opts.out, tau, point.token_reduction)
     return {"selected_tau": tau, "token_reduction": point.token_reduction}
 
 

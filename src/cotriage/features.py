@@ -25,7 +25,7 @@ import numpy as np
 
 from . import lexicons
 from .jsonl import read_unique_jsonl, typed, write_jsonl
-from .trajectory import McQuestion, Trajectory, numeric_array, read_only
+from .trajectory import McQuestion, Trajectory, derive_signals, numeric_array, read_only
 
 FEATURES_SCHEMA = "features/2"
 LABELS_SCHEMA = "labels/1"
@@ -146,22 +146,23 @@ def _numeric_block(p: np.ndarray, entropy: np.ndarray, plen: np.ndarray) -> np.n
 def numeric_features(trajectories: Sequence[Trajectory]) -> list[np.ndarray]:
     """One (T, 12) block per trajectory, in order; column order is NUMERIC_LAYOUT.
 
-    Trajectories of equal length T are computed together as (n, T) arrays,
-    reduced along axis 1. numpy reduces each C-contiguous row the way it
-    reduces a 1-D array of T values, so every block equals the one the
-    trajectory gets on its own, bit for bit; a padded or column-major layout
-    would regroup the additions of the longer rows.
+    The per-sentence p, entropy and prefix lengths are derived for the whole
+    split in one derive_signals call. Trajectories of equal length T are then
+    computed together as (n, T) arrays, reduced along axis 1. numpy reduces
+    each C-contiguous row the way it reduces a 1-D array of T values, so every
+    block equals the one the trajectory gets on its own, bit for bit; a padded
+    or column-major layout would regroup the additions of the longer rows.
     """
+    prefix_len, p, entropy = derive_signals(trajectories)
     by_len: dict[int, list[int]] = defaultdict(list)
     for i, traj in enumerate(trajectories):
-        by_len[len(traj.p)].append(i)
+        by_len[len(traj.texts)].append(i)
     blocks: dict[int, np.ndarray] = {}
     for idx in by_len.values():
-        group = [trajectories[i] for i in idx]
         x = _numeric_block(
-            np.stack([traj.p for traj in group]),
-            np.stack([traj.entropy for traj in group]),
-            np.stack([traj.prefix_len for traj in group]).astype(np.float64),
+            np.stack([p[i] for i in idx]),
+            np.stack([entropy[i] for i in idx]),
+            np.stack([prefix_len[i] for i in idx]).astype(np.float64),
         )
         blocks.update(zip(idx, x))
     return [blocks[i] for i in range(len(trajectories))]

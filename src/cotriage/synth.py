@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trajectory import McQuestion, Trajectory, check_trajectory, derive_signals, unchecked
+from .trajectory import McQuestion, Trajectory
 from .voting import SampledPath
 
 _MID_TEMPLATES = [
@@ -156,8 +156,7 @@ def generate(
         probs = np.repeat(((1.0 - p_series) / (k - 1))[:, None], k, axis=1)
         probs[np.arange(t), tops] = p_series
         log_scores = np.log(probs) + np.array(shifts)[:, None]
-        traj = unchecked(
-            Trajectory,
+        traj = Trajectory(
             question_id=qid,
             texts=texts,
             log_scores=log_scores,
@@ -165,7 +164,6 @@ def generate(
             greedy_token_cost=_token_cost(rng),
             label=correct,
         )
-        check_trajectory(traj)
 
         agree_p = 0.5 + 0.45 * cfg.beta if correct else 0.25 + 0.1 * cfg.beta
         paths = []
@@ -191,5 +189,4 @@ def generate(
         trajectories.append(traj)
         paths_by_qid[qid] = paths
 
-    derive_signals(trajectories)  # the whole split in one pass
     return questions, trajectories, paths_by_qid

@@ -4,21 +4,21 @@ A trajectory is the greedy reasoning for one multiple-choice question, split
 into sentences and held as columns: the sentence texts and a (T, K) array of
 per-choice log-scores (row t scores every answer option against the prefix
 ending at sentence t), the two things a traj/2 record stores per sentence.
-The prefix lengths (cumulative whitespace-token counts), the top-choice
-probability p and the entropy of each row are derived from them. Building a
-trajectory runs check_trajectory and then derive_signals on a split of one.
-read_trajectories checks each record as it parses its line, so a bad file is
-reported at its first bad line, and derives the whole file in one pass; synth
-does the same for each split it makes. The readers check every field's JSON
-type instead of casting it. A traj/1 file, which also stored prefix_len, p and
-entropy, fails the schema check: synthesise it again, or delete it and harvest
-again (with the same cache directory, a harvest sends no request).
+A Trajectory is exactly the record: building one checks it, and
+read_trajectories and synth build each one as they make it, so a bad file is
+reported at its first bad line. The prefix lengths (cumulative
+whitespace-token counts), the top-choice probability p and the entropy of
+each row are not stored: derive_signals computes them for a whole split in
+one pass where they are used. The readers check every field's JSON type
+instead of casting it. A traj/1 file, which also stored prefix_len, p and
+entropy, fails the schema check: synthesise it again, or delete it and
+harvest again (with the same cache directory, a harvest sends no request).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
@@ -90,16 +90,12 @@ class ChoiceDistribution:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Greedy reasoning for one question, held as per-sentence columns.
+    """Greedy reasoning for one question, held as per-sentence columns: a traj/2 record.
 
-    Row t of log_scores (T, K) scores the K options after sentence t.
-    prefix_len[t] (the whitespace-token length of the reasoning up to
-    sentence t, from texts), p (top-choice probability) and entropy (from
-    log_scores) are derived at construction, after the whole record is
-    checked. A reader or synth checks each record as it makes it and derives
-    a whole file or split in one pass instead. The fields cannot be reassigned
-    afterwards, and the arrays are read-only views, so the record cannot be
-    written through them either.
+    Row t of log_scores (T, K) scores the K options after sentence t. The
+    whole record is checked when it is built. The fields cannot be reassigned
+    afterwards, and log_scores is a read-only view, so the record cannot be
+    written through it either. derive_signals gives its per-sentence signals.
     """
 
     question_id: str
@@ -108,57 +104,42 @@ class Trajectory:
     greedy_answer: int
     greedy_token_cost: int
     label: bool | None = None
-    prefix_len: np.ndarray = field(init=False, repr=False)
-    p: np.ndarray = field(init=False, repr=False)
-    entropy: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        check_trajectory(self)
-        derive_signals([self])
+        """Raise the first failed check; log_scores becomes a read-only float64 array.
+
+        A text is empty when it holds no whitespace-separated token, which is
+        when s.split() would be [].
+        """
+        qid, t = self.question_id, len(self.texts)
+        scores = numeric_array(self.log_scores)
+        if t == 0:
+            raise ValueError(f"{qid}: trajectory has no sentences")
+        if scores.ndim != 2 or len(scores) != t or scores.shape[1] < 2:
+            raise ValueError(f"{qid}: log_scores must be (T, K) with T={t} and K >= 2")
+        if "" in self.texts or any(map(str.isspace, self.texts)):
+            raise ValueError(f"{qid}: sentence text is empty")
+        if not np.isfinite(scores).all():
+            raise ValueError(f"{qid}: log-scores contain NaN or infinity")
+        if not 0 <= self.greedy_answer < scores.shape[1]:
+            raise ValueError(f"{qid}: greedy_answer out of range")
+        if self.greedy_token_cost <= 0:
+            raise ValueError(f"{qid}: greedy_token_cost must be positive")
+        object.__setattr__(self, "log_scores", read_only(scores))
 
 
-def unchecked(cls, **fields):
-    """An instance of the frozen dataclass cls holding fields, its __post_init__ not run: for
-    code that checks each record itself and derives a whole file's signals in one pass."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
+def derive_signals(trajs: Sequence[Trajectory]) -> tuple[list[np.ndarray], ...]:
+    """(prefix_len, p, entropy) of trajectories, each a list of one read-only view per trajectory.
 
-
-def check_trajectory(traj: Trajectory) -> None:
-    """Run Trajectory's checks on traj, raising the first failure; its log_scores become a
-    read-only float64 array.
-
-    A text is empty when it holds no whitespace-separated token, which is when
-    s.split() would be [].
-    """
-    qid, t = traj.question_id, len(traj.texts)
-    scores = numeric_array(traj.log_scores)
-    if t == 0:
-        raise ValueError(f"{qid}: trajectory has no sentences")
-    if scores.ndim != 2 or len(scores) != t or scores.shape[1] < 2:
-        raise ValueError(f"{qid}: log_scores must be (T, K) with T={t} and K >= 2")
-    if "" in traj.texts or any(map(str.isspace, traj.texts)):
-        raise ValueError(f"{qid}: sentence text is empty")
-    if not np.isfinite(scores).all():
-        raise ValueError(f"{qid}: log-scores contain NaN or infinity")
-    if not 0 <= traj.greedy_answer < scores.shape[1]:
-        raise ValueError(f"{qid}: greedy_answer out of range")
-    if traj.greedy_token_cost <= 0:
-        raise ValueError(f"{qid}: greedy_token_cost must be positive")
-    traj.__dict__["log_scores"] = read_only(scores)
-
-
-def derive_signals(trajs: Sequence[Trajectory]) -> None:
-    """Give checked trajectories their prefix_len, p and entropy in one pass over all their rows.
-
-    Each sentence's whitespace-token count is taken once (len(s.split())), and
-    the per-trajectory cumulative sums are prefix_len. p and entropy are
-    derived once per option count K. Each trajectory gets read-only views of
-    one array over all rows.
+    prefix_len[t] is the whitespace-token length of the reasoning up to
+    sentence t: each sentence's count is taken once (len(s.split())) and
+    summed per trajectory. p (top-choice probability) and entropy come from
+    the softmax of each log-score row, once per option count K. Each list
+    holds slices of one array over all rows, and a trajectory's values are
+    the same derived alone or in a split.
     """
     if not trajs:
-        return
+        return [], [], []
     sizes, ks = [len(traj.texts) for traj in trajs], [traj.log_scores.shape[1] for traj in trajs]
     ends = np.cumsum(sizes)
     starts = ends - sizes
@@ -172,9 +153,8 @@ def derive_signals(trajs: Sequence[Trajectory]) -> None:
     tokens = np.fromiter(map(len, map(str.split, texts)), np.int64, ends[-1])
     prefix_len = np.cumsum(tokens)
     prefix_len -= np.repeat(prefix_len[starts] - tokens[starts], sizes)
-    prefix_len, p, entropy = read_only(prefix_len), read_only(p), read_only(entropy)
-    for traj, lo, hi in zip(trajs, starts.tolist(), ends.tolist()):
-        traj.__dict__.update(prefix_len=prefix_len[lo:hi], p=p[lo:hi], entropy=entropy[lo:hi])
+    bounds = list(zip(starts.tolist(), ends.tolist()))
+    return tuple([arr[lo:hi] for lo, hi in bounds] for arr in map(read_only, (prefix_len, p, entropy)))
 
 
 def segment_sentences(cot_text: str) -> list[str]:
@@ -272,10 +252,8 @@ def traj_record(traj: Trajectory) -> dict:
 
 
 def _traj_from_record(rec: dict) -> Trajectory:
-    """A record's trajectory, checked (check_trajectory) but without its derived signals."""
     sentences = typed(rec, "sentences", list)
-    traj = unchecked(
-        Trajectory,
+    return Trajectory(
         question_id=typed(rec, "question_id", str),
         texts=[typed(s, "text", str) for s in sentences],
         greedy_answer=typed(rec, "greedy_answer", int),
@@ -283,8 +261,6 @@ def _traj_from_record(rec: dict) -> Trajectory:
         label=typed(rec, "label", bool, None),
         log_scores=[s["log_scores"] for s in sentences],
     )
-    check_trajectory(traj)
-    return traj
 
 
 def write_trajectories(path: str | Path, trajectories: Iterable[Trajectory]) -> None:
@@ -296,12 +272,9 @@ def read_trajectories(path: str | Path) -> list[Trajectory]:
     """Read a traj/2 file, applying the writer's checks to every record.
 
     Every field must hold its JSON type, and each record is checked on its own
-    line, so a bad file is a ParseError naming its first bad line. The whole
-    file's prefix_len, p and entropy are then derived in one pass.
+    line, so a bad file is a ParseError naming its first bad line.
     """
-    trajs = list(read_unique_jsonl(path, TRAJ_SCHEMA, _traj_from_record, _BY_ID))
-    derive_signals(trajs)
-    return trajs
+    return list(read_unique_jsonl(path, TRAJ_SCHEMA, _traj_from_record, _BY_ID))
 
 
 def write_questions(path: str | Path, questions: Iterable[McQuestion]) -> None:

@@ -42,7 +42,13 @@ from cotriage.harvest import EndpointConfig
 from cotriage.model import CKPT_SCHEMA, ModelConfig, init_params, save_checkpoint
 from cotriage.synth import SynthConfig
 from cotriage.training import TrainConfig
-from cotriage.trajectory import load_questions, read_trajectories, traj_record, write_questions
+from cotriage.trajectory import (
+    derive_signals,
+    load_questions,
+    read_trajectories,
+    traj_record,
+    write_questions,
+)
 from test_harvest import Q1, Q2, make_fake
 
 
@@ -414,10 +420,10 @@ def test_data_error_exit_codes(tmp_path, capsys):
     # a traj/1 file, which stored each sentence's prefix_len, p and entropy, is not read
     traj_path = run_dir / "d" / "train.traj.jsonl"
     records = [{"schema": "traj/1"}]
-    for traj in read_trajectories(traj_path):
+    trajs = read_trajectories(traj_path)
+    for traj, *signals in zip(trajs, *derive_signals(trajs)):
         rec = traj_record(traj)
-        for sent, plen, p, h in zip(rec["sentences"], traj.prefix_len.tolist(), traj.p.tolist(),
-                                    traj.entropy.tolist()):
+        for sent, plen, p, h in zip(rec["sentences"], *(s.tolist() for s in signals)):
             sent.update(prefix_len=plen, p=p, entropy=h)
         records.append(rec)
     traj_path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
@@ -962,18 +968,18 @@ def test_records_that_do_not_line_up_exit_2_naming_the_record(tmp_path, capsys, 
     train = ["train", "--in", f, "--out", out, "--hidden", 8, "--heads", 2, "--max-epochs", 1]
     if case == "no_label":
         qid = _cut_line(f / "train.labels.jsonl", 3)["question_id"]
-        argv, message = train, f"no label for {qid!r}"
+        argv, message = train, f"{f / 'train.labels.jsonl'}: no label for {qid!r}"
     elif case == "no_features":
         qid = _cut_line(f / "val.features.jsonl", 3)["question_id"]
         cfg = ModelConfig(input_dim=32, hidden=8, heads=2, head_hidden=4)
         save_checkpoint(tmp_path / "m.ckpt", init_params(cfg, 0), cfg)
         argv = ["calibrate", "--data", d, "--features", f, "--model", tmp_path / "m.ckpt",
                 "--split", "val", "--budget", 2, "--out", out]
-        message = f"no features for {qid!r}"
+        message = f"{f / 'val.features.jsonl'}: no features for {qid!r}"
     elif case == "no_question":
         qid = _cut_line(d / "train.questions.jsonl", 3)["id"]
         argv = ["extract-features", "--in", d, "--out", out]
-        message = f"no question for trajectory {qid!r}"
+        message = f"{d / 'train.questions.jsonl'}: no question for trajectory {qid!r}"
     elif case == "empty_train":
         for name in ("train.features.jsonl", "train.labels.jsonl"):
             for _ in range(4):
@@ -1036,7 +1042,12 @@ def test_calibrate_warns_when_its_policy_spends_more_than_always_multi(tmp_path,
     assert doc["token_reduction"] == printed["token_reduction"] <= 0
     assert doc["accept_rate"] == 0.0 and printed["selected_tau"] == doc["selected_tau"]
     assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert f"val split, --out {c}: the policy at tau" in caplog.text
     assert "spends at least always-multi's tokens" in caplog.text
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="cotriage.cli"):
+        assert run("calibrate", *routing, "--split", "test", "--out", tmp_path / "ct") == EXIT_OK
+    assert f"test split, --out {tmp_path / 'ct'}: the policy at tau" in caplog.text
 
     older = tmp_path / "older.json"  # written before selection.json held the selected point's figures
     older.write_text(json.dumps({k: v for k, v in doc.items() if k not in ("token_reduction", "accept_rate")}))

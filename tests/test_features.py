@@ -25,7 +25,7 @@ from cotriage.features import (
 )
 from cotriage.errors import ParseError
 from cotriage.jsonl import dumps_record
-from cotriage.trajectory import McQuestion, Trajectory
+from cotriage.trajectory import McQuestion, Trajectory, derive_signals, normalize_choices, sentence_signals
 
 def col(name, subset="full"):
     return LAYOUTS[subset].index(name)
@@ -111,7 +111,7 @@ def test_rolling_window_hand_computed():
 def test_p_over_log_len_column():
     traj = make_traj([0.5, 0.6])
     x = numeric_features([traj])[0]
-    plens = traj.prefix_len
+    (plens,), _, _ = derive_signals([traj])
     expected = [0.5 / math.log(1 + plens[0]), 0.6 / math.log(1 + plens[1])]
     np.testing.assert_allclose(x[:, col("p_over_log_len")], expected, atol=1e-12)
 
@@ -368,8 +368,8 @@ def _ref_zscore(values):
 
 
 def _ref_numeric(traj):
-    p, entropy = traj.p, traj.entropy
-    plen = traj.prefix_len.astype(np.float64)
+    p, entropy = sentence_signals(normalize_choices(traj.log_scores))
+    plen = np.cumsum([len(s.split()) for s in traj.texts]).astype(np.float64)
     delta_p = np.diff(p, prepend=p[:1])
     delta_h = np.diff(entropy, prepend=entropy[:1])
     roll_std, roll_rng = _ref_rolling(p)

@@ -32,6 +32,7 @@ from cotriage.harvest import (
 )
 from cotriage.trajectory import (
     McQuestion,
+    derive_signals,
     normalize_choices,
     read_trajectories,
     segment_sentences,
@@ -155,7 +156,8 @@ def test_greedy_trajectory_matches_target_table():
     assert traj.label is True
     assert traj.greedy_token_cost == 42
     assert np.allclose(normalize_choices(traj.log_scores).probs, ROWS["h001"], atol=1e-12)
-    assert np.allclose(traj.p, np.max(ROWS["h001"], axis=1), atol=1e-12)
+    _, (p,), _ = derive_signals([traj])
+    assert np.allclose(p, np.max(ROWS["h001"], axis=1), atol=1e-12)
 
 
 def test_greedy_falls_back_to_argmax_without_marker():

@@ -1,9 +1,9 @@
 """Static checks on the package source, with the stdlib ast module only.
 
 Every import a module makes is used in it, no module imports another
-module's underscore name (a name shared between modules is public), and every
+module's underscore name (a name shared between modules is public), every
 package outside the stdlib that the source imports is declared in
-pyproject.toml.
+pyproject.toml, and every instance is built by its class's constructor.
 """
 
 import ast
@@ -68,3 +68,26 @@ def test_every_third_party_import_is_a_declared_dependency():
             imported.add((name if module is None else module).split(".")[0])  # "" if relative
     assert imported - {""} - set(sys.stdlib_module_names) - declared == set()
     assert {"numpy", "orjson", "requests"} <= imported
+
+
+_DICT_WRITES = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def _bypasses(tree: ast.Module):
+    """Lines that call object.__new__ or write through an instance's __dict__."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func, owner = node.func, node.func.value
+            if func.attr == "__new__" and isinstance(owner, ast.Name) and owner.id == "object":
+                yield node.lineno
+            elif func.attr in _DICT_WRITES and isinstance(owner, ast.Attribute) and owner.attr == "__dict__":
+                yield node.lineno
+        elif (isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+              and isinstance(node.value, ast.Attribute) and node.value.attr == "__dict__"):
+            yield node.lineno
+
+
+def test_every_instance_is_built_by_its_constructor():
+    """No module makes an instance without running its checks, or changes one behind them."""
+    found = {path.name: sorted(_bypasses(ast.parse(path.read_text(encoding="utf-8")))) for path in MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}

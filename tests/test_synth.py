@@ -7,7 +7,7 @@ import pytest
 
 from cotriage.cli import main
 from cotriage.synth import SynthConfig, generate
-from cotriage.trajectory import read_trajectories, write_questions, write_trajectories
+from cotriage.trajectory import derive_signals, read_trajectories, write_questions, write_trajectories
 from cotriage.training import roc_auc
 from cotriage.voting import read_paths, write_paths
 
@@ -62,7 +62,8 @@ def test_everything_validates_and_aligns():
     cfg = SynthConfig(n_questions=50, seed=3, t_min=2, t_max=9, num_choices=3)
     questions, trajs, paths = generate(cfg)
     assert len(questions) == len(trajs) == len(paths) == 50
-    for q, t in zip(questions, trajs):
+    _, ps, _ = derive_signals(trajs)
+    for q, t, p_series in zip(questions, trajs, ps):
         # building a record runs its checks, so a rebuilt copy must build cleanly
         replace(q)
         replace(t)
@@ -70,7 +71,7 @@ def test_everything_validates_and_aligns():
         assert t.label == (t.greedy_answer == q.gold_idx)
         assert 2 <= len(t.texts) <= 9
         assert t.log_scores.shape == (len(t.texts), 3)
-        assert np.all((0.2 <= t.p) & (t.p <= 0.975))
+        assert np.all((0.2 <= p_series) & (p_series <= 0.975))
         qp = paths[q.question_id]
         assert [p.sample_idx for p in qp] == list(range(10))
         for p in qp:
@@ -80,15 +81,16 @@ def test_everything_validates_and_aligns():
 
 
 def _probe_auc(trajs, feature):
-    vals = np.array([feature(t) for t in trajs])
+    _, p, entropy = derive_signals(trajs)
+    vals = np.array([feature(*signals) for signals in zip(p, entropy)])
     labels = np.array([t.label for t in trajs])
     return roc_auc(labels, vals)
 
 
 PROBES = {
-    "mean_p": lambda t: np.mean(t.p),
-    "final_p": lambda t: t.p[-1],
-    "mean_entropy": lambda t: -np.mean(t.entropy),
+    "mean_p": lambda p, entropy: np.mean(p),
+    "final_p": lambda p, entropy: p[-1],
+    "mean_entropy": lambda p, entropy: -np.mean(entropy),
 }
 
 

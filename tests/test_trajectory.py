@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,14 +13,12 @@ from cotriage.trajectory import (
     McQuestion,
     Trajectory,
     answer_logscore,
-    check_trajectory,
     derive_signals,
     load_questions,
     normalize_choices,
     read_trajectories,
     segment_sentences,
     sentence_signals,
-    unchecked,
     write_questions,
     write_trajectories,
 )
@@ -147,39 +145,34 @@ def test_answer_logscore_rejects_empty():
 _SPACES = [" ", "\t", "\n", "\xa0", "\u3000", " \t\xa0\u3000\n"]
 
 
-def _checked(fields):
-    """Trajectories checked one at a time, as a reader checks them, their signals not yet derived."""
-    trajs = [unchecked(Trajectory, **f) for f in fields]
-    for traj in trajs:
-        check_trajectory(traj)
-    return trajs
+def _signals(trajs):
+    """Each trajectory's (log_scores, prefix_len, p, entropy), its signals from one derive_signals call."""
+    return [(traj.log_scores, *derived) for traj, *derived in zip(trajs, *derive_signals(trajs))]
 
 
 def test_prefix_len_counts_whitespace_tokens():
     """The cumulative len(text.split()), in a split derived in one call and in each trajectory alone."""
     traj = Trajectory("q", ["a\tb", "c\nd\xa0e", "\u3000f  "], np.zeros((3, 2)), 0, 1)
-    assert traj.prefix_len.tolist() == [2, 5, 6] and traj.prefix_len.dtype == np.int64
+    (plen,), _, _ = derive_signals([traj])
+    assert plen.tolist() == [2, 5, 6] and plen.dtype == np.int64
     rng = np.random.default_rng(0)
-    fields, counts = [], []
+    split, counts = [], []
     for i in range(50):
         words = [[f"w{j}." for j in range(1, 1 + rng.integers(1, 6))] for _ in range(1 + i % 7)]
         texts = ["".join(str(rng.choice(_SPACES)) + w for w in ws) + str(rng.choice(_SPACES))
                  for ws in words]
-        fields.append(dict(question_id=f"q{i}", texts=texts, log_scores=rng.normal(size=(len(texts), 3)),
-                           greedy_answer=0, greedy_token_cost=1))
+        split.append(dict(question_id=f"q{i}", texts=texts, log_scores=rng.normal(size=(len(texts), 3)),
+                          greedy_answer=0, greedy_token_cost=1))
         counts.append(np.cumsum([len(ws) for ws in words]).tolist())
-    together = _checked(fields)
-    derive_signals(together)
-    for got, f, expected in zip(together, fields, counts):
-        assert got.prefix_len.tolist() == Trajectory(**f).prefix_len.tolist() == expected
+    trajs = [Trajectory(**f) for f in split]
+    for got, traj, expected in zip(derive_signals(trajs)[0], trajs, counts):
+        assert got.tolist() == derive_signals([traj])[0][0].tolist() == expected
     # a text made only of such whitespace, or of nothing, has no token and is no sentence
     for blank in ["", *_SPACES, "".join(_SPACES)]:
         assert blank.split() == []
-        fields[17]["texts"] = [*fields[17]["texts"][:-1], blank]
+        split[17]["texts"] = [*split[17]["texts"][:-1], blank]
         with pytest.raises(ValueError, match="q17: sentence text is empty"):
-            Trajectory(**fields[17])
-        with pytest.raises(ValueError, match="q17: sentence text is empty"):
-            _checked(fields)
+            Trajectory(**split[17])
 
 
 def _make_trajectory(qid="q0", k=4, t=3, label=True, seed=0):
@@ -205,8 +198,8 @@ def test_columns_equal_the_per_row_results(k):
         one = normalize_choices(row)
         assert np.array_equal(dist.probs[t], one.probs)
         assert (p[t], entropy[t]) == sentence_signals(one)
-    traj = Trajectory("q", ["x."] * 12, scores, 0, 10)
-    assert np.array_equal(traj.p, p) and np.array_equal(traj.entropy, entropy)
+    _, (traj_p,), (traj_entropy,) = derive_signals([Trajectory("q", ["x."] * 12, scores, 0, 10)])
+    assert np.array_equal(traj_p, p) and np.array_equal(traj_entropy, entropy)
 
 
 def test_trajectory_roundtrip(tmp_path):
@@ -229,9 +222,7 @@ def test_trajectory_roundtrip(tmp_path):
         assert back.greedy_token_cost == orig.greedy_token_cost
         assert back.label == orig.label
         assert back.texts == orig.texts
-        assert np.array_equal(back.prefix_len, orig.prefix_len)
         assert np.array_equal(back.log_scores, orig.log_scores)
-        assert np.array_equal(back.p, orig.p) and np.array_equal(back.entropy, orig.entropy)
 
 
 def test_trajectory_read_rejects_duplicates(tmp_path):
@@ -364,25 +355,24 @@ def _split(n=160, seed=0):
 
 
 def _same_bytes(got, alone):
-    for name in ("log_scores", "prefix_len", "p", "entropy"):
-        a, b = getattr(got, name), getattr(alone, name)
+    for name, a, b in zip(("log_scores", "prefix_len", "p", "entropy"), got, alone):
         assert a.tobytes() == b.tobytes() and a.dtype == b.dtype and a.shape == b.shape, name
         assert not a.flags.writeable, name
 
 
 def test_a_split_derived_in_one_call_equals_each_trajectory_built_alone(tmp_path):
-    fields = _split()
-    alone = [Trajectory(**f) for f in fields]
-    assert any((t.p == 1.0).any() for t in alone) and any((abs(t.log_scores) == 700).any() for t in alone)
-    together = _checked(fields)
-    derive_signals(together)
+    trajs = [Trajectory(**f) for f in _split()]
+    alone = [_signals([traj])[0] for traj in trajs]
+    assert any((p == 1.0).any() for _, _, p, _ in alone) and any((abs(s) == 700).any() for s, *_ in alone)
     path = tmp_path / "split.jsonl"
-    write_trajectories(path, alone)
-    for got, back, one in zip(together, read_trajectories(path), alone):
+    write_trajectories(path, trajs)
+    back = read_trajectories(path)
+    for got, reread, one in zip(_signals(trajs), _signals(back), alone):
         _same_bytes(got, one)
-        _same_bytes(back, one)
-        assert (back.texts, back.greedy_answer, back.greedy_token_cost, back.label) == (
-            one.texts, one.greedy_answer, one.greedy_token_cost, one.label)
+        _same_bytes(reread, one)
+    for traj, reread in zip(trajs, back):
+        assert (reread.texts, reread.greedy_answer, reread.greedy_token_cost, reread.label) == (
+            traj.texts, traj.greedy_answer, traj.greedy_token_cost, traj.label)
 
 
 def test_a_file_mixing_three_and_five_options_reads(tmp_path):
@@ -391,8 +381,18 @@ def test_a_file_mixing_three_and_five_options_reads(tmp_path):
     write_trajectories(path, trajs)
     back = read_trajectories(path)
     assert [t.log_scores.shape for t in back] == [(1 + i, (3, 5)[i % 2]) for i in range(6)]
-    for got, one in zip(back, trajs):
-        _same_bytes(got, one)
+    for got, traj in zip(_signals(back), trajs):
+        _same_bytes(got, _signals([traj])[0])
+
+
+def test_every_derived_view_is_read_only():
+    trajs = [Trajectory(**f) for f in _split(20)]
+    for name, views in zip(("prefix_len", "p", "entropy"), derive_signals(trajs)):
+        assert [v.shape for v in views] == [(len(t.texts),) for t in trajs], name
+        for view in views:
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 1
+    assert derive_signals([]) == ([], [], [])
 
 
 @pytest.mark.parametrize(
@@ -433,24 +433,14 @@ def test_an_integer_log_score_beyond_uint64_reads_as_a_float(tmp_path):
     assert traj.log_scores.dtype == np.float64 and traj.log_scores[0, 0] == 1e20
 
 
-def test_validate_catches_non_increasing_prefix():
-    traj = _make_trajectory()
-    with pytest.raises(ValueError, match="read-only"):
-        traj.prefix_len[2] = traj.prefix_len[1]
-    plen = traj.prefix_len.copy()
-    plen[2] = plen[1]
-    with pytest.raises(ValueError, match="prefix_len is declared with init=False"):
-        replace(traj, prefix_len=plen)
-
-
 def test_array_fields_are_read_only_views_of_the_callers_arrays():
     scores = np.random.default_rng(1).normal(size=(3, 4))
     traj = Trajectory("q", ["a b c.", "d e f g.", "h i."], scores, 1, 10)
-    for name in ("log_scores", "prefix_len", "p", "entropy"):
-        with pytest.raises(ValueError, match="read-only"):
-            getattr(traj, name)[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        traj.log_scores[0] = 1
     assert np.shares_memory(traj.log_scores, scores) and scores.flags.writeable
-    assert traj.prefix_len.tolist() == [3, 7, 9]
+    assert [f.name for f in fields(traj)] == ["question_id", "texts", "log_scores", "greedy_answer",
+                                              "greedy_token_cost", "label"]
 
 
 def test_construction_validates():
